@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sectors
-from .determinant import find_eigenvalue_rank_one, find_eigenvalues_es
+from .determinant import (ALPHA_FLOOR, find_eigenvalue_rank_one,
+                          find_eigenvalues_es)
 from .dispersion import PI, morse_data
 from .errors import (BracketFailure, DomainError, FitFailure,
                      NonDiagonalHessian, UnresolvableRoots)
@@ -25,7 +26,6 @@ from .torus_quad import (FOUR_PI_SQ, default_spec, integrate_resolvent,
                          integrate_threshold)
 
 ALPHA_WINDOW = (1e-10, 1e-2)   # resolvable and leading-order-dominated
-ALPHA_RESOLVABLE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def _report(predicted, measured, xs, residual, samples):
 
 def _alpha_or_raise(energy, e_max):
     alpha = energy - e_max
-    if alpha < ALPHA_RESOLVABLE:
+    if alpha < ALPHA_FLOOR:
         raise UnresolvableRoots(
             f"E - e_max = {alpha:.3g} below the resolvable floor")
     return alpha
@@ -123,7 +123,7 @@ def _rank_one_alpha(model, sector, b, mu, spec, e_max):
         raise UnresolvableRoots(str(exc)) from exc
     if rec is None:
         # fits sample strictly above threshold, so a missing root means the
-        # opening fell inside the solver's threshold grace band
+        # opening fell inside the count table's at-threshold band
         raise UnresolvableRoots(
             f"{sector} eigenvalue at mu = {mu:.17g} is too close to threshold")
     return _alpha_or_raise(rec.energy, e_max)

@@ -24,7 +24,8 @@ import scipy.optimize
 from . import sectors
 from .errors import (BelowThreshold, BracketFailure, UnresolvableRoots,
                      ZeroCoupling)
-from .thresholds import NO_THRESHOLD, coupling_thresholds, gammas
+from .thresholds import (above_threshold, coupling_thresholds, es_count,
+                         gammas)
 from .torus_quad import FOUR_PI_SQ, default_spec, integrate_resolvent
 
 ALPHA_FLOOR = 1e-13   # roots closer to threshold are unresolvable
@@ -135,7 +136,8 @@ def _alpha_cap(mu, a, b):
 # ---------------------------------------------------------------------------
 
 def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
-    """The unique eigenvalue in a rank-one sector, or None below threshold."""
+    """The unique eigenvalue in a rank-one sector, or None where the count
+    table has none."""
     if b == 0:
         raise ZeroCoupling("coupling b must be nonzero")
     if mu <= 0:
@@ -143,8 +145,7 @@ def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
     if b < 0:
         return None
     gamma = getattr(gammas(model, spec=spec), f"gamma_{sector}")
-    mu0 = gamma / b
-    if mu <= mu0:
+    if not above_threshold(mu, gamma / b):
         return None
 
     spec = spec or default_spec(model)
@@ -155,24 +156,12 @@ def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
         raise BracketFailure("determinant not positive at the upper bracket")
     br = _descend_bracket(f, alpha_hi, f_hi)
     if br is None:
-        if mu <= mu0 * (1 + 1e-9):
-            return None
         raise BracketFailure(
             f"no sign change found above alpha = {ALPHA_FLOOR:g} in sector {sector}")
     alpha = _refine(f, br[0], br[1])
     return EigenvalueRecord(sector=sector, mu=mu, energy=float(model.e_max) + alpha,
                             multiplicity=1, c1=None, c2=1.0,
                             residual=abs(f(alpha)))
-
-
-def _expected_es_count(a, b, mu, mu0_es):
-    if a < 0 and b < 0:
-        return 0
-    if a * b < 0:
-        if a + 4 * b >= 0:
-            return 1
-        return 1 if mu > mu0_es else 0
-    return 2 if mu > mu0_es else 1
 
 
 def find_eigenvalues_es(model, a, b, mu, spec=None):
@@ -183,7 +172,7 @@ def find_eigenvalues_es(model, a, b, mu, spec=None):
         raise ValueError("mu must be positive")
     spec = spec or default_spec(model)
     mu0_es = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
-    expected = _expected_es_count(a, b, mu, mu0_es)
+    expected = es_count(a, b, mu, mu0_es)
     if expected == 0:
         return []
 

@@ -18,7 +18,8 @@ from .determinant import (delta_es, find_eigenvalue_rank_one,
 from .dispersion import SteppedPhiA, is_even_per_coordinate
 from .errors import (DomainError, NotEvenPerCoordinate, SignChangeAbsent,
                      ZeroCoupling)
-from .thresholds import NO_THRESHOLD, coupling_thresholds, gammas
+from .thresholds import (above_threshold, coupling_thresholds, es_count,
+                         gammas)
 from .torus_quad import FOUR_PI_SQ, default_spec, integrate_resolvent
 
 
@@ -49,30 +50,11 @@ def solve(model, a, b, mu, spec=None):
 
 
 def predicted_sector_counts(model, a, b, mu, spec=None):
-    """Counts predicted by the threshold table (no root finding).
-
-    Couplings within a relative 1e-9 of a threshold count as at-threshold:
-    the computed mu0 carries quadrature error, and analytically equal
-    thresholds (gamma_os = gamma_oa) differ in their last float digits.
-    """
+    """Counts predicted by the threshold table (no root finding)."""
     ct = coupling_thresholds(model, a, b, spec=spec)
-
-    def above(mu0):
-        return mu > mu0 * (1 + 1e-9)
-
-    out = {}
-    for sector in sectors.RANK_ONE_SECTORS:
-        mu0 = ct.mu0[sector]
-        out[sector] = 1 if (mu0 is not NO_THRESHOLD and above(mu0)) else 0
-    if a < 0 and b < 0:
-        out["es"] = 0
-    elif a * b < 0:
-        if a + 4 * b >= 0:
-            out["es"] = 1
-        else:
-            out["es"] = 1 if above(ct.mu0["es"]) else 0
-    else:
-        out["es"] = 2 if above(ct.mu0["es"]) else 1
+    out = {s: int(above_threshold(mu, ct.mu0[s]))
+           for s in sectors.RANK_ONE_SECTORS}
+    out["es"] = es_count(a, b, mu, ct.mu0["es"])
     out["total"] = sum(out[s] for s in sectors.SECTORS)
     return out
 

@@ -1,4 +1,5 @@
-"""Sector constants, coupling thresholds, and threshold-solution classes.
+"""Sector constants, coupling thresholds, the count table, and
+threshold-solution classes.
 
 gamma_omega is the reciprocal of the normalized threshold integral of the
 squared sector weight; the coupling threshold in a rank-one sector is
@@ -95,6 +96,34 @@ def coupling_thresholds(model, a, b, spec=None):
     ratio = (a + 4 * b) / (a * b)
     mu0["es"] = ratio * g.gamma_es if ratio > 0 else 0.0
     return CouplingThresholds(a=a, b=b, mu0=mu0, even_per_coordinate=even)
+
+
+# ---------------------------------------------------------------------------
+# count table
+# ---------------------------------------------------------------------------
+
+AT_THRESHOLD_REL = 1e-9
+
+
+def above_threshold(mu, mu0):
+    """True iff mu lies above the sector threshold mu0 beyond the
+    at-threshold band.
+
+    Couplings within a relative 1e-9 of a threshold count as at-threshold:
+    the computed mu0 carries quadrature error, and analytically equal
+    thresholds (gamma_os = gamma_oa) differ in their last float digits.
+    The root finders ask this table, so they agree with it in the band.
+    """
+    return mu0 is not NO_THRESHOLD and mu > mu0 * (1 + AT_THRESHOLD_REL)
+
+
+def es_count(a, b, mu, mu0_es):
+    """Number of rank-two (es) eigenvalues above the band at coupling mu."""
+    if a < 0 and b < 0:
+        return 0
+    if a * b < 0:
+        return 1 if a + 4 * b >= 0 or above_threshold(mu, mu0_es) else 0
+    return 2 if above_threshold(mu, mu0_es) else 1
 
 
 class ThresholdKind(enum.Enum):

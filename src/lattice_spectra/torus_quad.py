@@ -15,6 +15,12 @@ ball B_delta(pi_vec):
     substitution r = sqrt(alpha) sinh(s), which flattens the peak into a
     smooth bounded profile uniformly in alpha down to 1e-13.
 
+The threshold limit alpha -> 0 runs the same rule at alpha = 0.  The far
+field is unchanged there, because the deficit is bounded below where
+1 - chi is nonzero.  When v vanishes at pi_vec to an order above 2k - 2,
+r v / deficit^k is bounded and smooth in polar coordinates, so the near
+field takes plain Gauss nodes in r on [0, delta].
+
 Denominators are evaluated as alpha + (e_max - e), with the deficit
 e_max - e supplied in a cancellation-free form by the model.
 """
@@ -165,7 +171,8 @@ def _near_value(model, v, alpha, k, delta, n_theta, n_panels, order=16):
     Returns (value, abs_value) where abs_value integrates the modulus, used
     as a scale for relative-tolerance decisions.
     """
-    smax = float(np.arcsinh(delta / math.sqrt(alpha)))
+    sq = math.sqrt(alpha)
+    smax = float(np.arcsinh(delta / sq)) if alpha > 0 else delta
     xg, wg = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(0.0, smax, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
@@ -173,9 +180,10 @@ def _near_value(model, v, alpha, k, delta, n_theta, n_panels, order=16):
     s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     ws = (half[:, None] * wg[None, :]).ravel()
 
-    sq = math.sqrt(alpha)
-    r = sq * np.sinh(s)
-    jac = sq * np.cosh(s)
+    if alpha > 0:
+        r, jac = sq * np.sinh(s), sq * np.cosh(s)
+    else:
+        r, jac = s, 1.0
 
     theta = (np.arange(n_theta) + 0.5) * (2 * PI / n_theta)
     wtheta = 2 * PI / n_theta
@@ -219,15 +227,17 @@ def integrate_resolvent(model, v, z=None, k=1, spec=None, alpha=None):
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    e_max = float(model.e_max)
     if alpha is None:
         if z is None:
             raise ValueError("either z or alpha is required")
-        alpha = z - e_max
+        alpha = z - float(model.e_max)
     if alpha <= 0:
         raise BelowThreshold(f"z = e_max + {alpha:g} is not above the band top")
-    spec = spec or default_spec(model)
+    return _integrate(model, v, alpha, k, spec or default_spec(model))
 
+
+def _integrate(model, v, alpha, k, spec):
+    """Far field plus nested near-field refinement at alpha >= 0."""
     fine, coarse = _far_grids(model, spec.grid_n, spec.patch_radius)
     far = _far_value(fine, v, alpha, k)
     far_err = abs(far - _far_value(coarse, v, alpha, k))
@@ -254,55 +264,32 @@ def integrate_resolvent(model, v, z=None, k=1, spec=None, alpha=None):
     return IntegralResult(value=far + near, error_estimate=far_err + near_err)
 
 
-_DEFAULT_ALPHAS = tuple(np.geomspace(1e-3, 1e-7, 9))
+def _vanishing_order(v):
+    """Order to which v vanishes at pi_vec, read off the decay of max |v|
+    from the ring of radius 1e-2 to the ring of radius 1e-3."""
+    theta = np.linspace(0.0, 2 * PI, 64, endpoint=False)
+    big, small = (float(np.max(np.abs(v(wrap_torus(PI + r * np.cos(theta)),
+                                        wrap_torus(PI + r * np.sin(theta))))))
+                  for r in (1e-2, 1e-3))
+    if small == 0.0:
+        return math.inf
+    return math.log10(max(big, 1e-300) / small)
 
 
-def integrate_threshold(model, v, k=1, spec=None, alphas=None):
+def integrate_threshold(model, v, k=1, spec=None):
     """Limit alpha -> 0 of the resolvent integral: int v / (e_max - e)^k dq.
 
-    Realized by evaluating at a geometric alpha sequence and removing the
-    known expansion terms {alpha ln alpha, alpha, alpha^2 ln alpha, alpha^2}
-    by least squares.  A ln(alpha) column in the same fit detects the non-integrable
-    case (v(pi_vec) != 0 at k = 1) and raises NotIntegrable.
+    Evaluated directly at alpha = 0 by the resolvent rule.  The integral
+    converges iff v vanishes at pi_vec to an order above 2k - 2; otherwise
+    it diverges and NotIntegrable is raised.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    spec = spec or default_spec(model)
-    alphas = np.asarray(alphas if alphas is not None else _DEFAULT_ALPHAS, dtype=float)
-    if len(alphas) < 8:
-        raise ValueError("need at least 8 alpha samples")
-    alphas = np.sort(alphas)[::-1]
-
-    if k == 2:
-        # second-order vanishing check on shrinking rings
-        theta = np.linspace(0.0, 2 * PI, 64, endpoint=False)
-        def ring_max(r):
-            vv = v(wrap_torus(PI + r * np.cos(theta)), wrap_torus(PI + r * np.sin(theta)))
-            return float(np.max(np.abs(vv)))
-        m_big, m_small = ring_max(1e-2), ring_max(1e-3)
-        if m_small > 50.0 * m_big * 1e-2 + 1e-300:
-            raise NotIntegrable(
-                "k = 2 threshold integral needs v vanishing to second order at (pi, pi)")
-
-    results = [integrate_resolvent(model, v, k=k, spec=spec, alpha=a) for a in alphas]
-    vals = np.array([r.value for r in results])
-    errs = np.array([r.error_estimate for r in results])
-
-    def fit(a, y):
-        la = np.log(a)
-        cols = np.stack([la, np.ones_like(a), a * la, a, a * a * la, a * a],
-                        axis=1)
-        norms = np.linalg.norm(cols, axis=0)
-        coef, *_ = np.linalg.lstsq(cols / norms, y, rcond=None)
-        return coef / norms
-
-    coef = fit(alphas, vals)
-    c_log, b0 = coef[0], coef[1]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if abs(c_log) > 1e-4 * scale:
+    # analytic weights vanish to integer orders; the ring estimate is
+    # accurate to far better than the half-integer margin
+    order = _vanishing_order(v)
+    if order < 2 * k - 1.5:
         raise NotIntegrable(
-            f"alpha sequence diverges logarithmically (ln-coefficient {c_log:g})")
-
-    b0_drop = fit(alphas[:-1], vals[:-1])[1]
-    err = abs(b0 - b0_drop) + float(np.max(errs))
-    return IntegralResult(value=float(b0), error_estimate=err)
+            f"threshold integral with k = {k} needs v vanishing to order "
+            f"{2 * k - 1} at (pi, pi); it vanishes to order {order:.2g}")
+    return _integrate(model, v, 0.0, k, spec or default_spec(model))

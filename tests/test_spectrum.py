@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lattice_spectra import spectrum
+from lattice_spectra import sectors, spectrum
 from lattice_spectra.dispersion import PI, PiecewisePhi
 from lattice_spectra.errors import (DomainError, NotEvenPerCoordinate,
                                     ZeroCoupling)
+from lattice_spectra.thresholds import coupling_thresholds
 
 
 def test_solve_reference_config(lap):
@@ -30,6 +31,18 @@ def test_solve_matches_predicted_counts(lap, a, b, mu):
     got = spectrum.solve(lap, a, b, mu).sector_counts()
     for s in ("os", "oa", "ea", "es"):
         assert got[s] == pred[s], (a, b, mu, s)
+
+
+@pytest.mark.parametrize("a,b,sector", [
+    (1.0, 1.0, "ea"), (1.0, 1.0, "os"), (1.0, 1.0, "es"), (1.0, -1.0, "es"),
+])
+def test_solve_matches_table_inside_threshold_band(lap, a, b, sector):
+    # mu0 (1 + 5e-10) lies inside the table's at-threshold band, where the
+    # root finders must agree with the table
+    mu = coupling_thresholds(lap, a, b).mu0[sector] * (1 + 5e-10)
+    pred = spectrum.predicted_sector_counts(lap, a, b, mu)
+    got = spectrum.solve(lap, a, b, mu).sector_counts()
+    assert got == {s: pred[s] for s in sectors.SECTORS}
 
 
 def test_phase_diagram_small_grid(lap):

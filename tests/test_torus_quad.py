@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_spectra import sectors
-from lattice_spectra.dispersion import PI, PiecewisePhi, wrap_torus
+from lattice_spectra.dispersion import (PI, ExponentialHopping, PiecewisePhi,
+                                        SteppedPhiA, wrap_torus)
 from lattice_spectra.errors import BelowThreshold, NoConvergence, NotIntegrable
 from lattice_spectra.torus_quad import (FOUR_PI_SQ, QuadratureSpec,
                                         default_spec, integrate_resolvent,
@@ -96,7 +99,34 @@ def test_threshold_integral_k2_es_plus(lap):
     assert res.error_estimate < 1e-6 * res.value
 
 
-def test_threshold_integral_needs_enough_samples(lap):
-    with pytest.raises(ValueError):
-        integrate_threshold(lap, sectors.w_os_sq, k=1,
-                            alphas=np.geomspace(1e-3, 1e-6, 5))
+# the k = 1 weights behind gammas and es_constants
+K1_WEIGHTS = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
+              sectors.es_plus_sq, sectors.es_plus, sectors.es_theta2_weight,
+              sectors.es_kappa1_weight)
+
+
+def _assert_threshold_is_resolvent_limit(model):
+    # the alpha -> 0 correction at alpha = 1e-9 is O(alpha ln alpha), about
+    # 1e-6 in absolute terms on these weights; the absolute floor covers
+    # es_theta2_weight, whose limit crosses zero at the Laplacian (t2 = 0)
+    for v in K1_WEIGHTS:
+        direct = integrate_threshold(model, v, k=1).value
+        near = integrate_resolvent(model, v, k=1, alpha=1e-9).value
+        assert direct == pytest.approx(near, rel=1e-6, abs=1e-5), v.__name__
+
+
+@pytest.mark.parametrize("model", [SteppedPhiA(a_param=0.5),
+                                   PiecewisePhi(eps=0.5)], ids=repr)
+def test_threshold_integral_kinked_models(model):
+    _assert_threshold_is_resolvent_limit(model)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(t2=st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
+def test_threshold_integral_hopping_table(t2):
+    # nearest plus next-nearest hopping, e = 2 - (cos p1 + cos p2)
+    # - 2 t2 cos p1 cos p2: a non-degenerate maximum at (pi, pi) for t2 < 1/2
+    table = [(0, 0, 2.0)]
+    table += [(x1, x2, -0.5) for x1, x2 in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    table += [(x1, x2, -t2 / 2) for x1, x2 in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    _assert_threshold_is_resolvent_limit(ExponentialHopping(table=tuple(table)))
