@@ -1,7 +1,8 @@
 """Cross-checking the determinant spectrum against finite lattice boxes.
 
-The box oracle diagonalizes the operator restricted to [-L, L]^2, attributes
-each eigenvalue above the band to a symmetry sector, and extrapolates in L.
+The box oracle diagonalizes the operator restricted to [-L, L]^2 one
+symmetry sector block at a time, counts the eigenvalues above the band in each
+block, and extrapolates in L.
 Boundary effects decay exponentially in L at rate set by the bound-state
 depth, so a geometric extrapolation over three box sizes recovers the
 infinite-lattice eigenvalues to high accuracy.

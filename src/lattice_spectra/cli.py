@@ -230,8 +230,7 @@ def _cmd_oracle(args):
             "counts": {s: getattr(counts, s) for s in ("os", "oa", "ea", "es")},
             "entries": [[v, s] for v, s in counts.entries],
         })
-        csv_parts.append(lattice_oracle.eigen_csv(h, e_max, args.margin,
-                                                  k=args.k))
+        csv_parts.append(lattice_oracle.eigen_csv(L, counts))
     payload = {"metadata": _metadata(args, model, sp),
                "a": args.a, "b": args.b, "mu": args.mu,
                "margin": args.margin, "boxes": per_l}
@@ -366,7 +365,7 @@ def build_parser():
                    help="hopping cutoff (omit for the separable fast path)")
     p.add_argument("--margin", type=float, default=1e-3)
     p.add_argument("-k", type=int, default=12,
-                   help="number of top eigenvalues per box")
+                   help="number of top eigenvalues per sector block")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("multiplicity", help="multiplicity-two construction")

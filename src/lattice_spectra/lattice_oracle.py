@@ -5,12 +5,18 @@ five-point potential mu * (a at the origin, b at the four neighbors).  Bound
 states above the band decay exponentially, so box eigenvalues converge
 exponentially in L and an Aitken-type extrapolation recovers the limit.
 
-Two construction paths keep the oracle independent of the torus quadrature:
+``TruncatedHamiltonian.operator()`` is the one box operator, built without
+the torus quadrature:
 
-  * tabulated hoppings (FFT coefficients) assembled as a sparse matrix;
+  * tabulated hoppings (FFT coefficients) as a sparse sum of shifts;
   * separable kinds e(p) = g(p1) + g(p2) via exact 1-D coefficients of g
     computed with scipy.integrate.quad, applied as Phi X + X Phi without
     truncating the (slowly decaying) hopping range.
+
+Negation x -> -x and the coordinate swap preserve the box and V, so the
+operator splits into the four sectors os, oa, ea, es.  Each sector block
+Q^T H Q (Q a sparse isometry onto the sector) is diagonalized on its own, and
+every eigenvalue carries the sector of its block.
 """
 
 import csv
@@ -24,8 +30,19 @@ import scipy.sparse.linalg
 
 from .errors import FitFailure, NoConvergence
 from .dispersion import PI
+from .sectors import RANK_ONE_SECTORS, SECTORS
 
-DENSE_LIMIT = 4000
+# sector blocks of at most this dimension are formed densely for eigvalsh
+# (eigsh needs k < dim - 1); the L = 30 blocks have dimension 900 to 961
+DENSE_LIMIT = 400
+
+_SECTOR_CHARACTERS = {
+    # (parity under x -> -x, parity under coordinate swap)
+    "os": (-1, +1),
+    "oa": (-1, -1),
+    "ea": (+1, -1),
+    "es": (+1, +1),
+}
 
 
 @dataclass
@@ -42,8 +59,6 @@ class TruncatedHamiltonian:
     def dimension(self):
         return (2 * self.L + 1) ** 2
 
-    # -- assembly ----------------------------------------------------------
-
     def _potential_diag(self):
         n = 2 * self.L + 1
         v = np.zeros((n, n))
@@ -53,53 +68,77 @@ class TruncatedHamiltonian:
             v[c + dx, c + dy] = self.b
         return self.mu * v
 
-    def _phi_matrix(self):
+    def operator(self):
+        """The box operator on row-major flattened (x1, x2) arrays."""
         n = 2 * self.L + 1
-        idx = np.arange(n)
-        return self.phi_row[np.abs(idx[:, None] - idx[None, :])]
-
-    def sparse_matrix(self):
-        n = 2 * self.L + 1
-        if self.phi_row is not None:
-            phi = scipy.sparse.csr_matrix(self._phi_matrix())
-            eye = scipy.sparse.identity(n, format="csr")
-            h = scipy.sparse.kron(phi, eye) + scipy.sparse.kron(eye, phi)
-        else:
-            h = None
+        vdiag = self._potential_diag()
+        if self.phi_row is None:
+            mat = scipy.sparse.diags(vdiag.ravel())
             for (x1, x2), val in self.hopping.items():
                 shift1 = scipy.sparse.eye(n, n, k=x1, format="csr")
                 shift2 = scipy.sparse.eye(n, n, k=x2, format="csr")
-                term = val * scipy.sparse.kron(shift1, shift2)
-                h = term if h is None else h + term
-        h = h + scipy.sparse.diags(self._potential_diag().ravel())
-        return h.tocsr()
+                mat = mat + val * scipy.sparse.kron(shift1, shift2)
+            return scipy.sparse.linalg.aslinearoperator(mat.tocsr())
+        idx = np.arange(n)
+        phi = self.phi_row[np.abs(idx[:, None] - idx[None, :])]
+
+        def matvec(x):
+            m = x.reshape(n, n)
+            return (phi @ m + m @ phi + vdiag * m).ravel()
+
+        return scipy.sparse.linalg.LinearOperator(
+            (n * n, n * n), matvec=matvec, dtype=float)
+
+    def sector_block(self, sector):
+        return SectorBlock(self, sector, _sector_basis(self.L, sector))
+
+
+@dataclass(frozen=True)
+class SectorBlock:
+    """The box operator restricted to one symmetry sector, Q^T H Q."""
+    h: TruncatedHamiltonian
+    sector: str
+    basis: scipy.sparse.csr_matrix  # Q: orthonormal columns in the box
+
+    @property
+    def dimension(self):
+        return self.basis.shape[1]
 
     def operator(self):
-        n = 2 * self.L + 1
-        if self.phi_row is not None:
-            phi = self._phi_matrix()
-            vdiag = self._potential_diag()
+        op, q = self.h.operator(), self.basis
+        qt = q.T.tocsr()
+        return scipy.sparse.linalg.LinearOperator(
+            (self.dimension, self.dimension),
+            matvec=lambda y: qt @ op.matvec(q @ y), dtype=float)
 
-            def matvec(x):
-                m = x.reshape(n, n)
-                return (phi @ m + m @ phi + vdiag * m).ravel()
 
-            return scipy.sparse.linalg.LinearOperator(
-                (n * n, n * n), matvec=matvec, dtype=float)
-        mat = self.sparse_matrix()
-        return scipy.sparse.linalg.aslinearoperator(mat)
+def _sector_basis(L, sector):
+    """Sparse isometry Q onto one sector of the box [-L, L]^2.
 
-    def dense_matrix(self):
-        n = 2 * self.L + 1
-        if self.phi_row is not None:
-            phi = self._phi_matrix()
-            eye = np.eye(n)
-            h = np.kron(phi, eye) + np.kron(eye, phi)
-        else:
-            h = self.sparse_matrix().toarray()
-            return h
-        h += np.diag(self._potential_diag().ravel())
-        return h
+    One column per orbit of {1, N, S, NS} (N: x -> -x, S: coordinate swap),
+    the projection of the orbit's first point: a generic orbit gives
+    (d_x + c_n d_-x + c_s d_Sx + c_n c_s d_-Sx) / 2.  On the diagonal, the
+    antidiagonal and at the origin the four terms fall onto fewer points and
+    cancel unless the stabilizer's characters are trivial, so those orbits
+    enter only the sectors their stabilizer allows.
+    """
+    cn, cs = _SECTOR_CHARACTERS[sector]
+    n = 2 * L + 1
+    i, j = np.divmod(np.arange(n * n), n)
+    r = n - 1                                    # index of -x is r - i
+    images = ((i * n + j, 1.0), ((r - i) * n + (r - j), cn),
+              (j * n + i, cs), ((r - j) * n + (r - i), cn * cs))
+    first = np.minimum.reduce([idx for idx, _ in images])
+    reps = np.flatnonzero(first == np.arange(n * n))
+    rows = np.concatenate([idx[reps] for idx, _ in images])
+    vals = np.repeat([c for _, c in images], len(reps)).astype(float)
+    cols = np.tile(np.arange(len(reps)), len(images))
+    q = scipy.sparse.csc_matrix((vals, (rows, cols)),
+                                shape=(n * n, len(reps)))  # sums duplicates
+    q.eliminate_zeros()
+    norms = np.sqrt(np.asarray(q.multiply(q).sum(axis=0)).ravel())
+    keep = np.flatnonzero(norms)
+    return (q[:, keep] @ scipy.sparse.diags(1.0 / norms[keep])).tocsr()
 
 
 def _phi_coefficients(model, n_max):
@@ -124,7 +163,8 @@ def build(model, L, R=None, a=1.0, b=1.0, mu=0.0, tol=1e-10):
     """Box truncation of the operator.
 
     With R given, the hopping table comes from the FFT coefficients with an
-    l1 tail bound (CutoffTooSmall when it exceeds ``tol``).  With R = None a
+    l1 tail bound (CutoffTooSmall when it exceeds ``tol``); a table that is
+    not invariant under the coordinate swap is rejected.  With R = None a
     separable kind is assembled exactly from its 1-D profile coefficients.
     """
     if L < 1:
@@ -137,9 +177,14 @@ def build(model, L, R=None, a=1.0, b=1.0, mu=0.0, tol=1e-10):
         raise ValueError("need L >= R >= 1")
     from .dispersion import fourier_coefficients
     table = fourier_coefficients(model, R, tol=tol)
-    return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu,
-                                hopping=table.as_dict(), phi_row=None,
-                                tail_bound=table.tail)
+    hopping = table.as_dict()
+    scale = max(abs(v) for v in hopping.values())
+    if any(abs(v - hopping.get((x2, x1), 0.0)) > 1e-12 * scale
+           for (x1, x2), v in hopping.items()):
+        raise ValueError("hopping table must satisfy ehat(x1, x2) = "
+                         "ehat(x2, x1): the sector split needs the swap")
+    return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=hopping,
+                                phi_row=None, tail_bound=table.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -147,51 +192,28 @@ def build(model, L, R=None, a=1.0, b=1.0, mu=0.0, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 def eigen_pairs(h, k):
-    """k largest eigenvalues (descending) with eigenvectors as columns."""
+    """The k largest eigenvalues (descending) of a sector block ``h``.
+
+    Blocks up to DENSE_LIMIT are formed as op @ I for eigvalsh; larger ones
+    go to Lanczos.  Only eigenvalues are returned: sectors come from blocks.
+    """
     dim = h.dimension
-    k = min(k, dim - 2) if dim > 3 else dim
+    op = h.operator()
     if dim <= DENSE_LIMIT:
-        vals, vecs = np.linalg.eigh(h.dense_matrix())
-        order = np.argsort(vals)[::-1][:k]
-        return vals[order], vecs[:, order]
+        return np.linalg.eigvalsh(op @ np.eye(dim))[::-1][:k]
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            h.operator(), k=k, which="LA", maxiter=10000,
-            ncv=min(dim, max(40, 2 * k + 10)))
+        vals = scipy.sparse.linalg.eigsh(
+            op, k=min(k, dim - 2), which="LA", maxiter=10000,
+            ncv=min(dim, max(40, 2 * k + 10)), return_eigenvectors=False)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos failed to converge: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    return np.sort(vals)[::-1]
 
 
 def top_eigenvalues(h, k):
-    vals, _ = eigen_pairs(h, k)
-    return [float(v) for v in vals]
-
-
-# ---------------------------------------------------------------------------
-# sector attribution
-# ---------------------------------------------------------------------------
-
-_SECTOR_CHARACTERS = {
-    # (parity under x -> -x, parity under coordinate swap)
-    "os": (-1, +1),
-    "oa": (-1, -1),
-    "ea": (+1, -1),
-    "es": (+1, +1),
-}
-
-
-def _sector_projection_norms(vec, n):
-    m = vec.reshape(n, n)
-    mn = m[::-1, ::-1]
-    ms = m.T
-    mns = mn.T
-    out = {}
-    for name, (cn, cs) in _SECTOR_CHARACTERS.items():
-        p = (m + cn * mn + cs * ms + cn * cs * mns) / 4.0
-        out[name] = float(np.sum(p * p))
-    return out
+    """The k largest box eigenvalues, merged from the four sector blocks."""
+    vals = np.concatenate([eigen_pairs(h.sector_block(s), k) for s in SECTORS])
+    return [float(v) for v in np.sort(vals)[::-1][:k]]
 
 
 @dataclass(frozen=True)
@@ -201,61 +223,33 @@ class SectorCounts:
     ea: int
     es: int
     total: int
-    ambiguous: bool
-    entries: tuple  # (energy, sector-or-"?") descending
+    entries: tuple  # (energy, sector) descending
+
+    @property
+    def ambiguous(self):
+        """Always False: every eigenvalue comes from the block of one sector,
+        so its sector is never in doubt."""
+        return False
 
 
-def sector_count_above(h, e_max, margin, k=12, cluster_tol=1e-7):
-    """Count box eigenvalues above e_max + margin, attributed to sectors.
+def sector_count_above(h, e_max, margin, k=12):
+    """Count box eigenvalues above e_max + margin in each symmetry sector.
 
-    Near-degenerate clusters (the os/oa pair is exactly degenerate for
-    per-coordinate-even models) are attributed by projection traces, which
-    stay integer-valued even when individual vectors mix.
+    The box restriction of H0 has no eigenvalue above e_max, so by min-max a
+    sector holds no more eigenvalues above it than mu V has positive
+    eigenvalues there: at most 1 in os, oa, ea and 2 in es.  Each block is
+    asked for max(k, that rank) eigenvalues, so its count is exact.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
-    n = 2 * h.L + 1
-    vals, vecs = eigen_pairs(h, k)
-    above = [(float(v), vecs[:, i]) for i, v in enumerate(vals)
-             if v > e_max + margin]
-    if len(above) == len(vals) and len(vals) < h.dimension - 2:
-        vals, vecs = eigen_pairs(h, 2 * k)
-        above = [(float(v), vecs[:, i]) for i, v in enumerate(vals)
-                 if v > e_max + margin]
-
-    counts = {s: 0 for s in _SECTOR_CHARACTERS}
-    entries = []
-    ambiguous = False
-    i = 0
-    while i < len(above):
-        j = i + 1
-        scale = max(1.0, abs(above[i][0]))
-        while j < len(above) and abs(above[j][0] - above[i][0]) < cluster_tol * scale:
-            j += 1
-        cluster = above[i:j]
-        traces = {s: 0.0 for s in _SECTOR_CHARACTERS}
-        for _, vec in cluster:
-            norms = _sector_projection_norms(vec, n)
-            total = sum(norms.values())
-            for s in traces:
-                traces[s] += norms[s] / total
-        labels = []
-        for s, t in traces.items():
-            r = int(round(t))
-            if abs(t - r) > 0.05:
-                ambiguous = True
-            counts[s] += r
-            labels.extend([s] * r)
-        if len(labels) != len(cluster):
-            ambiguous = True
-            labels = (labels + ["?"] * len(cluster))[:len(cluster)]
-        for (v, _), lab in zip(cluster, labels):
-            entries.append((v, lab))
-        i = j
-
-    return SectorCounts(os=counts["os"], oa=counts["oa"], ea=counts["ea"],
-                        es=counts["es"], total=sum(counts.values()),
-                        ambiguous=ambiguous, entries=tuple(entries))
+    entries = sorted(
+        ((float(v), s) for s in SECTORS
+         for v in eigen_pairs(h.sector_block(s),
+                              max(k, 1 if s in RANK_ONE_SECTORS else 2))
+         if v > e_max + margin),
+        key=lambda entry: -entry[0])
+    counts = {s: sum(1 for _, t in entries if t == s) for s in SECTORS}
+    return SectorCounts(**counts, total=len(entries), entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +298,11 @@ def extrapolate(l_values, values):
     return limit, err
 
 
-def eigen_csv(h, e_max, margin, k=12):
-    """CSV rows (L, index, value, sector) for eigenvalues above the band."""
-    rep = sector_count_above(h, e_max, margin, k=k)
+def eigen_csv(L, counts):
+    """CSV rows (L, index, value, sector) for one box's SectorCounts."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["L", "index", "value", "sector"])
-    for i, (v, s) in enumerate(rep.entries):
-        writer.writerow([h.L, i, format(v, ".17g"), s])
+    for i, (v, s) in enumerate(counts.entries):
+        writer.writerow([L, i, format(v, ".17g"), s])
     return buf.getvalue()

@@ -40,7 +40,6 @@ FOUR_PI_SQ = 4 * PI ** 2
 @dataclass(frozen=True)
 class QuadratureSpec:
     grid_n: int = 256          # far-field points per axis
-    offset: bool = True        # half-step shift so pi_vec is never a node
     patch_radius: float = 0.5  # radius delta of the near patch
     radial_tol: float = 1e-10  # relative target for the near-field refinement
     max_refine: int = 6

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lattice_spectra import cli
+from lattice_spectra import cli, lattice_oracle
 
 
 def run(capsys, *argv):
@@ -122,6 +122,23 @@ def test_oracle_json(capsys):
     assert [b["L"] for b in data["boxes"]] == [10, 12, 14]
     assert all(b["total"] == 4 for b in data["boxes"])
     assert len(data["extrapolated"]) == 4
+
+
+def test_oracle_diagonalizes_each_box_once(capsys, monkeypatch):
+    calls = []
+    original = lattice_oracle.sector_count_above
+
+    def counting(h, *args, **kwargs):
+        calls.append(h.L)
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(lattice_oracle, "sector_count_above", counting)
+    code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
+                         "--L", "10,12,14", "-k", "6", "--format", "csv")
+    assert code == 0
+    assert calls == [10, 12, 14]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["L"]) for r in rows] == [10] * 4 + [12] * 4 + [14] * 4
 
 
 def test_resonance_json(capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lattice_spectra import lattice_oracle as lo
 from lattice_spectra.determinant import find_eigenvalue_rank_one
-from lattice_spectra.dispersion import PiecewisePhi, SteppedPhiA
+from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
+                                        PiecewisePhi, SteppedPhiA)
 from lattice_spectra.errors import FitFailure
 
 
@@ -22,14 +24,61 @@ def test_separable_and_sparse_paths_agree(lap):
     assert np.max(np.abs(np.array(v1) - np.array(v2))) < 1e-12
 
 
+def _kron_reference(h):
+    """Dense box matrix from the 1-D profile and the five-point potential."""
+    n = 2 * h.L + 1
+    idx = np.arange(n)
+    phi = h.phi_row[np.abs(idx[:, None] - idx[None, :])]
+    v = np.zeros((n, n))
+    v[h.L, h.L] = h.a
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        v[h.L + dx, h.L + dy] = h.b
+    eye = np.eye(n)
+    return np.kron(phi, eye) + np.kron(eye, phi) + np.diag(h.mu * v.ravel())
+
+
+def _sector_traces(vecs, n):
+    """Sum over the columns of |P_s v|^2 for each sector projection P_s."""
+    out = {}
+    for s, (cn, cs) in (("os", (-1, 1)), ("oa", (-1, -1)),
+                        ("ea", (1, -1)), ("es", (1, 1))):
+        total = 0.0
+        for vec in vecs.T:
+            m = vec.reshape(n, n)
+            mn = m[::-1, ::-1]
+            p = (m + cn * mn + cs * m.T + cn * cs * mn.T) / 4.0
+            total += float(np.sum(p * p))
+        out[s] = total
+    return out
+
+
 def test_operator_matches_dense(lap):
-    h = lo.build(lap, 5, a=1.0, b=2.0, mu=1.5)
-    dense = h.dense_matrix()
-    op = h.operator()
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(h.dimension)
-    assert np.allclose(op @ x, dense @ x, atol=1e-12)
-    assert np.allclose(dense, dense.T, atol=1e-12)
+    h = lo.build(lap, 4, a=1.0, b=2.0, mu=1.5)
+    ref = _kron_reference(h)
+    assert np.allclose(h.operator() @ np.eye(h.dimension), ref, atol=1e-12)
+    blocks = [h.sector_block(s) for s in ("os", "oa", "ea", "es")]
+    assert sum(blk.dimension for blk in blocks) == (2 * h.L + 1) ** 2
+    union = np.sort(np.concatenate([lo.eigen_pairs(blk, blk.dimension)
+                                    for blk in blocks]))
+    assert np.max(np.abs(union - np.linalg.eigvalsh(ref))) < 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(L=st.sampled_from((3, 4, 5)),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       mu=st.floats(0.2, 4.0))
+def test_sector_counts_match_reference_projections(L, a, b, mu):
+    lap = DiscreteLaplacian()
+    cutoff = 4.0 + 1e-3
+    h = lo.build(lap, L, a=a, b=b, mu=mu)
+    vals, vecs = np.linalg.eigh(_kron_reference(h))
+    assume(np.min(np.abs(vals - cutoff)) > 1e-6)
+    traces = _sector_traces(vecs[:, vals > cutoff], 2 * L + 1)
+    sc = lo.sector_count_above(h, 4.0, 1e-3, k=4)
+    for s, bound in (("os", 1), ("oa", 1), ("ea", 1), ("es", 2)):
+        assert traces[s] == pytest.approx(round(traces[s]), abs=1e-8)
+        assert getattr(sc, s) == round(traces[s]) <= bound
+    assert sc.total == int(np.sum(vals > cutoff))
 
 
 def test_free_box_stays_below_band_top(lap):
@@ -69,9 +118,16 @@ def test_build_validation(lap):
         lo.build(lap, 4, R=5)
     with pytest.raises(ValueError):
         # non-separable table model has no separable fast path
-        from lattice_spectra.dispersion import ExponentialHopping
         model = ExponentialHopping(table=((0, 0, 2.0), (1, 1, -0.5), (-1, -1, -0.5)))
         lo.build(model, 4)
+
+
+def test_build_rejects_swap_asymmetric_table():
+    # e(p) = 1 - cos p1 is even but not swap-invariant: the sector split
+    # would give wrong counts
+    model = ExponentialHopping(table=((0, 0, 1.0), (1, 0, -0.5), (-1, 0, -0.5)))
+    with pytest.raises(ValueError, match="swap"):
+        lo.build(model, 6, R=1)
 
 
 def test_extrapolate_geometric_exact():
@@ -108,7 +164,7 @@ def test_extrapolate_failures():
 
 def test_eigen_csv(lap):
     h = lo.build(lap, 12, a=1.0, b=3.0, mu=1.0)
-    text = lo.eigen_csv(h, 4.0, 1e-3, k=6)
+    text = lo.eigen_csv(12, lo.sector_count_above(h, 4.0, 1e-3, k=6))
     lines = text.strip().split("\n")
     assert lines[0] == "L,index,value,sector"
     assert len(lines) == 5
