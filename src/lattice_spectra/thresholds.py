@@ -18,8 +18,8 @@ import numpy as np
 from . import sectors
 from .dispersion import PI, is_even_per_coordinate, wrap_torus
 from .errors import NotIntegrable, NumericalError, ZeroCoupling
-from .torus_quad import (FOUR_PI_SQ, chi_cutoff, default_spec,
-                         integrate_threshold)
+from .torus_quad import (FOUR_PI_SQ, _panel_nodes, chi_cutoff,
+                         default_spec, integrate_threshold)
 
 NO_THRESHOLD = None  # sentinel: no eigenvalue for any coupling in that sector
 
@@ -196,15 +196,8 @@ class GrowthReport:
 def _annulus_integral(model, v, r_in, r_out, n_r=160, n_theta=128):
     """Exact polar integral of v over the annulus r_in <= r <= r_out around
     pi_vec, with Gauss nodes in ln r to resolve the 1/r^2 growth."""
-    xg, wg = np.polynomial.legendre.leggauss(32)
     edges = np.geomspace(r_in, r_out, max(2, n_r // 32) + 1)
-    ls, ws = [], []
-    for lo, hi in zip(np.log(edges[:-1]), np.log(edges[1:])):
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        ls.append(mid + half * xg)
-        ws.append(half * wg)
-    s = np.concatenate(ls)
-    wr = np.concatenate(ws)
+    s, wr = _panel_nodes(np.log(edges), 32)
     r = np.exp(s)
     theta = (np.arange(n_theta) + 0.5) * (2 * PI / n_theta)
     u1 = r[:, None] * np.cos(theta)[None, :]

@@ -3,13 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_spectra import sectors
-from lattice_spectra.dispersion import (PI, ExponentialHopping, PiecewisePhi,
+from lattice_spectra import sectors, torus_quad
+from lattice_spectra.dispersion import (PI, DiscreteLaplacian,
+                                        ExponentialHopping, PiecewisePhi,
                                         SteppedPhiA, wrap_torus)
 from lattice_spectra.errors import BelowThreshold, NoConvergence, NotIntegrable
 from lattice_spectra.torus_quad import (FOUR_PI_SQ, QuadratureSpec,
                                         default_spec, integrate_resolvent,
                                         integrate_smooth, integrate_threshold)
+
+
+def next_nearest_hopping(t2):
+    # nearest plus next-nearest hopping, e = 2 - (cos p1 + cos p2)
+    # - 2 t2 cos p1 cos p2: a non-degenerate maximum at (pi, pi) for t2 < 1/2
+    table = [(0, 0, 2.0)]
+    table += [(x1, x2, -0.5) for x1, x2 in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    table += [(x1, x2, -t2 / 2) for x1, x2 in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    return ExponentialHopping(table=tuple(table))
+
+
+MODELS = (DiscreteLaplacian(), SteppedPhiA(a_param=0.5), PiecewisePhi(eps=0.5),
+          next_nearest_hopping(0.1))
+MODEL_IDS = ("laplacian", "stepped-0.5", "piecewise-0.5", "hopping-t2-0.1")
+
+# the weights whose resolvent integrals enter the sector determinants
+DETERMINANT_WEIGHTS = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
+                       sectors.es_one, sectors.es_cos_sum,
+                       sectors.es_cos_sum_sq)
 
 
 def test_integrate_smooth_known_values(lap):
@@ -25,6 +45,10 @@ def test_quadrature_spec_validation(lap):
         QuadratureSpec(grid_n=31)
     with pytest.raises(ValueError):
         QuadratureSpec(patch_radius=0.0)
+    for bad in ({"n_theta": 0}, {"n_theta": 6}, {"n_theta": 33},
+                {"n_panels": 0}, {"gauss_order": 0}, {"gauss_order": 1}):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
     sp = default_spec(lap, grid_n=64)
     assert sp.grid_n == 64
 
@@ -67,6 +91,59 @@ def test_resolvent_monotone_in_alpha(lap):
             for a in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
     assert np.isfinite(vals[-1])
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_near_field_converges_at_first_refinement(model, monkeypatch):
+    calls = []
+    near_value = torus_quad._near_value
+
+    def counting(*args, **kwargs):
+        calls.append(args[5])
+        return near_value(*args, **kwargs)
+
+    monkeypatch.setattr(torus_quad, "_near_value", counting)
+    for alpha in (1e-13, 1e-9, 1e-6, 1e-2, 1.0):
+        for v in DETERMINANT_WEIGHTS:
+            calls.clear()
+            integrate_resolvent(model, v, alpha=alpha)
+            assert len(calls) <= 2, (alpha, v.__name__, calls)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(model=st.sampled_from(MODELS),
+       v=st.sampled_from(DETERMINANT_WEIGHTS),
+       log_alpha=st.floats(-13.0, 0.0))
+def test_near_field_matches_finer_rule(model, v, log_alpha):
+    # the far grid is the same in both specs, so the difference is the
+    # near-field error alone
+    alpha = 10.0 ** log_alpha
+    spec = default_spec(model)
+    finer = default_spec(model, n_panels=4 * spec.n_panels,
+                         n_theta=2 * spec.n_theta)
+    value = integrate_resolvent(model, v, alpha=alpha, spec=spec).value
+    reference = integrate_resolvent(model, v, alpha=alpha, spec=finer).value
+    assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_angular_estimate_is_the_half_rule_error(model):
+    # the estimate of an n-node rule is the error of the n/2-node rule, also
+    # for the swap-symmetric integrands of the sector weights
+    delta = default_spec(model).patch_radius
+    near = lambda n: torus_quad._near_value(model, sectors.w_os_sq, 1e-6, 1,
+                                            delta, n, 8)
+    exact = near(256)[0]
+    coarse, _, _ = near(8)
+    _, _, estimate = near(16)
+    assert abs(coarse - exact) > 1e-12 * abs(exact)
+    assert estimate == pytest.approx(abs(coarse - exact), rel=1e-2)
+
+
+def test_near_field_stall_raises(lap):
+    spec = default_spec(lap, gauss_order=2, max_refine=1)
+    with pytest.raises(NoConvergence, match=r"alpha = 1e-13, k = 1"):
+        integrate_resolvent(lap, sectors.es_one, alpha=1e-13, spec=spec)
 
 
 def test_resolvent_kinked_model():
@@ -124,9 +201,4 @@ def test_threshold_integral_kinked_models(model):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(t2=st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
 def test_threshold_integral_hopping_table(t2):
-    # nearest plus next-nearest hopping, e = 2 - (cos p1 + cos p2)
-    # - 2 t2 cos p1 cos p2: a non-degenerate maximum at (pi, pi) for t2 < 1/2
-    table = [(0, 0, 2.0)]
-    table += [(x1, x2, -0.5) for x1, x2 in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-    table += [(x1, x2, -t2 / 2) for x1, x2 in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
-    _assert_threshold_is_resolvent_limit(ExponentialHopping(table=tuple(table)))
+    _assert_threshold_is_resolvent_limit(next_nearest_hopping(t2))
