@@ -28,7 +28,7 @@ print(f"multiplicity check: double root confirmed = {is_double}")
 print()
 print("finite-box cross-check (L = 60)")
 h = lo.build(model, 60, a=c.a0, b=c.b0, mu=mu)
-sc = lo.sector_count_above(h, model.e_max, 1e-2, k=10)
+sc = lo.sector_count_above(h, model.e_max, 1e-2)
 es_near = sorted(v for v, s in sc.entries if s == "es" and abs(v - z0) < 0.05)
 print(f"es eigenvalues near z0: {['%.8f' % v for v in es_near]}")
 if len(es_near) == 2:

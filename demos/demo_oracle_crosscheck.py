@@ -27,7 +27,7 @@ print()
 print("finite boxes")
 for L in ls:
     h = lo.build(lap, L, a=a, b=b, mu=mu)
-    sc = lo.sector_count_above(h, lap.e_max, 5e-3, k=10)
+    sc = lo.sector_count_above(h, lap.e_max, 5e-3)
     per_l.append(sc)
     counts = {s: getattr(sc, s) for s in ("os", "oa", "ea", "es")}
     print(f"  L = {L:3d}  dim = {(2 * L + 1) ** 2:5d}  counts {counts}")

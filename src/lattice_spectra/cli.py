@@ -223,8 +223,7 @@ def _cmd_oracle(args):
     for L in ls:
         h = lattice_oracle.build(model, L, R=args.R, a=args.a, b=args.b,
                                  mu=args.mu)
-        counts = lattice_oracle.sector_count_above(h, e_max, args.margin,
-                                                   k=args.k)
+        counts = lattice_oracle.sector_count_above(h, e_max, args.margin)
         per_l.append({
             "L": L, "total": counts.total, "ambiguous": counts.ambiguous,
             "counts": {s: getattr(counts, s) for s in ("os", "oa", "ea", "es")},
@@ -364,8 +363,6 @@ def build_parser():
     p.add_argument("--R", type=int, default=None,
                    help="hopping cutoff (omit for the separable fast path)")
     p.add_argument("--margin", type=float, default=1e-3)
-    p.add_argument("-k", type=int, default=12,
-                   help="number of top eigenvalues per sector block")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("multiplicity", help="multiplicity-two construction")

@@ -8,15 +8,23 @@ exponentially in L and an Aitken-type extrapolation recovers the limit.
 ``TruncatedHamiltonian.operator()`` is the one box operator, built without
 the torus quadrature:
 
-  * tabulated hoppings (FFT coefficients) as a sparse sum of shifts;
-  * separable kinds e(p) = g(p1) + g(p2) via exact 1-D coefficients of g
-    computed with scipy.integrate.quad, applied as Phi X + X Phi without
-    truncating the (slowly decaying) hopping range.
+  * a hopping table as a sparse sum of shifts.  The table is either
+    tabulated (FFT coefficients) or the axis table of a separable kind
+    e(p) = g(p1) + g(p2) whose exact 1-D coefficients of g (computed with
+    scipy.integrate.quad) are roundoff beyond the first few, as on the
+    Laplacian;
+  * other separable kinds via all the 1-D coefficients, applied as
+    Phi X + X Phi without truncating the (slowly decaying) hopping range.
 
 Negation x -> -x and the coordinate swap preserve the box and V, so the
 operator splits into the four sectors os, oa, ea, es.  Each sector block
 Q^T H Q (Q a sparse isometry onto the sector) is diagonalized on its own, and
-every eigenvalue carries the sector of its block.
+every eigenvalue carries the sector of its block.  With a hopping table the
+block is an explicit CSR matrix, read off ``operator()`` by probing it with
+periodic combs; a long-range block is applied as Q^T H Q y.  The box
+restriction of H0 has no eigenvalue above e_max, so by min-max a block holds
+no more eigenvalues above it than mu V has positive eigenvalues in its
+sector, and ``sector_count_above`` asks each block for just that many.
 """
 
 import csv
@@ -33,8 +41,17 @@ from .dispersion import PI
 from .sectors import RANK_ONE_SECTORS, SECTORS
 
 # sector blocks of at most this dimension are formed densely for eigvalsh
-# (eigsh needs k < dim - 1); the L = 30 blocks have dimension 900 to 961
+# (eigsh needs k < dim - 1); larger ones go to Lanczos, as CSR matrices for
+# a hopping table and as matvecs otherwise.  The L = 30 blocks have
+# dimension 900 to 961
 DENSE_LIMIT = 400
+
+# separable profile coefficients at most this fraction of the largest are
+# quadrature roundoff (at most 2.9e-16 beyond c_1 on the Laplacian)
+_ROUNDOFF = 1e-14
+# a separable profile reaching farther keeps the matvec: the comb probe
+# takes (2 reach + 1)^2 products
+_MAX_REACH = 8
 
 _SECTOR_CHARACTERS = {
     # (parity under x -> -x, parity under coordinate swap)
@@ -51,9 +68,9 @@ class TruncatedHamiltonian:
     a: float
     b: float
     mu: float
-    hopping: dict | None        # (x1, x2) -> value (tabulated path)
-    phi_row: np.ndarray | None  # c[0..2L], 1-D coefficients (separable path)
-    tail_bound: float
+    hopping: dict | None        # (x1, x2) -> value; None: phi_row matvec
+    phi_row: np.ndarray | None  # c[0..2L], 1-D coefficients (separable kinds)
+    tail_bound: float           # l1 mass of the hoppings left out of the box
 
     @property
     def dimension(self):
@@ -72,13 +89,20 @@ class TruncatedHamiltonian:
         """The box operator on row-major flattened (x1, x2) arrays."""
         n = 2 * self.L + 1
         vdiag = self._potential_diag()
-        if self.phi_row is None:
-            mat = scipy.sparse.diags(vdiag.ravel())
+        if self.hopping is not None:
+            i, j = np.divmod(np.arange(n * n), n)
+            diag = np.arange(n * n)
+            rows, cols, vals = [diag], [diag], [vdiag.ravel()]
             for (x1, x2), val in self.hopping.items():
-                shift1 = scipy.sparse.eye(n, n, k=x1, format="csr")
-                shift2 = scipy.sparse.eye(n, n, k=x2, format="csr")
-                mat = mat + val * scipy.sparse.kron(shift1, shift2)
-            return scipy.sparse.linalg.aslinearoperator(mat.tocsr())
+                site = np.flatnonzero((i + x1 >= 0) & (i + x1 < n)
+                                      & (j + x2 >= 0) & (j + x2 < n))
+                rows.append(site)
+                cols.append(site + x1 * n + x2)
+                vals.append(np.full(site.size, val))
+            mat = scipy.sparse.csr_matrix(  # sums the diagonal duplicates
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(n * n, n * n))
+            return scipy.sparse.linalg.aslinearoperator(mat)
         idx = np.arange(n)
         phi = self.phi_row[np.abs(idx[:, None] - idx[None, :])]
 
@@ -105,11 +129,47 @@ class SectorBlock:
         return self.basis.shape[1]
 
     def operator(self):
+        """Q^T H Q: a CSR matrix when the box operator has a hopping table,
+        otherwise a LinearOperator applying Q^T (H (Q y))."""
         op, q = self.h.operator(), self.basis
         qt = q.T.tocsr()
+        if self.h.hopping is not None:
+            reach = max(max(abs(x1), abs(x2)) for x1, x2 in self.h.hopping)
+            return (qt @ _comb_probe(op, self.h.L, reach) @ q).tocsr()
         return scipy.sparse.linalg.LinearOperator(
             (self.dimension, self.dimension),
             matvec=lambda y: qt @ op.matvec(q @ y), dtype=float)
+
+
+def _comb_probe(op, L, reach):
+    """A box operator of hopping range ``reach`` as a CSR matrix.
+
+    Curtis-Powell-Reid probing: the row of a site has nonzeros only within
+    ``reach`` of it (in each coordinate), and that window holds exactly one
+    site of each residue class mod m = 2 reach + 1.  So the m^2 products of
+    ``op`` with the periodic combs of the classes give every entry, using
+    nothing of ``op`` but its matvec.
+    """
+    n, m = 2 * L + 1, 2 * reach + 1
+    idx = np.arange(n)
+    # the coordinate of class c within reach of coordinate idx, and whether
+    # it lies in the box
+    near = [idx + (c - idx + reach) % m - reach for c in range(m)]
+    ok = [(x >= 0) & (x < n) for x in near]
+    in_class = [idx % m == c for c in range(m)]
+    rows, cols, vals = [], [], []
+    for c1 in range(m):
+        for c2 in range(m):
+            comb = np.outer(in_class[c1], in_class[c2]).astype(float).ravel()
+            site = np.flatnonzero(np.outer(ok[c1], ok[c2]))
+            rows.append(site)
+            cols.append((near[c1][:, None] * n + near[c2][None, :]).ravel()[site])
+            vals.append(op.matvec(comb)[site])
+    mat = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * n, n * n))
+    mat.eliminate_zeros()
+    return mat
 
 
 def _sector_basis(L, sector):
@@ -159,20 +219,46 @@ def _phi_coefficients(model, n_max):
     return c
 
 
+def _axis_table(phi_row):
+    """(hopping table, dropped l1 mass) of a separable profile whose
+    coefficients beyond the first few are roundoff; (None, 0.0) when it
+    reaches farther than _MAX_REACH.
+
+    e(p) = g(p1) + g(p2) hops by c_n along each axis and sits at 2 c_0 on
+    the diagonal; each dropped c_n would enter four entries of the table.
+    """
+    scale = np.max(np.abs(phi_row))
+    significant = np.flatnonzero(np.abs(phi_row) > _ROUNDOFF * scale)
+    reach = int(significant[-1]) if significant.size else 0
+    if reach > _MAX_REACH:
+        return None, 0.0
+    table = {(0, 0): 2.0 * float(phi_row[0])}
+    for n in range(1, reach + 1):
+        for x in ((n, 0), (-n, 0), (0, n), (0, -n)):
+            table[x] = float(phi_row[n])
+    return table, 4.0 * float(np.sum(np.abs(phi_row[reach + 1:])))
+
+
 def build(model, L, R=None, a=1.0, b=1.0, mu=0.0, tol=1e-10):
     """Box truncation of the operator.
 
     With R given, the hopping table comes from the FFT coefficients with an
     l1 tail bound (CutoffTooSmall when it exceeds ``tol``); a table that is
     not invariant under the coordinate swap is rejected.  With R = None a
-    separable kind is assembled exactly from its 1-D profile coefficients.
+    separable kind is assembled from its 1-D profile coefficients c_0..c_2L.
+    When every c_n beyond the first few (at most 8) is roundoff, |c_n| <=
+    1e-14 max |c| as on the Laplacian, the first few become the axis hopping
+    table, so the sector blocks are sparse, and ``tail_bound`` is the l1
+    mass of the dropped ones; a longer-range profile keeps the matvec over
+    every coefficient (tail_bound 0).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     if R is None:
         phi_row = _phi_coefficients(model, 2 * L)
-        return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=None,
-                                    phi_row=phi_row, tail_bound=0.0)
+        hopping, tail = _axis_table(phi_row)
+        return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=hopping,
+                                    phi_row=phi_row, tail_bound=tail)
     if not L >= R >= 1:
         raise ValueError("need L >= R >= 1")
     from .dispersion import fourier_coefficients
@@ -232,20 +318,22 @@ class SectorCounts:
         return False
 
 
-def sector_count_above(h, e_max, margin, k=12):
+def sector_count_above(h, e_max, margin, k=None):
     """Count box eigenvalues above e_max + margin in each symmetry sector.
 
     The box restriction of H0 has no eigenvalue above e_max, so by min-max a
     sector holds no more eigenvalues above it than mu V has positive
     eigenvalues there: at most 1 in os, oa, ea and 2 in es.  Each block is
-    asked for max(k, that rank) eigenvalues, so its count is exact.
+    asked for exactly that rank of its largest eigenvalues, so its count is
+    exact.  ``k`` is ignored; it is accepted so that callers still passing
+    it keep working.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
     entries = sorted(
         ((float(v), s) for s in SECTORS
          for v in eigen_pairs(h.sector_block(s),
-                              max(k, 1 if s in RANK_ONE_SECTORS else 2))
+                              1 if s in RANK_ONE_SECTORS else 2)
          if v > e_max + margin),
         key=lambda entry: -entry[0])
     counts = {s: sum(1 for _, t in entries if t == s) for s in SECTORS}

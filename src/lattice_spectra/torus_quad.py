@@ -139,21 +139,22 @@ def _panel_nodes(edges, order):
             (half[:, None] * wg[None, :]).ravel())
 
 
-def _axis_nodes_gauss(breakpoints, n_target, order=12):
-    """Composite Gauss nodes on [-pi, pi] with panel edges on the kinks."""
-    edges = sorted(set([-PI, PI] + [float(b) for b in breakpoints]))
-    starts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(2, int(math.ceil((hi - lo) / (2 * PI) * n_target / order)))
-        starts.append(np.linspace(lo, hi, m + 1)[:-1])
+def _panel_counts(edges, n_target, order=12):
+    """Gauss panels per segment between consecutive kinks for about
+    n_target nodes on [-pi, pi], at least 2 per segment."""
+    return [max(2, int(math.ceil((hi - lo) / (2 * PI) * n_target / order)))
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _axis_nodes_gauss(edges, counts, order=12):
+    """Composite Gauss nodes on [-pi, pi], counts[i] uniform panels on the
+    segment [edges[i], edges[i + 1]] between kinks."""
+    starts = [np.linspace(lo, hi, m + 1)[:-1]
+              for lo, hi, m in zip(edges[:-1], edges[1:], counts)]
     return _panel_nodes(np.append(np.concatenate(starts), PI), order)
 
 
-def _far_level(model, n, delta, breakpoints):
-    if breakpoints is None:
-        x, w = _axis_nodes_trapezoid(n)
-    else:
-        x, w = _axis_nodes_gauss(breakpoints, n)
+def _far_level(model, x, w, delta):
     p1, p2 = np.meshgrid(x, x, indexing="ij")
     w2 = np.outer(w, w)
     r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
@@ -169,10 +170,20 @@ def _far_level(model, n, delta, breakpoints):
 
 @lru_cache(maxsize=32)
 def _far_grids(model, grid_n, patch_radius):
+    """The (fine, coarse) far-field levels; their difference estimates the
+    error of the coarse one.  On a kinked model the coarse level takes
+    fewer panels than the fine one on every segment: at small grid_n both
+    would otherwise sit on the 2-panel floor, and the estimate read roundoff."""
     breakpoints = getattr(model, "breakpoints", None)
-    fine = _far_level(model, grid_n, patch_radius, breakpoints)
-    coarse = _far_level(model, grid_n // 2, patch_radius, breakpoints)
-    return (fine, coarse)
+    if breakpoints is None:
+        axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
+    else:
+        edges = sorted(set([-PI, PI] + [float(b) for b in breakpoints]))
+        fine = _panel_counts(edges, grid_n)
+        coarse = [min(c, f - 1)
+                  for c, f in zip(_panel_counts(edges, grid_n // 2), fine)]
+        axes = (_axis_nodes_gauss(edges, fine), _axis_nodes_gauss(edges, coarse))
+    return tuple(_far_level(model, x, w, patch_radius) for x, w in axes)
 
 
 def _far_value(level, v, alpha, k):

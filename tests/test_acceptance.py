@@ -74,7 +74,7 @@ def test_criterion_3_oracle_equivalence(lap):
         per_l = []
         for L in ls:
             h = lo.build(lap, L, a=a, b=b, mu=mu)
-            per_l.append(lo.sector_count_above(h, 4.0, 5e-3, k=10))
+            per_l.append(lo.sector_count_above(h, 4.0, 5e-3))
         for c in per_l:
             if {s: getattr(c, s) for s in ("os", "oa", "ea", "es")} != res.sector_counts():
                 count_mismatches += 1
@@ -163,7 +163,7 @@ def test_criterion_9_multiplicity_two():
         worst_res = max(worst_res, max(c.verification))
         model = SteppedPhiA(a_param=c.A0)
         h = lo.build(model, 80, a=c.a0, b=c.b0, mu=1.0)
-        sc = lo.sector_count_above(h, 1.0, 1e-2, k=10)
+        sc = lo.sector_count_above(h, 1.0, 1e-2)
         near = sorted(v for v, s in sc.entries
                       if s == "es" and abs(v - z0) < 0.05)
         if len(near) != 2:

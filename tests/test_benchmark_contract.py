@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -31,3 +33,38 @@ def test_tracing_names_exist():
     assert isinstance(oracle.DENSE_LIMIT, int)
     assert callable(oracle.TruncatedHamiltonian.operator)
     assert hasattr(oracle.SectorCounts, "ambiguous")
+
+
+def test_sector_count_accepts_the_workload_k(lap):
+    # the oracle-box workload and the selftest still pass k=10
+    oracle = importlib.import_module("lattice_spectra.lattice_oracle")
+    h = oracle.build(lap, 6, a=1.0, b=3.0, mu=1.0)
+    sc = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
+    assert isinstance(sc, oracle.SectorCounts)
+    assert sc.ambiguous is False
+
+
+def test_traced_box_counts_match_untraced(lap):
+    tracing = _load_tracing()
+    modules = {layer: importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+               for layer in tracing.LAYER_API}
+    oracle = modules["lattice_oracle"]
+    h = oracle.build(lap, 20, a=1.0, b=3.0, mu=1.0)    # Lanczos blocks
+    plain = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        traced = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
+    finally:
+        tracer.uninstall()
+    for s in ("os", "oa", "ea", "es"):
+        # os and oa are degenerate here, so compare sector by sector
+        assert getattr(traced, s) == getattr(plain, s)
+        assert (sorted(v for v, t in traced.entries if t == s)
+                == pytest.approx(sorted(v for v, t in plain.entries if t == s),
+                                 abs=1e-12))
+    # the sparse blocks read the traced operator, so every eigensolve counts
+    # matvecs (run.py divides the matvec spread by their median)
+    spans = [s for s in tracer.spans if s.name == "lattice_oracle.eigen_pairs"]
+    assert len(spans) == 4
+    assert all(s.extra["matvecs"] > 0 for s in spans)

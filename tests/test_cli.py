@@ -116,7 +116,7 @@ def test_multiplicity_json(capsys):
 
 def test_oracle_json(capsys):
     code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
-                         "--L", "10,12,14", "-k", "6")
+                         "--L", "10,12,14")
     assert code == 0
     data = json.loads(out)
     assert [b["L"] for b in data["boxes"]] == [10, 12, 14]
@@ -134,7 +134,7 @@ def test_oracle_diagonalizes_each_box_once(capsys, monkeypatch):
 
     monkeypatch.setattr(lattice_oracle, "sector_count_above", counting)
     code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
-                         "--L", "10,12,14", "-k", "6", "--format", "csv")
+                         "--L", "10,12,14", "--format", "csv")
     assert code == 0
     assert calls == [10, 12, 14]
     rows = list(csv.DictReader(io.StringIO(out)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
 from lattice_spectra import lattice_oracle as lo
@@ -25,16 +26,22 @@ def test_separable_and_sparse_paths_agree(lap):
 
 
 def _kron_reference(h):
-    """Dense box matrix from the 1-D profile and the five-point potential."""
+    """Dense box matrix from the five-point potential and the untruncated
+    1-D profile, or the hopping table of a model without one."""
     n = 2 * h.L + 1
-    idx = np.arange(n)
-    phi = h.phi_row[np.abs(idx[:, None] - idx[None, :])]
     v = np.zeros((n, n))
     v[h.L, h.L] = h.a
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         v[h.L + dx, h.L + dy] = h.b
     eye = np.eye(n)
-    return np.kron(phi, eye) + np.kron(eye, phi) + np.diag(h.mu * v.ravel())
+    if h.phi_row is not None:
+        idx = np.arange(n)
+        phi = h.phi_row[np.abs(idx[:, None] - idx[None, :])]
+        hop = np.kron(phi, eye) + np.kron(eye, phi)
+    else:
+        hop = sum(val * np.kron(np.eye(n, k=x1), np.eye(n, k=x2))
+                  for (x1, x2), val in h.hopping.items())
+    return hop + np.diag(h.mu * v.ravel())
 
 
 def _sector_traces(vecs, n):
@@ -63,6 +70,68 @@ def test_operator_matches_dense(lap):
     assert np.max(np.abs(union - np.linalg.eigvalsh(ref))) < 1e-12
 
 
+# nearest plus next-nearest hopping with t2 = 0.1
+NEXT_NEAREST = ExponentialHopping(table=(
+    (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
+    (1, 1, -0.05), (-1, -1, -0.05), (1, -1, -0.05), (-1, 1, -0.05)))
+# model, R, and the box sizes with a hopping table (so sparse blocks): all,
+# or for stepped those whose box sees at most 8 of its long-range axis
+# hoppings; the larger ones keep the matvec
+BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None, 6),
+                "next-nearest-t2-0.1": (NEXT_NEAREST, 2, 6),
+                "stepped-0.5": (SteppedPhiA(a_param=0.5), None, 4)}
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(L=st.integers(3, 6), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       mu=st.floats(0.2, 4.0))
+def test_sector_blocks_match_reference(name, L, a, b, mu):
+    model, R, max_sparse_l = BLOCK_MODELS[name]
+    h = lo.build(model, L, R=R, a=a, b=b, mu=mu)
+    assert (h.hopping is not None) == (L <= max_sparse_l)
+    ref = _kron_reference(h)
+    for s in ("os", "oa", "ea", "es"):
+        blk = h.sector_block(s)
+        op = blk.operator()
+        assert scipy.sparse.issparse(op) == (h.hopping is not None)
+        q = blk.basis.toarray()
+        assert np.max(np.abs(op @ np.eye(blk.dimension) - q.T @ ref @ q)) < 1e-13
+
+
+def test_laplacian_becomes_an_axis_table(lap):
+    h = lo.build(lap, 9)
+    assert sorted(h.hopping) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    assert h.hopping[(0, 0)] == pytest.approx(2.0, abs=1e-14)
+    assert h.tail_bound == pytest.approx(
+        4 * np.sum(np.abs(h.phi_row[2:])), rel=1e-12, abs=0.0)
+    assert h.tail_bound < 1e-13
+    stepped = lo.build(SteppedPhiA(a_param=0.5), 9)
+    assert stepped.hopping is None and stepped.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("L", (8, 20))   # dense and Lanczos blocks
+def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
+    h = lo.build(lap, L, a=1.0, b=3.0, mu=1.0)
+    asked = {}
+    original = lo.eigen_pairs
+
+    def spy(blk, k):
+        asked[blk.sector] = k
+        return original(blk, k)
+
+    monkeypatch.setattr(lo, "eigen_pairs", spy)
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    assert asked == {"os": 1, "oa": 1, "ea": 1, "es": 2}
+    for s in ("os", "oa", "ea", "es"):
+        blk = h.sector_block(s)
+        full = np.linalg.eigvalsh(blk.operator() @ np.eye(blk.dimension))
+        want = np.sort(full[full > 4.0 + 1e-3])
+        got = np.sort([v for v, t in sc.entries if t == s])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-10
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(L=st.sampled_from((3, 4, 5)),
        a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
@@ -74,7 +143,7 @@ def test_sector_counts_match_reference_projections(L, a, b, mu):
     vals, vecs = np.linalg.eigh(_kron_reference(h))
     assume(np.min(np.abs(vals - cutoff)) > 1e-6)
     traces = _sector_traces(vecs[:, vals > cutoff], 2 * L + 1)
-    sc = lo.sector_count_above(h, 4.0, 1e-3, k=4)
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
     for s, bound in (("os", 1), ("oa", 1), ("ea", 1), ("es", 2)):
         assert traces[s] == pytest.approx(round(traces[s]), abs=1e-8)
         assert getattr(sc, s) == round(traces[s]) <= bound
@@ -89,7 +158,7 @@ def test_free_box_stays_below_band_top(lap):
 
 def test_sector_attribution_reference(lap):
     h = lo.build(lap, 20, a=1.0, b=3.0, mu=1.0)
-    sc = lo.sector_count_above(h, 4.0, 1e-3, k=8)
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
     assert (sc.os, sc.oa, sc.ea, sc.es) == (1, 1, 1, 1)
     assert sc.total == 4
     assert not sc.ambiguous
@@ -100,7 +169,7 @@ def test_sector_attribution_reference(lap):
 
 def test_sector_count_empty(lap):
     h = lo.build(lap, 10, a=-1.0, b=-1.0, mu=2.0)
-    sc = lo.sector_count_above(h, 4.0, 1e-3, k=6)
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
     assert sc.total == 0
     assert sc.entries == ()
 
@@ -164,7 +233,7 @@ def test_extrapolate_failures():
 
 def test_eigen_csv(lap):
     h = lo.build(lap, 12, a=1.0, b=3.0, mu=1.0)
-    text = lo.eigen_csv(12, lo.sector_count_above(h, 4.0, 1e-3, k=6))
+    text = lo.eigen_csv(12, lo.sector_count_above(h, 4.0, 1e-3))
     lines = text.strip().split("\n")
     assert lines[0] == "L,index,value,sector"
     assert len(lines) == 5

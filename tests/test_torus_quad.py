@@ -202,3 +202,17 @@ def test_threshold_integral_kinked_models(model):
 @given(t2=st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
 def test_threshold_integral_hopping_table(t2):
     _assert_threshold_is_resolvent_limit(next_nearest_hopping(t2))
+
+
+def test_far_field_estimate_sees_the_kinks():
+    # at a small grid_n the two far levels both sat on the 2-panel floor of
+    # every segment between kinks, and the estimate read 3e-11 against a
+    # true error of 9e-6
+    model = SteppedPhiA(a_param=0.5)
+
+    def far(grid_n):
+        return integrate_resolvent(model, sectors.w_os_sq, alpha=1e-2,
+                                   spec=default_spec(model, grid_n=grid_n))
+
+    res = far(64)
+    assert res.error_estimate >= abs(res.value - far(2048).value)
