@@ -19,8 +19,8 @@ from . import sectors
 from .determinant import (ALPHA_FLOOR, find_eigenvalue_rank_one,
                           find_eigenvalues_es)
 from .dispersion import PI, morse_data
-from .errors import (BracketFailure, DomainError, FitFailure,
-                     NonDiagonalHessian, UnresolvableRoots)
+from .errors import (DomainError, FitFailure, NonDiagonalHessian,
+                     UnresolvableRoots)
 from .thresholds import NO_THRESHOLD, coupling_thresholds, es_constants, gammas
 from .torus_quad import (FOUR_PI_SQ, default_spec, integrate_resolvent,
                          integrate_threshold)
@@ -116,11 +116,7 @@ def _alpha_or_raise(energy, e_max):
 
 
 def _rank_one_alpha(model, sector, b, mu, spec, e_max):
-    try:
-        rec = find_eigenvalue_rank_one(model, sector, b, mu, spec=spec)
-    except BracketFailure as exc:
-        # a root pushed below the floor manifests as a missing sign change
-        raise UnresolvableRoots(str(exc)) from exc
+    rec = find_eigenvalue_rank_one(model, sector, b, mu, spec=spec)
     if rec is None:
         # fits sample strictly above threshold, so a missing root means the
         # opening fell inside the count table's at-threshold band

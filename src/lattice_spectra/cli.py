@@ -233,14 +233,16 @@ def _cmd_oracle(args):
     payload = {"metadata": _metadata(args, model, sp),
                "a": args.a, "b": args.b, "mu": args.mu,
                "margin": args.margin, "boxes": per_l}
-    if len(ls) >= 3 and len({p["total"] for p in per_l}) == 1:
-        n = per_l[0]["total"]
+    if len(ls) >= 3 and all(p["counts"] == per_l[0]["counts"] for p in per_l):
+        # follow each state by its sector and its rank within the sector
         extrapolated = []
-        for i in range(n):
-            vals = [p["entries"][i][0] for p in per_l]
-            limit, err = lattice_oracle.extrapolate(ls, vals)
-            extrapolated.append({"index": i, "sector": per_l[-1]["entries"][i][1],
-                                 "value": limit, "error": err})
+        for s, n in per_l[0]["counts"].items():
+            for rank in range(n):
+                vals = [[v for v, t in p["entries"] if t == s][rank]
+                        for p in per_l]
+                limit, err = lattice_oracle.extrapolate(ls, vals)
+                extrapolated.append({"sector": s, "rank": rank,
+                                     "value": limit, "error": err})
         payload["extrapolated"] = extrapolated
     header, *rest = csv_parts
     csv_text = header + "".join(part.split("\n", 1)[1] for part in rest)

@@ -13,12 +13,25 @@ vanishes, where Delta1 = 1 - (a mu/4pi^2) I[1], Delta2 = 1 - (b mu/4pi^2)
 I[(cos q1 + cos q2)^2], Delta3 = (1/4pi^2) I[cos q1 + cos q2] with
 I[v] = int v/(E - e).  All root finding runs in x = ln(alpha), where the
 determinants are nearly linear near threshold.
+
+Delta is, up to the factor mu^2 a b, the determinant of the symmetric matrix
+
+    M(alpha) = (mu V)^-1 - G(alpha) = [[Delta1/(a mu), -Delta3],
+                                       [-Delta3,       Delta2/(b mu)]],
+
+G = (1/4pi^2) int u u^T/(alpha + d) with u = (1, cos q1 + cos q2) and
+d = e_max - e.  dG/dalpha = -(1/4pi^2) int u u^T/(alpha + d)^2 is negative
+definite, so both eigenvalues of M increase with alpha.  Where es holds two
+roots (a, b > 0 above mu0_es), M is positive definite at large alpha and
+negative definite at threshold: the lower eigenvalue crosses zero once, at
+the outer root, and the upper one once, at the inner root.  A double root is
+a point where both vanish, M = 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.optimize
 
 from . import sectors
@@ -49,7 +62,6 @@ class EigenvalueRecord:
     c1: float | None
     c2: float | None
     residual: float
-    near_degenerate: bool = False
 
     def as_dict(self):
         return {"sector": self.sector, "mu": self.mu, "energy": self.energy,
@@ -102,33 +114,40 @@ def delta_es(model, a, b, mu, z=None, spec=None, alpha=None):
 # root machinery in x = ln alpha
 # ---------------------------------------------------------------------------
 
-def _descend_bracket(f, alpha_hi, f_hi, floor=ALPHA_FLOOR, factor=0.25):
-    """Walk alpha down geometrically until f changes sign; return the bracket
-    (alpha_lo, alpha_hi_local, f_lo, f_hi_local) or None if no change."""
-    a_prev, f_prev = alpha_hi, f_hi
-    a = alpha_hi * factor
-    while a >= floor:
-        fa = f(a)
-        if fa == 0.0:
-            return (a, a, fa, fa)
-        if (fa < 0) != (f_prev < 0):
-            return (a, a_prev, fa, f_prev)
-        a_prev, f_prev = a, fa
-        a *= factor
-    return None
+def _root(f, alpha_hi, what):
+    """The zero of f, increasing in alpha, in [ALPHA_FLOOR, alpha_hi).
+
+    f must be positive at alpha_hi.  alpha walks down by factors of 4 to the
+    first sign change, which Brent's method refines in x = ln alpha.
+    """
+    if f(alpha_hi) <= 0:
+        raise BracketFailure(f"{what}: determinant not positive at the upper "
+                             f"bracket alpha = {alpha_hi:g}")
+    a_hi = alpha_hi
+    while (a_lo := 0.25 * a_hi) >= ALPHA_FLOOR:
+        f_lo = f(a_lo)
+        if f_lo == 0.0:
+            return a_lo
+        if f_lo < 0:
+            x = scipy.optimize.brentq(lambda s: f(math.exp(s)),
+                                      math.log(a_lo), math.log(a_hi),
+                                      xtol=1e-12, rtol=8.9e-16, maxiter=200)
+            return math.exp(x)
+        a_hi = a_lo
+    raise UnresolvableRoots(f"{what}: no sign change above the floor "
+                            f"alpha = {ALPHA_FLOOR:g}")
 
 
-def _refine(f, a_lo, a_hi, f_lo=None, f_hi=None):
-    if a_lo == a_hi:
-        return a_lo
-    x = scipy.optimize.brentq(lambda s: f(math.exp(s)),
-                              math.log(a_lo), math.log(a_hi),
-                              xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    return math.exp(x)
-
-
-def _alpha_cap(mu, a, b):
-    return mu * max(abs(a), abs(b)) + 1.0
+def _es_branches(parts, a, b, mu):
+    """Eigenvalues (lower, upper) of M = [[Delta1/(a mu), -Delta3],
+    [-Delta3, Delta2/(b mu)]].  The one of larger modulus comes from the
+    trace; the other is det M / it, free of cancellation."""
+    m11, m22 = parts.delta1 / (a * mu), parts.delta2 / (b * mu)
+    half_tr = 0.5 * (m11 + m22)
+    big = half_tr + math.copysign(math.hypot(0.5 * (m11 - m22), parts.delta3),
+                                  half_tr)
+    small = (m11 * m22 - parts.delta3 ** 2) / big if big != 0.0 else 0.0
+    return (small, big) if half_tr >= 0 else (big, small)
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +169,20 @@ def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
 
     spec = spec or default_spec(model)
     f = lambda al: delta_rank_one(model, sector, b, mu, spec=spec, alpha=al)
-    alpha_hi = mu * abs(b) + 1.0
-    f_hi = f(alpha_hi)
-    if f_hi <= 0:
-        raise BracketFailure("determinant not positive at the upper bracket")
-    br = _descend_bracket(f, alpha_hi, f_hi)
-    if br is None:
-        raise BracketFailure(
-            f"no sign change found above alpha = {ALPHA_FLOOR:g} in sector {sector}")
-    alpha = _refine(f, br[0], br[1])
+    alpha = _root(f, mu * abs(b) + 1.0,
+                  f"{sector} root at b = {b:.17g}, mu = {mu:.17g}")
     return EigenvalueRecord(sector=sector, mu=mu, energy=float(model.e_max) + alpha,
                             multiplicity=1, c1=None, c2=1.0,
                             residual=abs(f(alpha)))
 
 
 def find_eigenvalues_es(model, a, b, mu, spec=None):
-    """Zeros of the rank-two determinant above e_max, per the count table."""
+    """Zeros of the rank-two determinant above e_max, per the count table.
+
+    One root is a zero of Delta itself.  Two roots (a, b > 0) are the zero
+    crossings of the lower eigenvalue of M (outer root) and of the upper one
+    (inner root); a double root, M = 0, is one record of multiplicity 2.
+    """
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
     if mu <= 0:
@@ -176,79 +193,31 @@ def find_eigenvalues_es(model, a, b, mu, spec=None):
     if expected == 0:
         return []
 
-    e_max = float(model.e_max)
-    f = lambda al: delta_es(model, a, b, mu, spec=spec, alpha=al).combined
-    alpha_hi = _alpha_cap(mu, a, b)
-    f_hi = f(alpha_hi)
-    if f_hi <= 0:
-        raise BracketFailure("es determinant not positive at the upper bracket")
+    alpha_hi = mu * max(abs(a), abs(b)) + 1.0
+    what = f"es root at (a, b, mu) = ({a:.17g}, {b:.17g}, {mu:.17g})"
+
+    def record(alpha, residual):
+        rec = EigenvalueRecord(sector="es", mu=mu,
+                               energy=float(model.e_max) + alpha,
+                               multiplicity=1, c1=None, c2=None,
+                               residual=residual)
+        _attach_coefficients(model, rec, a, b, spec)
+        return rec
 
     if expected == 1:
-        br = _descend_bracket(f, alpha_hi, f_hi)
-        if br is None:
-            raise BracketFailure("no sign change for the expected es eigenvalue")
-        alpha = _refine(f, br[0], br[1])
-        rec = EigenvalueRecord(sector="es", mu=mu, energy=e_max + alpha,
-                               multiplicity=1, c1=None, c2=None,
-                               residual=abs(f(alpha)))
-        _attach_coefficients(model, rec, a, b, spec)
-        return [rec]
+        f = lambda al: delta_es(model, a, b, mu, spec=spec, alpha=al).combined
+        alpha = _root(f, alpha_hi, what)
+        return [record(alpha, abs(f(alpha)))]
 
-    # two-root case (a, b > 0, mu > mu0_es): bracket through the roots of the
-    # diagonal factors, where the combined determinant is <= 0
-    f1 = lambda al: 1.0 - a * mu * integrate_resolvent(
-        model, sectors.es_one, k=1, spec=spec, alpha=al).value / FOUR_PI_SQ
-    f2 = lambda al: 1.0 - b * mu * integrate_resolvent(
-        model, sectors.es_cos_sum_sq, k=1, spec=spec, alpha=al).value / FOUR_PI_SQ
-    pivots = []
-    for g in (f1, f2):
-        g_hi = g(alpha_hi)
-        if g_hi <= 0:
-            raise BracketFailure("diagonal factor not positive at the upper bracket")
-        br = _descend_bracket(g, alpha_hi, g_hi)
-        if br is None:
-            raise BracketFailure("diagonal factor root not found")
-        pivots.append(_refine(g, br[0], br[1]))
-    a_lo, a_up = sorted(pivots)
-
-    f_lo_pivot, f_up_pivot = f(a_lo), f(a_up)
-    roots = []
-    near_deg = abs(a_up - a_lo) < 1e-9 * max(a_up, 1e-9)
-    if near_deg and max(abs(f_lo_pivot), abs(f_up_pivot)) < ZERO_TOL ** 2:
-        rec = EigenvalueRecord(sector="es", mu=mu, energy=e_max + 0.5 * (a_lo + a_up),
-                               multiplicity=2, c1=None, c2=None,
-                               residual=max(abs(f_lo_pivot), abs(f_up_pivot)),
-                               near_degenerate=True)
-        _attach_coefficients(model, rec, a, b, spec)
-        return [rec]
-
-    # outer root in [a_up, alpha_hi]
-    if f_up_pivot == 0.0:
-        roots.append(a_up)
-    else:
-        roots.append(_refine(f, a_up, alpha_hi))
-    # inner root in [floor, a_lo]
-    if f_lo_pivot == 0.0:
-        roots.append(a_lo)
-    else:
-        f_floor = f(ALPHA_FLOOR)
-        if (f_floor < 0) == (f_lo_pivot < 0):
-            raise UnresolvableRoots(
-                "near-threshold es root below working precision "
-                f"(alpha < {ALPHA_FLOOR:g})")
-        roots.append(_refine(f, ALPHA_FLOOR, a_lo, f_floor, f_lo_pivot))
-
+    parts = functools.cache(
+        lambda al: delta_es(model, a, b, mu, spec=spec, alpha=al))
     records = []
-    for alpha in sorted(roots, reverse=True):
-        rec = EigenvalueRecord(sector="es", mu=mu, energy=e_max + alpha,
-                               multiplicity=1, c1=None, c2=None,
-                               residual=abs(f(alpha)))
-        records.append(rec)
-    if abs(records[0].energy - records[1].energy) < 1e-9:
-        for rec in records:
-            rec.near_degenerate = True
-    for rec in records:
-        _attach_coefficients(model, rec, a, b, spec)
+    for branch, which in ((0, "outer"), (1, "inner")):
+        alpha = _root(lambda al: _es_branches(parts(al), a, b, mu)[branch],
+                      alpha_hi, f"{which} {what}")
+        records.append(record(alpha, abs(parts(alpha).combined)))
+        if records[-1].multiplicity == 2:   # M = 0: both roots in one record
+            break
     return records
 
 

@@ -63,7 +63,7 @@ class NoConvergence(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """Could not bracket a root that theory guarantees."""
+    """A determinant is not positive at the upper end of its root bracket."""
 
 
 class SignChangeAbsent(NumericalError):
@@ -75,4 +75,5 @@ class FitFailure(NumericalError):
 
 
 class UnresolvableRoots(NumericalError):
-    """Requested roots sit closer to threshold than working precision."""
+    """Requested roots sit closer to threshold than working precision: no
+    sign change above the floor ``determinant.ALPHA_FLOOR``."""

@@ -281,7 +281,8 @@ def eigen_pairs(h, k):
     """The k largest eigenvalues (descending) of a sector block ``h``.
 
     Blocks up to DENSE_LIMIT are formed as op @ I for eigvalsh; larger ones
-    go to Lanczos.  Only eigenvalues are returned: sectors come from blocks.
+    go to Lanczos from a seeded start vector, so repeated runs agree to the
+    bit.  Only eigenvalues are returned: sectors come from blocks.
     """
     dim = h.dimension
     op = h.operator()
@@ -290,7 +291,8 @@ def eigen_pairs(h, k):
     try:
         vals = scipy.sparse.linalg.eigsh(
             op, k=min(k, dim - 2), which="LA", maxiter=10000,
-            ncv=min(dim, max(40, 2 * k + 10)), return_eigenvectors=False)
+            ncv=min(dim, max(40, 2 * k + 10)), return_eigenvectors=False,
+            v0=np.random.default_rng(0).uniform(-1.0, 1.0, dim))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos failed to converge: {exc}") from exc
     return np.sort(vals)[::-1]

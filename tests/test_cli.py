@@ -76,11 +76,15 @@ def test_validate_failure_exit_1(capsys):
     assert json.loads(out)["passed"] is False
 
 
-def test_determinism(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["solve", "-a", "1", "-b", "3", "--mu", "1"],
+    # Lanczos-size sector blocks, and exactly degenerate os and oa states
+    ["oracle", "-a", "1", "-b", "3", "--mu", "1", "--L", "20,22,24"],
+], ids=["solve", "oracle"])
+def test_determinism(tmp_path, capsys, command):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
-        code = cli.main(["solve", "-a", "1", "-b", "3", "--mu", "1",
-                         "--output", str(f)])
+        code = cli.main(command + ["--output", str(f)])
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from lattice_spectra import determinant, sectors, spectrum
+from lattice_spectra.asymptotics import leading_coefficients
 from lattice_spectra.determinant import (delta_es, delta_rank_one,
                                          eigenfunction_es,
                                          find_eigenvalue_rank_one,
                                          find_eigenvalues_es,
                                          multiplicity_check)
-from lattice_spectra.errors import ZeroCoupling
+from lattice_spectra.errors import UnresolvableRoots, ZeroCoupling
+from lattice_spectra.thresholds import NO_THRESHOLD, coupling_thresholds
 
 # frozen reference roots for the discrete Laplacian (independently confirmed
 # against box-truncation diagonalization in test_lattice_oracle /
@@ -59,6 +63,10 @@ def test_es_counts_by_regime(lap):
     # ab < 0 with a + 4b < 0: none until mu0 = 1.5
     assert len(find_eigenvalues_es(lap, 1.0, -1.0, 1.0)) == 0
     assert len(find_eigenvalues_es(lap, 1.0, -1.0, 2.0)) == 1
+    # just above mu0 the inner root lies below the resolvable floor
+    mu = coupling_thresholds(lap, 1.0, 1.0).mu0["es"] * (1 + 1e-7)
+    with pytest.raises(UnresolvableRoots, match=r"\(a, b, mu\) = \(1, 1, 2\.5"):
+        find_eigenvalues_es(lap, 1.0, 1.0, mu)
 
 
 def test_es_two_roots_frozen(lap):
@@ -69,6 +77,45 @@ def test_es_two_roots_frozen(lap):
     assert recs[0].energy > recs[1].energy
     for r in recs:
         assert r.residual < 1e-9
+
+
+def test_es_two_roots_integral_count(lap, monkeypatch):
+    # both eigenvalue branches of M share one memo of delta_es points
+    find_eigenvalues_es(lap, 1.0, 1.0, 3.0)  # warm the threshold constants
+    calls = []
+    integrate = determinant.integrate_resolvent
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["alpha"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(determinant, "integrate_resolvent", counting)
+    find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
+    assert len(calls) <= 60, sorted(calls)
+
+
+@settings(max_examples=20)
+@given(signs=st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))),
+       size_a=st.floats(0.1, 3.0), size_b=st.floats(0.1, 3.0),
+       mu=st.floats(0.2, 6.0))
+def test_solve_counts_and_es_residuals_over_sign_regimes(lap, signs, size_a,
+                                                         size_b, mu):
+    a, b = signs[0] * size_a, signs[1] * size_b
+    mu0 = coupling_thresholds(lap, a, b).mu0
+    assume(all(abs(mu - m) > 1e-3 * m for m in mu0.values()
+               if m is not NO_THRESHOLD))
+    # keep the es roots resolvable: alpha ~ exp(-exponent), exponent <= 20
+    lc = leading_coefficients(lap, a, b)
+    if lc.es_exponent_rate is not None:
+        assume(lc.es_exponent_rate / mu <= 20)
+    if lc.Lambda is not None and mu > mu0["es"]:
+        assume(lc.Lambda / (mu - mu0["es"]) <= 20)
+    res = spectrum.solve(lap, a, b, mu)
+    pred = spectrum.predicted_sector_counts(lap, a, b, mu)
+    assert res.sector_counts() == {s: pred[s] for s in sectors.SECTORS}
+    for rec in res.records:
+        if rec.sector == "es":
+            assert rec.residual < 1e-9
 
 
 def test_es_records_ordered_and_coefficients(lap):

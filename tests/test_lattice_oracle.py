@@ -83,7 +83,7 @@ BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None, 6),
 
 
 @pytest.mark.parametrize("name", BLOCK_MODELS)
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(L=st.integers(3, 6), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
        mu=st.floats(0.2, 4.0))
 def test_sector_blocks_match_reference(name, L, a, b, mu):
@@ -132,7 +132,7 @@ def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
         assert np.max(np.abs(got - want), initial=0.0) < 1e-10
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(L=st.sampled_from((3, 4, 5)),
        a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
        mu=st.floats(0.2, 4.0))

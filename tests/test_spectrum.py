@@ -124,3 +124,10 @@ def test_multiplicity_two_verified_by_determinant():
     res = spectrum.multiplicity_two_construct(1.5, mu=1.0)
     model = SteppedPhiA(a_param=res.A0)
     assert multiplicity_check(model, res.a0, res.b0, 1.0, 1.5)
+    # the es root finder sees M = 0 there: one record of multiplicity 2
+    sol = spectrum.solve(model, res.a0, res.b0, 1.0)
+    es = [r for r in sol.records if r.sector == "es"]
+    assert [r.multiplicity for r in es] == [2]
+    assert abs(es[0].energy - 1.5) < 1e-8
+    pred = spectrum.predicted_sector_counts(model, res.a0, res.b0, 1.0)
+    assert sol.total_count == pred["total"] == 5

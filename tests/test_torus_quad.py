@@ -110,7 +110,7 @@ def test_near_field_converges_at_first_refinement(model, monkeypatch):
             assert len(calls) <= 2, (alpha, v.__name__, calls)
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(model=st.sampled_from(MODELS),
        v=st.sampled_from(DETERMINANT_WEIGHTS),
        log_alpha=st.floats(-13.0, 0.0))
@@ -198,7 +198,7 @@ def test_threshold_integral_kinked_models(model):
     _assert_threshold_is_resolvent_limit(model)
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(t2=st.floats(0.0, 0.2, exclude_min=True, exclude_max=True))
 def test_threshold_integral_hopping_table(t2):
     _assert_threshold_is_resolvent_limit(next_nearest_hopping(t2))
