@@ -76,17 +76,22 @@ def test_validate_failure_exit_1(capsys):
     assert json.loads(out)["passed"] is False
 
 
-@pytest.mark.parametrize("command", [
-    ["solve", "-a", "1", "-b", "3", "--mu", "1"],
-    # Lanczos-size sector blocks, and exactly degenerate os and oa states
-    ["oracle", "-a", "1", "-b", "3", "--mu", "1", "--L", "20,22,24"],
-], ids=["solve", "oracle"])
-def test_determinism(tmp_path, capsys, command):
+def assert_deterministic(tmp_path, command):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
         code = cli.main(command + ["--output", str(f)])
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_determinism(tmp_path, capsys):
+    assert_deterministic(tmp_path, ["solve", "-a", "1", "-b", "3", "--mu", "1"])
+
+
+def test_oracle_determinism(tmp_path, capsys):
+    # Lanczos-size sector blocks, and exactly degenerate os and oa states
+    assert_deterministic(tmp_path, ["oracle", "-a", "1", "-b", "3", "--mu", "1",
+                                    "--L", "20,22,24"])
 
 
 def test_curve_csv(capsys):
