@@ -237,8 +237,8 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, r_sequence=None,
 
     # fixed outer part: torus minus B_delta, via the far-field machinery
     from .torus_quad import _far_grids
-    fine, _ = _far_grids(model, spec.grid_n, delta)
-    outer = float(np.sum(fine["w"] * vsq(fine["p1"], fine["p2"])))
+    fine, _ = _far_grids(spec.grid_n, delta, model.breakpoints)
+    outer = float(np.sum(fine.w * vsq(fine.p1, fine.p2)))
     # plus the chi-weighted ring between delta/2 and delta that the far grid
     # down-weights: add it exactly from the annulus rule
     ring = _annulus_integral(

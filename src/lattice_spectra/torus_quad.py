@@ -31,9 +31,17 @@ field takes plain Gauss nodes in r on [0, delta].
 
 Denominators are evaluated as alpha + (e_max - e), with the deficit
 e_max - e supplied in a cancellation-free form by the model.
+
+The far-field node set (nodes, weights, 1 - chi) depends only on
+(grid_n, patch_radius, breakpoints), so every model with that key shares
+one, e.g. the whole SteppedPhiA(A) family that the multiplicity-two
+construction tunes.  Per model it keeps only the deficit on its nodes, and
+per weight function the weight's values; both sit in small bounded maps on
+the node set, so clearing _far_grids drops every far-field array.
 """
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -154,27 +162,79 @@ def _axis_nodes_gauss(edges, counts, order=12):
     return _panel_nodes(np.append(np.concatenate(starts), PI), order)
 
 
-def _far_level(model, x, w, delta):
-    p1, p2 = np.meshgrid(x, x, indexing="ij")
-    w2 = np.outer(w, w)
-    r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
-    weight = w2 * (1.0 - chi_cutoff(r, delta))
-    mask = weight > 0
-    p1f, p2f = p1[mask], p2[mask]
-    # direct subtraction is fine here: e_max - e is bounded below by the
-    # deficit at delta/2 on the support of (1 - chi)
-    deficit = float(model.e_max) - model.values(p1f, p2f)
-    return {"p1": p1f, "p2": p2f, "w": weight[mask], "deficit": deficit,
-            "vcache": {}}
+class _FarLevel:
+    """One far-field node set: the axis nodes x of the tensor grid, the
+    mask of the grid nodes where 1 - chi > 0, and the masked nodes p1, p2
+    with their weights w (the rule's weights times 1 - chi).  None of it
+    depends on the model.
+
+    Two small maps ride on it, each written under the level's lock (two
+    threads may compute the same entry; both get equal arrays):
+      * deficits, model -> e_max - e on the masked nodes, the last
+        DEFICITS_KEPT models;
+      * vcache, weight function -> its values on the masked nodes, the last
+        VALUES_KEPT weights.  A weight is a function of p alone, so its
+        values serve every model of the family.
+    """
+
+    DEFICITS_KEPT = 4
+    VALUES_KEPT = 64
+
+    def __init__(self, x, w, delta):
+        p1, p2 = np.meshgrid(x, x, indexing="ij")
+        w2 = np.outer(w, w)
+        r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
+        weight = w2 * (1.0 - chi_cutoff(r, delta))
+        self.x = x
+        self.mask = weight > 0
+        self.p1, self.p2 = p1[self.mask], p2[self.mask]
+        self.w = weight[self.mask]
+        self.deficits = {}
+        self.vcache = {}
+        self._lock = threading.Lock()
+
+    def _cached(self, cache, key, kept, compute):
+        with self._lock:
+            hit = cache.get(key)
+        if hit is None:
+            hit = compute()
+            with self._lock:
+                if key not in cache and len(cache) >= kept:
+                    del cache[next(iter(cache))]
+                cache[key] = hit
+        return hit
+
+    def deficit(self, model):
+        # direct subtraction is fine here: e_max - e is bounded below by the
+        # deficit at delta/2 on the support of (1 - chi).  The model is
+        # evaluated on the broadcast axes, so a separable profile costs two
+        # axis evaluations; each entry is the float a per-node call gives.
+        return self._cached(
+            self.deficits, model, self.DEFICITS_KEPT,
+            lambda: float(model.e_max)
+            - model.values(self.x[:, None], self.x[None, :])[self.mask])
+
+    def values(self, v):
+        return self._cached(
+            self.vcache, v, self.VALUES_KEPT,
+            lambda: np.asarray(v(self.p1, self.p2), dtype=float))
 
 
 @lru_cache(maxsize=32)
-def _far_grids(model, grid_n, patch_radius):
-    """The (fine, coarse) far-field levels; their difference estimates the
-    error of the coarse one.  On a kinked model the coarse level takes
-    fewer panels than the fine one on every segment: at small grid_n both
-    would otherwise sit on the 2-panel floor, and the estimate read roundoff."""
-    breakpoints = getattr(model, "breakpoints", None)
+def _far_grids(grid_n, patch_radius, breakpoints):
+    """The (fine, coarse) far-field levels for one node-set key; their
+    difference estimates the error of the coarse one.  On a kinked model
+    the coarse level takes fewer panels than the fine one on every segment:
+    at small grid_n both would otherwise sit on the 2-panel floor, and the
+    estimate read roundoff.
+
+    Every model with the same (grid_n, patch_radius, breakpoints) shares
+    the levels, e.g. the whole SteppedPhiA(A) family.  Memory per key: the
+    node set holds three float arrays (p1, p2, w) over the masked nodes
+    plus a boolean mask over the grid, about 27 MB fine and 8 MB coarse at
+    the kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth
+    of that on the 256 smooth grid; each cached deficit or weight adds one
+    float array of the level's node count.  cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
     else:
@@ -183,22 +243,13 @@ def _far_grids(model, grid_n, patch_radius):
         coarse = [min(c, f - 1)
                   for c, f in zip(_panel_counts(edges, grid_n // 2), fine)]
         axes = (_axis_nodes_gauss(edges, fine), _axis_nodes_gauss(edges, coarse))
-    return tuple(_far_level(model, x, w, patch_radius) for x, w in axes)
+    return tuple(_FarLevel(x, w, patch_radius) for x, w in axes)
 
 
-def _far_value(level, v, alpha, k):
-    key = id(v)
-    cached = level["vcache"].get(key)
-    if cached is None or cached[0] is not v:
-        vals = np.asarray(v(level["p1"], level["p2"]), dtype=float)
-        level["vcache"][key] = (v, vals)
-        if len(level["vcache"]) > 64:
-            level["vcache"].clear()
-            level["vcache"][key] = (v, vals)
-        cached = (v, vals)
-    vv = cached[1]
-    den = (alpha + level["deficit"]) ** k
-    return float(np.sum(level["w"] * vv / den))
+def _far_value(level, model, v, alpha, k):
+    vv = level.values(v)  # first, so that v's temporaries are freed before den
+    den = (alpha + level.deficit(model)) ** k
+    return float(np.sum(level.w * vv / den))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +341,9 @@ def integrate_resolvent(model, v, z=None, k=1, spec=None, alpha=None):
 
 def _integrate(model, v, alpha, k, spec):
     """Far field plus nested near-field refinement at alpha >= 0."""
-    fine, coarse = _far_grids(model, spec.grid_n, spec.patch_radius)
-    far = _far_value(fine, v, alpha, k)
-    far_err = abs(far - _far_value(coarse, v, alpha, k))
+    fine, coarse = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
+    far = _far_value(fine, model, v, alpha, k)
+    far_err = abs(far - _far_value(coarse, model, v, alpha, k))
 
     n_theta, n_panels = spec.n_theta, spec.n_panels
     near, near_abs, theta_err = _near_value(

@@ -1,11 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from lattice_spectra import sectors, spectrum
-from lattice_spectra.dispersion import PI, PiecewisePhi
+from lattice_spectra.dispersion import PI, PiecewisePhi, SteppedPhiA
 from lattice_spectra.errors import (DomainError, NotEvenPerCoordinate,
                                     ZeroCoupling)
 from lattice_spectra.thresholds import coupling_thresholds
+from lattice_spectra.torus_quad import _far_grids, default_spec
 
 
 def test_solve_reference_config(lap):
@@ -64,6 +68,28 @@ def test_phase_diagram_threads_agree(lap):
     assert [c.count for c in pd1.cells] == [c.count for c in pd2.cells]
 
 
+def test_shared_far_caches_under_threads(lap):
+    # both pool threads fill the deficit and weight-value maps of the same
+    # cold far node set; every record must come out as in a serial run
+    cases = [(1.0, 3.0, 1.0), (1.0, 1.0, 3.0), (-1.0, 1.0, 2.0), (2.0, -1.0, 2.0)]
+
+    def run(case):
+        return [r.as_dict() for r in spectrum.solve(lap, *case).records]
+
+    _far_grids.cache_clear()
+    serial = [run(c) for c in cases]
+    _far_grids.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, c) for c in cases]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 def test_phase_diagram_rejects_zero_grid(lap):
     with pytest.raises(ZeroCoupling):
         spectrum.phase_diagram(lap, 1.0, [0.0, 1.0], [1.0])
@@ -102,13 +128,30 @@ def test_triple_emergence_requires_even_model(lap):
         spectrum.triple_emergence_check(skew, 1.0)
 
 
-def test_multiplicity_two_construct_frozen():
-    res = spectrum.multiplicity_two_construct(1.5, mu=1.0)
+def _assert_frozen_construction(res):
     assert res.A0 == pytest.approx(0.6862262237980128, abs=1e-6)
     assert res.a0 == pytest.approx(1.0730279128660294, abs=1e-6)
     assert res.b0 == pytest.approx(0.9773079172198559, abs=1e-6)
     assert res.g_residual < 1e-10
     assert max(res.verification) < 1e-8
+
+
+def test_multiplicity_two_construct_frozen():
+    _assert_frozen_construction(spectrum.multiplicity_two_construct(1.5, mu=1.0))
+
+
+def test_multiplicity_two_construct_builds_one_far_node_set():
+    # every brentq step is a new SteppedPhiA(A); all share one node set
+    _far_grids.cache_clear()
+    res = spectrum.multiplicity_two_construct(1.5, mu=1.0)
+    assert _far_grids.cache_info().misses == 1
+    _assert_frozen_construction(res)
+    # about 15 models passed through it; each level kept a bounded few
+    model = SteppedPhiA(a_param=res.A0)
+    spec = default_spec(model)
+    for level in _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints):
+        assert 0 < len(level.deficits) <= level.DEFICITS_KEPT
+    assert _far_grids.cache_info().misses == 1
 
 
 def test_multiplicity_two_invalid_z0():
@@ -120,7 +163,6 @@ def test_multiplicity_two_invalid_z0():
 
 def test_multiplicity_two_verified_by_determinant():
     from lattice_spectra.determinant import multiplicity_check
-    from lattice_spectra.dispersion import SteppedPhiA
     res = spectrum.multiplicity_two_construct(1.5, mu=1.0)
     model = SteppedPhiA(a_param=res.A0)
     assert multiplicity_check(model, res.a0, res.b0, 1.0, 1.5)

@@ -216,3 +216,29 @@ def test_far_field_estimate_sees_the_kinks():
 
     res = far(64)
     assert res.error_estimate >= abs(res.value - far(2048).value)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_far_deficit_broadcast_is_bitwise_nodewise(model):
+    # the deficit is evaluated on the broadcast axes of the node set; it
+    # must be the very floats of e_max - e on its masked nodes
+    spec = default_spec(model)
+    for level in torus_quad._far_grids(spec.grid_n, spec.patch_radius,
+                                       model.breakpoints):
+        nodewise = float(model.e_max) - model.values(level.p1, level.p2)
+        assert level.deficit(model).tobytes() == nodewise.tobytes()
+
+
+def test_stepped_integral_unchanged_by_a_warm_family():
+    model = SteppedPhiA(a_param=0.5)
+
+    def integral():
+        return integrate_resolvent(model, sectors.es_cos_sum, alpha=1e-2)
+
+    torus_quad._far_grids.cache_clear()
+    cold = integral()
+    torus_quad._far_grids.cache_clear()
+    integrate_resolvent(SteppedPhiA(a_param=0.7), sectors.es_cos_sum, alpha=1e-2)
+    warm = integral()
+    assert torus_quad._far_grids.cache_info().misses == 1
+    assert warm == cold
