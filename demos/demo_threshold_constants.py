@@ -44,9 +44,9 @@ for a, b in [(1.0, 1.0), (1.0, 3.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]:
 
 print()
 print("threshold solution type at mu = mu0 (a = b = 1)")
-cls = classify_threshold_solutions(lap, 1.0, 1.0).as_dict()
+cls = classify_threshold_solutions(lap, 1.0, 1.0)
 for s in ("os", "oa", "ea", "es"):
-    print(f"  {s}: {cls[s]}")
+    print(f"  {s}: {getattr(cls, s).value}")
 
 print()
 print("integrability probe for the threshold solution")

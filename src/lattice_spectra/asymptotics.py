@@ -9,8 +9,6 @@ emerging at mu0 like exp(-Lambda/lambda), degenerating to a linear law on the
 coupling line theta_star a = theta_2star b.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +210,9 @@ def _fit_es_exponential(model, a, b, sample_spec, spec, e_max):
     keep = _es_window_filter(mus, alphas)
     xs = np.array([-1.0 / mu for mu, _ in keep])
     ys = np.array([np.log(al) for _, al in keep])
-    (slope, intercept), res = np.polyfit(xs, ys, 1), 0.0
-    fitted = slope * xs + intercept
-    res = float(np.max(np.abs(ys - fitted)))
-    samples = [(float(mu), float(al), float(np.exp(slope / mu) * np.exp(intercept)))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    res = float(np.max(np.abs(ys - (slope * xs + intercept))))
+    samples = [(float(mu), float(al), float(np.exp(-slope / mu + intercept)))
                for mu, al in keep]
     return _report(rate, slope, [mu for mu, _ in keep], res, samples)
 
@@ -292,14 +289,3 @@ def extract_log_coefficient(model, v, alpha_grid=None, spec=None):
     samples = [(float(al), float(val), float(predicted * np.log(al)))
                for al, val in zip(alphas, values)]
     return _report(predicted, p, alphas, residual, samples)
-
-
-def fit_csv(report):
-    """CSV rows (x, opening, predicted) from a FitReport's samples."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "opening", "predicted"])
-    for x, al, pred in report.samples:
-        writer.writerow([format(x, ".17g"), format(al, ".17g"),
-                         format(pred, ".17g")])
-    return buf.getvalue()

@@ -1,14 +1,20 @@
 """Command-line front end.
 
 Every computation is exposed as a batch subcommand with machine-readable
-output (JSON by default, CSV where tabular).  Exit codes: 0 success,
-1 domain error (violated mathematical precondition), 2 numerical failure,
-3 configuration error.  Identical configurations produce byte-identical
-output: field order is fixed and floats use Python's shortest round-trip
-representation.
+output.  JSON is the default; thresholds (CSV by default), curve,
+phase-diagram, asymptotics, oracle and resonance also write CSV.  This module
+is the only one that formats output: the numerical modules return
+dataclasses.  Exit codes: 0 success, 1 domain error (violated mathematical
+precondition), 2 numerical failure, 3 configuration error.  Identical
+configurations produce byte-identical output: field order is fixed, JSON
+floats use Python's shortest round-trip representation and CSV floats 17
+significant digits, which also round-trip.
 """
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import os
 import sys
@@ -74,21 +80,23 @@ def _metadata(args, model, sp):
     }
 
 
+def _csv(header, rows):
+    """CSV text with a header line; floats are written to 17 digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(x, ".17g") if isinstance(x, float) else x
+                      for x in row] for row in rows)
+    return buf.getvalue()
+
+
 def _emit(args, payload, csv_text=None):
-    fmt = getattr(args, "format", "json")
-    text = csv_text if fmt == "csv" else json.dumps(payload, indent=2) + "\n"
-    if csv_text is None and fmt == "csv":
-        raise ConfigError("csv output is not available for this subcommand")
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as f:
+    text = csv_text if args.format == "csv" else json.dumps(payload, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _record_dicts(records):
-    return [r.as_dict() for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +120,22 @@ def _cmd_thresholds(args):
     sp = _quad_spec(model, args)
     g = thresholds.gammas(model, spec=sp)
     th = thresholds.es_constants(model, spec=sp)
-    payload = {
-        "metadata": _metadata(args, model, sp),
+    constants = {
         "gamma_os": g.gamma_os, "gamma_oa": g.gamma_oa,
         "gamma_ea": g.gamma_ea, "gamma_es": g.gamma_es,
         "theta_star": th.theta_star, "theta_2star": th.theta_2star,
         "kappa1": th.kappa1,
     }
+    payload = {"metadata": _metadata(args, model, sp), **constants}
     if args.a is not None and args.b is not None:
         ct = thresholds.coupling_thresholds(model, args.a, args.b, spec=sp)
         payload["mu0"] = {s: ct.mu0[s] for s in ("os", "oa", "ea", "es")}
         cls = thresholds.classify_threshold_solutions(model, args.a, args.b,
                                                       spec=sp)
-        payload["threshold_solutions"] = cls.as_dict()
-    csv_text = thresholds.constants_csv([(model.kind, model)])
-    _emit(args, payload, csv_text=csv_text)
+        payload["threshold_solutions"] = {
+            s: kind.value for s, kind in dataclasses.asdict(cls).items()}
+    _emit(args, payload, csv_text=_csv(["model", *constants],
+                                       [[model.kind, *constants.values()]]))
     return 0
 
 
@@ -139,7 +148,7 @@ def _cmd_solve(args):
         "a": args.a, "b": args.b, "mu": args.mu,
         "total_count": res.total_count,
         "sector_counts": res.sector_counts(),
-        "records": _record_dicts(res.records),
+        "records": [dataclasses.asdict(r) for r in res.records],
     }
     _emit(args, payload)
     return 0
@@ -160,9 +169,8 @@ def _cmd_curve(args):
         "mus": list(rep.mus),
         "energies": list(rep.energies),
     }
-    lines = ["mu,energy"] + [f"{format(m, '.17g')},{format(e, '.17g')}"
-                             for m, e in zip(rep.mus, rep.energies)]
-    _emit(args, payload, csv_text="\n".join(lines) + "\n")
+    _emit(args, payload,
+          csv_text=_csv(["mu", "energy"], zip(rep.mus, rep.energies)))
     return 0
 
 
@@ -184,21 +192,9 @@ def _cmd_phase_diagram(args):
             "es_hyperbola": [list(p) for p in pd.boundaries["es_hyperbola"]],
         },
     }
-    lines = ["a,b,count"] + [
-        f"{format(c.a, '.17g')},{format(c.b, '.17g')},{c.count}"
-        for c in pd.cells]
-    _emit(args, payload, csv_text="\n".join(lines) + "\n")
+    _emit(args, payload, csv_text=_csv(
+        ["a", "b", "count"], [(c.a, c.b, c.count) for c in pd.cells]))
     return 0
-
-
-def _fit_payload(rep):
-    return {
-        "predicted": rep.predicted, "measured": rep.measured,
-        "relative_error": rep.relative_error,
-        "sample_range": list(rep.sample_range),
-        "residual": rep.residual,
-        "samples": [list(s) for s in rep.samples],
-    }
 
 
 def _cmd_asymptotics(args):
@@ -207,9 +203,10 @@ def _cmd_asymptotics(args):
     rep = asymptotics.fit_eigenvalue_asymptotics(
         model, args.sector, args.a, args.b, spec=sp, branch=args.branch)
     payload = {"metadata": _metadata(args, model, sp),
-               "sector": args.sector, "branch": args.branch}
-    payload.update(_fit_payload(rep))
-    _emit(args, payload, csv_text=asymptotics.fit_csv(rep))
+               "sector": args.sector, "branch": args.branch,
+               **dataclasses.asdict(rep)}
+    _emit(args, payload,
+          csv_text=_csv(["x", "opening", "predicted"], rep.samples))
     return 0
 
 
@@ -219,7 +216,7 @@ def _cmd_oracle(args):
     ls = sorted(int(x) for x in args.L.split(","))
     e_max = float(model.e_max)
     per_l = []
-    csv_parts = []
+    rows = []
     for L in ls:
         h = lattice_oracle.build(model, L, R=args.R, a=args.a, b=args.b,
                                  mu=args.mu)
@@ -229,7 +226,7 @@ def _cmd_oracle(args):
             "counts": {s: getattr(counts, s) for s in ("os", "oa", "ea", "es")},
             "entries": [[v, s] for v, s in counts.entries],
         })
-        csv_parts.append(lattice_oracle.eigen_csv(L, counts))
+        rows += [(L, i, v, s) for i, (v, s) in enumerate(counts.entries)]
     payload = {"metadata": _metadata(args, model, sp),
                "a": args.a, "b": args.b, "mu": args.mu,
                "margin": args.margin, "boxes": per_l}
@@ -244,9 +241,8 @@ def _cmd_oracle(args):
                 extrapolated.append({"sector": s, "rank": rank,
                                      "value": limit, "error": err})
         payload["extrapolated"] = extrapolated
-    header, *rest = csv_parts
-    csv_text = header + "".join(part.split("\n", 1)[1] for part in rest)
-    _emit(args, payload, csv_text=csv_text)
+    _emit(args, payload,
+          csv_text=_csv(["L", "index", "value", "sector"], rows))
     return 0
 
 
@@ -279,9 +275,7 @@ def _cmd_resonance(args):
         "values": list(rep.values),
         "cauchy_diffs": list(rep.cauchy_diffs),
     }
-    lines = ["r,I_r"] + [f"{format(r, '.17g')},{format(v, '.17g')}"
-                         for r, v in zip(rep.rs, rep.values)]
-    _emit(args, payload, csv_text="\n".join(lines) + "\n")
+    _emit(args, payload, csv_text=_csv(["r", "I_r"], zip(rep.rs, rep.values)))
     return 0
 
 
@@ -289,10 +283,11 @@ def _cmd_resonance(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, fmt_default="json"):
+def _add_common(p, formats=("json", "csv")):
+    """Shared options; the first of ``formats`` is the default."""
     p.add_argument("--model", default="laplacian",
                    help="laplacian | piecewise:<eps> | stepped:<A> | spec.json")
-    p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="write to file (default stdout)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--tol-radial", type=float, default=None, dest="tol_radial",
@@ -308,17 +303,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the dispersion hypotheses")
-    _add_common(p)
+    _add_common(p, formats=("json",))
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("thresholds", help="sector constants and thresholds")
-    _add_common(p, fmt_default="csv")
+    _add_common(p, formats=("csv", "json"))
     p.add_argument("-a", type=float, default=None)
     p.add_argument("-b", type=float, default=None)
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("solve", help="all eigenvalues above the band")
-    _add_common(p)
+    _add_common(p, formats=("json",))
     p.add_argument("-a", type=float, required=True)
     p.add_argument("-b", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)

@@ -63,42 +63,30 @@ class EigenvalueRecord:
     c2: float | None
     residual: float
 
-    def as_dict(self):
-        return {"sector": self.sector, "mu": self.mu, "energy": self.energy,
-                "multiplicity": self.multiplicity, "c1": self.c1, "c2": self.c2,
-                "residual": self.residual}
 
-
-def _alpha_of(model, z, alpha):
-    if alpha is None:
-        if z is None:
-            raise ValueError("either z or alpha is required")
-        alpha = z - float(model.e_max)
-    if alpha <= 0:
-        raise BelowThreshold("z must exceed the band top e_max")
-    return alpha
-
-
-def delta_rank_one(model, sector, b, mu, z=None, spec=None, alpha=None):
-    """1 - (b mu/4pi^2) int w^2/(z - e) in sector omega in {os, oa, ea}."""
+def delta_rank_one(model, sector, b, mu, *, alpha, spec=None):
+    """1 - (b mu/4pi^2) int w^2/(z - e) in sector omega in {os, oa, ea},
+    at z = e_max + alpha."""
     if sector not in sectors.RANK_ONE_SECTORS:
         raise ValueError(f"not a rank-one sector: {sector}")
     if b == 0:
         raise ZeroCoupling("coupling b must be nonzero")
     if mu == 0:
         return 1.0
-    alpha = _alpha_of(model, z, alpha)
+    if alpha <= 0:
+        raise BelowThreshold("z must exceed the band top e_max")
     spec = spec or default_spec(model)
     w_sq = sectors.RANK_ONE_WEIGHTS_SQ[sector]
     integral = integrate_resolvent(model, w_sq, k=1, spec=spec, alpha=alpha).value
     return 1.0 - b * mu * integral / FOUR_PI_SQ
 
 
-def delta_es(model, a, b, mu, z=None, spec=None, alpha=None):
+def delta_es(model, a, b, mu, *, alpha, spec=None):
     """All components of the rank-two determinant at z = e_max + alpha."""
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
-    alpha = _alpha_of(model, z, alpha)
+    if alpha <= 0:
+        raise BelowThreshold("z must exceed the band top e_max")
     spec = spec or default_spec(model)
     i1 = integrate_resolvent(model, sectors.es_one, k=1, spec=spec, alpha=alpha).value
     i2 = integrate_resolvent(model, sectors.es_cos_sum_sq, k=1, spec=spec, alpha=alpha).value
@@ -257,7 +245,7 @@ def multiplicity_check(model, a, b, mu, z0, tol=ZERO_TOL, spec=None):
     """True iff (mu, z0) is a multiplicity-two zero: all three determinant
     components vanish, and so does the z-derivative of the combination."""
     spec = spec or default_spec(model)
-    alpha0 = _alpha_of(model, z0, None)
+    alpha0 = z0 - float(model.e_max)
     parts = delta_es(model, a, b, mu, spec=spec, alpha=alpha0)
     if max(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)) >= tol:
         return False

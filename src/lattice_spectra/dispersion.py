@@ -212,14 +212,6 @@ class SteppedPhiA:
                 (3 * PI / 4, PI, lambda t: 0.5 * np.cos(2 * t)))
 
 
-MODEL_KINDS = {
-    "laplacian": DiscreteLaplacian,
-    "hopping": ExponentialHopping,
-    "piecewise_phi": PiecewisePhi,
-    "stepped_phi": SteppedPhiA,
-}
-
-
 def evaluate(model, p):
     """Pointwise dispersion value e(p) for p = (p1, p2)."""
     p1, p2 = p

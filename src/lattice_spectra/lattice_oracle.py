@@ -27,8 +27,6 @@ no more eigenvalues above it than mu V has positive eigenvalues in its
 sector, and ``sector_count_above`` asks each block for just that many.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,13 +384,3 @@ def extrapolate(l_values, values):
     if err > spread and spread > 0:
         raise FitFailure("extrapolation residual exceeds the data spread")
     return limit, err
-
-
-def eigen_csv(L, counts):
-    """CSV rows (L, index, value, sector) for one box's SectorCounts."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["L", "index", "value", "sector"])
-    for i, (v, s) in enumerate(counts.entries):
-        writer.writerow([L, i, format(v, ".17g"), s])
-    return buf.getvalue()

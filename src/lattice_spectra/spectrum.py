@@ -7,6 +7,7 @@ determinant; counts follow the threshold table exactly.
 """
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +243,11 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
     if mu <= 0:
         raise ValueError("mu must be positive")
 
-    g = lambda A: _g_of_a(A, z0, spec)
+    @functools.cache
+    def g(A):
+        # brentq's end points and g_residual revisit A already evaluated
+        return _g_of_a(A, z0, spec)
+
     g_lo, g_hi = g(0.0), g(1.0)
     if not (g_lo < 0.0 < g_hi):
         raise SignChangeAbsent(
@@ -250,7 +255,7 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
 
     if scan:
         grid = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
-        vals = [g_lo] + [g(A) for A in grid[1:-1]] + [g_hi]
+        vals = [g(float(A)) for A in grid]
         brackets = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                     if (vals[i] < 0) != (vals[i + 1] < 0)]
         lo, hi = brackets[0]  # smallest root

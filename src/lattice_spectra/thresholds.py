@@ -8,8 +8,6 @@ gamma_omega / b (for b > 0), and in the rank-two even-symmetric sector
 """
 
 import enum
-import io
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,10 +138,6 @@ class ThresholdClassification:
     ea: ThresholdKind
     es: ThresholdKind
 
-    def as_dict(self):
-        return {"os": self.os.value, "oa": self.oa.value,
-                "ea": self.ea.value, "es": self.es.value}
-
 
 def classify_threshold_solutions(model, a, b, spec=None, tol=1e-8):
     """Per-sector solution type at the coupling threshold.
@@ -272,18 +266,3 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, r_sequence=None,
                         values=tuple(float(v) for v in values),
                         classification=classification, slope=float(slope),
                         r_squared=float(r_squared), cauchy_diffs=diffs)
-
-
-def constants_csv(models_with_names):
-    """CSV rows of the sector and es constants for a list of (name, model)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "gamma_os", "gamma_oa", "gamma_ea", "gamma_es",
-                     "theta_star", "theta_2star", "kappa1"])
-    for name, model in models_with_names:
-        g = gammas(model)
-        th = es_constants(model)
-        writer.writerow([name] + [format(x, ".17g") for x in
-                                  (g.gamma_os, g.gamma_oa, g.gamma_ea, g.gamma_es,
-                                   th.theta_star, th.theta_2star, th.kappa1)])
-    return buf.getvalue()

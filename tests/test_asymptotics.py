@@ -100,10 +100,11 @@ def test_extract_log_coefficient_grid_validation(lap):
         asy.extract_log_coefficient(lap, one, alpha_grid=[1e-4, 1e-5, 1e-6])
 
 
-def test_fit_csv(lap):
-    rep = asy.fit_eigenvalue_asymptotics(lap, "ea", 1.0, 1.0,
-                                         sample_spec=[1e-5, 1e-4])
-    text = asy.fit_csv(rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,opening,predicted"
-    assert len(lines) == 3
+@pytest.mark.parametrize("branch, b", [("exponential", 1.0),
+                                       ("threshold", 2.0)])
+def test_es_fit_predicts_the_sampled_openings(lap, branch, b):
+    # the predicted column is the fitted law exp(-slope/x + intercept), so
+    # it misses each sampled opening in ln by at most the fit residual
+    rep = asy.fit_eigenvalue_asymptotics(lap, "es", 1.0, b, branch=branch)
+    gaps = [abs(np.log(pred) - np.log(al)) for _, al, pred in rep.samples]
+    assert max(gaps) <= rep.residual + 1e-12

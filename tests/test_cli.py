@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lattice_spectra import cli, lattice_oracle
+from lattice_spectra import cli, lattice_oracle, spectrum
 
 
 def run(capsys, *argv):
@@ -18,6 +18,7 @@ def test_thresholds_csv(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert float(rows[0]["gamma_es"]) == pytest.approx(0.5, rel=1e-6)
+    assert float(rows[0]["kappa1"]) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_thresholds_json_with_couplings(capsys):
@@ -37,6 +38,19 @@ def test_solve_json(capsys):
     assert data["total_count"] == 4
     assert data["sector_counts"] == {"os": 1, "oa": 1, "ea": 1, "es": 1}
     assert len(data["records"]) == 4
+    assert all(list(r) == ["sector", "mu", "energy", "multiplicity", "c1",
+                           "c2", "residual"] for r in data["records"])
+
+
+def test_csv_offered_only_where_written(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solve ran before the format was rejected")
+
+    monkeypatch.setattr(spectrum, "solve", fail)
+    for argv in (["solve", "-a", "1", "-b", "3", "--mu", "1"], ["validate"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", "csv"])
+        assert exc.value.code == 3
 
 
 def test_solve_zero_coupling_exit_1(capsys):
@@ -162,3 +176,58 @@ def test_tol_override_in_metadata(capsys):
                          "--tol-radial", "1e-8")
     assert code == 0
     assert json.loads(out)["metadata"]["tolerances"]["radial"] == 1e-8
+
+
+# each CSV subcommand: its argv, its CSV header, and its rows read off the JSON
+CSV_CASES = {
+    "thresholds": (
+        ["thresholds"],
+        "model,gamma_os,gamma_oa,gamma_ea,gamma_es,theta_star,theta_2star,kappa1",
+        lambda d: [["laplacian"] + [d[k] for k in (
+            "gamma_os", "gamma_oa", "gamma_ea", "gamma_es",
+            "theta_star", "theta_2star", "kappa1")]]),
+    "curve": (
+        ["curve", "--sector", "ea", "-b", "1", "--mu-min", "2.0",
+         "--mu-max", "2.2", "-n", "3"],
+        "mu,energy",
+        lambda d: [list(r) for r in zip(d["mus"], d["energies"])]),
+    "phase-diagram": (
+        ["phase-diagram", "--mu", "3", "--a-min", "-1", "--a-max", "1",
+         "--a-n", "2", "--b-min", "-1", "--b-max", "1", "--b-n", "2"],
+        "a,b,count",
+        lambda d: [[c["a"], c["b"], c["count"]] for c in d["cells"]]),
+    "asymptotics": (
+        ["asymptotics", "--sector", "ea"],
+        "x,opening,predicted",
+        lambda d: d["samples"]),
+    "oracle": (
+        ["oracle", "-a", "1", "-b", "3", "--mu", "1", "--L", "10,12,14"],
+        "L,index,value,sector",
+        lambda d: [[b["L"], i, v, s] for b in d["boxes"]
+                   for i, (v, s) in enumerate(b["entries"])]),
+    "resonance": (
+        ["resonance", "--sector", "ea"],
+        "r,I_r",
+        lambda d: [list(r) for r in zip(d["rs"], d["values"])]),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_CASES))
+def test_csv_carries_the_json_numbers(capsys, command):
+    argv, header, rows_of = CSV_CASES[command]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    expected = rows_of(json.loads(out))
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    head, *rows = list(csv.reader(io.StringIO(out)))
+    assert ",".join(head) == header
+    assert len(rows) == len(expected) > 0
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want)
+        for field, value in zip(row, want):
+            if isinstance(value, str):
+                assert field == value
+            else:
+                # .17g round-trips every float exactly
+                assert float(field) == value

@@ -231,15 +231,6 @@ def test_extrapolate_failures():
         lo.extrapolate((3, 2, 1), (1.0, 1.1, 1.11))
 
 
-def test_eigen_csv(lap):
-    h = lo.build(lap, 12, a=1.0, b=3.0, mu=1.0)
-    text = lo.eigen_csv(12, lo.sector_count_above(h, 4.0, 1e-3))
-    lines = text.strip().split("\n")
-    assert lines[0] == "L,index,value,sector"
-    assert len(lines) == 5
-    assert lines[1].startswith("12,0,")
-
-
 def test_separable_path_kinked_models():
     # box spectrum must stay below e_max for the free kinked models
     for model in (PiecewisePhi(eps=0.5), SteppedPhiA(a_param=0.4)):

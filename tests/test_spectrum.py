@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lattice_spectra import sectors, spectrum
+from lattice_spectra import sectors, spectrum, torus_quad
 from lattice_spectra.dispersion import PI, PiecewisePhi, SteppedPhiA
 from lattice_spectra.errors import (DomainError, NotEvenPerCoordinate,
                                     ZeroCoupling)
@@ -74,7 +74,7 @@ def test_shared_far_caches_under_threads(lap):
     cases = [(1.0, 3.0, 1.0), (1.0, 1.0, 3.0), (-1.0, 1.0, 2.0), (2.0, -1.0, 2.0)]
 
     def run(case):
-        return [r.as_dict() for r in spectrum.solve(lap, *case).records]
+        return spectrum.solve(lap, *case).records
 
     _far_grids.cache_clear()
     serial = [run(c) for c in cases]
@@ -138,6 +138,20 @@ def _assert_frozen_construction(res):
 
 def test_multiplicity_two_construct_frozen():
     _assert_frozen_construction(spectrum.multiplicity_two_construct(1.5, mu=1.0))
+
+
+def test_multiplicity_two_construct_reuses_g_values(monkeypatch):
+    # brentq's end points and g_residual revisit values of G already computed
+    calls = []
+    original = torus_quad._integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(torus_quad, "_integrate", counting)
+    _assert_frozen_construction(spectrum.multiplicity_two_construct(1.5, mu=1.0))
+    assert 0 < len(calls) <= 14
 
 
 def test_multiplicity_two_construct_builds_one_far_node_set():

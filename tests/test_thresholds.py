@@ -1,6 +1,3 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 
@@ -8,7 +5,7 @@ from lattice_spectra.dispersion import PI
 from lattice_spectra.errors import ZeroCoupling
 from lattice_spectra.thresholds import (NO_THRESHOLD, ThresholdKind,
                                         classify_threshold_solutions,
-                                        constants_csv, coupling_thresholds,
+                                        coupling_thresholds,
                                         es_constants, gammas,
                                         resonance_integrability_probe)
 
@@ -101,11 +98,3 @@ def test_probe_ea_convergent(lap):
 def test_probe_requires_positive_b(lap):
     with pytest.raises(ZeroCoupling):
         resonance_integrability_probe(lap, "os", b=-1.0)
-
-
-def test_constants_csv(lap):
-    text = constants_csv([("laplacian", lap)])
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 1
-    assert float(rows[0]["gamma_es"]) == pytest.approx(0.5, rel=1e-6)
-    assert float(rows[0]["kappa1"]) == pytest.approx(2.0, rel=1e-6)
