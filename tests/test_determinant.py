@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -141,3 +143,12 @@ def test_delta3_nonzero_above_band(lap):
 def test_multiplicity_check_rejects_simple_roots(lap):
     recs = find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
     assert not multiplicity_check(lap, 1.0, 1.0, 3.0, recs[0].energy)
+
+
+def test_record_as_dict(lap):
+    rec = find_eigenvalue_rank_one(lap, "os", 3.0, 1.0)
+    d = dataclasses.asdict(rec)
+    assert d["sector"] == "os"
+    assert d["multiplicity"] == 1
+    assert set(d) == {"sector", "mu", "energy", "multiplicity", "c1", "c2",
+                      "residual"}

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from lattice_spectra import cli
 from lattice_spectra.dispersion import PI
 from lattice_spectra.errors import ZeroCoupling
 from lattice_spectra.thresholds import (NO_THRESHOLD, ThresholdKind,
@@ -98,3 +102,12 @@ def test_probe_ea_convergent(lap):
 def test_probe_requires_positive_b(lap):
     with pytest.raises(ZeroCoupling):
         resonance_integrability_probe(lap, "os", b=-1.0)
+
+
+def test_constants_csv(capsys):
+    assert cli.main(["thresholds", "--model", "laplacian"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1
+    assert rows[0]["model"] == "laplacian"
+    assert float(rows[0]["gamma_es"]) == pytest.approx(0.5, rel=1e-6)
+    assert float(rows[0]["kappa1"]) == pytest.approx(2.0, rel=1e-6)
