@@ -1,7 +1,7 @@
 """Discrete spectrum above the band of lattice Schrodinger operators on Z^2."""
 
 from .dispersion import (DiscreteLaplacian, ExponentialHopping, PiecewisePhi,
-                         SteppedPhiA, MorseData, morse_data, evaluate,
+                         SteppedPhiA, MorseData, morse_data,
                          fourier_coefficients, validate_hypothesis,
                          model_from_spec, model_to_spec)
 from .torus_quad import (QuadratureSpec, IntegralResult, default_spec,

@@ -212,12 +212,6 @@ class SteppedPhiA:
                 (3 * PI / 4, PI, lambda t: 0.5 * np.cos(2 * t)))
 
 
-def evaluate(model, p):
-    """Pointwise dispersion value e(p) for p = (p1, p2)."""
-    p1, p2 = p
-    return float(model.values(np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # Morse data at the maximizer
 # ---------------------------------------------------------------------------

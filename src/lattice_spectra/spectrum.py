@@ -254,7 +254,8 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
             f"G(0) = {g_lo:g}, G(1) = {g_hi:g}: no sign change")
 
     if scan:
-        grid = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
+        # at most scan_step apart, with both ends of [0, 1] on the grid
+        grid = np.linspace(0.0, 1.0, int(np.ceil(1.0 / scan_step)) + 1)
         vals = [g(float(A)) for A in grid]
         brackets = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                     if (vals[i] < 0) != (vals[i + 1] < 0)]

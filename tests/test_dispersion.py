@@ -4,7 +4,7 @@ import scipy.integrate
 
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         PiecewisePhi, SteppedPhiA, PI,
-                                        evaluate, fourier_coefficients,
+                                        fourier_coefficients,
                                         is_even_per_coordinate, model_from_spec,
                                         model_to_spec, morse_data,
                                         validate_hypothesis, wrap_torus)
@@ -30,9 +30,9 @@ def test_wrap_torus_range_and_endpoint():
 
 
 def test_laplacian_values(lap):
-    assert evaluate(lap, (PI, PI)) == pytest.approx(4.0)
-    assert evaluate(lap, (0.0, 0.0)) == pytest.approx(0.0)
-    assert evaluate(lap, (PI / 2, -PI / 2)) == pytest.approx(2.0)
+    assert lap.values(PI, PI) == pytest.approx(4.0)
+    assert lap.values(0.0, 0.0) == pytest.approx(0.0)
+    assert lap.values(PI / 2, -PI / 2) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
@@ -115,7 +115,7 @@ def test_fourier_reconstruction(lap):
         rec = sum(v * np.cos(x1 * p1 + x2 * p2) for (x1, x2), v in table.items()) / 1.0
         # cos-sum double counts nothing: the table stores both +-x entries,
         # and e is real even, so sum ehat(x) e^{ip.x} = sum ehat(x) cos(p.x)
-        assert rec == pytest.approx(evaluate(lap, (p1, p2)), abs=1e-10)
+        assert rec == pytest.approx(lap.values(p1, p2), abs=1e-10)
 
 
 def test_separable_hopping_structure():

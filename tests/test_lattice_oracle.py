@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lattice_spectra import lattice_oracle as lo
 from lattice_spectra.determinant import find_eigenvalue_rank_one
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         PiecewisePhi, SteppedPhiA)
-from lattice_spectra.errors import FitFailure
+from lattice_spectra.errors import FitFailure, NoConvergence
 
 
 def test_separable_coefficients_laplacian(lap):
@@ -110,19 +110,42 @@ def test_laplacian_becomes_an_axis_table(lap):
     assert stepped.hopping is None and stepped.tail_bound == 0.0
 
 
+def _spy_lanczos(monkeypatch):
+    """Record the k each sector block is asked for by ``sector_count_above``,
+    and the k and operator products of the block's Lanczos solve."""
+    asked, lanczos = {}, {}
+    eigen_pairs, eigsh = lo.eigen_pairs, scipy.sparse.linalg.eigsh
+
+    def spy_pairs(blk, k, above=None):
+        asked[blk.sector] = k
+        return eigen_pairs(blk, k, above)
+
+    def spy_eigsh(op, k, **kwargs):
+        record = lanczos[next(reversed(asked))] = {"k": k, "products": 0}
+
+        def matvec(x):
+            record["products"] += 1
+            return op @ x
+
+        return eigsh(scipy.sparse.linalg.LinearOperator(
+            op.shape, matvec=matvec, dtype=float), k=k, **kwargs)
+
+    monkeypatch.setattr(lo, "eigen_pairs", spy_pairs)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
+    return asked, lanczos
+
+
 @pytest.mark.parametrize("L", (8, 20))   # dense and Lanczos blocks
 def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
     h = lo.build(lap, L, a=1.0, b=3.0, mu=1.0)
-    asked = {}
-    original = lo.eigen_pairs
-
-    def spy(blk, k):
-        asked[blk.sector] = k
-        return original(blk, k)
-
-    monkeypatch.setattr(lo, "eigen_pairs", spy)
+    asked, lanczos = _spy_lanczos(monkeypatch)
     sc = lo.sector_count_above(h, 4.0, 1e-3)
+    # min-max bounds each block's count by its rank; the Lanczos-size blocks
+    # (all but ea at L = 20) are asked for exactly their count, which for
+    # es is its inertia count
     assert asked == {"os": 1, "oa": 1, "ea": 1, "es": 2}
+    assert ({s: rec["k"] for s, rec in lanczos.items()}
+            == ({} if L == 8 else {"os": 1, "oa": 1, "es": 1}))
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
         full = np.linalg.eigvalsh(blk.operator() @ np.eye(blk.dimension))
@@ -130,6 +153,57 @@ def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
         got = np.sort([v for v, t in sc.entries if t == s])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) < 1e-10
+
+
+def test_es_lanczos_work_stays_near_a_rank_one_block(lap, monkeypatch):
+    # es holds one bound state at (1, 3, 1): asked for 2, Lanczos converged
+    # a continuum state near e_max in 633 products, against 41 for os
+    h = lo.build(lap, 45, a=1.0, b=3.0, mu=1.0)
+    _, lanczos = _spy_lanczos(monkeypatch)
+    lo.sector_count_above(h, 4.0, 5e-3)
+    assert lanczos["es"]["products"] <= 2 * lanczos["os"]["products"]
+
+
+def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
+    # an es block whose inertia count is 1 must not drop a Lanczos value
+    # below the cut; the rank-one blocks filter theirs
+    h = lo.build(lap, 20, a=1.0, b=3.0, mu=1.0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda op, k, **kwargs: np.full(k, 3.9))
+    with pytest.raises(NoConvergence, match=r"t = 4\.001 in the es block of "
+                       r"the L = 20 box at \(a, b, mu\) = \(1\.0, 3\.0, 1\.0\)"):
+        lo.sector_count_above(h, 4.0, 1e-3)
+
+
+@settings(max_examples=8, deadline=None)
+@given(L=st.sampled_from((28, 30)),
+       a=st.one_of(st.just(0.0), st.floats(-3.0, 6.0)),
+       b=st.one_of(st.just(0.0), st.floats(-3.0, 6.0)),
+       mu=st.one_of(st.just(0.0), st.floats(0.2, 3.0)))
+# es holds 0, 1 and 2 bound states; then a = 0, b = 0 and mu = 0
+@example(L=28, a=-1.0, b=-1.0, mu=2.0)
+@example(L=28, a=1.0, b=3.0, mu=1.0)
+@example(L=28, a=3.0, b=3.0, mu=1.0)
+@example(L=30, a=0.0, b=3.0, mu=1.0)
+@example(L=28, a=5.0, b=0.0, mu=1.0)
+@example(L=30, a=1.0, b=1.0, mu=0.0)
+def test_lanczos_blocks_match_dense_eigvalsh(L, a, b, mu):
+    # every block here is larger than DENSE_LIMIT, so es takes the inertia
+    # count and the others Lanczos for their rank
+    cutoff = 4.0 + 1e-3
+    h = lo.build(DiscreteLaplacian(), L, a=a, b=b, mu=mu)
+    want = {}
+    for s in ("os", "oa", "ea", "es"):
+        blk = h.sector_block(s)
+        assert blk.dimension > lo.DENSE_LIMIT
+        full = np.linalg.eigvalsh(blk.operator().toarray())
+        assume(np.min(np.abs(full - cutoff)) > 1e-8)
+        want[s] = np.sort(full[full > cutoff])
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    for s in ("os", "oa", "ea", "es"):
+        got = np.sort([v for v, t in sc.entries if t == s])
+        assert getattr(sc, s) == got.size == want[s].size
+        assert np.max(np.abs(got - want[s]), initial=0.0) < 1e-10
 
 
 @settings(max_examples=20)

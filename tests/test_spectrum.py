@@ -168,6 +168,14 @@ def test_multiplicity_two_construct_builds_one_far_node_set():
     assert _far_grids.cache_info().misses == 1
 
 
+def test_multiplicity_two_scan_keeps_both_ends():
+    # a step that does not divide 1 must not step past A = 1
+    scanned = spectrum.multiplicity_two_construct(1.5, mu=1.0, scan=True,
+                                                  scan_step=0.6)
+    plain = spectrum.multiplicity_two_construct(1.5, mu=1.0)
+    assert scanned.A0 == pytest.approx(plain.A0, abs=1e-12)
+
+
 def test_multiplicity_two_invalid_z0():
     with pytest.raises(DomainError):
         spectrum.multiplicity_two_construct(0.9)
