@@ -19,7 +19,9 @@ from .determinant import (ALPHA_FLOOR, find_eigenvalue_rank_one,
 from .dispersion import PI, morse_data
 from .errors import (DomainError, FitFailure, NonDiagonalHessian,
                      UnresolvableRoots)
-from .thresholds import NO_THRESHOLD, coupling_thresholds, es_constants, gammas
+from .thresholds import (NO_THRESHOLD, ThresholdKind,
+                         classify_threshold_solutions, coupling_thresholds,
+                         es_constants, gammas)
 from .torus_quad import (FOUR_PI_SQ, default_spec, integrate_resolvent,
                          integrate_threshold)
 
@@ -33,14 +35,13 @@ class LeadingCoefficients:
     c_ea: float          # None for b <= 0
     es_exponent_rate: float   # 1/(J0 (a+4b)), None when a+4b <= 0
     Lambda: float        # None when (a+4b)/(ab) <= 0
-    c_es_linear: float   # slope on the theta_star a = theta_2star b line
+    c_es_linear: float   # slope on the theta_star a = theta_2star b line, None as Lambda
 
 
 def leading_coefficients(model, a, b, spec=None):
     """All leading coefficients applicable at the coupling pair (a, b)."""
     md = morse_data(model)
     g = gammas(model, spec=spec)
-    th = es_constants(model, spec=spec)
 
     c_os = c_oa = c_ea = None
     if b > 0:
@@ -53,13 +54,14 @@ def leading_coefficients(model, a, b, spec=None):
         c_ea = 1.0 / (b * (g.gamma_ea / b) ** 2 * i2)
 
     rate = 1.0 / (md.j0 * (a + 4 * b)) if a + 4 * b > 0 else None
-    lam = None
-    if (a + 4 * b) / (a * b) > 0:
+    lam = c_es_linear = None
+    if (a + 4 * b) / (a * b) > 0:   # es has a threshold
+        th = es_constants(model, spec=spec)
         lam = (g.gamma_es ** 2 * (th.theta_star * a - th.theta_2star * b) ** 2
                / (md.j0 * a * b * (a + 4 * b)))
-    i2es = integrate_threshold(model, sectors.es_plus_sq, k=2,
-                               spec=spec).value / FOUR_PI_SQ
-    c_es_linear = a * b / ((a + 4 * b) * g.gamma_es ** 2 * i2es)
+        i2es = integrate_threshold(model, sectors.es_plus_sq, k=2,
+                                   spec=spec).value / FOUR_PI_SQ
+        c_es_linear = a * b / ((a + 4 * b) * g.gamma_es ** 2 * i2es)
 
     return LeadingCoefficients(c_os=c_os, c_oa=c_oa, c_ea=c_ea,
                                es_exponent_rate=rate, Lambda=lam,
@@ -223,9 +225,8 @@ def _fit_es_threshold(model, a, b, sample_spec, spec, e_max):
     mu0 = ct.mu0["es"]
     if mu0 <= 0:
         raise DomainError("threshold branch requires (a + 4b)/(ab) > 0")
-    th = es_constants(model, spec=spec)
-    on_line = (abs(th.theta_star * a - th.theta_2star * b)
-               <= 1e-8 * (abs(th.theta_star * a) + abs(th.theta_2star * b)))
+    on_line = (classify_threshold_solutions(model, a, b, spec=spec).es
+               is ThresholdKind.EIGENFUNCTION)
 
     def emergent_alpha(mu):
         recs = find_eigenvalues_es(model, a, b, mu, spec=spec)

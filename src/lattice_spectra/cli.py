@@ -28,8 +28,6 @@ from .dispersion import (DiscreteLaplacian, PiecewisePhi, SteppedPhiA,
 from .errors import ConfigError, DomainError, NumericalError
 from .torus_quad import default_spec
 
-ENV_THREADS = "LATTICE_SPECTRA_THREADS"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -53,15 +51,6 @@ def _parse_model(text):
         "'stepped:<A>', or a path to a JSON model spec")
 
 
-def _threads(args):
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _quad_spec(model, args):
     overrides = {}
     if getattr(args, "tol_radial", None) is not None:
@@ -71,12 +60,11 @@ def _quad_spec(model, args):
     return default_spec(model, **overrides)
 
 
-def _metadata(args, model, sp):
+def _metadata(model, sp):
     return {
         "model": model_to_spec(model),
         "tolerances": {"radial": sp.radial_tol},
         "grid_n": sp.grid_n,
-        "threads": _threads(args),
     }
 
 
@@ -126,7 +114,7 @@ def _cmd_thresholds(args):
         "theta_star": th.theta_star, "theta_2star": th.theta_2star,
         "kappa1": th.kappa1,
     }
-    payload = {"metadata": _metadata(args, model, sp), **constants}
+    payload = {"metadata": _metadata(model, sp), **constants}
     if args.a is not None and args.b is not None:
         ct = thresholds.coupling_thresholds(model, args.a, args.b, spec=sp)
         payload["mu0"] = {s: ct.mu0[s] for s in ("os", "oa", "ea", "es")}
@@ -144,7 +132,7 @@ def _cmd_solve(args):
     sp = _quad_spec(model, args)
     res = spectrum.solve(model, args.a, args.b, args.mu, spec=sp)
     payload = {
-        "metadata": _metadata(args, model, sp),
+        "metadata": _metadata(model, sp),
         "a": args.a, "b": args.b, "mu": args.mu,
         "total_count": res.total_count,
         "sector_counts": res.sector_counts(),
@@ -161,7 +149,7 @@ def _cmd_curve(args):
     rep = spectrum.eigenvalue_curve(model, args.sector, args.a, args.b, mus,
                                     spec=sp, branch=args.branch)
     payload = {
-        "metadata": _metadata(args, model, sp),
+        "metadata": _metadata(model, sp),
         "sector": rep.sector,
         "strictly_increasing": rep.strictly_increasing,
         "min_first_difference": rep.min_first_difference,
@@ -179,10 +167,11 @@ def _cmd_phase_diagram(args):
     sp = _quad_spec(model, args)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_n)
     b_grid = np.linspace(args.b_min, args.b_max, args.b_n)
+    threads = args.threads or os.cpu_count() or 1
     pd = spectrum.phase_diagram(model, args.mu, a_grid, b_grid, spec=sp,
-                                threads=_threads(args))
+                                threads=threads)
     payload = {
-        "metadata": _metadata(args, model, sp),
+        "metadata": {**_metadata(model, sp), "threads": threads},
         "mu": pd.mu,
         "cells": [{"a": c.a, "b": c.b, "count": c.count} for c in pd.cells],
         "boundaries": {
@@ -202,7 +191,7 @@ def _cmd_asymptotics(args):
     sp = _quad_spec(model, args)
     rep = asymptotics.fit_eigenvalue_asymptotics(
         model, args.sector, args.a, args.b, spec=sp, branch=args.branch)
-    payload = {"metadata": _metadata(args, model, sp),
+    payload = {"metadata": _metadata(model, sp),
                "sector": args.sector, "branch": args.branch,
                **dataclasses.asdict(rep)}
     _emit(args, payload,
@@ -227,7 +216,7 @@ def _cmd_oracle(args):
             "entries": [[v, s] for v, s in counts.entries],
         })
         rows += [(L, i, v, s) for i, (v, s) in enumerate(counts.entries)]
-    payload = {"metadata": _metadata(args, model, sp),
+    payload = {"metadata": _metadata(model, sp),
                "a": args.a, "b": args.b, "mu": args.mu,
                "margin": args.margin, "boxes": per_l}
     if len(ls) >= 3 and all(p["counts"] == per_l[0]["counts"] for p in per_l):
@@ -266,7 +255,7 @@ def _cmd_resonance(args):
     rep = thresholds.resonance_integrability_probe(model, args.sector,
                                                    a=args.a, b=args.b, spec=sp)
     payload = {
-        "metadata": _metadata(args, model, sp),
+        "metadata": _metadata(model, sp),
         "sector": rep.sector,
         "classification": rep.classification,
         "slope": rep.slope,
@@ -289,7 +278,6 @@ def _add_common(p, formats=("json", "csv")):
                    help="laplacian | piecewise:<eps> | stepped:<A> | spec.json")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="write to file (default stdout)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--tol-radial", type=float, default=None, dest="tol_radial",
                    help="near-field radial refinement tolerance")
     p.add_argument("--grid-n", type=int, default=None, dest="grid_n",
@@ -339,6 +327,7 @@ def build_parser():
     p.add_argument("--b-min", type=float, required=True, dest="b_min")
     p.add_argument("--b-max", type=float, required=True, dest="b_max")
     p.add_argument("--b-n", type=int, default=9, dest="b_n")
+    p.add_argument("--threads", type=int, default=None, help="default: all cores")
     p.set_defaults(func=_cmd_phase_diagram)
 
     p = sub.add_parser("asymptotics", help="near-threshold rate fits")

@@ -241,13 +241,14 @@ def _attach_coefficients(model, record, a, b, spec):
         record.c1, record.c2 = float(pairs[0][0]), float(pairs[0][1])
 
 
-def multiplicity_check(model, a, b, mu, z0, tol=ZERO_TOL, spec=None):
+def multiplicity_check(model, a, b, mu, z0, spec=None):
     """True iff (mu, z0) is a multiplicity-two zero: all three determinant
-    components vanish, and so does the z-derivative of the combination."""
+    components vanish (below ZERO_TOL), and so does the z-derivative of the
+    combination."""
     spec = spec or default_spec(model)
     alpha0 = z0 - float(model.e_max)
     parts = delta_es(model, a, b, mu, spec=spec, alpha=alpha0)
-    if max(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)) >= tol:
+    if max(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)) >= ZERO_TOL:
         return False
     h = min(0.5 * alpha0, max(1e-6 * alpha0, 1e-10))
     up = delta_es(model, a, b, mu, spec=spec, alpha=alpha0 + h).combined

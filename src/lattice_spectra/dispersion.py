@@ -23,6 +23,11 @@ from .errors import DegenerateHessian, NonMaxAtPi
 PI = np.pi
 PI_VEC = (np.pi, np.pi)
 
+DROP_BELOW = 1e-14        # fourier_coefficients drops smaller coefficients
+VALIDATION_GRID_N = 400   # validate_hypothesis grid points per axis
+EVEN_CHECK_POINTS = 256   # is_even_per_coordinate: random points, and the
+EVEN_CHECK_TOL = 1e-9     # relative tolerance of e(p1, p2) = e(-p1, p2)
+
 
 def wrap_torus(t):
     """Map angles to the fundamental domain (-pi, pi]."""
@@ -333,7 +338,7 @@ class HoppingTable:
         return dict(self.entries)
 
 
-def fourier_coefficients(model, cutoff, tol=None, drop_below=1e-14):
+def fourier_coefficients(model, cutoff, tol=None):
     """Hopping coefficients ehat(x), |x|_inf <= cutoff, by 2-D FFT.
 
     The tail estimate is the l1 mass on the first shell outside the table;
@@ -357,7 +362,7 @@ def fourier_coefficients(model, cutoff, tol=None, drop_below=1e-14):
     for x1 in range(-R, R + 1):
         for x2 in range(-R, R + 1):
             v = ehat(x1, x2)
-            if abs(v) > drop_below:
+            if abs(v) > DROP_BELOW:
                 entries.append(((x1, x2), v))
 
     shell = R + 1
@@ -378,10 +383,10 @@ class ValidationReport:
     failures: tuple
 
 
-def validate_hypothesis(model, grid_n=400):
+def validate_hypothesis(model):
     """Grid checks: evenness, swap symmetry, unique non-degenerate max at pi_vec."""
     failures = []
-    n = grid_n
+    n = VALIDATION_GRID_N
     grid = -PI + (np.arange(n) + 0.5) * (2 * PI / n)
     g1, g2 = np.meshgrid(grid, grid, indexing="ij")
     vals = model.values(g1, g2)
@@ -435,13 +440,14 @@ def validate_hypothesis(model, grid_n=400):
     return ValidationReport(passed=not failures, failures=tuple(failures))
 
 
-def is_even_per_coordinate(model, n_check=256, tol=1e-9):
+def is_even_per_coordinate(model):
     """True when e(p1, p2) = e(-p1, p2) pointwise (not just jointly even)."""
     rng = np.random.default_rng(7)
-    p1 = rng.uniform(-PI, PI, n_check)
-    p2 = rng.uniform(-PI, PI, n_check)
+    p1 = rng.uniform(-PI, PI, EVEN_CHECK_POINTS)
+    p2 = rng.uniform(-PI, PI, EVEN_CHECK_POINTS)
     diff = np.max(np.abs(model.values(p1, p2) - model.values(-p1, p2)))
-    return bool(diff <= tol * max(1.0, float(np.max(np.abs(model.values(p1, p2))))))
+    return bool(diff <= EVEN_CHECK_TOL
+                * max(1.0, float(np.max(np.abs(model.values(p1, p2))))))
 
 
 # ---------------------------------------------------------------------------

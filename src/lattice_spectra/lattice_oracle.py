@@ -25,10 +25,10 @@ periodic combs; a long-range block is applied as Q^T H Q y.  The box
 restriction of H0 has no eigenvalue above e_max, so by min-max a block holds
 no more eigenvalues above it than mu V has positive eigenvalues in its
 sector: 1 in os, oa and ea, 2 in es.  ``sector_count_above`` asks each
-rank-one block for its largest eigenvalue.  An es block held as a CSR matrix
-first counts its eigenvalues above the cut exactly, by inertia, from the box
-operator, Q and the potential alone; Lanczos is then asked for just that
-many (0, 1 or 2).
+rank-one block for its largest eigenvalue, unless mu V, the 1x1 matrix mu b
+there, is not positive.  An es block held as a CSR matrix first counts its
+eigenvalues above the cut exactly, by inertia, from the box operator, Q and
+the potential alone; Lanczos is then asked for just that many (0, 1 or 2).
 """
 
 from dataclasses import dataclass
@@ -54,6 +54,7 @@ _ROUNDOFF = 1e-14
 # a separable profile reaching farther keeps the matvec: the comb probe
 # takes (2 reach + 1)^2 products
 _MAX_REACH = 8
+TAIL_TOL = 1e-10  # largest l1 tail of an FFT hopping table (build with R)
 
 _SECTOR_CHARACTERS = {
     # (parity under x -> -x, parity under coordinate swap)
@@ -241,11 +242,11 @@ def _axis_table(phi_row):
     return table, 4.0 * float(np.sum(np.abs(phi_row[reach + 1:])))
 
 
-def build(model, L, R=None, a=1.0, b=1.0, mu=0.0, tol=1e-10):
+def build(model, L, R=None, a=1.0, b=1.0, mu=0.0):
     """Box truncation of the operator.
 
     With R given, the hopping table comes from the FFT coefficients with an
-    l1 tail bound (CutoffTooSmall when it exceeds ``tol``); a table that is
+    l1 tail bound (CutoffTooSmall when it exceeds TAIL_TOL); a table that is
     not invariant under the coordinate swap is rejected.  With R = None a
     separable kind is assembled from its 1-D profile coefficients c_0..c_2L.
     When every c_n beyond the first few (at most 8) is roundoff, |c_n| <=
@@ -264,7 +265,7 @@ def build(model, L, R=None, a=1.0, b=1.0, mu=0.0, tol=1e-10):
     if not L >= R >= 1:
         raise ValueError("need L >= R >= 1")
     from .dispersion import fourier_coefficients
-    table = fourier_coefficients(model, R, tol=tol)
+    table = fourier_coefficients(model, R, tol=TAIL_TOL)
     hopping = table.as_dict()
     scale = max(abs(v) for v in hopping.values())
     if any(abs(v - hopping.get((x2, x1), 0.0)) > 1e-12 * scale
@@ -371,25 +372,29 @@ def sector_count_above(h, e_max, margin, k=None):
 
     The box restriction of H0 has no eigenvalue above e_max, so by min-max a
     sector holds no more eigenvalues above it than mu V has positive
-    eigenvalues there: at most 1 in os, oa and ea, 2 in es.  Each rank-one
-    block is asked for its largest eigenvalue.  The es block is asked for at
-    most 2 above t: a Lanczos-size CSR block counts them first by inertia
-    and converges only those (``eigen_pairs``), while a dense or matvec
-    block is asked for 2.  Either way the count is exact.  The rank-one
-    blocks skip the inertia count: a factorization per block measured
-    slower on the (1, 3, 1) boxes at L = 30, 45, 60, where each of them
-    holds its bound state.  ``k`` is ignored; it is accepted so that callers
-    still passing it keep working.
+    eigenvalues there: at most 1 in os, oa and ea, 2 in es.  On a rank-one
+    sector mu V is the 1x1 matrix mu b, so where mu b <= 0 the block holds
+    none and is not diagonalized; otherwise it is asked for its largest
+    eigenvalue.  The es block is asked for at most 2 above t: a
+    Lanczos-size CSR block counts them first by inertia and converges only
+    those (``eigen_pairs``), while a dense or matvec block is asked for 2.
+    Either way the count is exact.  The rank-one blocks skip the inertia
+    count: a factorization per block measured slower on the (1, 3, 1)
+    boxes at L = 30, 45, 60, where each of them holds its bound state.
+    ``k`` is ignored; it is accepted so that callers still passing it keep
+    working.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
     t = e_max + margin
-    entries = sorted(
-        ((float(v), s) for s in SECTORS
-         for v in (eigen_pairs(h.sector_block(s), 1) if s in RANK_ONE_SECTORS
-                   else eigen_pairs(h.sector_block(s), 2, above=t))
-         if v > t),
-        key=lambda entry: -entry[0])
+
+    def block_values(s):
+        if s not in RANK_ONE_SECTORS:
+            return eigen_pairs(h.sector_block(s), 2, above=t)
+        return eigen_pairs(h.sector_block(s), 1) if h.mu * h.b > 0 else ()
+
+    entries = sorted(((float(v), s) for s in SECTORS for v in block_values(s)
+                      if v > t), key=lambda entry: -entry[0])
     counts = {s: sum(1 for _, sec in entries if sec == s) for s in SECTORS}
     return SectorCounts(**counts, total=len(entries), entries=tuple(entries))
 

@@ -23,6 +23,8 @@ from .thresholds import (above_threshold, coupling_thresholds, es_count,
                          gammas)
 from .torus_quad import FOUR_PI_SQ, default_spec, integrate_resolvent
 
+TRIPLE_OFFSET_REL = 0.1   # triple_emergence_check's offset from mu0
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -76,9 +78,6 @@ class PhaseDiagram:
     mu: float
     cells: tuple
     boundaries: dict
-
-    def __hash__(self):
-        return hash((self.mu, self.cells))
 
 
 def phase_diagram(model, mu, a_grid, b_grid, spec=None, threads=1):
@@ -180,11 +179,11 @@ class TripleEmergenceReport:
     jump: int
 
 
-def triple_emergence_check(model, b, delta_rel=0.1, spec=None):
+def triple_emergence_check(model, b, spec=None):
     """Tune a so the odd-sector and rank-two thresholds coincide, then verify
     the simultaneous release of three eigenvalues across the common threshold.
 
-    The crossing is probed at mu0 (1 +- delta_rel); the default 10% offset
+    The crossing is probed at mu0 (1 +- TRIPLE_OFFSET_REL); the 10% offset
     keeps the exponentially emerging rank-two root resolvable.
     """
     if not is_even_per_coordinate(model):
@@ -202,8 +201,8 @@ def triple_emergence_check(model, b, delta_rel=0.1, spec=None):
     if abs(mu0 - ct.mu0["es"]) > 1e-10 * mu0:
         raise DomainError("threshold matching failed beyond tolerance")
 
-    below = solve(model, a, b, mu0 * (1 - delta_rel), spec=spec).total_count
-    above = solve(model, a, b, mu0 * (1 + delta_rel), spec=spec).total_count
+    below = solve(model, a, b, mu0 * (1 - TRIPLE_OFFSET_REL), spec=spec).total_count
+    above = solve(model, a, b, mu0 * (1 + TRIPLE_OFFSET_REL), spec=spec).total_count
     return TripleEmergenceReport(b=b, a=a, mu0=mu0, count_below=below,
                                  count_above=above, jump=above - below)
 

@@ -21,6 +21,11 @@ from .torus_quad import (FOUR_PI_SQ, _panel_nodes, chi_cutoff,
 
 NO_THRESHOLD = None  # sentinel: no eigenvalue for any coupling in that sector
 
+THETA_LINE_REL = 1e-8    # relative width of the line theta_star a = theta_2star b
+PROBE_RADII = tuple(np.geomspace(1e-4, 1e-1, 13)[::-1])  # descending
+ANNULUS_PANELS = 5       # _annulus_integral: Gauss panels (order 32) in ln r
+ANNULUS_N_THETA = 128    # and trapezoid points in angle
+
 
 @dataclass(frozen=True)
 class SectorConstants:
@@ -71,9 +76,6 @@ class CouplingThresholds:
     b: float
     mu0: dict          # sector -> threshold, or NO_THRESHOLD sentinel
     even_per_coordinate: bool
-
-    def __hash__(self):  # mu0 is a plain dict; hash by couplings only
-        return hash((self.a, self.b))
 
 
 def _check_couplings(a, b):
@@ -139,7 +141,7 @@ class ThresholdClassification:
     es: ThresholdKind
 
 
-def classify_threshold_solutions(model, a, b, spec=None, tol=1e-8):
+def classify_threshold_solutions(model, a, b, spec=None):
     """Per-sector solution type at the coupling threshold.
 
     Odd sectors emit a resonance (L1 but not L2 profile), the even
@@ -154,13 +156,14 @@ def classify_threshold_solutions(model, a, b, spec=None, tol=1e-8):
         th = es_constants(model, spec=spec)
         num = abs(th.theta_star * a - th.theta_2star * b)
         den = abs(th.theta_star * a) + abs(th.theta_2star * b)
-        es = ThresholdKind.EIGENFUNCTION if num <= tol * den else ThresholdKind.NO_SOLUTION
+        es = (ThresholdKind.EIGENFUNCTION if num <= THETA_LINE_REL * den
+              else ThresholdKind.NO_SOLUTION)
     else:
         es = ThresholdKind.NOT_APPLICABLE
     return ThresholdClassification(os=rank_one, oa=rank_one, ea=ea, es=es)
 
 
-def threshold_profile(model, sector, a=1.0, b=1.0):
+def threshold_profile(model, sector):
     """The candidate threshold solution Phi_omega as a callable on the torus."""
     e_max = float(model.e_max)
 
@@ -187,27 +190,27 @@ class GrowthReport:
     cauchy_diffs: tuple
 
 
-def _annulus_integral(model, v, r_in, r_out, n_r=160, n_theta=128):
+def _annulus_integral(v, r_in, r_out):
     """Exact polar integral of v over the annulus r_in <= r <= r_out around
     pi_vec, with Gauss nodes in ln r to resolve the 1/r^2 growth."""
-    edges = np.geomspace(r_in, r_out, max(2, n_r // 32) + 1)
+    edges = np.geomspace(r_in, r_out, ANNULUS_PANELS + 1)
     s, wr = _panel_nodes(np.log(edges), 32)
     r = np.exp(s)
-    theta = (np.arange(n_theta) + 0.5) * (2 * PI / n_theta)
+    theta = (np.arange(ANNULUS_N_THETA) + 0.5) * (2 * PI / ANNULUS_N_THETA)
     u1 = r[:, None] * np.cos(theta)[None, :]
     u2 = r[:, None] * np.sin(theta)[None, :]
     vv = np.asarray(v(wrap_torus(PI + u1), wrap_torus(PI + u2)), dtype=float)
     # area element r dr dtheta = r^2 ds dtheta in the log variable
-    return float(np.sum((wr * r * r)[:, None] * vv) * (2 * PI / n_theta))
+    return float(np.sum((wr * r * r)[:, None] * vv) * (2 * PI / ANNULUS_N_THETA))
 
 
-def resonance_integrability_probe(model, sector, a=1.0, b=1.0, r_sequence=None,
-                                  spec=None):
+def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
     """Numerical L2 probe of the threshold profile.
 
-    I(r) = (1/4pi^2) int_{T2 minus B_r} |Phi_omega|^2: fitted against
-    ln(1/r); a good linear fit flags the resonance (log-divergent) case,
-    vanishing Cauchy differences the square-integrable case.
+    I(r) = (1/4pi^2) int_{T2 minus B_r} |Phi_omega|^2, r in PROBE_RADII:
+    fitted against ln(1/r); a good linear fit flags the resonance
+    (log-divergent) case, vanishing Cauchy differences the square-integrable
+    case.
     """
     if sector in sectors.RANK_ONE_SECTORS:
         if b <= 0:
@@ -219,14 +222,12 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, r_sequence=None,
                 "es probe requires the threshold-eigenfunction coupling line")
     spec = spec or default_spec(model)
     delta = spec.patch_radius
-    rs = np.asarray(r_sequence if r_sequence is not None
-                    else np.geomspace(1e-4, 1e-1, 13), dtype=float)
-    rs = np.sort(rs)[::-1]
+    rs = np.array(PROBE_RADII)
     inner_edge = delta / 2 * 0.999
-    if np.max(rs) > inner_edge:
-        raise ValueError("r sequence must stay inside the analytic patch")
+    if rs[0] > inner_edge:
+        raise ValueError("probe radii must stay inside the analytic patch")
 
-    prof = threshold_profile(model, sector, a, b)
+    prof = threshold_profile(model, sector)
     vsq = lambda p1, p2: prof(p1, p2) ** 2
 
     # fixed outer part: torus minus B_delta, via the far-field machinery
@@ -236,14 +237,14 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, r_sequence=None,
     # plus the chi-weighted ring between delta/2 and delta that the far grid
     # down-weights: add it exactly from the annulus rule
     ring = _annulus_integral(
-        model, lambda p1, p2: chi_cutoff(
+        lambda p1, p2: chi_cutoff(
             np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI)), delta) * vsq(p1, p2),
         inner_edge, delta)
     base = outer + ring
 
     values = []
     for r in rs:
-        values.append((base + _annulus_integral(model, vsq, r, inner_edge))
+        values.append((base + _annulus_integral(vsq, r, inner_edge))
                       / FOUR_PI_SQ)
     values = np.array(values)
 

@@ -52,30 +52,32 @@ from .errors import BelowThreshold, NoConvergence, NotIntegrable
 
 FOUR_PI_SQ = 4 * PI ** 2
 
+MAX_REFINE = 6        # near-field refinement passes
+N_THETA = 32          # initial angular trapezoid points in the near patch
+                      # (even: the subrule takes half)
+N_PANELS = 4          # initial radial Gauss panels on each side of
+                      # r = delta/2, where chi starts to fall
+GAUSS_ORDER = 16      # Gauss points per radial panel
+FAR_GAUSS_ORDER = 12  # Gauss points per far-field panel on a kinked model
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """The settable part of the rule.  The near-field rule is fixed by the
+    module constants MAX_REFINE, N_THETA, N_PANELS and GAUSS_ORDER, read at
+    call time."""
+
     grid_n: int = 256          # far-field points per axis
     patch_radius: float = 0.5  # radius delta of the near patch
     radial_tol: float = 1e-10  # relative target for the near-field refinement
-    max_refine: int = 6
-    n_theta: int = 32          # initial angular trapezoid points in the
-                               # near patch (even: the subrule takes half)
-    n_panels: int = 4          # initial radial Gauss panels on each side
-                               # of r = delta/2, where chi starts to fall
-    gauss_order: int = 16      # Gauss points per radial panel
 
     def __post_init__(self):
         if self.grid_n < 32 or self.grid_n % 2:
             raise ValueError("grid_n must be even and >= 32")
         if not 0.0 < self.patch_radius < 1.0:
             raise ValueError("patch_radius must lie in (0, 1)")
-        if self.radial_tol <= 0 or self.max_refine < 1:
-            raise ValueError("radial_tol > 0 and max_refine >= 1 required")
-        if self.n_theta < 8 or self.n_theta % 2:
-            raise ValueError("n_theta must be even and >= 8")
-        if self.n_panels < 1 or self.gauss_order < 2:
-            raise ValueError("n_panels >= 1 and gauss_order >= 2 required")
+        if self.radial_tol <= 0:
+            raise ValueError("radial_tol must be positive")
 
 
 def default_spec(model, **overrides):
@@ -147,19 +149,20 @@ def _panel_nodes(edges, order):
             (half[:, None] * wg[None, :]).ravel())
 
 
-def _panel_counts(edges, n_target, order=12):
+def _panel_counts(edges, n_target):
     """Gauss panels per segment between consecutive kinks for about
     n_target nodes on [-pi, pi], at least 2 per segment."""
-    return [max(2, int(math.ceil((hi - lo) / (2 * PI) * n_target / order)))
+    return [max(2, int(math.ceil((hi - lo) / (2 * PI) * n_target / FAR_GAUSS_ORDER)))
             for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _axis_nodes_gauss(edges, counts, order=12):
-    """Composite Gauss nodes on [-pi, pi], counts[i] uniform panels on the
-    segment [edges[i], edges[i + 1]] between kinks."""
+def _axis_nodes_gauss(edges, counts):
+    """Composite Gauss nodes on [-pi, pi], counts[i] uniform panels of
+    FAR_GAUSS_ORDER points on the segment [edges[i], edges[i + 1]] between
+    kinks."""
     starts = [np.linspace(lo, hi, m + 1)[:-1]
               for lo, hi, m in zip(edges[:-1], edges[1:], counts)]
-    return _panel_nodes(np.append(np.concatenate(starts), PI), order)
+    return _panel_nodes(np.append(np.concatenate(starts), PI), FAR_GAUSS_ORDER)
 
 
 class _FarLevel:
@@ -256,20 +259,20 @@ def _far_value(level, model, v, alpha, k):
 # near field (polar patch)
 # ---------------------------------------------------------------------------
 
-def _near_value(model, v, alpha, k, delta, n_theta, n_panels, order=16):
+def _near_value(model, v, alpha, k, delta, n_theta, n_panels):
     """Integral of chi * v / (alpha + deficit)^k over B_delta(pi_vec).
 
-    Polar coordinates about pi_vec.  Radially, n_panels Gauss panels of the
-    given order lie on each side of r = delta/2, where chi starts to fall,
-    in the variable s of r = sqrt(alpha) sinh(s) (r itself at alpha = 0).
-    Angularly, the periodic trapezoid rule on n_theta nodes theta_j =
-    2 pi j / n_theta; its every-other-node subrule is the trapezoid rule on
-    n_theta / 2 nodes, so their difference estimates the angular error of
-    the coarser rule at no extra cost.  The nodes include theta = 0.  Were
-    they offset by half a step, the subrule would sit a quarter step off
-    the axes, where it integrates exactly the cos(n_theta theta / 2) mode
-    that the swap symmetry leaves at that order; the difference would then
-    read roundoff whatever the error.
+    Polar coordinates about pi_vec.  Radially, n_panels Gauss panels of
+    GAUSS_ORDER points lie on each side of r = delta/2, where chi starts to
+    fall, in the variable s of r = sqrt(alpha) sinh(s) (r itself at
+    alpha = 0).  Angularly, the periodic trapezoid rule on n_theta nodes
+    theta_j = 2 pi j / n_theta; its every-other-node subrule is the
+    trapezoid rule on n_theta / 2 nodes, so their difference estimates the
+    angular error of the coarser rule at no extra cost.  The nodes include
+    theta = 0.  Were they offset by half a step, the subrule would sit a
+    quarter step off the axes, where it integrates exactly the
+    cos(n_theta theta / 2) mode that the swap symmetry leaves at that order;
+    the difference would then read roundoff whatever the error.
 
     Returns (value, abs_value, theta_err): abs_value integrates the modulus
     and serves as a scale for relative-tolerance decisions; theta_err is the
@@ -283,7 +286,7 @@ def _near_value(model, v, alpha, k, delta, n_theta, n_panels, order=16):
         s_break, s_max = delta / 2, delta
     edges = np.concatenate((np.linspace(0.0, s_break, n_panels + 1),
                             np.linspace(s_break, s_max, n_panels + 1)[1:]))
-    s, ws = _panel_nodes(edges, order)
+    s, ws = _panel_nodes(edges, GAUSS_ORDER)
     if alpha > 0:
         r, jac = sq * np.sinh(s), sq * np.cosh(s)
     else:
@@ -322,18 +325,14 @@ def integrate_smooth(v, spec=None):
     return IntegralResult(value=fine, error_estimate=abs(fine - coarse))
 
 
-def integrate_resolvent(model, v, z=None, k=1, spec=None, alpha=None):
-    """int v(q) / (z - e(q))^k dq for z = e_max + alpha above the band top.
+def integrate_resolvent(model, v, k=1, spec=None, *, alpha):
+    """int v(q) / (z - e(q))^k dq at z = e_max + alpha above the band top.
 
-    Pass ``alpha`` directly when z - e_max is known exactly (root finding
-    near threshold); otherwise it is derived from z.
+    alpha is passed directly: forming it as z - e_max would lose its digits
+    near threshold.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if alpha is None:
-        if z is None:
-            raise ValueError("either z or alpha is required")
-        alpha = z - float(model.e_max)
     if alpha <= 0:
         raise BelowThreshold(f"z = e_max + {alpha:g} is not above the band top")
     return _integrate(model, v, alpha, k, spec or default_spec(model))
@@ -345,23 +344,21 @@ def _integrate(model, v, alpha, k, spec):
     far = _far_value(fine, model, v, alpha, k)
     far_err = abs(far - _far_value(coarse, model, v, alpha, k))
 
-    n_theta, n_panels = spec.n_theta, spec.n_panels
+    n_theta, n_panels = N_THETA, N_PANELS
     near, near_abs, theta_err = _near_value(
-        model, v, alpha, k, spec.patch_radius, n_theta, n_panels,
-        spec.gauss_order)
+        model, v, alpha, k, spec.patch_radius, n_theta, n_panels)
 
     def tol():
         return spec.radial_tol * max(abs(far + near),
                                      1e-2 * (abs(far) + near_abs), 1e-300)
 
-    for _ in range(spec.max_refine):
+    for _ in range(MAX_REFINE):
         if theta_err > tol():
             n_theta *= 2
         n_panels *= 2
         previous = near
         near, near_abs, theta_err = _near_value(
-            model, v, alpha, k, spec.patch_radius, n_theta, n_panels,
-            spec.gauss_order)
+            model, v, alpha, k, spec.patch_radius, n_theta, n_panels)
         radial_change = abs(near - previous)
         near_err = radial_change + theta_err
         if near_err <= tol():

@@ -44,6 +44,15 @@ def test_no_rate_when_a_plus_4b_negative(lap):
     assert lc2.Lambda is None      # ratio negative
 
 
+def test_no_es_threshold_constants_off_the_threshold_region(lap):
+    # (a + 4b)/(ab) <= 0: es has no threshold, so neither Lambda nor the
+    # slope on the theta line exists; at a + 4b = 0 the slope divided by zero
+    for a, b in ((-4.0, 1.0), (-1.0, 1.0)):
+        lc = asy.leading_coefficients(lap, a, b)
+        assert lc.Lambda is None and lc.c_es_linear is None
+    assert asy.leading_coefficients(lap, -4.0, 1.0).es_exponent_rate is None
+
+
 def test_leading_coefficient_dispatch(lap):
     assert asy.leading_coefficient(lap, "ea", 1.0, 1.0) > 0
     lc = asy.leading_coefficient(lap, "es", 1.0, 1.0)

@@ -175,7 +175,33 @@ def test_tol_override_in_metadata(capsys):
     code, out, err = run(capsys, "solve", "-a", "1", "-b", "3", "--mu", "1",
                          "--tol-radial", "1e-8")
     assert code == 0
-    assert json.loads(out)["metadata"]["tolerances"]["radial"] == 1e-8
+    metadata = json.loads(out)["metadata"]
+    assert metadata["tolerances"]["radial"] == 1e-8
+    assert "threads" not in metadata    # only phase-diagram runs threads
+
+
+def test_threads_only_on_phase_diagram(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "-a", "1", "-b", "3", "--mu", "1", "--threads", "2"])
+    assert exc.value.code == 3
+    argv = ["phase-diagram", "--mu", "3", "--a-min", "-1", "--a-max", "1",
+            "--a-n", "2", "--b-min", "-1", "--b-max", "1", "--b-n", "2"]
+    cells = {}
+    for threads in (1, 2):
+        code, out, err = run(capsys, *argv, "--threads", str(threads))
+        assert code == 0
+        data = json.loads(out)
+        assert data["metadata"]["threads"] == threads
+        cells[threads] = data["cells"]
+    assert cells[1] == cells[2]
+
+
+def test_es_asymptotics_without_a_threshold_exit_1(capsys):
+    # a + 4b = 0: es has neither branch; the threshold slope divided by zero
+    code, out, err = run(capsys, "asymptotics", "--sector", "es",
+                         "-a", "-4", "-b", "1")
+    assert code == 1
+    assert err == "domain error: exponential branch requires a + 4b > 0\n"
 
 
 # each CSV subcommand: its argv, its CSV header, and its rows read off the JSON

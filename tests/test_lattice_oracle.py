@@ -164,6 +164,22 @@ def test_es_lanczos_work_stays_near_a_rank_one_block(lap, monkeypatch):
     assert lanczos["es"]["products"] <= 2 * lanczos["os"]["products"]
 
 
+@pytest.mark.parametrize("a, b, mu, es", ((-1.0, -1.0, 2.0, ()),
+                                          (2.0, -1.0, 2.0, (6.170865374533939,))))
+def test_rank_one_blocks_without_positive_mu_b_are_skipped(lap, monkeypatch,
+                                                           a, b, mu, es):
+    # mu V is the 1x1 matrix mu b on a rank-one sector, so by min-max such a
+    # block holds nothing above e_max when mu b <= 0; Lanczos spent 301
+    # products per block converging a continuum state there at L = 45
+    h = lo.build(lap, 45, a=a, b=b, mu=mu)
+    asked, lanczos = _spy_lanczos(monkeypatch)
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    assert asked == {"es": 2}
+    assert set(lanczos) == ({"es"} if es else set())
+    assert (sc.os, sc.oa, sc.ea, sc.es, sc.total) == (0, 0, 0, len(es), len(es))
+    assert [v for v, _ in sc.entries] == pytest.approx(list(es), abs=1e-10)
+
+
 def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
     # an es block whose inertia count is 1 must not drop a Lanczos value
     # below the cut; the rank-one blocks filter theirs
