@@ -7,6 +7,10 @@ tau = lambda / (-ln lambda)).  The rank-two sector opens exponentially: the
 small-coupling branch behaves like exp(-1/(J0 (a+4b) mu)) and the branch
 emerging at mu0 like exp(-Lambda/lambda), degenerating to a linear law on the
 coupling line theta_star a = theta_2star b.
+
+Each fit hands its measured opening E - e_max to one of three laws: linear,
+log-corrected linear or exponential.  The fixed sampling grids are the module
+constants LINEAR_LAMBDAS, ODD_LAMBDAS and LOG_ALPHAS.
 """
 
 from dataclasses import dataclass
@@ -19,13 +23,16 @@ from .determinant import (ALPHA_FLOOR, find_eigenvalue_rank_one,
 from .dispersion import PI, morse_data
 from .errors import (DomainError, FitFailure, NonDiagonalHessian,
                      UnresolvableRoots)
-from .thresholds import (NO_THRESHOLD, ThresholdKind,
+from .thresholds import (NO_THRESHOLD, ThresholdKind, _check_couplings,
                          classify_threshold_solutions, coupling_thresholds,
                          es_constants, gammas)
-from .torus_quad import (FOUR_PI_SQ, default_spec, integrate_resolvent,
-                         integrate_threshold)
+from .torus_quad import FOUR_PI_SQ, integrate_resolvent, integrate_threshold
 
 ALPHA_WINDOW = (1e-10, 1e-2)   # resolvable and leading-order-dominated
+# sampling grids, read at call time; lambdas descend towards threshold
+LINEAR_LAMBDAS = np.geomspace(1e-6, 1e-4, 5)[::-1]
+ODD_LAMBDAS = np.geomspace(1e-8, 1e-5, 4)[::-1]
+LOG_ALPHAS = np.geomspace(1e-6, 1e-3, 8)
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,7 @@ class LeadingCoefficients:
 
 def leading_coefficients(model, a, b, spec=None):
     """All leading coefficients applicable at the coupling pair (a, b)."""
+    _check_couplings(a, b)
     md = morse_data(model)
     g = gammas(model, spec=spec)
 
@@ -115,168 +123,117 @@ def _alpha_or_raise(energy, e_max):
     return alpha
 
 
-def _rank_one_alpha(model, sector, b, mu, spec, e_max):
-    rec = find_eigenvalue_rank_one(model, sector, b, mu, spec=spec)
-    if rec is None:
-        # fits sample strictly above threshold, so a missing root means the
-        # opening fell inside the count table's at-threshold band
-        raise UnresolvableRoots(
-            f"{sector} eigenvalue at mu = {mu:.17g} is too close to threshold")
-    return _alpha_or_raise(rec.energy, e_max)
+def _linear_law(lambdas, opening, c):
+    """alpha ~ c lambda: the slope alpha/lambda at the smallest lambda (last
+    sample) against c; the residual is the spread of the slopes."""
+    samples, slopes = [], []
+    for lam in lambdas:
+        alpha = opening(lam)
+        slopes.append(alpha / lam)
+        samples.append((float(lam), float(alpha), float(c * lam)))
+    return _report(c, slopes[-1], lambdas, max(slopes) - min(slopes), samples)
 
 
-def fit_eigenvalue_asymptotics(model, sector, a=1.0, b=1.0, sample_spec=None,
-                               spec=None, branch="exponential"):
-    """Regression of measured eigenvalue openings against the predicted law.
-
-    sample_spec is a sequence of lambda offsets (rank-one sectors, es
-    threshold branches) or of mu values (es exponential branch); defaults
-    are chosen so the openings stay inside the resolvable window.
-    For sector 'es', ``branch`` selects 'exponential' (small coupling) or
-    'threshold' (the branch emerging at mu0, automatically linear on the
-    theta_star a = theta_2star b line).
-    """
-    e_max = float(model.e_max)
-    if sector in sectors.RANK_ONE_SECTORS:
-        return _fit_rank_one(model, sector, a, b, sample_spec, spec, e_max)
-    if sector != "es":
-        raise ValueError(f"unknown sector {sector!r}")
-    if branch == "exponential":
-        return _fit_es_exponential(model, a, b, sample_spec, spec, e_max)
-    if branch == "threshold":
-        return _fit_es_threshold(model, a, b, sample_spec, spec, e_max)
-    raise ValueError(f"unknown es branch {branch!r}")
-
-
-def _fit_rank_one(model, sector, a, b, sample_spec, spec, e_max):
-    ct = coupling_thresholds(model, a, b, spec=spec)
-    mu0 = ct.mu0[sector]
-    if mu0 is NO_THRESHOLD:
-        raise DomainError(f"no {sector} threshold for b <= 0")
-    if sample_spec is not None and np.any(np.asarray(sample_spec) <= 0):
-        raise ValueError("lambda samples must be positive")
-
-    if sector == "ea":
-        lambdas = np.sort(np.asarray(
-            sample_spec if sample_spec is not None
-            else np.geomspace(1e-6, 1e-4, 5), dtype=float))[::-1]
-        c = leading_coefficient(model, "ea", a, b, spec=spec)
-        samples, slopes = [], []
-        for lam in lambdas:
-            alpha = _rank_one_alpha(model, sector, b, mu0 + lam, spec, e_max)
-            slopes.append(alpha / lam)
-            samples.append((float(lam), float(alpha), float(c * lam)))
-        residual = max(slopes) - min(slopes)
-        return _report(c, slopes[-1], lambdas, residual, samples)
-
-    # odd sectors: the natural variable is tau = lambda / (-ln lambda); the
-    # correction decays only like lnln(1/lambda)/ln(1/lambda), so the check
-    # is a trend ratio, not a tight tolerance
-    lambdas = np.sort(np.asarray(
-        sample_spec if sample_spec is not None
-        else np.geomspace(1e-8, 1e-5, 4), dtype=float))[::-1]
-    c = leading_coefficient(model, sector, a, b, spec=spec)
+def _log_corrected_law(lambdas, opening, c):
+    """alpha ~ c tau with tau = lambda / (-ln lambda).  The correction decays
+    only like lnln(1/lambda)/ln(1/lambda), so the check is the trend of the
+    ratio alpha/(c tau) towards 1, not a tight tolerance."""
     samples, ratios = [], []
     for lam in lambdas:
         tau = lam / (-np.log(lam))
-        alpha = _rank_one_alpha(model, sector, b, mu0 + lam, spec, e_max)
+        alpha = opening(lam)
         ratios.append(alpha / (c * tau))
         samples.append((float(lam), float(alpha), float(c * tau)))
-    residual = abs(ratios[-1] - 1.0)
-    return _report(1.0, ratios[-1], lambdas, residual, samples)
+    return _report(1.0, ratios[-1], lambdas, abs(ratios[-1] - 1.0), samples)
 
 
-def _es_window_filter(mus_or_lams, alphas):
-    keep = [(x, al) for x, al in zip(mus_or_lams, alphas)
+def _exponential_law(xs, opening, predicted):
+    """alpha ~ exp(-predicted/x): ln alpha = -slope/x + intercept fitted over
+    the openings inside ALPHA_WINDOW; slope against predicted."""
+    keep = [(x, al) for x, al in [(x, opening(x)) for x in xs]
             if ALPHA_WINDOW[0] <= al <= ALPHA_WINDOW[1]]
     if len(keep) < 3:
         raise FitFailure(
             "fewer than 3 samples with E - e_max inside the fit window")
-    return keep
-
-
-def _fit_es_exponential(model, a, b, sample_spec, spec, e_max):
-    lc = leading_coefficients(model, a, b, spec=spec)
-    rate = lc.es_exponent_rate
-    if rate is None:
-        raise DomainError("exponential branch requires a + 4b > 0")
-    mus = np.sort(np.asarray(
-        sample_spec if sample_spec is not None
-        else np.geomspace(rate / 16.0, rate / 4.5, 8), dtype=float))
-    alphas = []
-    for mu in mus:
-        recs = find_eigenvalues_es(model, a, b, mu, spec=spec)
-        if not recs:
-            raise DomainError(f"no es eigenvalue at mu = {mu:g}")
-        alphas.append(_alpha_or_raise(recs[0].energy, e_max))
-    keep = _es_window_filter(mus, alphas)
-    xs = np.array([-1.0 / mu for mu, _ in keep])
+    xs = np.array([-1.0 / x for x, _ in keep])
     ys = np.array([np.log(al) for _, al in keep])
     slope, intercept = np.polyfit(xs, ys, 1)
     res = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    samples = [(float(mu), float(al), float(np.exp(-slope / mu + intercept)))
-               for mu, al in keep]
-    return _report(rate, slope, [mu for mu, _ in keep], res, samples)
+    samples = [(float(x), float(al), float(np.exp(-slope / x + intercept)))
+               for x, al in keep]
+    return _report(predicted, slope, [x for x, _ in keep], res, samples)
 
 
-def _fit_es_threshold(model, a, b, sample_spec, spec, e_max):
+def fit_eigenvalue_asymptotics(model, sector, a=1.0, b=1.0, spec=None,
+                               branch="exponential"):
+    """Regression of measured eigenvalue openings against the predicted law.
+
+    ea takes the linear law over LINEAR_LAMBDAS, os and oa the log-corrected
+    law over ODD_LAMBDAS.  For sector 'es', ``branch`` selects 'exponential'
+    (the small-coupling branch, exponential law in mu over
+    [rate/16, rate/4.5]) or 'threshold' (the branch emerging at mu0: linear
+    law over LINEAR_LAMBDAS on the theta_star a = theta_2star b line,
+    exponential law in lambda over [Lambda/20, Lambda/5] off it).
+    """
+    e_max = float(model.e_max)
+    if sector in sectors.RANK_ONE_SECTORS:
+        mu0 = coupling_thresholds(model, a, b, spec=spec).mu0[sector]
+        if mu0 is NO_THRESHOLD:
+            raise DomainError(f"no {sector} threshold for b <= 0")
+        c = leading_coefficient(model, sector, a, b, spec=spec)
+
+        def opening(lam):
+            mu = mu0 + lam
+            rec = find_eigenvalue_rank_one(model, sector, b, mu, spec=spec)
+            if rec is None:
+                # fits sample strictly above threshold, so a missing root
+                # means the opening fell inside the at-threshold band
+                raise UnresolvableRoots(f"{sector} eigenvalue at mu = "
+                                        f"{mu:.17g} is too close to threshold")
+            return _alpha_or_raise(rec.energy, e_max)
+
+        if sector == "ea":
+            return _linear_law(LINEAR_LAMBDAS, opening, c)
+        return _log_corrected_law(ODD_LAMBDAS, opening, c)
+    if sector != "es":
+        raise ValueError(f"unknown sector {sector!r}")
+    if branch not in ("exponential", "threshold"):
+        raise ValueError(f"unknown es branch {branch!r}")
+
+    def es_opening(mu, pick):
+        # pick = max: the small-coupling (outer) root; min: the emergent one
+        recs = find_eigenvalues_es(model, a, b, mu, spec=spec)
+        if not recs:
+            raise DomainError(f"no es eigenvalue at mu = {mu:g}")
+        return _alpha_or_raise(pick(r.energy for r in recs), e_max)
+
     lc = leading_coefficients(model, a, b, spec=spec)
-    ct = coupling_thresholds(model, a, b, spec=spec)
-    mu0 = ct.mu0["es"]
+    if branch == "exponential":
+        rate = lc.es_exponent_rate
+        if rate is None:
+            raise DomainError("exponential branch requires a + 4b > 0")
+        return _exponential_law(np.geomspace(rate / 16.0, rate / 4.5, 8),
+                                lambda mu: es_opening(mu, max), rate)
+    mu0 = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
     if mu0 <= 0:
         raise DomainError("threshold branch requires (a + 4b)/(ab) > 0")
-    on_line = (classify_threshold_solutions(model, a, b, spec=spec).es
-               is ThresholdKind.EIGENFUNCTION)
-
-    def emergent_alpha(mu):
-        recs = find_eigenvalues_es(model, a, b, mu, spec=spec)
-        if not recs:
-            raise DomainError(f"no es eigenvalue at mu = {mu:g}")
-        return _alpha_or_raise(min(r.energy for r in recs), e_max)
-
-    if on_line:
-        lambdas = np.sort(np.asarray(
-            sample_spec if sample_spec is not None
-            else np.geomspace(1e-6, 1e-4, 5), dtype=float))[::-1]
-        c = lc.c_es_linear
-        samples, slopes = [], []
-        for lam in lambdas:
-            alpha = emergent_alpha(mu0 + lam)
-            slopes.append(alpha / lam)
-            samples.append((float(lam), float(alpha), float(c * lam)))
-        residual = max(slopes) - min(slopes)
-        return _report(c, slopes[-1], lambdas, residual, samples)
-
-    lam_big = lc.Lambda
-    lambdas = np.sort(np.asarray(
-        sample_spec if sample_spec is not None
-        else np.geomspace(lam_big / 20.0, lam_big / 5.0, 6), dtype=float))
-    alphas = [emergent_alpha(mu0 + lam) for lam in lambdas]
-    keep = _es_window_filter(lambdas, alphas)
-    xs = np.array([-1.0 / lam for lam, _ in keep])
-    ys = np.array([np.log(al) for _, al in keep])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    res = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    samples = [(float(lam), float(al),
-                float(np.exp(-slope / lam + intercept)))
-               for lam, al in keep]
-    return _report(lam_big, slope, [lam for lam, _ in keep], res, samples)
+    emergent = lambda lam: es_opening(mu0 + lam, min)
+    if (classify_threshold_solutions(model, a, b, spec=spec).es
+            is ThresholdKind.EIGENFUNCTION):
+        return _linear_law(LINEAR_LAMBDAS, emergent, lc.c_es_linear)
+    return _exponential_law(np.geomspace(lc.Lambda / 20, lc.Lambda / 5, 6),
+                            emergent, lc.Lambda)
 
 
 # ---------------------------------------------------------------------------
 # logarithmic coefficient of the resolvent integral
 # ---------------------------------------------------------------------------
 
-def extract_log_coefficient(model, v, alpha_grid=None, spec=None):
-    """Fit B(e_max + alpha) = p ln(alpha) + q + r alpha over a geometric
-    alpha grid; p is compared against -pi J(psi0) v(pi_vec)."""
-    alphas = np.sort(np.asarray(
-        alpha_grid if alpha_grid is not None
-        else np.geomspace(1e-6, 1e-3, 8), dtype=float))
-    if len(alphas) < 6:
-        raise ValueError("alpha grid needs at least 6 points")
-    sp = spec if spec is not None else default_spec(model)
-    values = np.array([integrate_resolvent(model, v, k=1, spec=sp,
+def extract_log_coefficient(model, v, spec=None):
+    """Fit B(e_max + alpha) = p ln(alpha) + q + r alpha over LOG_ALPHAS; p is
+    compared against -pi J(psi0) v(pi_vec)."""
+    alphas = LOG_ALPHAS
+    values = np.array([integrate_resolvent(model, v, k=1, spec=spec,
                                            alpha=al).value for al in alphas])
     design = np.column_stack([np.log(alphas), np.ones_like(alphas), alphas])
     coef, _, _, _ = np.linalg.lstsq(design, values, rcond=None)

@@ -53,9 +53,9 @@ def _parse_model(text):
 
 def _quad_spec(model, args):
     overrides = {}
-    if getattr(args, "tol_radial", None) is not None:
+    if args.tol_radial is not None:
         overrides["radial_tol"] = args.tol_radial
-    if getattr(args, "grid_n", None) is not None:
+    if args.grid_n is not None:
         overrides["grid_n"] = args.grid_n
     return default_spec(model, **overrides)
 
@@ -201,7 +201,6 @@ def _cmd_asymptotics(args):
 
 def _cmd_oracle(args):
     model = _parse_model(args.model)
-    sp = _quad_spec(model, args)
     ls = sorted(int(x) for x in args.L.split(","))
     e_max = float(model.e_max)
     per_l = []
@@ -211,12 +210,12 @@ def _cmd_oracle(args):
                                  mu=args.mu)
         counts = lattice_oracle.sector_count_above(h, e_max, args.margin)
         per_l.append({
-            "L": L, "total": counts.total, "ambiguous": counts.ambiguous,
+            "L": L, "total": counts.total,
             "counts": {s: getattr(counts, s) for s in ("os", "oa", "ea", "es")},
             "entries": [[v, s] for v, s in counts.entries],
         })
         rows += [(L, i, v, s) for i, (v, s) in enumerate(counts.entries)]
-    payload = {"metadata": _metadata(model, sp),
+    payload = {"metadata": {"model": model_to_spec(model)},
                "a": args.a, "b": args.b, "mu": args.mu,
                "margin": args.margin, "boxes": per_l}
     if len(ls) >= 3 and all(p["counts"] == per_l[0]["counts"] for p in per_l):
@@ -272,16 +271,19 @@ def _cmd_resonance(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, formats=("json", "csv")):
-    """Shared options; the first of ``formats`` is the default."""
+def _add_common(p, formats=("json", "csv"), quadrature=True):
+    """Shared options; the first of ``formats`` is the default.  Only the
+    subcommands that integrate take the quadrature options."""
     p.add_argument("--model", default="laplacian",
                    help="laplacian | piecewise:<eps> | stepped:<A> | spec.json")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="write to file (default stdout)")
-    p.add_argument("--tol-radial", type=float, default=None, dest="tol_radial",
-                   help="near-field radial refinement tolerance")
-    p.add_argument("--grid-n", type=int, default=None, dest="grid_n",
-                   help="far-field grid resolution override")
+    if quadrature:
+        p.add_argument("--tol-radial", type=float, default=None,
+                       dest="tol_radial",
+                       help="near-field radial refinement tolerance")
+        p.add_argument("--grid-n", type=int, default=None, dest="grid_n",
+                       help="far-field grid resolution override")
 
 
 def build_parser():
@@ -291,7 +293,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the dispersion hypotheses")
-    _add_common(p, formats=("json",))
+    _add_common(p, formats=("json",), quadrature=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("thresholds", help="sector constants and thresholds")
@@ -340,7 +342,7 @@ def build_parser():
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("oracle", help="finite-box diagonalization cross-check")
-    _add_common(p)
+    _add_common(p, quadrature=False)
     p.add_argument("-a", type=float, required=True)
     p.add_argument("-b", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)

@@ -39,7 +39,7 @@ from .errors import (BelowThreshold, BracketFailure, UnresolvableRoots,
                      ZeroCoupling)
 from .thresholds import (above_threshold, coupling_thresholds, es_count,
                          gammas)
-from .torus_quad import FOUR_PI_SQ, default_spec, integrate_resolvent
+from .torus_quad import FOUR_PI_SQ, integrate_resolvent
 
 ALPHA_FLOOR = 1e-13   # roots closer to threshold are unresolvable
 ZERO_TOL = 1e-8       # |Delta_i| below this counts as a vanishing component
@@ -75,7 +75,6 @@ def delta_rank_one(model, sector, b, mu, *, alpha, spec=None):
         return 1.0
     if alpha <= 0:
         raise BelowThreshold("z must exceed the band top e_max")
-    spec = spec or default_spec(model)
     w_sq = sectors.RANK_ONE_WEIGHTS_SQ[sector]
     integral = integrate_resolvent(model, w_sq, k=1, spec=spec, alpha=alpha).value
     return 1.0 - b * mu * integral / FOUR_PI_SQ
@@ -87,7 +86,6 @@ def delta_es(model, a, b, mu, *, alpha, spec=None):
         raise ZeroCoupling("couplings a, b must be nonzero")
     if alpha <= 0:
         raise BelowThreshold("z must exceed the band top e_max")
-    spec = spec or default_spec(model)
     i1 = integrate_resolvent(model, sectors.es_one, k=1, spec=spec, alpha=alpha).value
     i2 = integrate_resolvent(model, sectors.es_cos_sum_sq, k=1, spec=spec, alpha=alpha).value
     i3 = integrate_resolvent(model, sectors.es_cos_sum, k=1, spec=spec, alpha=alpha).value
@@ -155,7 +153,6 @@ def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
     if not above_threshold(mu, gamma / b):
         return None
 
-    spec = spec or default_spec(model)
     f = lambda al: delta_rank_one(model, sector, b, mu, spec=spec, alpha=al)
     alpha = _root(f, mu * abs(b) + 1.0,
                   f"{sector} root at b = {b:.17g}, mu = {mu:.17g}")
@@ -175,7 +172,6 @@ def find_eigenvalues_es(model, a, b, mu, spec=None):
         raise ZeroCoupling("couplings a, b must be nonzero")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    spec = spec or default_spec(model)
     mu0_es = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
     expected = es_count(a, b, mu, mu0_es)
     if expected == 0:
@@ -219,7 +215,6 @@ def eigenfunction_es(model, record, a, b, spec=None):
     Returns a list with one pair, or two basis pairs for a multiplicity-two
     record.
     """
-    spec = spec or default_spec(model)
     parts = delta_es(model, a, b, record.mu, spec=spec,
                      alpha=record.energy - float(model.e_max))
     d1, d2, d3 = parts.delta1, parts.delta2, parts.delta3
@@ -245,7 +240,6 @@ def multiplicity_check(model, a, b, mu, z0, spec=None):
     """True iff (mu, z0) is a multiplicity-two zero: all three determinant
     components vanish (below ZERO_TOL), and so does the z-derivative of the
     combination."""
-    spec = spec or default_spec(model)
     alpha0 = z0 - float(model.e_max)
     parts = delta_es(model, a, b, mu, spec=spec, alpha=alpha0)
     if max(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)) >= ZERO_TOL:

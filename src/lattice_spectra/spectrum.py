@@ -21,7 +21,7 @@ from .errors import (DomainError, NotEvenPerCoordinate, SignChangeAbsent,
                      ZeroCoupling)
 from .thresholds import (above_threshold, coupling_thresholds, es_count,
                          gammas)
-from .torus_quad import FOUR_PI_SQ, default_spec, integrate_resolvent
+from .torus_quad import FOUR_PI_SQ, integrate_resolvent
 
 TRIPLE_OFFSET_REL = 0.1   # triple_emergence_check's offset from mu0
 
@@ -223,10 +223,8 @@ class MultiplicityTwoConstruction:
 
 
 def _g_of_a(a_param, z0, spec):
-    model = SteppedPhiA(a_param=a_param)
-    sp = spec if spec is not None else default_spec(model)
-    return integrate_resolvent(model, sectors.es_cos_sum, k=1, spec=sp,
-                               alpha=z0 - 1.0).value
+    return integrate_resolvent(SteppedPhiA(a_param=a_param), sectors.es_cos_sum,
+                               k=1, spec=spec, alpha=z0 - 1.0).value
 
 
 def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3):
@@ -265,14 +263,13 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
     g_res = g(a0_param)
 
     model = SteppedPhiA(a_param=a0_param)
-    sp = spec if spec is not None else default_spec(model)
     alpha = z0 - 1.0
-    i1 = integrate_resolvent(model, sectors.es_one, k=1, spec=sp, alpha=alpha).value
-    i2 = integrate_resolvent(model, sectors.es_cos_sum_sq, k=1, spec=sp, alpha=alpha).value
+    i1 = integrate_resolvent(model, sectors.es_one, k=1, spec=spec, alpha=alpha).value
+    i2 = integrate_resolvent(model, sectors.es_cos_sum_sq, k=1, spec=spec, alpha=alpha).value
     a0 = FOUR_PI_SQ / (mu * i1)
     b0 = FOUR_PI_SQ / (mu * i2)
 
-    parts = delta_es(model, a0, b0, mu, spec=sp, alpha=alpha)
+    parts = delta_es(model, a0, b0, mu, spec=spec, alpha=alpha)
     return MultiplicityTwoConstruction(
         z0=z0, mu=mu, A0=a0_param, a0=a0, b0=b0, g_residual=abs(g_res),
         verification=(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)))

@@ -216,7 +216,7 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
         if b <= 0:
             raise ZeroCoupling("probe requires b > 0 in the rank-one sectors")
     else:
-        cls = classify_threshold_solutions(model, a, b)
+        cls = classify_threshold_solutions(model, a, b, spec=spec)
         if cls.es is not ThresholdKind.EIGENFUNCTION:
             raise NotIntegrable(
                 "es probe requires the threshold-eigenfunction coupling line")

@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from lattice_spectra import asymptotics as asy
-from lattice_spectra import sectors
+from lattice_spectra import sectors, thresholds
 from lattice_spectra.dispersion import PI, ExponentialHopping
 from lattice_spectra.errors import (DomainError, NonDiagonalHessian,
-                                    UnresolvableRoots)
+                                    UnresolvableRoots, ZeroCoupling)
 
 GAMMA_OS = PI / (2 * PI - 4)
 
@@ -72,17 +74,28 @@ def test_non_diagonal_hessian_rejected():
         asy.leading_coefficient(model, "os", 1.0, 1.0)
 
 
+def test_zero_coupling_rejected_before_any_work(lap, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the couplings were checked")
+
+    monkeypatch.setattr(asy, "morse_data", fail)
+    monkeypatch.setattr(asy, "gammas", fail)
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ZeroCoupling):
+            asy.leading_coefficients(lap, a, b)
+
+
 def test_fit_ea_coarse(lap):
-    rep = asy.fit_eigenvalue_asymptotics(lap, "ea", 1.0, 1.0,
-                                         sample_spec=[1e-5, 1e-4])
+    with mock.patch.object(asy, "LINEAR_LAMBDAS", (1e-4, 1e-5)):
+        rep = asy.fit_eigenvalue_asymptotics(lap, "ea", 1.0, 1.0)
     assert rep.relative_error < 0.05
     assert rep.sample_range == (1e-5, 1e-4)
 
 
 def test_fit_unresolvable_lambda(lap):
-    with pytest.raises(UnresolvableRoots):
-        asy.fit_eigenvalue_asymptotics(lap, "ea", 1.0, 1.0,
-                                       sample_spec=[1e-14])
+    with mock.patch.object(asy, "LINEAR_LAMBDAS", (1e-14,)):
+        with pytest.raises(UnresolvableRoots):
+            asy.fit_eigenvalue_asymptotics(lap, "ea", 1.0, 1.0)
 
 
 def test_extract_log_coefficient_scaling(lap):
@@ -103,12 +116,6 @@ def test_extract_log_coefficient_additivity(lap):
     assert p_both == pytest.approx(p_one + p_es, abs=1e-6)
 
 
-def test_extract_log_coefficient_grid_validation(lap):
-    one = lambda p1, p2: np.ones_like(np.asarray(p1, dtype=float))
-    with pytest.raises(ValueError):
-        asy.extract_log_coefficient(lap, one, alpha_grid=[1e-4, 1e-5, 1e-6])
-
-
 @pytest.mark.parametrize("branch, b", [("exponential", 1.0),
                                        ("threshold", 2.0)])
 def test_es_fit_predicts_the_sampled_openings(lap, branch, b):
@@ -117,3 +124,27 @@ def test_es_fit_predicts_the_sampled_openings(lap, branch, b):
     rep = asy.fit_eigenvalue_asymptotics(lap, "es", 1.0, b, branch=branch)
     gaps = [abs(np.log(pred) - np.log(al)) for _, al, pred in rep.samples]
     assert max(gaps) <= rep.residual + 1e-12
+
+
+# nearest plus next-nearest hopping with t2 = 0.1: theta_2star < 0, so the
+# theta line theta_star a = theta_2star b runs through a > 0 > b
+NEXT_NEAREST = ExponentialHopping(table=(
+    (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
+    (1, 1, -0.05), (-1, -1, -0.05), (1, -1, -0.05), (-1, 1, -0.05)))
+
+
+def test_es_threshold_branch_is_linear_on_the_theta_line():
+    th = thresholds.es_constants(NEXT_NEAREST)
+    b = -1.0
+    a = th.theta_2star * b / th.theta_star
+    assert (thresholds.classify_threshold_solutions(NEXT_NEAREST, a, b).es
+            is thresholds.ThresholdKind.EIGENFUNCTION)
+    rep = asy.fit_eigenvalue_asymptotics(NEXT_NEAREST, "es", a, b,
+                                         branch="threshold")
+    lc = asy.leading_coefficients(NEXT_NEAREST, a, b)
+    assert rep.predicted == lc.c_es_linear
+    assert rep.sample_range == (1e-6, 1e-4)
+    assert rep.relative_error < 1e-6
+    # the linear law predicts c lambda at every sample
+    assert all(pred == pytest.approx(al, rel=1e-6)
+               for _, al, pred in rep.samples)

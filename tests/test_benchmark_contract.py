@@ -35,6 +35,16 @@ def test_tracing_names_exist():
     assert hasattr(oracle.SectorCounts, "ambiguous")
 
 
+def test_cached_layers_expose_the_cache_hooks():
+    # run.py's Caches clears these between set-ups and reads their misses
+    for layer, name in (("thresholds", "gammas"),
+                        ("thresholds", "es_constants"),
+                        ("dispersion", "morse_data"),
+                        ("torus_quad", "_far_grids")):
+        fn = getattr(importlib.import_module(f"lattice_spectra.{layer}"), name)
+        assert callable(fn.cache_clear) and callable(fn.cache_info), name
+
+
 def test_sector_count_accepts_the_workload_k(lap):
     # the oracle-box workload and the selftest still pass k=10
     oracle = importlib.import_module("lattice_spectra.lattice_oracle")

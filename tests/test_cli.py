@@ -204,6 +204,28 @@ def test_es_asymptotics_without_a_threshold_exit_1(capsys):
     assert err == "domain error: exponential branch requires a + 4b > 0\n"
 
 
+def test_es_asymptotics_zero_coupling_exit_1(capsys):
+    code, out, err = run(capsys, "asymptotics", "--sector", "es", "-a", "0")
+    assert code == 1
+    assert err.startswith("domain error:") and "nonzero" in err
+
+
+def test_quadrature_options_only_where_integrals_run(capsys):
+    for argv in (["validate"], ["oracle", "-a", "1", "-b", "3", "--mu", "1",
+                                "--L", "10"]):
+        for option in (["--grid-n", "64"], ["--tol-radial", "1e-8"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + option)
+            assert exc.value.code == 3
+    code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
+                         "--L", "10")
+    assert code == 0
+    data = json.loads(out)
+    # the oracle diagonalizes boxes: no quadrature settings to report
+    assert data["metadata"] == {"model": {"kind": "laplacian", "params": {}}}
+    assert list(data["boxes"][0]) == ["L", "total", "counts", "entries"]
+
+
 # each CSV subcommand: its argv, its CSV header, and its rows read off the JSON
 CSV_CASES = {
     "thresholds": (

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lattice_spectra import sectors, spectrum, torus_quad
+from lattice_spectra import sectors, spectrum, thresholds, torus_quad
 from lattice_spectra.dispersion import PI, PiecewisePhi, SteppedPhiA
 from lattice_spectra.errors import (DomainError, NotEvenPerCoordinate,
                                     ZeroCoupling)
@@ -19,6 +19,14 @@ def test_solve_reference_config(lap):
     energies = sorted(r.energy for r in res.records)
     assert energies[0] == pytest.approx(5.088580139631247, abs=1e-9)
     assert energies[-1] == pytest.approx(5.728722156053265, abs=1e-9)
+
+
+def test_cold_solve_fills_one_gammas_key(lap):
+    # every sector passes the caller's spec through unresolved, so the
+    # rank-one and es paths share one cache entry
+    thresholds.gammas.cache_clear()
+    spectrum.solve(lap, 1.0, 3.0, 1.0)
+    assert thresholds.gammas.cache_info().currsize == 1
 
 
 def test_solve_zero_coupling(lap):
