@@ -45,21 +45,28 @@ class LeadingCoefficients:
     c_es_linear: float   # slope on the theta_star a = theta_2star b line, None as Lambda
 
 
+def _rank_one_coefficient(model, sector, b, spec):
+    """c_omega of one rank-one sector at b > 0, None for os and oa at a
+    non-diagonal Hessian.  Only c_ea reads an integral (its k = 2 one)."""
+    md = morse_data(model)
+    gamma = getattr(gammas(model, spec=spec), f"gamma_{sector}")
+    if sector == "ea":
+        i2 = integrate_threshold(model, sectors.w_ea_sq, k=2,
+                                 spec=spec).value / FOUR_PI_SQ
+        return 1.0 / (b * (gamma / b) ** 2 * i2)
+    if md.psi_deriv_sq is None:
+        return None
+    s = md.psi_deriv_sq[0] + md.psi_deriv_sq[1]
+    return 2.0 / (b * md.j0 * (gamma / b) ** 2 * s)
+
+
 def leading_coefficients(model, a, b, spec=None):
     """All leading coefficients applicable at the coupling pair (a, b)."""
     _check_couplings(a, b)
     md = morse_data(model)
     g = gammas(model, spec=spec)
-
-    c_os = c_oa = c_ea = None
-    if b > 0:
-        if md.psi_deriv_sq is not None:
-            s = md.psi_deriv_sq[0] + md.psi_deriv_sq[1]
-            c_os = 2.0 / (b * md.j0 * (g.gamma_os / b) ** 2 * s)
-            c_oa = 2.0 / (b * md.j0 * (g.gamma_oa / b) ** 2 * s)
-        i2 = integrate_threshold(model, sectors.w_ea_sq, k=2,
-                                 spec=spec).value / FOUR_PI_SQ
-        c_ea = 1.0 / (b * (g.gamma_ea / b) ** 2 * i2)
+    c = {sector: _rank_one_coefficient(model, sector, b, spec) if b > 0
+         else None for sector in sectors.RANK_ONE_SECTORS}
 
     rate = 1.0 / (md.j0 * (a + 4 * b)) if a + 4 * b > 0 else None
     lam = c_es_linear = None
@@ -71,21 +78,22 @@ def leading_coefficients(model, a, b, spec=None):
                                    spec=spec).value / FOUR_PI_SQ
         c_es_linear = a * b / ((a + 4 * b) * g.gamma_es ** 2 * i2es)
 
-    return LeadingCoefficients(c_os=c_os, c_oa=c_oa, c_ea=c_ea,
+    return LeadingCoefficients(c_os=c["os"], c_oa=c["oa"], c_ea=c["ea"],
                                es_exponent_rate=rate, Lambda=lam,
                                c_es_linear=c_es_linear)
 
 
 def leading_coefficient(model, sector, a=1.0, b=1.0, spec=None):
-    """Single-sector entry; the full record for the rank-two sector."""
-    lc = leading_coefficients(model, a, b, spec=spec)
+    """Single-sector entry; the full record for the rank-two sector.  A
+    rank-one coefficient computes only itself."""
     if sector == "es":
-        return lc
+        return leading_coefficients(model, a, b, spec=spec)
+    _check_couplings(a, b)
     if sector not in sectors.RANK_ONE_SECTORS:
         raise ValueError(f"unknown sector {sector!r}")
     if b <= 0:
         raise DomainError(f"no {sector} threshold for b <= 0")
-    val = getattr(lc, f"c_{sector}")
+    val = _rank_one_coefficient(model, sector, b, spec)
     if val is None:
         raise NonDiagonalHessian(
             "c_os/c_oa require a diagonal Hessian at the maximizer")

@@ -68,15 +68,4 @@ def es_cos_sum_sq(q1, q2):
     return es_cos_sum(q1, q2) ** 2
 
 
-def es_theta2_weight(q1, q2):
-    # 2 (cos q1 + cos q2)(2 + cos q1 + cos q2)
-    return 2.0 * es_cos_sum(q1, q2) * es_plus(q1, q2)
-
-
-def es_kappa1_weight(q1, q2):
-    # 4 - (cos q1 + cos q2)^2 = (2 - cos q1 - cos q2)(2 + cos q1 + cos q2)
-    return (2.0 - es_cos_sum(q1, q2)) * es_plus(q1, q2)
-
-
-RANK_ONE_WEIGHTS = {"os": w_os, "oa": w_oa, "ea": w_ea}
 RANK_ONE_WEIGHTS_SQ = {"os": w_os_sq, "oa": w_oa_sq, "ea": w_ea_sq}

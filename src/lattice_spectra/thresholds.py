@@ -5,6 +5,11 @@ gamma_omega is the reciprocal of the normalized threshold integral of the
 squared sector weight; the coupling threshold in a rank-one sector is
 gamma_omega / b (for b > 0), and in the rank-two even-symmetric sector
 (a + 4b) gamma_es / (ab) when that is positive.
+
+The es threshold data need no integral of their own: with
+s = cos q1 + cos q2, w_os^2 + w_oa^2 + w_ea^2 + (2 + s)^2 = 4 (2 + s)
+pointwise, so with R = 1/gamma_os + 1/gamma_oa + 1/gamma_ea,
+theta_star = (R + 1/gamma_es)/4, theta_2star = 1/gamma_es - R, kappa1 = R.
 """
 
 import enum
@@ -16,8 +21,8 @@ import numpy as np
 from . import sectors
 from .dispersion import PI, is_even_per_coordinate, wrap_torus
 from .errors import NotIntegrable, NumericalError, ZeroCoupling
-from .torus_quad import (FOUR_PI_SQ, _panel_nodes, chi_cutoff,
-                         default_spec, integrate_threshold)
+from .torus_quad import (FOUR_PI_SQ, _far_grids, _far_value, _panel_nodes,
+                         chi_cutoff, default_spec, integrate_threshold)
 
 NO_THRESHOLD = None  # sentinel: no eigenvalue for any coupling in that sector
 
@@ -59,15 +64,17 @@ def gammas(model, spec=None):
 
 @lru_cache(maxsize=32)
 def es_constants(model, spec=None):
-    """Theta*, Theta**, kappa1 from their k = 1 threshold integrals."""
-    theta_star = integrate_threshold(model, sectors.es_plus, k=1,
-                                     spec=spec).value / FOUR_PI_SQ
-    theta_2star = integrate_threshold(model, sectors.es_theta2_weight, k=1,
-                                      spec=spec).value / FOUR_PI_SQ
-    kappa1 = integrate_threshold(model, sectors.es_kappa1_weight, k=1,
-                                 spec=spec).value / FOUR_PI_SQ
-    return EsConstants(theta_star=theta_star, theta_2star=theta_2star,
-                       kappa1=kappa1)
+    """Theta*, Theta**, kappa1 (cached per model) from the four gammas.
+
+    They integrate 2 + s, 2 s (2 + s) and 4 - s^2, s = cos q1 + cos q2, and
+    w_os^2 + w_oa^2 + w_ea^2 + (2 + s)^2 = 4 (2 + s) pointwise, so with
+    R = 1/gamma_os + 1/gamma_oa + 1/gamma_ea: Theta* = (R + 1/gamma_es)/4,
+    Theta** = 1/gamma_es - R and kappa1 = R.
+    """
+    g = gammas(model, spec=spec)
+    r = 1.0 / g.gamma_os + 1.0 / g.gamma_oa + 1.0 / g.gamma_ea
+    return EsConstants(theta_star=(r + 1.0 / g.gamma_es) / 4,
+                       theta_2star=1.0 / g.gamma_es - r, kappa1=r)
 
 
 @dataclass(frozen=True)
@@ -163,22 +170,6 @@ def classify_threshold_solutions(model, a, b, spec=None):
     return ThresholdClassification(os=rank_one, oa=rank_one, ea=ea, es=es)
 
 
-def threshold_profile(model, sector):
-    """The candidate threshold solution Phi_omega as a callable on the torus."""
-    e_max = float(model.e_max)
-
-    def deficit(p1, p2):
-        d = e_max - model.values(p1, p2)
-        return np.maximum(d, 1e-300)
-
-    if sector in sectors.RANK_ONE_SECTORS:
-        w = sectors.RANK_ONE_WEIGHTS[sector]
-        return lambda p1, p2: w(p1, p2) / deficit(p1, p2)
-    # es eigenfunction branch: (theta_2star b + theta_star(cos p1 + cos p2) b)
-    # profile shape reduces to es_plus / deficit on the eigenfunction line
-    return lambda p1, p2: sectors.es_plus(p1, p2) / deficit(p1, p2)
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     sector: str
@@ -227,13 +218,19 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
     if rs[0] > inner_edge:
         raise ValueError("probe radii must stay inside the analytic patch")
 
-    prof = threshold_profile(model, sector)
-    vsq = lambda p1, p2: prof(p1, p2) ** 2
+    # |Phi_omega|^2 = w^2 / deficit^2; on the es eigenfunction line the
+    # profile shape reduces to w = es_plus
+    w_sq = sectors.RANK_ONE_WEIGHTS_SQ.get(sector, sectors.es_plus_sq)
+    e_max = float(model.e_max)
 
-    # fixed outer part: torus minus B_delta, via the far-field machinery
-    from .torus_quad import _far_grids
+    def vsq(p1, p2):
+        deficit = np.maximum(e_max - model.values(p1, p2), 1e-300)
+        return w_sq(p1, p2) / deficit ** 2
+
+    # fixed outer part: torus minus B_delta, the far-field sum of the same
+    # w^2 / deficit^2 on the level's cached deficit and weight values
     fine, _ = _far_grids(spec.grid_n, delta, model.breakpoints)
-    outer = float(np.sum(fine.w * vsq(fine.p1, fine.p2)))
+    outer = _far_value(fine, model, w_sq, 0.0, 2)
     # plus the chi-weighted ring between delta/2 and delta that the far grid
     # down-weights: add it exactly from the annulus rule
     ring = _annulus_integral(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_spectra import asymptotics as asy
-from lattice_spectra import sectors, thresholds
+from lattice_spectra import sectors, thresholds, torus_quad
 from lattice_spectra.dispersion import PI, ExponentialHopping
 from lattice_spectra.errors import (DomainError, NonDiagonalHessian,
                                     UnresolvableRoots, ZeroCoupling)
@@ -63,6 +63,26 @@ def test_leading_coefficient_dispatch(lap):
         asy.leading_coefficient(lap, "os", 1.0, -1.0)
     with pytest.raises(ValueError):
         asy.leading_coefficient(lap, "bogus", 1.0, 1.0)
+
+
+def _k2_integrals(call):
+    with mock.patch.object(torus_quad, "_integrate",
+                           wraps=torus_quad._integrate) as spy:
+        call()
+    return sum(1 for c in spy.call_args_list if c.args[3] == 2)
+
+
+def test_leading_coefficient_integrates_only_its_own_weight(lap):
+    # each rank-one coefficient reads at most its own k = 2 integral: none
+    # for os and oa, w_ea_sq for ea
+    thresholds.gammas(lap, spec=None)
+    assert _k2_integrals(lambda: asy.leading_coefficient(lap, "os", 1, 1)) == 0
+    assert _k2_integrals(lambda: asy.leading_coefficient(lap, "oa", 1, 1)) == 0
+    assert _k2_integrals(lambda: asy.leading_coefficient(lap, "ea", 1, 1)) == 1
+    lc = asy.leading_coefficients(lap, 1.0, 1.0)
+    for sector in ("os", "oa", "ea"):
+        assert (asy.leading_coefficient(lap, sector, 1.0, 1.0)
+                == getattr(lc, f"c_{sector}"))
 
 
 def test_non_diagonal_hessian_rejected():

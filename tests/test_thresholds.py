@@ -1,17 +1,24 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lattice_spectra import cli
-from lattice_spectra.dispersion import PI
+from lattice_spectra import cli, sectors, torus_quad
+from lattice_spectra.dispersion import (PI, DiscreteLaplacian, PiecewisePhi,
+                                        SteppedPhiA)
 from lattice_spectra.errors import ZeroCoupling
 from lattice_spectra.thresholds import (NO_THRESHOLD, ThresholdKind,
                                         classify_threshold_solutions,
                                         coupling_thresholds,
                                         es_constants, gammas,
                                         resonance_integrability_probe)
+from lattice_spectra.torus_quad import FOUR_PI_SQ, integrate_threshold
+from test_torus_quad import (es_kappa1_weight, es_theta2_weight,
+                             next_nearest_hopping)
 
 GAMMA_OS = PI / (2 * PI - 4)
 GAMMA_EA = PI / (8 - 2 * PI)
@@ -31,6 +38,42 @@ def test_laplacian_es_constants(lap):
     assert th.theta_star == pytest.approx(1.0, rel=1e-6)
     assert abs(th.theta_2star) < 1e-6
     assert th.kappa1 == pytest.approx(2.0, rel=1e-6)
+
+
+def _assert_es_constants_are_their_integrals(model):
+    # es_constants reads Theta*, Theta** and kappa1 off the gammas; they
+    # must equal the direct threshold integrals of their own weights
+    th = es_constants(model, spec=None)
+    for value, v, floor in ((th.theta_star, sectors.es_plus, 0.0),
+                            (th.theta_2star, es_theta2_weight, 1e-12),
+                            (th.kappa1, es_kappa1_weight, 0.0)):
+        direct = integrate_threshold(model, v, k=1).value / FOUR_PI_SQ
+        assert value == pytest.approx(direct, rel=1e-12, abs=floor), v.__name__
+
+
+@pytest.mark.parametrize("model", [DiscreteLaplacian(), PiecewisePhi(eps=0.5)],
+                         ids=repr)
+def test_es_constants_equal_their_integrals(model):
+    _assert_es_constants_are_their_integrals(model)
+
+
+@settings(max_examples=10)
+@given(t2=st.floats(0.0, 0.2, exclude_min=True, exclude_max=True),
+       a_param=st.floats(0.05, 0.95))
+def test_es_constants_equal_their_integrals_property(t2, a_param):
+    _assert_es_constants_are_their_integrals(next_nearest_hopping(t2))
+    _assert_es_constants_are_their_integrals(SteppedPhiA(a_param=a_param))
+
+
+@pytest.mark.parametrize("model", [DiscreteLaplacian(), SteppedPhiA(a_param=0.5)],
+                         ids=repr)
+def test_es_constants_make_no_integral(model):
+    gammas(model, spec=None)
+    es_constants.cache_clear()
+    with mock.patch.object(torus_quad, "_integrate",
+                           wraps=torus_quad._integrate) as spy:
+        es_constants(model, spec=None)
+    assert spy.call_count == 0
 
 
 def test_coupling_thresholds_positive_b(lap):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laplacian_exact
 from lattice_spectra import sectors, torus_quad
 from lattice_spectra.dispersion import (PI, DiscreteLaplacian,
                                         ExponentialHopping, PiecewisePhi,
@@ -60,6 +61,16 @@ def test_resolvent_large_z_limit(lap):
     z = 4.0 + alpha
     res = integrate_resolvent(lap, sectors.es_one, alpha=alpha)
     assert res.value == pytest.approx(FOUR_PI_SQ / z * (1 + 2.0 / z), rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 1e-2, 1.0, 20.0])
+def test_laplacian_es_integrals_within_their_error_estimates(lap, alpha):
+    # exact values from the complete elliptic integral; each reported
+    # error_estimate must cover the true error
+    weights = (sectors.es_one, sectors.es_cos_sum, sectors.es_cos_sum_sq)
+    for v, exact in zip(weights, laplacian_exact.es_integrals(alpha)):
+        res = integrate_resolvent(lap, v, alpha=alpha)
+        assert abs(res.value - exact) <= res.error_estimate, v.__name__
 
 
 def test_resolvent_matches_brute_force(lap):
@@ -173,10 +184,23 @@ def test_threshold_integral_k2_es_plus(lap):
     assert res.error_estimate < 1e-6 * res.value
 
 
-# the k = 1 weights behind gammas and es_constants
+def es_theta2_weight(q1, q2):
+    # 2 (cos q1 + cos q2)(2 + cos q1 + cos q2): Theta** integrates it
+    return 2.0 * sectors.es_cos_sum(q1, q2) * sectors.es_plus(q1, q2)
+
+
+def es_kappa1_weight(q1, q2):
+    # 4 - (cos q1 + cos q2)^2 = (2 - cos q1 - cos q2)(2 + cos q1 + cos q2):
+    # kappa1 integrates it
+    return (2.0 - sectors.es_cos_sum(q1, q2)) * sectors.es_plus(q1, q2)
+
+
+# the k = 1 weights behind gammas and the es threshold data; es_constants
+# reads the last three off the gammas, and they stay here as threshold
+# integrals in their own right (es_theta2_weight changes sign)
 K1_WEIGHTS = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
-              sectors.es_plus_sq, sectors.es_plus, sectors.es_theta2_weight,
-              sectors.es_kappa1_weight)
+              sectors.es_plus_sq, sectors.es_plus, es_theta2_weight,
+              es_kappa1_weight)
 
 
 def _assert_threshold_is_resolvent_limit(model):
