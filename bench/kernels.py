@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Timings of the torus-quadrature kernels and of the solves built on them.
+
+    python3 bench/kernels.py OUT.json [--src DIR] [--label NAME]
+
+Measures the package in DIR (default: this checkout's src/) and stores the
+record under NAME (default: "change") in OUT.json, keeping any other records
+there, so that one file holds a parent checkout and a change side by side.
+A record holds:
+
+  * far_sum_ms: ms per far-field sum (torus_quad._far_value) of w_os_sq on
+    the fine and coarse levels of the Laplacian and stepped:0.5, at k = 1
+    and 2, with the levels' node counts;
+  * wrap_torus_us: us per dispersion.wrap_torus call on a near-field polar
+    patch of 4096 and 8192 nodes;
+  * solve: a warm solve(laplacian, 1, 3, 1) and solve(stepped:0.5, 1, 1, 3),
+    seconds and the resolvent integrals it makes;
+  * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
+    PHASE_GRID on both models, at 1 and 2 threads, seconds and integrals;
+  * the git revision and src tree hash of DIR, and the machine's core count.
+
+Times are medians over REPEATS runs, with every run listed.  BLAS and OpenMP
+are pinned to one thread, as in perfbench/run.py.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"          # before numpy is first imported
+
+import argparse                     # noqa: E402
+import json                         # noqa: E402
+import statistics                   # noqa: E402
+import subprocess                   # noqa: E402
+import sys                          # noqa: E402
+import time                         # noqa: E402
+from pathlib import Path            # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3                   # runs of each solve and grid
+KERNEL_REPEATS = 7            # batches of each kernel timing
+PHASE_GRID = (-2.0, -1.0, 1.0, 2.0, 3.0)
+PHASE_MU = 2.0
+SOLVES = {"laplacian": (1.0, 3.0, 1.0), "stepped:0.5": (1.0, 1.0, 3.0)}
+
+
+def _run_times(run, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def _per_call(run, calls):
+    times = _run_times(lambda: [run() for _ in range(calls)], KERNEL_REPEATS)
+    return statistics.median(times) / calls
+
+
+def _git(src, *args):
+    try:
+        return subprocess.run(["git", "-C", str(src), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def measure(src):
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    from lattice_spectra import sectors, spectrum, torus_quad
+    from lattice_spectra.dispersion import (PI, DiscreteLaplacian,
+                                            SteppedPhiA, wrap_torus)
+
+    models = {"laplacian": DiscreteLaplacian(),
+              "stepped:0.5": SteppedPhiA(a_param=0.5)}
+    integrals = [0]
+    integrate = torus_quad._integrate
+
+    def counted(*args, **kwargs):
+        integrals[0] += 1
+        return integrate(*args, **kwargs)
+
+    torus_quad._integrate = counted
+
+    def timed_with_count(run):
+        run()                                   # warm the caches
+        integrals[0] = 0
+        times = _run_times(run, REPEATS)
+        return {"median_s": statistics.median(times), "runs_s": times,
+                "integrals": integrals[0] // REPEATS}
+
+    far = {}
+    for name, model in models.items():
+        spec = torus_quad.default_spec(model)
+        levels = torus_quad._far_grids(spec.grid_n, spec.patch_radius,
+                                       model.breakpoints)
+        for level_name, level in zip(("fine", "coarse"), levels):
+            for k in (1, 2):
+                def far_sum():
+                    return torus_quad._far_value(level, model, sectors.w_os_sq,
+                                                 1e-3, k)
+                far_sum()
+                calls = 20 if level.w.size > 500_000 else 100
+                far[f"{name}/{level_name}/k={k}"] = {
+                    "nodes": int(level.w.size),
+                    "ms": 1e3 * _per_call(far_sum, calls)}
+
+    wrap = {}
+    theta = np.arange(32) * (2 * PI / 32)
+    for nodes in (4096, 8192):
+        r = np.linspace(0.0, 0.5, nodes // 32)
+        t = PI + r[:, None] * np.cos(theta)[None, :]
+        wrap[str(nodes)] = 1e6 * _per_call(lambda: wrap_torus(t), 200)
+
+    solves = {f"{name} {SOLVES[name]}": timed_with_count(
+                  lambda m=model, c=SOLVES[name]: spectrum.solve(m, *c))
+              for name, model in models.items()}
+
+    grids = {}
+    for name, model in models.items():
+        for threads in (1, 2):
+            grids[f"{name} threads={threads}"] = timed_with_count(
+                lambda m=model, n=threads: spectrum.phase_diagram(
+                    m, PHASE_MU, PHASE_GRID, PHASE_GRID, threads=n))
+
+    return {"git_revision": _git(src, "rev-parse", "HEAD"),
+            "src_tree": _git(src, "rev-parse", "HEAD:./"),
+            "src_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
+            "cpu_count": os.cpu_count(),
+            "far_sum_ms": far, "wrap_torus_us": wrap, "solve": solves,
+            "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,
+                              "b_grid": PHASE_GRID, "runs": grids}}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--label", default="change")
+    args = parser.parse_args(argv)
+    record = measure(args.src.resolve())
+    runs = json.loads(args.out.read_text()) if args.out.exists() else {}
+    runs[args.label] = record
+    args.out.write_text(json.dumps(runs, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -36,8 +36,10 @@ The far-field node set (nodes, weights, 1 - chi) depends only on
 (grid_n, patch_radius, breakpoints), so every model with that key shares
 one, e.g. the whole SteppedPhiA(A) family that the multiplicity-two
 construction tunes.  Per model it keeps only the deficit on its nodes, and
-per weight function the weight's values; both sit in small bounded maps on
-the node set, so clearing _far_grids drops every far-field array.
+per weight function v the product w * v of the rule's weights and v's
+values; both sit in small bounded read-only maps on the node set, so
+clearing _far_grids drops every far-field array.  A far sum then builds one
+temporary: the denominator, raised and divided into in place.
 """
 
 import math
@@ -172,12 +174,14 @@ class _FarLevel:
     depends on the model.
 
     Two small maps ride on it, each written under the level's lock (two
-    threads may compute the same entry; both get equal arrays):
+    threads may compute the same entry; both get equal arrays).  Their
+    arrays are read-only, so no in-place operation can write into an array
+    that threads share:
       * deficits, model -> e_max - e on the masked nodes, the last
         DEFICITS_KEPT models;
-      * vcache, weight function -> its values on the masked nodes, the last
-        VALUES_KEPT weights.  A weight is a function of p alone, so its
-        values serve every model of the family.
+      * vcache, weight function v -> w * v on the masked nodes, the last
+        VALUES_KEPT weights.  A weight is a function of p alone, so these
+        products serve every model of the family.
     """
 
     DEFICITS_KEPT = 4
@@ -201,6 +205,7 @@ class _FarLevel:
             hit = cache.get(key)
         if hit is None:
             hit = compute()
+            hit.flags.writeable = False
             with self._lock:
                 if key not in cache and len(cache) >= kept:
                     del cache[next(iter(cache))]
@@ -217,10 +222,10 @@ class _FarLevel:
             lambda: float(model.e_max)
             - model.values(self.x[:, None], self.x[None, :])[self.mask])
 
-    def values(self, v):
+    def weighted(self, v):
         return self._cached(
             self.vcache, v, self.VALUES_KEPT,
-            lambda: np.asarray(v(self.p1, self.p2), dtype=float))
+            lambda: self.w * np.asarray(v(self.p1, self.p2), dtype=float))
 
 
 @lru_cache(maxsize=32)
@@ -236,8 +241,9 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     node set holds three float arrays (p1, p2, w) over the masked nodes
     plus a boolean mask over the grid, about 27 MB fine and 8 MB coarse at
     the kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth
-    of that on the 256 smooth grid; each cached deficit or weight adds one
-    float array of the level's node count.  cache_clear drops all of it."""
+    of that on the 256 smooth grid; each cached deficit or w * v product
+    adds one read-only float array of the level's node count, and a far sum
+    makes one temporary of that size.  cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
     else:
@@ -250,9 +256,14 @@ def _far_grids(grid_n, patch_radius, breakpoints):
 
 
 def _far_value(level, model, v, alpha, k):
-    vv = level.values(v)  # first, so that v's temporaries are freed before den
-    den = (alpha + level.deficit(model)) ** k
-    return float(np.sum(level.w * vv / den))
+    """sum of w v / (alpha + deficit)^k over the level's nodes.  The float
+    operations are those of that expression, in its order, so the sum is
+    the same to the bit; only the denominator is a new array."""
+    wv = level.weighted(v)  # first, so that v's temporaries are freed before den
+    den = level.deficit(model) + alpha
+    if k == 2:
+        np.square(den, out=den)
+    return float(np.sum(np.divide(wv, den, out=den)))
 
 
 # ---------------------------------------------------------------------------

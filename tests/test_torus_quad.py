@@ -250,6 +250,40 @@ def test_far_deficit_broadcast_is_bitwise_nodewise(model):
         assert level.deficit(model).tobytes() == nodewise.tobytes()
 
 
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_far_value_is_bitwise_the_plain_sum(model):
+    # the far sum divides the cached w * v into its one temporary in place;
+    # it must return the very float of the plain expression
+    spec = default_spec(model)
+    for level in torus_quad._far_grids(spec.grid_n, spec.patch_radius,
+                                       model.breakpoints):
+        deficit = level.deficit(model)
+        for v in (sectors.w_os_sq, sectors.es_cos_sum):
+            vv = np.asarray(v(level.p1, level.p2), dtype=float)
+            for k in (1, 2):
+                for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
+                    plain = float(np.sum(level.w * vv / (alpha + deficit) ** k))
+                    got = torus_quad._far_value(level, model, v, alpha, k)
+                    assert got.hex() == plain.hex(), (v.__name__, k, alpha)
+
+
+def test_far_caches_are_read_only_and_kept_by_sums(lap):
+    # the pool threads share the cached arrays, so no sum may write into them
+    spec = default_spec(lap)
+    level, _ = torus_quad._far_grids(spec.grid_n, spec.patch_radius,
+                                     lap.breakpoints)
+    torus_quad._far_value(level, lap, sectors.w_ea_sq, 1.0, 1)
+    deficit, weighted = level.deficit(lap), level.weighted(sectors.w_ea_sq)
+    before = deficit.tobytes(), weighted.tobytes()
+    for k in (1, 2):
+        for alpha in (0.0, 1e-3, 20.0):
+            torus_quad._far_value(level, lap, sectors.w_ea_sq, alpha, k)
+    assert not deficit.flags.writeable and not weighted.flags.writeable
+    assert level.deficit(lap) is deficit
+    assert level.weighted(sectors.w_ea_sq) is weighted
+    assert (deficit.tobytes(), weighted.tobytes()) == before
+
+
 def test_stepped_integral_unchanged_by_a_warm_family():
     model = SteppedPhiA(a_param=0.5)
 
