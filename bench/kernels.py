@@ -14,9 +14,16 @@ A record holds:
   * wrap_torus_us: us per dispersion.wrap_torus call on a near-field polar
     patch of 4096 and 8192 nodes;
   * solve: a warm solve(laplacian, 1, 3, 1) and solve(stepped:0.5, 1, 1, 3),
-    seconds and the resolvent integrals it makes;
+    and a warm find_eigenvalues_es(laplacian, 1, 1, 3), seconds and counts;
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
-    PHASE_GRID on both models, at 1 and 2 threads, seconds and integrals;
+    PHASE_GRID on both models, at 1 and 2 threads, seconds and counts;
+  * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
+    warm Laplacian solves), seconds, counts, roots and integrals per root.
+
+The counts of a run are its integrals (one per weight), its near-field
+passes (each builds the nodes of one (n_theta, n_panels)) and its far passes
+(each forms one far level's denominator).  They are counted on the private
+kernels of torus_quad, by whichever names the measured package has.
   * the git revision and src tree hash of DIR, and the machine's core count.
 
 Times are medians over REPEATS runs, with every run listed.  BLAS and OpenMP
@@ -42,6 +49,12 @@ KERNEL_REPEATS = 7            # batches of each kernel timing
 PHASE_GRID = (-2.0, -1.0, 1.0, 2.0, 3.0)
 PHASE_MU = 2.0
 SOLVES = {"laplacian": (1.0, 3.0, 1.0), "stepped:0.5": (1.0, 1.0, 3.0)}
+SWEEP_SEED, SWEEP_CYCLES = 1, 2
+# counter -> the torus_quad function it counts: its name in a package with
+# the stacked kernel, then in one without
+COUNTED = {"integrals": ("_near_refined", "_integrate"),
+           "near_passes": ("_near_nodes", "_near_value"),
+           "far_passes": ("_far_values", "_far_value")}
 
 
 def _run_times(run, repeats):
@@ -70,27 +83,38 @@ def measure(src):
     sys.path.insert(0, str(src))
     import numpy as np
 
-    from lattice_spectra import sectors, spectrum, torus_quad
+    from lattice_spectra import (determinant, dispersion, sectors, spectrum,
+                                 thresholds, torus_quad)
     from lattice_spectra.dispersion import (PI, DiscreteLaplacian,
                                             SteppedPhiA, wrap_torus)
 
     models = {"laplacian": DiscreteLaplacian(),
               "stepped:0.5": SteppedPhiA(a_param=0.5)}
-    integrals = [0]
-    integrate = torus_quad._integrate
+    counts = dict.fromkeys(COUNTED, 0)
+    far_value = getattr(torus_quad, "_far_values", None)
+    for counter, names in COUNTED.items():
+        name = next(n for n in names if hasattr(torus_quad, n))
 
-    def counted(*args, **kwargs):
-        integrals[0] += 1
-        return integrate(*args, **kwargs)
+        def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
+                    **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
 
-    torus_quad._integrate = counted
+        setattr(torus_quad, name, counted)
+
+    def counted_run(run):
+        counts.update(dict.fromkeys(counts, 0))
+        start = time.perf_counter()
+        result = run()
+        return time.perf_counter() - start, dict(counts), result
 
     def timed_with_count(run):
         run()                                   # warm the caches
-        integrals[0] = 0
-        times = _run_times(run, REPEATS)
-        return {"median_s": statistics.median(times), "runs_s": times,
-                "integrals": integrals[0] // REPEATS}
+        times = []
+        for _ in range(REPEATS):
+            dt, tally, _ = counted_run(run)
+            times.append(dt)
+        return {"median_s": statistics.median(times), "runs_s": times, **tally}
 
     far = {}
     for name, model in models.items():
@@ -100,8 +124,10 @@ def measure(src):
         for level_name, level in zip(("fine", "coarse"), levels):
             for k in (1, 2):
                 def far_sum():
-                    return torus_quad._far_value(level, model, sectors.w_os_sq,
-                                                 1e-3, k)
+                    if far_value is None:
+                        return torus_quad._far_value(level, model,
+                                                     sectors.w_os_sq, 1e-3, k)
+                    return far_value(level, model, (sectors.w_os_sq,), 1e-3, k)
                 far_sum()
                 calls = 20 if level.w.size > 500_000 else 100
                 far[f"{name}/{level_name}/k={k}"] = {
@@ -118,6 +144,8 @@ def measure(src):
     solves = {f"{name} {SOLVES[name]}": timed_with_count(
                   lambda m=model, c=SOLVES[name]: spectrum.solve(m, *c))
               for name, model in models.items()}
+    solves["find_eigenvalues_es laplacian (1.0, 1.0, 3.0)"] = timed_with_count(
+        lambda: determinant.find_eigenvalues_es(models["laplacian"], 1.0, 1.0, 3.0))
 
     grids = {}
     for name, model in models.items():
@@ -126,13 +154,28 @@ def measure(src):
                 lambda m=model, n=threads: spectrum.phase_diagram(
                     m, PHASE_MU, PHASE_GRID, PHASE_GRID, threads=n))
 
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    lib = argparse.Namespace(dispersion=dispersion, spectrum=spectrum,
+                             thresholds=thresholds)
+    sweep = workloads.SpectrumSweep(lib, None, np.random.default_rng(SWEEP_SEED))
+    sweep.setup()
+    ops = [op for _ in range(SWEEP_CYCLES) for op in sweep.cycle()]
+    ran = [counted_run(op.run) for op in ops]
+    roots = sum(len(result.records) for _, _, result in ran)
+    tally = {key: sum(t[key] for _, t, _ in ran) for key in COUNTED}
+    sweep_row = {"seed": SWEEP_SEED, "cycles": SWEEP_CYCLES, "solves": len(ops),
+                 "seconds": sum(dt for dt, _, _ in ran), "roots": roots, **tally,
+                 "integrals_per_root": tally["integrals"] / roots}
+
     return {"git_revision": _git(src, "rev-parse", "HEAD"),
             "src_tree": _git(src, "rev-parse", "HEAD:./"),
             "src_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
             "cpu_count": os.cpu_count(),
             "far_sum_ms": far, "wrap_torus_us": wrap, "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,
-                              "b_grid": PHASE_GRID, "runs": grids}}
+                              "b_grid": PHASE_GRID, "runs": grids},
+            "sweep": sweep_row}
 
 
 def main(argv=None):

@@ -39,7 +39,7 @@ from .errors import (BelowThreshold, BracketFailure, UnresolvableRoots,
                      ZeroCoupling)
 from .thresholds import (above_threshold, coupling_thresholds, es_count,
                          gammas)
-from .torus_quad import FOUR_PI_SQ, integrate_resolvent
+from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
 
 ALPHA_FLOOR = 1e-13   # roots closer to threshold are unresolvable
 ZERO_TOL = 1e-8       # |Delta_i| below this counts as a vanishing component
@@ -86,9 +86,7 @@ def delta_es(model, a, b, mu, *, alpha, spec=None):
         raise ZeroCoupling("couplings a, b must be nonzero")
     if alpha <= 0:
         raise BelowThreshold("z must exceed the band top e_max")
-    i1 = integrate_resolvent(model, sectors.es_one, k=1, spec=spec, alpha=alpha).value
-    i2 = integrate_resolvent(model, sectors.es_cos_sum_sq, k=1, spec=spec, alpha=alpha).value
-    i3 = integrate_resolvent(model, sectors.es_cos_sum, k=1, spec=spec, alpha=alpha).value
+    i1, i2, i3 = (r.value for r in _integrate(model, sectors.ES_WEIGHTS, alpha, 1, spec))
     d1 = 1.0 - a * mu * i1 / FOUR_PI_SQ
     d2 = 1.0 - b * mu * i2 / FOUR_PI_SQ
     d3 = i3 / FOUR_PI_SQ
@@ -101,25 +99,28 @@ def delta_es(model, a, b, mu, *, alpha, spec=None):
 # ---------------------------------------------------------------------------
 
 def _root(f, alpha_hi, what):
-    """The zero of f, increasing in alpha, in [ALPHA_FLOOR, alpha_hi).
+    """(alpha, f(alpha)) at the zero of f, increasing in alpha, in
+    [ALPHA_FLOOR, alpha_hi).
 
-    f must be positive at alpha_hi.  alpha walks down by factors of 4 to the
-    first sign change, which Brent's method refines in x = ln alpha.
+    f must be positive at alpha_hi.  x = ln alpha walks down in steps of
+    ln 4 to the first sign change, which Brent's method refines in x.  f is
+    memoised in x for the search, so Brent's bracket ends and the returned
+    value cost no evaluation.
     """
-    if f(alpha_hi) <= 0:
+    g = functools.cache(lambda x: f(math.exp(x)))
+    x_hi = math.log(alpha_hi)
+    if g(x_hi) <= 0:
         raise BracketFailure(f"{what}: determinant not positive at the upper "
                              f"bracket alpha = {alpha_hi:g}")
-    a_hi = alpha_hi
-    while (a_lo := 0.25 * a_hi) >= ALPHA_FLOOR:
-        f_lo = f(a_lo)
+    while (x_lo := x_hi - math.log(4.0)) >= math.log(ALPHA_FLOOR):
+        f_lo = g(x_lo)
         if f_lo == 0.0:
-            return a_lo
+            return math.exp(x_lo), f_lo
         if f_lo < 0:
-            x = scipy.optimize.brentq(lambda s: f(math.exp(s)),
-                                      math.log(a_lo), math.log(a_hi),
-                                      xtol=1e-12, rtol=8.9e-16, maxiter=200)
-            return math.exp(x)
-        a_hi = a_lo
+            x = scipy.optimize.brentq(g, x_lo, x_hi, xtol=1e-12,
+                                      rtol=8.9e-16, maxiter=200)
+            return math.exp(x), g(x)
+        x_hi = x_lo
     raise UnresolvableRoots(f"{what}: no sign change above the floor "
                             f"alpha = {ALPHA_FLOOR:g}")
 
@@ -154,11 +155,11 @@ def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
         return None
 
     f = lambda al: delta_rank_one(model, sector, b, mu, spec=spec, alpha=al)
-    alpha = _root(f, mu * abs(b) + 1.0,
-                  f"{sector} root at b = {b:.17g}, mu = {mu:.17g}")
+    alpha, f_root = _root(f, mu * abs(b) + 1.0,
+                          f"{sector} root at b = {b:.17g}, mu = {mu:.17g}")
     return EigenvalueRecord(sector=sector, mu=mu, energy=float(model.e_max) + alpha,
                             multiplicity=1, c1=None, c2=1.0,
-                            residual=abs(f(alpha)))
+                            residual=abs(f_root))
 
 
 def find_eigenvalues_es(model, a, b, mu, spec=None):
@@ -167,6 +168,8 @@ def find_eigenvalues_es(model, a, b, mu, spec=None):
     One root is a zero of Delta itself.  Two roots (a, b > 0) are the zero
     crossings of the lower eigenvalue of M (outer root) and of the upper one
     (inner root); a double root, M = 0, is one record of multiplicity 2.
+    Both paths read one memo of delta_es parts: each record's residual and
+    coefficients come from the parts at its root, with no evaluation.
     """
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
@@ -180,26 +183,26 @@ def find_eigenvalues_es(model, a, b, mu, spec=None):
     alpha_hi = mu * max(abs(a), abs(b)) + 1.0
     what = f"es root at (a, b, mu) = ({a:.17g}, {b:.17g}, {mu:.17g})"
 
-    def record(alpha, residual):
-        rec = EigenvalueRecord(sector="es", mu=mu,
-                               energy=float(model.e_max) + alpha,
-                               multiplicity=1, c1=None, c2=None,
-                               residual=residual)
-        _attach_coefficients(model, rec, a, b, spec)
-        return rec
-
-    if expected == 1:
-        f = lambda al: delta_es(model, a, b, mu, spec=spec, alpha=al).combined
-        alpha = _root(f, alpha_hi, what)
-        return [record(alpha, abs(f(alpha)))]
-
     parts = functools.cache(
         lambda al: delta_es(model, a, b, mu, spec=spec, alpha=al))
+
+    def record(alpha):
+        pairs = _coefficient_pairs(parts(alpha))
+        c1, c2 = (None, None) if len(pairs) == 2 else map(float, pairs[0])
+        return EigenvalueRecord(sector="es", mu=mu,
+                                energy=float(model.e_max) + alpha,
+                                multiplicity=len(pairs), c1=c1, c2=c2,
+                                residual=abs(parts(alpha).combined))
+
+    if expected == 1:
+        alpha, _ = _root(lambda al: parts(al).combined, alpha_hi, what)
+        return [record(alpha)]
+
     records = []
     for branch, which in ((0, "outer"), (1, "inner")):
-        alpha = _root(lambda al: _es_branches(parts(al), a, b, mu)[branch],
-                      alpha_hi, f"{which} {what}")
-        records.append(record(alpha, abs(parts(alpha).combined)))
+        alpha, _ = _root(lambda al: _es_branches(parts(al), a, b, mu)[branch],
+                         alpha_hi, f"{which} {what}")
+        records.append(record(alpha))
         if records[-1].multiplicity == 2:   # M = 0: both roots in one record
             break
     return records
@@ -213,10 +216,13 @@ def eigenfunction_es(model, record, a, b, spec=None):
     """Coefficient pairs (c1, c2) of Psi = (c1 + c2 (cos p1 + cos p2))/(E - e).
 
     Returns a list with one pair, or two basis pairs for a multiplicity-two
-    record.
+    record, from delta_es at its energy; the finder reads its own parts.
     """
-    parts = delta_es(model, a, b, record.mu, spec=spec,
-                     alpha=record.energy - float(model.e_max))
+    return _coefficient_pairs(delta_es(model, a, b, record.mu, spec=spec,
+                                       alpha=record.energy - float(model.e_max)))
+
+
+def _coefficient_pairs(parts):
     d1, d2, d3 = parts.delta1, parts.delta2, parts.delta3
     if abs(d3) >= ZERO_TOL:
         return [(d1, d3)]
@@ -225,15 +231,6 @@ def eigenfunction_es(model, record, a, b, spec=None):
     if abs(d2) >= ZERO_TOL:
         return [(1.0, 0.0)]
     return [(1.0, 0.0), (0.0, 1.0)]
-
-
-def _attach_coefficients(model, record, a, b, spec):
-    pairs = eigenfunction_es(model, record, a, b, spec=spec)
-    if len(pairs) == 2:
-        record.multiplicity = 2
-        record.c1, record.c2 = None, None
-    else:
-        record.c1, record.c2 = float(pairs[0][0]), float(pairs[0][1])
 
 
 def multiplicity_check(model, a, b, mu, z0, spec=None):

@@ -69,3 +69,5 @@ def es_cos_sum_sq(q1, q2):
 
 
 RANK_ONE_WEIGHTS_SQ = {"os": w_os_sq, "oa": w_oa_sq, "ea": w_ea_sq}
+# the weights of I[1], I[s^2], I[s] in the es determinant, s = cos q1 + cos q2
+ES_WEIGHTS = (es_one, es_cos_sum_sq, es_cos_sum)

@@ -14,14 +14,13 @@ import numpy as np
 import scipy.optimize
 
 from . import sectors
-from .determinant import (delta_es, find_eigenvalue_rank_one,
-                          find_eigenvalues_es)
+from .determinant import find_eigenvalue_rank_one, find_eigenvalues_es
 from .dispersion import SteppedPhiA, is_even_per_coordinate
 from .errors import (DomainError, NotEvenPerCoordinate, SignChangeAbsent,
                      ZeroCoupling)
 from .thresholds import (above_threshold, coupling_thresholds, es_count,
                          gammas)
-from .torus_quad import FOUR_PI_SQ, integrate_resolvent
+from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
 
 TRIPLE_OFFSET_REL = 0.1   # triple_emergence_check's offset from mu0
 
@@ -270,14 +269,12 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
     a0_param = scipy.optimize.brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
     g_res = g(a0_param)
 
-    model = SteppedPhiA(a_param=a0_param)
-    alpha = z0 - 1.0
-    i1 = integrate_resolvent(model, sectors.es_one, k=1, spec=spec, alpha=alpha).value
-    i2 = integrate_resolvent(model, sectors.es_cos_sum_sq, k=1, spec=spec, alpha=alpha).value
+    # one stacked call at z0; the verification is delta_es's arithmetic
+    i1, i2, i3 = (r.value for r in _integrate(SteppedPhiA(a_param=a0_param),
+                                              sectors.ES_WEIGHTS, z0 - 1.0, 1, spec))
     a0 = FOUR_PI_SQ / (mu * i1)
     b0 = FOUR_PI_SQ / (mu * i2)
-
-    parts = delta_es(model, a0, b0, mu, spec=spec, alpha=alpha)
     return MultiplicityTwoConstruction(
         z0=z0, mu=mu, A0=a0_param, a0=a0, b0=b0, g_residual=abs(g_res),
-        verification=(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)))
+        verification=(abs(1.0 - a0 * mu * i1 / FOUR_PI_SQ),
+                      abs(1.0 - b0 * mu * i2 / FOUR_PI_SQ), abs(i3 / FOUR_PI_SQ)))

@@ -21,8 +21,8 @@ import numpy as np
 from . import sectors
 from .dispersion import PI, is_even_per_coordinate, wrap_torus
 from .errors import NotIntegrable, NumericalError, ZeroCoupling
-from .torus_quad import (FOUR_PI_SQ, _far_grids, _far_value, _panel_nodes,
-                         chi_cutoff, default_spec, integrate_threshold)
+from .torus_quad import (FOUR_PI_SQ, _far_grids, _far_values, _integrate,
+                         _panel_nodes, chi_cutoff, default_spec)
 
 NO_THRESHOLD = None  # sentinel: no eigenvalue for any coupling in that sector
 
@@ -53,8 +53,10 @@ def gammas(model, spec=None):
     out = {}
     weights = {"os": sectors.w_os_sq, "oa": sectors.w_oa_sq,
                "ea": sectors.w_ea_sq, "es": sectors.es_plus_sq}
-    for name, w in weights.items():
-        val = integrate_threshold(model, w, k=1, spec=spec).value / FOUR_PI_SQ
+    # one stacked threshold integral (alpha = 0) over the four weights
+    results = _integrate(model, tuple(weights.values()), 0.0, 1, spec)
+    for name, res in zip(weights, results):
+        val = res.value / FOUR_PI_SQ
         if val <= 0:
             raise NumericalError(f"threshold integral for {name} not positive")
         out[name] = 1.0 / val
@@ -230,7 +232,7 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
     # fixed outer part: torus minus B_delta, the far-field sum of the same
     # w^2 / deficit^2 on the level's cached deficit and weight values
     fine, _ = _far_grids(spec.grid_n, delta, model.breakpoints)
-    outer = _far_value(fine, model, w_sq, 0.0, 2)
+    outer = _far_values(fine, model, (w_sq,), 0.0, 2)[0]
     # plus the chi-weighted ring between delta/2 and delta that the far grid
     # down-weights: add it exactly from the annulus rule
     ring = _annulus_integral(

@@ -32,6 +32,12 @@ field takes plain Gauss nodes in r on [0, delta].
 Denominators are evaluated as alpha + (e_max - e), with the deficit
 e_max - e supplied in a cancellation-free form by the model.
 
+The kernel _integrate takes a stack of weights at one (alpha, k), e.g. the
+three of the rank-two determinant; integrate_resolvent and
+integrate_threshold are its one-weight case.  The weights share each far
+level's denominator and each near-field pass's nodes, built once per
+(n_theta, n_panels); each refines and stops on its own, as it would alone.
+
 The far-field node set (nodes, weights, 1 - chi) depends only on
 (grid_n, patch_radius, breakpoints), so every model with that key shares
 one, e.g. the whole SteppedPhiA(A) family that the multiplicity-two
@@ -39,13 +45,13 @@ construction tunes.  Per model it keeps only the deficit on its nodes, and
 per weight function v the product w * v of the rule's weights and v's
 values; both sit in small bounded read-only maps on the node set, so
 clearing _far_grids drops every far-field array.  A far sum then builds one
-temporary: the denominator, raised and divided into in place.
+temporary, the denominator raised and divided into in place; a stack adds one.
 """
 
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -255,23 +261,28 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     return tuple(_FarLevel(x, w, patch_radius) for x, w in axes)
 
 
-def _far_value(level, model, v, alpha, k):
-    """sum of w v / (alpha + deficit)^k over the level's nodes.  The float
-    operations are those of that expression, in its order, so the sum is
-    the same to the bit; only the denominator is a new array."""
-    wv = level.weighted(v)  # first, so that v's temporaries are freed before den
+def _far_values(level, model, vs, alpha, k):
+    """sum of w v / (alpha + deficit)^k over the level's nodes, for each v
+    in vs.  The float operations are those of that expression, in its
+    order, so each sum is the same to the bit; the denominator is formed
+    once for the stack, and the quotients share one more temporary."""
+    wvs = [level.weighted(v) for v in vs]  # first, so v's temporaries are freed
     den = level.deficit(model) + alpha
     if k == 2:
         np.square(den, out=den)
-    return float(np.sum(np.divide(wv, den, out=den)))
+    out = den if len(wvs) == 1 else np.empty_like(den)
+    return [float(np.sum(np.divide(wv, den, out=out))) for wv in wvs]
 
 
 # ---------------------------------------------------------------------------
 # near field (polar patch)
 # ---------------------------------------------------------------------------
 
-def _near_value(model, v, alpha, k, delta, n_theta, n_panels):
-    """Integral of chi * v / (alpha + deficit)^k over B_delta(pi_vec).
+def _near_nodes(model, alpha, k, delta, n_theta, n_panels):
+    """The nodes of one near-field pass over B_delta(pi_vec), which every
+    weight at (alpha, k) reads: (radial_w, den, p1, p2), the radial weights
+    times chi and the angular step, (alpha + deficit)^k on the polar grid,
+    and the grid's images on the torus.
 
     Polar coordinates about pi_vec.  Radially, n_panels Gauss panels of
     GAUSS_ORDER points lie on each side of r = delta/2, where chi starts to
@@ -284,10 +295,6 @@ def _near_value(model, v, alpha, k, delta, n_theta, n_panels):
     quarter step off the axes, where it integrates exactly the
     cos(n_theta theta / 2) mode that the swap symmetry leaves at that order;
     the difference would then read roundoff whatever the error.
-
-    Returns (value, abs_value, theta_err): abs_value integrates the modulus
-    and serves as a scale for relative-tolerance decisions; theta_err is the
-    subrule difference.
     """
     if alpha > 0:
         sq = math.sqrt(alpha)
@@ -306,11 +313,21 @@ def _near_value(model, v, alpha, k, delta, n_theta, n_panels):
     theta = np.arange(n_theta) * (2 * PI / n_theta)
     u1 = r[:, None] * np.cos(theta)[None, :]
     u2 = r[:, None] * np.sin(theta)[None, :]
-    den = (alpha + model.deficit(u1, u2)) ** k
-    vv = np.asarray(v(wrap_torus(PI + u1), wrap_torus(PI + u2)), dtype=float)
-    core = vv / den
-
     radial_w = ws * r * jac * chi_cutoff(r, delta) * (2 * PI / n_theta)
+    return (radial_w, (alpha + model.deficit(u1, u2)) ** k,
+            wrap_torus(PI + u1), wrap_torus(PI + u2))
+
+
+def _near_value(nodes, v):
+    """Integral of chi * v / (alpha + deficit)^k over B_delta(pi_vec) on the
+    nodes of one pass.
+
+    Returns (value, abs_value, theta_err): abs_value integrates the modulus
+    and serves as a scale for relative-tolerance decisions; theta_err is the
+    subrule difference.
+    """
+    radial_w, den, p1, p2 = nodes
+    core = np.asarray(v(p1, p2), dtype=float) / den
     value = float(radial_w @ core.sum(axis=1))
     half_rule = 2.0 * float(radial_w @ core[:, ::2].sum(axis=1))
     abs_value = float(radial_w @ np.abs(core).sum(axis=1))
@@ -342,22 +359,47 @@ def integrate_resolvent(model, v, k=1, spec=None, *, alpha):
     alpha is passed directly: forming it as z - e_max would lose its digits
     near threshold.
     """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
     if alpha <= 0:
         raise BelowThreshold(f"z = e_max + {alpha:g} is not above the band top")
-    return _integrate(model, v, alpha, k, spec or default_spec(model))
+    return _integrate(model, (v,), alpha, k, spec)[0]
 
 
-def _integrate(model, v, alpha, k, spec):
-    """Far field plus nested near-field refinement at alpha >= 0."""
+def integrate_threshold(model, v, k=1, spec=None):
+    """Limit alpha -> 0 of the resolvent integral: int v / (e_max - e)^k dq.
+
+    Evaluated directly at alpha = 0 by the resolvent rule.  The integral
+    converges iff v vanishes at pi_vec to an order above 2k - 2; otherwise
+    it diverges and NotIntegrable is raised.
+    """
+    return _integrate(model, (v,), 0.0, k, spec)[0]
+
+
+def _integrate(model, vs, alpha, k, spec=None):
+    """One IntegralResult per weight in vs at alpha >= 0: far field plus
+    nested near-field refinement, the weights sharing the nodes of each
+    pass (see the module docstring)."""
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
+    # analytic weights vanish to integer orders; the ring estimate is
+    # accurate to far better than the half-integer margin
+    for v in vs if alpha == 0 else ():
+        if (order := _vanishing_order(v)) < 2 * k - 1.5:
+            raise NotIntegrable(
+                f"threshold integral with k = {k} needs v vanishing to order "
+                f"{2 * k - 1} at (pi, pi); it vanishes to order {order:.2g}")
+    spec = spec or default_spec(model)
     fine, coarse = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
-    far = _far_value(fine, model, v, alpha, k)
-    far_err = abs(far - _far_value(coarse, model, v, alpha, k))
+    nodes = cache(lambda n_theta, n_panels: _near_nodes(
+        model, alpha, k, spec.patch_radius, n_theta, n_panels))
+    return [_near_refined(nodes, v, far, abs(far - far_coarse), spec, alpha, k)
+            for v, far, far_coarse in zip(vs, _far_values(fine, model, vs, alpha, k),
+                                          _far_values(coarse, model, vs, alpha, k))]
 
+
+def _near_refined(nodes, v, far, far_err, spec, alpha, k):
+    """far plus the near field of v, refined pass by pass on nodes(...)."""
     n_theta, n_panels = N_THETA, N_PANELS
-    near, near_abs, theta_err = _near_value(
-        model, v, alpha, k, spec.patch_radius, n_theta, n_panels)
+    near, near_abs, theta_err = _near_value(nodes(n_theta, n_panels), v)
 
     def tol():
         return spec.radial_tol * max(abs(far + near),
@@ -368,8 +410,7 @@ def _integrate(model, v, alpha, k, spec):
             n_theta *= 2
         n_panels *= 2
         previous = near
-        near, near_abs, theta_err = _near_value(
-            model, v, alpha, k, spec.patch_radius, n_theta, n_panels)
+        near, near_abs, theta_err = _near_value(nodes(n_theta, n_panels), v)
         radial_change = abs(near - previous)
         near_err = radial_change + theta_err
         if near_err <= tol():
@@ -393,22 +434,3 @@ def _vanishing_order(v):
     if small == 0.0:
         return math.inf
     return math.log10(max(big, 1e-300) / small)
-
-
-def integrate_threshold(model, v, k=1, spec=None):
-    """Limit alpha -> 0 of the resolvent integral: int v / (e_max - e)^k dq.
-
-    Evaluated directly at alpha = 0 by the resolvent rule.  The integral
-    converges iff v vanishes at pi_vec to an order above 2k - 2; otherwise
-    it diverges and NotIntegrable is raised.
-    """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    # analytic weights vanish to integer orders; the ring estimate is
-    # accurate to far better than the half-integer margin
-    order = _vanishing_order(v)
-    if order < 2 * k - 1.5:
-        raise NotIntegrable(
-            f"threshold integral with k = {k} needs v vanishing to order "
-            f"{2 * k - 1} at (pi, pi); it vanishes to order {order:.2g}")
-    return _integrate(model, v, 0.0, k, spec or default_spec(model))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lattice_spectra import determinant, sectors, spectrum
+from lattice_spectra import sectors, spectrum, torus_quad
 from lattice_spectra.asymptotics import leading_coefficients
 from lattice_spectra.determinant import (delta_es, delta_rank_one,
                                          eigenfunction_es,
@@ -81,19 +81,50 @@ def test_es_two_roots_frozen(lap):
         assert r.residual < 1e-9
 
 
+def _kernel_log(monkeypatch):
+    # one entry per weight integrated by the kernel, (weight, alpha, k), and
+    # one per near-field pass, whoever calls the kernel
+    log = {"integrals": [], "passes": 0}
+    refined, near_nodes = torus_quad._near_refined, torus_quad._near_nodes
+
+    def refining(nodes, v, far, far_err, spec, alpha, k):
+        log["integrals"].append((v.__name__, alpha, k))
+        return refined(nodes, v, far, far_err, spec, alpha, k)
+
+    def building(*args):
+        log["passes"] += 1
+        return near_nodes(*args)
+
+    monkeypatch.setattr(torus_quad, "_near_refined", refining)
+    monkeypatch.setattr(torus_quad, "_near_nodes", building)
+    return log
+
+
 def test_es_two_roots_integral_count(lap, monkeypatch):
-    # both eigenvalue branches of M share one memo of delta_es points
+    # both eigenvalue branches of M share one memo of delta_es points, and
+    # the three es weights share each near-field pass
     find_eigenvalues_es(lap, 1.0, 1.0, 3.0)  # warm the threshold constants
-    calls = []
-    integrate = determinant.integrate_resolvent
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["alpha"])
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(determinant, "integrate_resolvent", counting)
+    log = _kernel_log(monkeypatch)
     find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
-    assert len(calls) <= 60, sorted(calls)
+    assert len(log["integrals"]) <= 45, log["integrals"]
+    assert log["passes"] <= 30
+
+
+@pytest.mark.parametrize("find", [
+    lambda lap: find_eigenvalue_rank_one(lap, "os", 3.0, 1.0),
+    lambda lap: find_eigenvalue_rank_one(lap, "ea", 3.0, 1.0),
+    lambda lap: find_eigenvalues_es(lap, 1.0, 1.0, 3.0),      # two roots
+    lambda lap: find_eigenvalues_es(lap, 1.0, 3.0, 1.0),      # one root
+], ids=["os", "ea", "es-two", "es-one"])
+def test_root_search_evaluates_no_alpha_twice(lap, find, monkeypatch):
+    # brentq's bracket ends, the residual and the es coefficients read the
+    # points the search has already evaluated
+    find(lap)  # warm the threshold constants
+    log = _kernel_log(monkeypatch)
+    records = find(lap)
+    assert records
+    assert len(log["integrals"]) == len(set(log["integrals"])), sorted(
+        log["integrals"])
 
 
 @settings(max_examples=20)

@@ -101,14 +101,15 @@ def test_resolvent_monotone_in_alpha(lap):
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_near_field_converges_at_first_refinement(model, monkeypatch):
+    # a one-weight integral builds the nodes of each of its passes once
     calls = []
-    near_value = torus_quad._near_value
+    near_nodes = torus_quad._near_nodes
 
     def counting(*args, **kwargs):
-        calls.append(args[5])
-        return near_value(*args, **kwargs)
+        calls.append(args[4])
+        return near_nodes(*args, **kwargs)
 
-    monkeypatch.setattr(torus_quad, "_near_value", counting)
+    monkeypatch.setattr(torus_quad, "_near_nodes", counting)
     for alpha in (1e-13, 1e-9, 1e-6, 1e-2, 1.0):
         for v in DETERMINANT_WEIGHTS:
             calls.clear()
@@ -138,8 +139,8 @@ def test_angular_estimate_is_the_half_rule_error(model):
     # the estimate of an n-node rule is the error of the n/2-node rule, also
     # for the swap-symmetric integrands of the sector weights
     delta = default_spec(model).patch_radius
-    near = lambda n: torus_quad._near_value(model, sectors.w_os_sq, 1e-6, 1,
-                                            delta, n, 8)
+    near = lambda n: torus_quad._near_value(
+        torus_quad._near_nodes(model, 1e-6, 1, delta, n, 8), sectors.w_os_sq)
     exact = near(256)[0]
     coarse, _, _ = near(8)
     _, _, estimate = near(16)
@@ -152,6 +153,79 @@ def test_near_field_stall_raises(lap, monkeypatch):
     monkeypatch.setattr(torus_quad, "MAX_REFINE", 1)
     with pytest.raises(NoConvergence, match=r"alpha = 1e-13, k = 1"):
         integrate_resolvent(lap, sectors.es_one, alpha=1e-13)
+
+
+# the determinant weights plus the es threshold weight behind gamma_es
+STACK_WEIGHTS = DETERMINANT_WEIGHTS + (sectors.es_plus_sq,)
+
+
+def _one_weight_call(model, v, alpha, k):
+    if alpha == 0:
+        return integrate_threshold(model, v, k=k)
+    return integrate_resolvent(model, v, k=k, alpha=alpha)
+
+
+def _assert_stack_is_bitwise_one_weight_calls(model, vs, alpha, k):
+    # every stacked result must be the one-weight call's, compared with ==;
+    # at alpha = 0 a weight that is not integrable makes the stack raise
+    alone = {}
+    for v in vs:
+        try:
+            alone[v] = _one_weight_call(model, v, alpha, k)
+        except NotIntegrable:
+            with pytest.raises(NotIntegrable):
+                torus_quad._integrate(model, vs, alpha, k)
+    vs = tuple(alone)
+    for v, res in zip(vs, torus_quad._integrate(model, vs, alpha, k)):
+        assert res.value == alone[v].value, (v.__name__, alpha, k)
+        assert res.error_estimate == alone[v].error_estimate, (
+            v.__name__, alpha, k)
+
+
+@settings(max_examples=25)
+@given(model=st.sampled_from(MODELS),
+       vs=st.lists(st.sampled_from(STACK_WEIGHTS), min_size=2, max_size=7,
+                   unique=True),
+       alpha=st.sampled_from((0.0, 1e-13, 20.0))
+       | st.floats(-13.0, np.log10(20.0)).map(lambda x: 10.0 ** x),
+       k=st.sampled_from((1, 2)))
+def test_stacked_kernel_is_bitwise_one_weight_calls(model, vs, alpha, k):
+    _assert_stack_is_bitwise_one_weight_calls(model, tuple(vs), alpha, k)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 1e-6, 1.0))
+def test_stacked_kernel_bitwise_when_schedules_diverge(lap, alpha, monkeypatch):
+    # from 16 angular nodes some weights double them at the first
+    # refinement and some do not, so the stack's passes read nodes at two
+    # n_theta for one n_panels
+    monkeypatch.setattr(torus_quad, "N_THETA", 16)
+    passes = []
+    near_nodes = torus_quad._near_nodes
+
+    def recording(*args):
+        passes.append(args[4:])
+        return near_nodes(*args)
+
+    monkeypatch.setattr(torus_quad, "_near_nodes", recording)
+    torus_quad._integrate(lap, STACK_WEIGHTS if alpha else
+                          (sectors.w_os_sq, sectors.w_ea_sq, sectors.es_plus_sq),
+                          alpha, 1)
+    assert len(passes) == len(set(passes))    # each pass's nodes built once
+    refined = [n_theta for n_theta, n_panels in passes
+               if n_panels == 2 * torus_quad.N_PANELS]
+    assert len(refined) == 2, passes
+    _assert_stack_is_bitwise_one_weight_calls(lap, STACK_WEIGHTS, alpha, 1)
+
+
+def test_stacked_near_field_stall_raises(lap, monkeypatch):
+    # a weight that converges does not keep the stack from raising for the
+    # one that stalls
+    monkeypatch.setattr(torus_quad, "GAUSS_ORDER", 2)
+    monkeypatch.setattr(torus_quad, "MAX_REFINE", 1)
+    zero = lambda p1, p2: np.zeros_like(p1)
+    torus_quad._integrate(lap, (zero,), 1e-13, 2)
+    with pytest.raises(NoConvergence, match=r"alpha = 1e-13, k = 2"):
+        torus_quad._integrate(lap, (zero, sectors.es_one), 1e-13, 2)
 
 
 def test_resolvent_kinked_model():
@@ -252,19 +326,23 @@ def test_far_deficit_broadcast_is_bitwise_nodewise(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_far_value_is_bitwise_the_plain_sum(model):
-    # the far sum divides the cached w * v into its one temporary in place;
-    # it must return the very float of the plain expression
+    # the far sum divides the cached w * v into its one temporary in place,
+    # and a stack of weights shares the denominator; each sum must be the
+    # very float of the plain expression
     spec = default_spec(model)
+    vs = (sectors.w_os_sq, sectors.es_cos_sum, sectors.es_one)
     for level in torus_quad._far_grids(spec.grid_n, spec.patch_radius,
                                        model.breakpoints):
         deficit = level.deficit(model)
-        for v in (sectors.w_os_sq, sectors.es_cos_sum):
-            vv = np.asarray(v(level.p1, level.p2), dtype=float)
-            for k in (1, 2):
-                for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
+        for k in (1, 2):
+            for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
+                stacked = torus_quad._far_values(level, model, vs, alpha, k)
+                for v, got in zip(vs, stacked):
+                    vv = np.asarray(v(level.p1, level.p2), dtype=float)
                     plain = float(np.sum(level.w * vv / (alpha + deficit) ** k))
-                    got = torus_quad._far_value(level, model, v, alpha, k)
-                    assert got.hex() == plain.hex(), (v.__name__, k, alpha)
+                    alone, = torus_quad._far_values(level, model, (v,), alpha, k)
+                    assert got.hex() == alone.hex() == plain.hex(), (
+                        v.__name__, k, alpha)
 
 
 def test_far_caches_are_read_only_and_kept_by_sums(lap):
@@ -272,12 +350,13 @@ def test_far_caches_are_read_only_and_kept_by_sums(lap):
     spec = default_spec(lap)
     level, _ = torus_quad._far_grids(spec.grid_n, spec.patch_radius,
                                      lap.breakpoints)
-    torus_quad._far_value(level, lap, sectors.w_ea_sq, 1.0, 1)
+    torus_quad._far_values(level, lap, (sectors.w_ea_sq,), 1.0, 1)
     deficit, weighted = level.deficit(lap), level.weighted(sectors.w_ea_sq)
     before = deficit.tobytes(), weighted.tobytes()
     for k in (1, 2):
         for alpha in (0.0, 1e-3, 20.0):
-            torus_quad._far_value(level, lap, sectors.w_ea_sq, alpha, k)
+            torus_quad._far_values(level, lap, (sectors.w_ea_sq, sectors.es_one),
+                                   alpha, k)
     assert not deficit.flags.writeable and not weighted.flags.writeable
     assert level.deficit(lap) is deficit
     assert level.weighted(sectors.w_ea_sq) is weighted
