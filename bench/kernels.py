@@ -8,7 +8,8 @@ record under NAME (default: "change") in OUT.json, keeping any other records
 there, so that one file holds a parent checkout and a change side by side.
 A record holds:
 
-  * far_sum_ms: ms per far-field sum (torus_quad._far_value) of w_os_sq on
+  * far_sum_ms: ms per one-weight far-field sum (torus_quad._far_values,
+    or _far_value in a package without the stacked kernel) of w_os_sq on
     the fine and coarse levels of the Laplacian and stepped:0.5, at k = 1
     and 2, with the levels' node counts;
   * wrap_torus_us: us per dispersion.wrap_torus call on a near-field polar
@@ -18,13 +19,13 @@ A record holds:
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
     PHASE_GRID on both models, at 1 and 2 threads, seconds and counts;
   * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
-    warm Laplacian solves), seconds, counts, roots and integrals per root.
+    warm Laplacian solves), seconds, counts, roots and integrals per root;
+  * the git revision and src tree hash of DIR, and the machine's core count.
 
 The counts of a run are its integrals (one per weight), its near-field
 passes (each builds the nodes of one (n_theta, n_panels)) and its far passes
 (each forms one far level's denominator).  They are counted on the private
 kernels of torus_quad, by whichever names the measured package has.
-  * the git revision and src tree hash of DIR, and the machine's core count.
 
 Times are medians over REPEATS runs, with every run listed.  BLAS and OpenMP
 are pinned to one thread, as in perfbench/run.py.
@@ -40,6 +41,7 @@ import json                         # noqa: E402
 import statistics                   # noqa: E402
 import subprocess                   # noqa: E402
 import sys                          # noqa: E402
+import threading                    # noqa: E402
 import time                         # noqa: E402
 from pathlib import Path            # noqa: E402
 
@@ -91,13 +93,15 @@ def measure(src):
     models = {"laplacian": DiscreteLaplacian(),
               "stepped:0.5": SteppedPhiA(a_param=0.5)}
     counts = dict.fromkeys(COUNTED, 0)
+    lock = threading.Lock()             # the grid's pool threads count too
     far_value = getattr(torus_quad, "_far_values", None)
     for counter, names in COUNTED.items():
         name = next(n for n in names if hasattr(torus_quad, n))
 
         def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
                     **kwargs):
-            counts[_key] += 1
+            with lock:
+                counts[_key] += 1
             return _fn(*args, **kwargs)
 
         setattr(torus_quad, name, counted)

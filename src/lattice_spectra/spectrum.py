@@ -84,10 +84,10 @@ def phase_diagram(model, mu, a_grid, b_grid, spec=None, threads=1):
 
     threads > 1 solves the cells on a thread pool sharing the far node sets
     and the gammas cache.  It pays where the far sums, which release the
-    interpreter lock, dominate: on a 2-core machine a warm 5x5 grid at
-    mu = 2 over a, b in {-2, -1, 1, 2, 3} took 6.7 to 7.2 s at 1 thread
-    and 3.9 to 4.7 s at 2 on stepped:0.5, and 1.7 to 2.8 s at either count
-    on the Laplacian, whose near field holds the lock (bench/kernels.py).
+    interpreter lock, dominate: on a 2-core machine a warm 5x5 grid at mu = 2
+    over a, b in {-2, -1, 1, 2, 3} took 5.8-6.3 s at 1 thread and 2.9-3.2 s
+    at 2 on stepped:0.5, and 0.88-0.97 s at 1 and 0.79-0.90 s at 2 on the
+    Laplacian, whose near field holds the lock (BENCH_18.json).
     """
     a_grid = [float(a) for a in a_grid]
     b_grid = [float(b) for b in b_grid]
