@@ -8,24 +8,36 @@ record under NAME (default: "change") in OUT.json, keeping any other records
 there, so that one file holds a parent checkout and a change side by side.
 A record holds:
 
-  * far_sum_ms: ms per one-weight far-field sum (torus_quad._far_values,
-    or _far_value in a package without the stacked kernel) of w_os_sq on
-    the fine and coarse levels of the Laplacian and stepped:0.5, at k = 1
-    and 2, with the levels' node counts;
+  * far_sum_ms: ms per one-weight far-field sum (torus_quad._far_values)
+    of w_os_sq on the fine and coarse levels of the Laplacian and
+    stepped:0.5, at k = 1 and 2, with the levels' node counts;
   * wrap_torus_us: us per dispersion.wrap_torus call on a near-field polar
     patch of 4096 and 8192 nodes;
+  * integral_ms: ms per warm kernel call torus_quad._integrate at k = 1 on
+    the Laplacian and stepped:0.5, for one weight (w_os_sq) and for the es
+    stack (sectors.ES_WEIGHTS), at each alpha of ALPHAS; null where the
+    stack is not integrable (es_one at alpha = 0);
+  * cold: a cold gammas(laplacian) with every node set cleared, seconds
+    and counts, and, in a package with a cached near-field rule, ms to
+    build that rule's node set at delta = 0.5 with the Laplacian's deficit
+    and the four gammas weights on it;
   * solve: a warm solve(laplacian, 1, 3, 1) and solve(stepped:0.5, 1, 1, 3),
     and a warm find_eigenvalues_es(laplacian, 1, 1, 3), seconds and counts;
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
     PHASE_GRID on both models, at 1 and 2 threads, seconds and counts;
   * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
     warm Laplacian solves), seconds, counts, roots and integrals per root;
-  * the git revision and src tree hash of DIR, and the machine's core count.
+  * the git revision and src tree hash of DIR, the machine's core count,
+    the lines of DIR/lattice_spectra/*.py and the number of names that
+    lattice_spectra/__init__.py re-exports.
 
-The counts of a run are its integrals (one per weight), its near-field
-passes (each builds the nodes of one (n_theta, n_panels)) and its far passes
-(each forms one far level's denominator).  They are counted on the private
-kernels of torus_quad, by whichever names the measured package has.
+The counts of a run are its integrals (one per weight), its node-array
+fills (each evaluates a deficit or a weight on a node set: a miss in a
+cached map, or in a package whose near field has no cache, a near-field
+pass's deficit or weight values) and its far passes (each forms one far
+level's denominator).  They are counted on the private kernels of
+torus_quad, by whichever names the measured package has: a package with
+the cached near-field rule, or its parent with per-alpha near-field passes.
 
 Times are medians over REPEATS runs, with every run listed.  BLAS and OpenMP
 are pinned to one thread, as in perfbench/run.py.
@@ -37,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"          # before numpy is first imported
 
 import argparse                     # noqa: E402
+import ast                          # noqa: E402
 import json                         # noqa: E402
 import statistics                   # noqa: E402
 import subprocess                   # noqa: E402
@@ -52,11 +65,15 @@ PHASE_GRID = (-2.0, -1.0, 1.0, 2.0, 3.0)
 PHASE_MU = 2.0
 SOLVES = {"laplacian": (1.0, 3.0, 1.0), "stepped:0.5": (1.0, 1.0, 3.0)}
 SWEEP_SEED, SWEEP_CYCLES = 1, 2
-# counter -> the torus_quad function it counts: its name in a package with
-# the stacked kernel, then in one without
-COUNTED = {"integrals": ("_near_refined", "_integrate"),
-           "near_passes": ("_near_nodes", "_near_value"),
-           "far_passes": ("_far_values", "_far_value")}
+ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
+COUNTERS = ("integrals", "fills", "far_passes")
+# torus_quad function -> (counter, its increment per call); a name the
+# measured package lacks is skipped
+COUNTED = {"_near_values": ("integrals", lambda args: len(args[2])),
+           "_near_refined": ("integrals", lambda args: 1),
+           "_near_nodes": ("fills", lambda args: 1),
+           "_near_value": ("fills", lambda args: 1),
+           "_far_values": ("far_passes", lambda args: 1)}
 
 
 def _run_times(run, repeats):
@@ -81,6 +98,16 @@ def _git(src, *args):
         return None
 
 
+def _surface(package):
+    """(lines of the package's modules, names its __init__ re-exports)."""
+    lines = sum(len(path.read_text().splitlines())
+                for path in package.glob("*.py"))
+    tree = ast.parse((package / "__init__.py").read_text())
+    names = sum(len(node.names) for node in tree.body
+                if isinstance(node, ast.ImportFrom))
+    return lines, names
+
+
 def measure(src):
     sys.path.insert(0, str(src))
     import numpy as np
@@ -92,19 +119,32 @@ def measure(src):
 
     models = {"laplacian": DiscreteLaplacian(),
               "stepped:0.5": SteppedPhiA(a_param=0.5)}
-    counts = dict.fromkeys(COUNTED, 0)
+    counts = dict.fromkeys(COUNTERS, 0)
     lock = threading.Lock()             # the grid's pool threads count too
-    far_value = getattr(torus_quad, "_far_values", None)
-    for counter, names in COUNTED.items():
-        name = next(n for n in names if hasattr(torus_quad, n))
 
-        def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
-                    **kwargs):
-            with lock:
-                counts[_key] += 1
-            return _fn(*args, **kwargs)
+    def count(key, n):
+        with lock:
+            counts[key] += n
 
-        setattr(torus_quad, name, counted)
+    for name, (counter, increment) in COUNTED.items():
+        if hasattr(torus_quad, name):
+            def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
+                        _n=increment):
+                count(_key, _n(args))
+                return _fn(*args)
+
+            setattr(torus_quad, name, counted)
+    # the cached maps of the node sets, under whichever class defines them
+    node_set = getattr(torus_quad, "_NodeSet", torus_quad._FarLevel)
+    cached = node_set._cached
+
+    def filling(self, cache, key, kept, compute):
+        def fill():
+            count("fills", 1)
+            return compute()
+        return cached(self, cache, key, kept, fill)
+
+    node_set._cached = filling
 
     def counted_run(run):
         counts.update(dict.fromkeys(counts, 0))
@@ -128,10 +168,8 @@ def measure(src):
         for level_name, level in zip(("fine", "coarse"), levels):
             for k in (1, 2):
                 def far_sum():
-                    if far_value is None:
-                        return torus_quad._far_value(level, model,
-                                                     sectors.w_os_sq, 1e-3, k)
-                    return far_value(level, model, (sectors.w_os_sq,), 1e-3, k)
+                    return torus_quad._far_values(level, model,
+                                                  (sectors.w_os_sq,), 1e-3, k)
                 far_sum()
                 calls = 20 if level.w.size > 500_000 else 100
                 far[f"{name}/{level_name}/k={k}"] = {
@@ -144,6 +182,40 @@ def measure(src):
         r = np.linspace(0.0, 0.5, nodes // 32)
         t = PI + r[:, None] * np.cos(theta)[None, :]
         wrap[str(nodes)] = 1e6 * _per_call(lambda: wrap_torus(t), 200)
+
+    integral = {}
+    for name, model in models.items():
+        for stack, vs in (("one", (sectors.w_os_sq,)), ("es", sectors.ES_WEIGHTS)):
+            for alpha in ALPHAS:
+                def run(m=model, vs=vs, alpha=alpha):
+                    return torus_quad._integrate(m, vs, alpha, 1)
+                try:
+                    run()
+                except torus_quad.NotIntegrable:
+                    ms = None
+                else:
+                    ms = 1e3 * _per_call(run, 5 if name == "stepped:0.5" else 50)
+                integral[f"{name}/{stack}/alpha={alpha:g}"] = ms
+
+    lap = models["laplacian"]
+
+    def cold_gammas():
+        torus_quad._far_grids.cache_clear()
+        thresholds.gammas.cache_clear()
+        return thresholds.gammas(lap)
+
+    cold = {"gammas laplacian": timed_with_count(cold_gammas)}
+    if hasattr(torus_quad, "_NearSet"):
+        gamma_weights = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
+                         sectors.es_plus_sq)
+
+        def near_build():
+            near = torus_quad._NearSet(0.5)
+            near.deficit(lap)
+            return [near.weighted(v) for v in gamma_weights]
+
+        cold["near_set_build_ms"] = 1e3 * _per_call(near_build, 10)
+    torus_quad._far_grids.cache_clear()
 
     solves = {f"{name} {SOLVES[name]}": timed_with_count(
                   lambda m=model, c=SOLVES[name]: spectrum.solve(m, *c))
@@ -167,16 +239,19 @@ def measure(src):
     ops = [op for _ in range(SWEEP_CYCLES) for op in sweep.cycle()]
     ran = [counted_run(op.run) for op in ops]
     roots = sum(len(result.records) for _, _, result in ran)
-    tally = {key: sum(t[key] for _, t, _ in ran) for key in COUNTED}
+    tally = {key: sum(t[key] for _, t, _ in ran) for key in COUNTERS}
     sweep_row = {"seed": SWEEP_SEED, "cycles": SWEEP_CYCLES, "solves": len(ops),
                  "seconds": sum(dt for dt, _, _ in ran), "roots": roots, **tally,
                  "integrals_per_root": tally["integrals"] / roots}
 
+    src_lines, reexports = _surface(src / "lattice_spectra")
     return {"git_revision": _git(src, "rev-parse", "HEAD"),
             "src_tree": _git(src, "rev-parse", "HEAD:./"),
             "src_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
             "cpu_count": os.cpu_count(),
-            "far_sum_ms": far, "wrap_torus_us": wrap, "solve": solves,
+            "src_lines": src_lines, "reexports": reexports,
+            "far_sum_ms": far, "wrap_torus_us": wrap,
+            "integral_ms": integral, "cold": cold, "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,
                               "b_grid": PHASE_GRID, "runs": grids},
             "sweep": sweep_row}

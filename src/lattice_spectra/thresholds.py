@@ -231,7 +231,7 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
 
     # fixed outer part: torus minus B_delta, the far-field sum of the same
     # w^2 / deficit^2 on the level's cached deficit and weight values
-    fine, _ = _far_grids(spec.grid_n, delta, model.breakpoints)
+    fine = _far_grids(spec.grid_n, delta, model.breakpoints)[0]
     outer = _far_values(fine, model, (w_sq,), 0.0, 2)[0]
     # plus the chi-weighted ring between delta/2 and delta that the far grid
     # down-weights: add it exactly from the annulus rule

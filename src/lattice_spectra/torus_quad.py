@@ -11,47 +11,44 @@ ball B_delta(pi_vec):
   * far field, weight (1 - chi): periodic offset trapezoid (spectrally
     accurate for analytic kinds) or a composite Gauss rule with panel edges
     on the kink lines for the piecewise kinds;
-  * near field, weight chi: polar coordinates about pi_vec with the radial
-    substitution r = sqrt(alpha) sinh(s), which flattens the peak into a
-    smooth bounded profile uniformly in alpha down to 1e-13.  The radial
-    Gauss panels break at r = delta/2, where chi starts to fall, so both
-    sides are smooth at every alpha.  In angle the periodic trapezoid rule
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 2014), and its
-    every-other-node subrule gives an angular error estimate for free.
-    Each refinement pass doubles the radial panels; it doubles the angular
-    nodes only when that estimate is above the tolerance.  An integral has
-    converged when the radial change plus the angular estimate is below
-    radial_tol times its scale.
+  * near field, weight chi: polar coordinates about pi_vec, on one rule
+    for every alpha.  Radial Gauss panels graded by the ratio GRADING
+    toward r = 0, from an inner edge below INNER_EDGE up to delta/2,
+    resolve the peak of width sqrt(alpha) for every alpha down to about
+    INNER_EDGE^2 at once: a geometric mesh converges exponentially at a
+    point singularity (Babuska & Guo; Schwab, p- and hp-Finite Element
+    Methods, 1998).  Uniform panels cover [delta/2, delta], where chi
+    falls.  In angle the periodic trapezoid rule converges geometrically
+    (Trefethen & Weideman, SIAM Rev. 2014).  The error estimate is that of
+    the every-other-node angular subrule plus that of a lower Gauss order
+    on the same panels; above radial_tol times the integral's scale, the
+    integral raises NoConvergence.
 
 The threshold limit alpha -> 0 runs the same rule at alpha = 0.  The far
 field is unchanged there, because the deficit is bounded below where
 1 - chi is nonzero.  When v vanishes at pi_vec to an order above 2k - 2,
-r v / deficit^k is bounded and smooth in polar coordinates, so the near
-field takes plain Gauss nodes in r on [0, delta].
+r v / deficit^k is bounded in polar coordinates, and the graded panels
+take it like any other integrand.
 
 Denominators are evaluated as alpha + (e_max - e), with the deficit
 e_max - e supplied in a cancellation-free form by the model.
 
+The node sets, far and near, depend only on (grid_n, patch_radius,
+breakpoints), so every model with that key shares them, e.g. the whole
+SteppedPhiA(A) family that the multiplicity-two construction tunes.  Per
+model a set keeps only the deficit on its nodes, and per weight function v
+the product w * v of the rule's weights and v's values, in small bounded
+read-only maps, so clearing _far_grids drops every node array.  An integral
+at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over cached arrays.
 The kernel _integrate takes a stack of weights at one (alpha, k), e.g. the
-three of the rank-two determinant; integrate_resolvent and
-integrate_threshold are its one-weight case.  The weights share each far
-level's denominator and each near-field pass's nodes, built once per
-(n_theta, n_panels); each refines and stops on its own, as it would alone.
-
-The far-field node set (nodes, weights, 1 - chi) depends only on
-(grid_n, patch_radius, breakpoints), so every model with that key shares
-one, e.g. the whole SteppedPhiA(A) family that the multiplicity-two
-construction tunes.  Per model it keeps only the deficit on its nodes, and
-per weight function v the product w * v of the rule's weights and v's
-values; both sit in small bounded read-only maps on the node set, so
-clearing _far_grids drops every far-field array.  A far sum then builds one
-temporary, the denominator raised and divided into in place; a stack adds one.
+three of the rank-two determinant, which share each set's denominator;
+integrate_resolvent and integrate_threshold are its one-weight case.
 """
 
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,24 +57,24 @@ from .errors import BelowThreshold, NoConvergence, NotIntegrable
 
 FOUR_PI_SQ = 4 * PI ** 2
 
-MAX_REFINE = 6        # near-field refinement passes
-N_THETA = 32          # initial angular trapezoid points in the near patch
-                      # (even: the subrule takes half)
-N_PANELS = 4          # initial radial Gauss panels on each side of
-                      # r = delta/2, where chi starts to fall
-GAUSS_ORDER = 16      # Gauss points per radial panel
+N_THETA = 64          # angular trapezoid points in the near patch (even)
+GAUSS_ORDER = 16      # Gauss points per radial panel,
+COARSE_ORDER = 14     # and in the rule of the radial error estimate
+GRADING = 4           # ratio of consecutive graded radial panel edges
+INNER_EDGE = 1e-12    # bound on the innermost graded edge
+RING_PANELS = 8       # uniform radial panels on [delta/2, delta]
 FAR_GAUSS_ORDER = 12  # Gauss points per far-field panel on a kinked model
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The settable part of the rule.  The near-field rule is fixed by the
-    module constants MAX_REFINE, N_THETA, N_PANELS and GAUSS_ORDER, read at
-    call time."""
+    module constants N_THETA through RING_PANELS, read when _far_grids
+    builds a node set."""
 
     grid_n: int = 256          # far-field points per axis
     patch_radius: float = 0.5  # radius delta of the near patch
-    radial_tol: float = 1e-10  # relative target for the near-field refinement
+    radial_tol: float = 1e-10  # relative acceptance of the near-field estimate
 
     def __post_init__(self):
         if self.grid_n < 32 or self.grid_n % 2:
@@ -173,19 +170,17 @@ def _axis_nodes_gauss(edges, counts):
     return _panel_nodes(np.append(np.concatenate(starts), PI), FAR_GAUSS_ORDER)
 
 
-class _FarLevel:
-    """One far-field node set: the axis nodes x of the tensor grid, the
-    mask of the grid nodes where 1 - chi > 0, and the masked nodes p1, p2
-    with their weights w (the rule's weights times 1 - chi).  None of it
-    depends on the model.
+class _NodeSet:
+    """Quadrature nodes p1, p2 on the torus with weights w, none of which
+    depends on the model or on alpha.
 
-    Two small maps ride on it, each written under the level's lock (two
+    Two small maps ride on it, each written under the set's lock (two
     threads may compute the same entry; both get equal arrays).  Their
     arrays are read-only, so no in-place operation can write into an array
     that threads share:
-      * deficits, model -> e_max - e on the masked nodes, the last
-        DEFICITS_KEPT models;
-      * vcache, weight function v -> w * v on the masked nodes, the last
+      * deficits, model -> e_max - e on the nodes, the last DEFICITS_KEPT
+        models;
+      * vcache, weight function v -> w * v on the nodes, the last
         VALUES_KEPT weights.  A weight is a function of p alone, so these
         products serve every model of the family.
     """
@@ -193,15 +188,8 @@ class _FarLevel:
     DEFICITS_KEPT = 4
     VALUES_KEPT = 64
 
-    def __init__(self, x, w, delta):
-        p1, p2 = np.meshgrid(x, x, indexing="ij")
-        w2 = np.outer(w, w)
-        r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
-        weight = w2 * (1.0 - chi_cutoff(r, delta))
-        self.x = x
-        self.mask = weight > 0
-        self.p1, self.p2 = p1[self.mask], p2[self.mask]
-        self.w = weight[self.mask]
+    def __init__(self, p1, p2, w):
+        self.p1, self.p2, self.w = p1, p2, w
         self.deficits = {}
         self.vcache = {}
         self._lock = threading.Lock()
@@ -219,14 +207,8 @@ class _FarLevel:
         return hit
 
     def deficit(self, model):
-        # direct subtraction is fine here: e_max - e is bounded below by the
-        # deficit at delta/2 on the support of (1 - chi).  The model is
-        # evaluated on the broadcast axes, so a separable profile costs two
-        # axis evaluations; each entry is the float a per-node call gives.
-        return self._cached(
-            self.deficits, model, self.DEFICITS_KEPT,
-            lambda: float(model.e_max)
-            - model.values(self.x[:, None], self.x[None, :])[self.mask])
+        return self._cached(self.deficits, model, self.DEFICITS_KEPT,
+                            lambda: self._deficit(model))
 
     def weighted(self, v):
         return self._cached(
@@ -234,22 +216,88 @@ class _FarLevel:
             lambda: self.w * np.asarray(v(self.p1, self.p2), dtype=float))
 
 
+class _FarLevel(_NodeSet):
+    """One far-field node set: the axis nodes x of the tensor grid, the
+    mask of the grid nodes where 1 - chi > 0, and the masked nodes p1, p2
+    with their weights w (the rule's weights times 1 - chi)."""
+
+    def __init__(self, x, w, delta):
+        p1, p2 = np.meshgrid(x, x, indexing="ij")
+        w2 = np.outer(w, w)
+        r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
+        weight = w2 * (1.0 - chi_cutoff(r, delta))
+        self.x = x
+        self.mask = weight > 0
+        super().__init__(p1[self.mask], p2[self.mask], weight[self.mask])
+
+    def _deficit(self, model):
+        # direct subtraction is fine here: e_max - e is bounded below by the
+        # deficit at delta/2 on the support of (1 - chi).  The model is
+        # evaluated on the broadcast axes, so a separable profile costs two
+        # axis evaluations; each entry is the float a per-node call gives.
+        return (float(model.e_max)
+                - model.values(self.x[:, None], self.x[None, :])[self.mask])
+
+
+class _NearSet(_NodeSet):
+    """The near-field rule on B_delta(pi_vec) (see the module docstring):
+    offsets u1, u2 from pi_vec, their images p1, p2 on the torus, and
+    weights w, the radial weights times r chi(r) and the angular step.
+
+    Three parts (slices): the even and the odd angular nodes
+    theta_j = 2 pi j / N_THETA of the rule, and the even angular nodes of
+    the same panels at COARSE_ORDER.  The even nodes alone are the rule on
+    N_THETA / 2 nodes, so odd minus even estimates the angular error of
+    that rule, and the coarse part the radial one.  The nodes include
+    theta = 0.  Were they offset by half a step, the subrule would sit a
+    quarter step off the axes, where it integrates exactly the
+    cos(N_THETA theta / 2) mode that the swap symmetry leaves at that
+    order; the difference would then read roundoff whatever the error.
+    """
+
+    def __init__(self, delta):
+        graded = math.ceil(math.log(delta / 2 / INNER_EDGE, GRADING))
+        edges = np.concatenate(
+            ([0.0], delta / 2 * float(GRADING) ** np.arange(-graded, 0),
+             np.linspace(delta / 2, delta, RING_PANELS + 1)))
+        step = 2 * PI / N_THETA
+        theta = np.arange(N_THETA) * step
+        u1, u2, w = [], [], []
+        for order, angles, h in ((GAUSS_ORDER, theta[::2], step),
+                                 (GAUSS_ORDER, theta[1::2], step),
+                                 (COARSE_ORDER, theta[::2], 2 * step)):
+            r, wr = _panel_nodes(edges, order)
+            u1.append(np.outer(r, np.cos(angles)).ravel())
+            u2.append(np.outer(r, np.sin(angles)).ravel())
+            w.append(np.repeat(wr * r * chi_cutoff(r, delta) * h, len(angles)))
+        ends = np.cumsum([0] + [len(part) for part in w])
+        self.parts = tuple(map(slice, ends[:-1], ends[1:]))
+        self.u1, self.u2 = np.concatenate(u1), np.concatenate(u2)
+        super().__init__(wrap_torus(PI + self.u1), wrap_torus(PI + self.u2),
+                         np.concatenate(w))
+
+    def _deficit(self, model):
+        return model.deficit(self.u1, self.u2)
+
+
 @lru_cache(maxsize=32)
 def _far_grids(grid_n, patch_radius, breakpoints):
-    """The (fine, coarse) far-field levels for one node-set key; their
-    difference estimates the error of the coarse one.  On a kinked model
-    the coarse level takes fewer panels than the fine one on every segment:
-    at small grid_n both would otherwise sit on the 2-panel floor, and the
-    estimate read roundoff.
+    """The node sets for one key: the (fine, coarse) far-field levels, whose
+    difference estimates the error of the coarse one, and the near-field
+    set of the patch.  On a kinked model the coarse level takes fewer
+    panels than the fine one on every segment: at small grid_n both would
+    otherwise sit on the 2-panel floor, and the estimate read roundoff.
 
     Every model with the same (grid_n, patch_radius, breakpoints) shares
-    the levels, e.g. the whole SteppedPhiA(A) family.  Memory per key: the
-    node set holds three float arrays (p1, p2, w) over the masked nodes
-    plus a boolean mask over the grid, about 27 MB fine and 8 MB coarse at
-    the kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth
-    of that on the 256 smooth grid; each cached deficit or w * v product
-    adds one read-only float array of the level's node count, and a far sum
-    makes one temporary of that size.  cache_clear drops all of it."""
+    the sets, e.g. the whole SteppedPhiA(A) family.  Memory per key: a far
+    level holds three float arrays (p1, p2, w) over the masked nodes plus a
+    boolean mask over the grid, about 27 MB fine and 8 MB coarse at the
+    kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth of
+    that on the 256 smooth grid; the near set holds five float arrays over
+    its 41k nodes (at delta = 0.5), 1.6 MB.  Each cached deficit or w * v
+    product adds one read-only float array of its set's node count, and a
+    sum makes one or two temporaries of that size.  cache_clear drops all
+    of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
     else:
@@ -258,80 +306,47 @@ def _far_grids(grid_n, patch_radius, breakpoints):
         coarse = [min(c, f - 1)
                   for c, f in zip(_panel_counts(edges, grid_n // 2), fine)]
         axes = (_axis_nodes_gauss(edges, fine), _axis_nodes_gauss(edges, coarse))
-    return tuple(_FarLevel(x, w, patch_radius) for x, w in axes)
+    return (*(_FarLevel(x, w, patch_radius) for x, w in axes),
+            _NearSet(patch_radius))
+
+
+def _quotients(nodes, model, vs, alpha, k):
+    """w v / (alpha + deficit)^k on the node set for each v in vs, in turn.
+    The denominator is formed once for the stack, and the quotients share
+    one more temporary, so each must be read before the next is made.  Both
+    rows come from one allocation: as two, a stack paid page faults for
+    fresh memory on every call (a warm Laplacian es stack took 1.0 ms
+    against 0.7 ms)."""
+    wvs = [nodes.weighted(v) for v in vs]  # first, so v's temporaries are freed
+    deficit = nodes.deficit(model)
+    rows = np.empty((1 + (len(wvs) > 1), deficit.size))
+    den = np.add(deficit, alpha, out=rows[0])
+    if k == 2:
+        np.square(den, out=den)
+    out = rows[-1]
+    for wv in wvs:
+        yield np.divide(wv, den, out=out)
 
 
 def _far_values(level, model, vs, alpha, k):
     """sum of w v / (alpha + deficit)^k over the level's nodes, for each v
     in vs.  The float operations are those of that expression, in its
-    order, so each sum is the same to the bit; the denominator is formed
-    once for the stack, and the quotients share one more temporary."""
-    wvs = [level.weighted(v) for v in vs]  # first, so v's temporaries are freed
-    den = level.deficit(model) + alpha
-    if k == 2:
-        np.square(den, out=den)
-    out = den if len(wvs) == 1 else np.empty_like(den)
-    return [float(np.sum(np.divide(wv, den, out=out))) for wv in wvs]
+    order, so each sum is the same to the bit."""
+    return [float(np.sum(q)) for q in _quotients(level, model, vs, alpha, k)]
 
 
-# ---------------------------------------------------------------------------
-# near field (polar patch)
-# ---------------------------------------------------------------------------
-
-def _near_nodes(model, alpha, k, delta, n_theta, n_panels):
-    """The nodes of one near-field pass over B_delta(pi_vec), which every
-    weight at (alpha, k) reads: (radial_w, den, p1, p2), the radial weights
-    times chi and the angular step, (alpha + deficit)^k on the polar grid,
-    and the grid's images on the torus.
-
-    Polar coordinates about pi_vec.  Radially, n_panels Gauss panels of
-    GAUSS_ORDER points lie on each side of r = delta/2, where chi starts to
-    fall, in the variable s of r = sqrt(alpha) sinh(s) (r itself at
-    alpha = 0).  Angularly, the periodic trapezoid rule on n_theta nodes
-    theta_j = 2 pi j / n_theta; its every-other-node subrule is the
-    trapezoid rule on n_theta / 2 nodes, so their difference estimates the
-    angular error of the coarser rule at no extra cost.  The nodes include
-    theta = 0.  Were they offset by half a step, the subrule would sit a
-    quarter step off the axes, where it integrates exactly the
-    cos(n_theta theta / 2) mode that the swap symmetry leaves at that order;
-    the difference would then read roundoff whatever the error.
-    """
-    if alpha > 0:
-        sq = math.sqrt(alpha)
-        s_break = math.asinh(delta / 2 / sq)
-        s_max = math.asinh(delta / sq)
-    else:
-        s_break, s_max = delta / 2, delta
-    edges = np.concatenate((np.linspace(0.0, s_break, n_panels + 1),
-                            np.linspace(s_break, s_max, n_panels + 1)[1:]))
-    s, ws = _panel_nodes(edges, GAUSS_ORDER)
-    if alpha > 0:
-        r, jac = sq * np.sinh(s), sq * np.cosh(s)
-    else:
-        r, jac = s, 1.0
-
-    theta = np.arange(n_theta) * (2 * PI / n_theta)
-    u1 = r[:, None] * np.cos(theta)[None, :]
-    u2 = r[:, None] * np.sin(theta)[None, :]
-    radial_w = ws * r * jac * chi_cutoff(r, delta) * (2 * PI / n_theta)
-    return (radial_w, (alpha + model.deficit(u1, u2)) ** k,
-            wrap_torus(PI + u1), wrap_torus(PI + u2))
-
-
-def _near_value(nodes, v):
-    """Integral of chi * v / (alpha + deficit)^k over B_delta(pi_vec) on the
-    nodes of one pass.
-
-    Returns (value, abs_value, theta_err): abs_value integrates the modulus
-    and serves as a scale for relative-tolerance decisions; theta_err is the
-    subrule difference.
-    """
-    radial_w, den, p1, p2 = nodes
-    core = np.asarray(v(p1, p2), dtype=float) / den
-    value = float(radial_w @ core.sum(axis=1))
-    half_rule = 2.0 * float(radial_w @ core[:, ::2].sum(axis=1))
-    abs_value = float(radial_w @ np.abs(core).sum(axis=1))
-    return value, abs_value, abs(value - half_rule)
+def _near_values(near, model, vs, alpha, k):
+    """(value, abs_value, radial_err, angular_err) of the near field of each
+    v in vs: the integral of chi v / (alpha + deficit)^k over the patch, the
+    integral of its modulus (a scale for relative-tolerance decisions), and
+    the two error estimates of the rule (see _NearSet)."""
+    out = []
+    for q in _quotients(near, model, vs, alpha, k):
+        even, odd, coarse = (float(np.sum(q[part])) for part in near.parts)
+        fine = q[:near.parts[1].stop]
+        abs_value = float(np.sum(np.abs(fine, out=fine)))
+        out.append((even + odd, abs_value, abs(2 * even - coarse), abs(odd - even)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +390,9 @@ def integrate_threshold(model, v, k=1, spec=None):
 
 
 def _integrate(model, vs, alpha, k, spec=None):
-    """One IntegralResult per weight in vs at alpha >= 0: far field plus
-    nested near-field refinement, the weights sharing the nodes of each
-    pass (see the module docstring)."""
+    """One IntegralResult per weight in vs at alpha >= 0: the far field plus
+    the near field, each a sum over cached node arrays (see the module
+    docstring)."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     # analytic weights vanish to integer orders; the ring estimate is
@@ -388,40 +403,22 @@ def _integrate(model, vs, alpha, k, spec=None):
                 f"threshold integral with k = {k} needs v vanishing to order "
                 f"{2 * k - 1} at (pi, pi); it vanishes to order {order:.2g}")
     spec = spec or default_spec(model)
-    fine, coarse = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
-    nodes = cache(lambda n_theta, n_panels: _near_nodes(
-        model, alpha, k, spec.patch_radius, n_theta, n_panels))
-    return [_near_refined(nodes, v, far, abs(far - far_coarse), spec, alpha, k)
-            for v, far, far_coarse in zip(vs, _far_values(fine, model, vs, alpha, k),
-                                          _far_values(coarse, model, vs, alpha, k))]
-
-
-def _near_refined(nodes, v, far, far_err, spec, alpha, k):
-    """far plus the near field of v, refined pass by pass on nodes(...)."""
-    n_theta, n_panels = N_THETA, N_PANELS
-    near, near_abs, theta_err = _near_value(nodes(n_theta, n_panels), v)
-
-    def tol():
-        return spec.radial_tol * max(abs(far + near),
-                                     1e-2 * (abs(far) + near_abs), 1e-300)
-
-    for _ in range(MAX_REFINE):
-        if theta_err > tol():
-            n_theta *= 2
-        n_panels *= 2
-        previous = near
-        near, near_abs, theta_err = _near_value(nodes(n_theta, n_panels), v)
-        radial_change = abs(near - previous)
-        near_err = radial_change + theta_err
-        if near_err <= tol():
-            break
-    else:
-        raise NoConvergence(
-            f"near-field refinement stalled at radial change "
-            f"{radial_change:g} and angular estimate {theta_err:g} "
-            f"(alpha = {alpha:g}, k = {k})")
-
-    return IntegralResult(value=far + near, error_estimate=far_err + near_err)
+    fine, coarse, near = _far_grids(spec.grid_n, spec.patch_radius,
+                                    model.breakpoints)
+    results = []
+    for far, far_coarse, (value, abs_value, radial_err, angular_err) in zip(
+            _far_values(fine, model, vs, alpha, k),
+            _far_values(coarse, model, vs, alpha, k),
+            _near_values(near, model, vs, alpha, k)):
+        near_err = radial_err + angular_err
+        if near_err > spec.radial_tol * max(abs(far + value),
+                                            1e-2 * (abs(far) + abs_value), 1e-300):
+            raise NoConvergence(
+                f"near-field estimate above tolerance: radial {radial_err:g}, "
+                f"angular {angular_err:g} (alpha = {alpha:g}, k = {k})")
+        results.append(IntegralResult(value=far + value,
+                                      error_estimate=abs(far - far_coarse) + near_err))
+    return results
 
 
 def _vanishing_order(v):

@@ -82,32 +82,35 @@ def test_es_two_roots_frozen(lap):
 
 
 def _kernel_log(monkeypatch):
-    # one entry per weight integrated by the kernel, (weight, alpha, k), and
-    # one per near-field pass, whoever calls the kernel
-    log = {"integrals": [], "passes": 0}
-    refined, near_nodes = torus_quad._near_refined, torus_quad._near_nodes
+    # one entry per weight integrated by the kernel, (weight, alpha, k),
+    # whoever calls the kernel, and a count of the node arrays it fills
+    # (deficits and w * v products)
+    log = {"integrals": [], "fills": 0}
+    near_values, cached = torus_quad._near_values, torus_quad._NodeSet._cached
 
-    def refining(nodes, v, far, far_err, spec, alpha, k):
-        log["integrals"].append((v.__name__, alpha, k))
-        return refined(nodes, v, far, far_err, spec, alpha, k)
+    def integrating(near, model, vs, alpha, k):
+        log["integrals"] += [(v.__name__, alpha, k) for v in vs]
+        return near_values(near, model, vs, alpha, k)
 
-    def building(*args):
-        log["passes"] += 1
-        return near_nodes(*args)
+    def caching(node_set, cache, key, kept, compute):
+        def filling():
+            log["fills"] += 1
+            return compute()
+        return cached(node_set, cache, key, kept, filling)
 
-    monkeypatch.setattr(torus_quad, "_near_refined", refining)
-    monkeypatch.setattr(torus_quad, "_near_nodes", building)
+    monkeypatch.setattr(torus_quad, "_near_values", integrating)
+    monkeypatch.setattr(torus_quad._NodeSet, "_cached", caching)
     return log
 
 
 def test_es_two_roots_integral_count(lap, monkeypatch):
     # both eigenvalue branches of M share one memo of delta_es points, and
-    # the three es weights share each near-field pass
-    find_eigenvalues_es(lap, 1.0, 1.0, 3.0)  # warm the threshold constants
+    # a warm search reads every node array from the caches
+    find_eigenvalues_es(lap, 1.0, 1.0, 3.0)  # warm the constants and arrays
     log = _kernel_log(monkeypatch)
     find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
     assert len(log["integrals"]) <= 45, log["integrals"]
-    assert log["passes"] <= 30
+    assert log["fills"] == 0
 
 
 @pytest.mark.parametrize("find", [

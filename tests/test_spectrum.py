@@ -78,14 +78,25 @@ def test_phase_diagram_threads_agree(lap):
 
 def test_shared_far_caches_under_threads(lap):
     # both pool threads fill the deficit and weight-value maps of the same
-    # cold far node set; every record must come out as in a serial run
+    # cold far levels and near set; every record and every cached array
+    # must come out as in a serial run
     cases = [(1.0, 3.0, 1.0), (1.0, 1.0, 3.0), (-1.0, 1.0, 2.0), (2.0, -1.0, 2.0)]
 
     def run(case):
         return spectrum.solve(lap, *case).records
 
+    def cached_arrays():
+        # every array of the far levels' and the near set's maps, by key
+        spec = default_spec(lap)
+        return [{key: array for cache in (node_set.deficits, node_set.vcache)
+                 for key, array in cache.items()}
+                for node_set in _far_grids(spec.grid_n, spec.patch_radius,
+                                           lap.breakpoints)]
+
     _far_grids.cache_clear()
     serial = [run(c) for c in cases]
+    serial_arrays = [{key: a.tobytes() for key, a in cached.items()}
+                     for cached in cached_arrays()]
     _far_grids.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -96,6 +107,11 @@ def test_shared_far_caches_under_threads(lap):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+    threaded_arrays = cached_arrays()
+    assert len(threaded_arrays) == 3
+    for cached, saved in zip(threaded_arrays, serial_arrays):
+        assert not any(a.flags.writeable for a in cached.values())
+        assert {key: a.tobytes() for key, a in cached.items()} == saved
 
 
 def test_phase_diagram_rejects_zero_grid(lap):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -63,10 +65,11 @@ def test_resolvent_large_z_limit(lap):
     assert res.value == pytest.approx(FOUR_PI_SQ / z * (1 + 2.0 / z), rel=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 1e-2, 1.0, 20.0])
+@pytest.mark.parametrize("alpha", [1e-20, 1e-16, 1e-13, 1e-6, 1e-2, 1.0, 20.0])
 def test_laplacian_es_integrals_within_their_error_estimates(lap, alpha):
     # exact values from the complete elliptic integral; each reported
-    # error_estimate must cover the true error
+    # error_estimate must cover the true error, also below ALPHA_FLOOR,
+    # where the graded near-field rule still resolves the peak
     weights = (sectors.es_one, sectors.es_cos_sum, sectors.es_cos_sum_sq)
     for v, exact in zip(weights, laplacian_exact.es_integrals(alpha)):
         res = integrate_resolvent(lap, v, alpha=alpha)
@@ -99,22 +102,60 @@ def test_resolvent_monotone_in_alpha(lap):
     assert np.isfinite(vals[-1])
 
 
+@pytest.fixture
+def fresh_grids():
+    # node sets built under patched rule constants must not outlive the test
+    torus_quad._far_grids.cache_clear()
+    yield
+    torus_quad._far_grids.cache_clear()
+
+
+def _node_sets(model):
+    spec = default_spec(model)
+    return torus_quad._far_grids(spec.grid_n, spec.patch_radius,
+                                 model.breakpoints)
+
+
+def _cached_arrays(node_set):
+    return {key: array for cache in (node_set.deficits, node_set.vcache)
+            for key, array in cache.items()}
+
+
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_near_field_converges_at_first_refinement(model, monkeypatch):
-    # a one-weight integral builds the nodes of each of its passes once
+def test_warm_integral_fills_no_node_array(model, monkeypatch):
+    # once a weight has been integrated on a model, an integral at any alpha
+    # is a sum over cached arrays: no deficit is evaluated, and the deficit
+    # and w * v maps of the far levels and the near set keep their arrays
+    for v in DETERMINANT_WEIGHTS:
+        integrate_resolvent(model, v, alpha=1.0)
+    sets = _node_sets(model)
+    before = [_cached_arrays(node_set) for node_set in sets]
     calls = []
-    near_nodes = torus_quad._near_nodes
-
-    def counting(*args, **kwargs):
-        calls.append(args[4])
-        return near_nodes(*args, **kwargs)
-
-    monkeypatch.setattr(torus_quad, "_near_nodes", counting)
+    monkeypatch.setattr(type(model), "deficit",
+                        lambda self, *args: calls.append(args))
+    monkeypatch.setattr(type(model), "values",
+                        lambda self, *args: calls.append(args))
     for alpha in (1e-13, 1e-9, 1e-6, 1e-2, 1.0):
         for v in DETERMINANT_WEIGHTS:
-            calls.clear()
             integrate_resolvent(model, v, alpha=alpha)
-            assert len(calls) <= 2, (alpha, v.__name__, calls)
+    assert calls == []
+    for node_set, cached in zip(sets, before):
+        after = _cached_arrays(node_set)
+        assert after.keys() == cached.keys()
+        assert all(after[key] is cached[key] for key in cached)
+
+
+def test_cache_clear_drops_the_near_arrays(lap):
+    # perfbench clears _far_grids between set-ups; no node array may survive
+    integrate_resolvent(lap, sectors.w_ea_sq, alpha=1e-6)
+    near = _node_sets(lap)[2]
+    arrays = (near, near.w, near.p1, near.u1, near.deficit(lap),
+              near.weighted(sectors.w_ea_sq))
+    refs = [weakref.ref(a) for a in arrays]
+    del near, arrays
+    torus_quad._far_grids.cache_clear()
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 @settings(max_examples=20)
@@ -122,35 +163,45 @@ def test_near_field_converges_at_first_refinement(model, monkeypatch):
        v=st.sampled_from(DETERMINANT_WEIGHTS),
        log_alpha=st.floats(-13.0, 0.0))
 def test_near_field_matches_finer_rule(model, v, log_alpha):
-    # the finer rule starts from 4x the radial panels and 2x the angular
-    # nodes on the same far grid, so the difference is the near-field error
-    # alone.  Patched in the body: hypothesis rejects a function-scoped
-    # monkeypatch fixture
+    # the finer near-field rule, built directly rather than through the
+    # cache, halves the grading ratio and doubles the ring panels and the
+    # angular nodes; the far field is the same, so the difference is the
+    # near-field error alone.  Patched in the body: hypothesis rejects a
+    # function-scoped monkeypatch fixture
     alpha = 10.0 ** log_alpha
     value = integrate_resolvent(model, v, alpha=alpha).value
-    with mock.patch.object(torus_quad, "N_PANELS", 4 * torus_quad.N_PANELS), \
-            mock.patch.object(torus_quad, "N_THETA", 2 * torus_quad.N_THETA):
-        reference = integrate_resolvent(model, v, alpha=alpha).value
-    assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+    fine, _, near = _node_sets(model)
+    with mock.patch.multiple(torus_quad, GRADING=2,
+                             RING_PANELS=2 * torus_quad.RING_PANELS,
+                             N_THETA=2 * torus_quad.N_THETA):
+        finer = torus_quad._NearSet(default_spec(model).patch_radius)
+    assert finer.w.size > 2 * near.w.size
+    far, = torus_quad._far_values(fine, model, (v,), alpha, 1)
+    (reference, *_), = torus_quad._near_values(finer, model, (v,), alpha, 1)
+    assert value == pytest.approx(far + reference, rel=1e-10, abs=0.0)
+
+
+def _near_rule(model, n_theta, v, alpha):
+    with mock.patch.object(torus_quad, "N_THETA", n_theta):
+        near = torus_quad._NearSet(default_spec(model).patch_radius)
+    return torus_quad._near_values(near, model, (v,), alpha, 1)[0]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_angular_estimate_is_the_half_rule_error(model):
     # the estimate of an n-node rule is the error of the n/2-node rule, also
     # for the swap-symmetric integrands of the sector weights
-    delta = default_spec(model).patch_radius
-    near = lambda n: torus_quad._near_value(
-        torus_quad._near_nodes(model, 1e-6, 1, delta, n, 8), sectors.w_os_sq)
+    near = lambda n: _near_rule(model, n, sectors.w_os_sq, 1e-6)
     exact = near(256)[0]
-    coarse, _, _ = near(8)
-    _, _, estimate = near(16)
+    coarse = near(8)[0]
+    estimate = near(16)[3]
     assert abs(coarse - exact) > 1e-12 * abs(exact)
     assert estimate == pytest.approx(abs(coarse - exact), rel=1e-2)
 
 
-def test_near_field_stall_raises(lap, monkeypatch):
+def test_near_field_stall_raises(lap, monkeypatch, fresh_grids):
+    # two Gauss points per radial panel: the radial estimate sees the error
     monkeypatch.setattr(torus_quad, "GAUSS_ORDER", 2)
-    monkeypatch.setattr(torus_quad, "MAX_REFINE", 1)
     with pytest.raises(NoConvergence, match=r"alpha = 1e-13, k = 1"):
         integrate_resolvent(lap, sectors.es_one, alpha=1e-13)
 
@@ -193,35 +244,10 @@ def test_stacked_kernel_is_bitwise_one_weight_calls(model, vs, alpha, k):
     _assert_stack_is_bitwise_one_weight_calls(model, tuple(vs), alpha, k)
 
 
-@pytest.mark.parametrize("alpha", (0.0, 1e-6, 1.0))
-def test_stacked_kernel_bitwise_when_schedules_diverge(lap, alpha, monkeypatch):
-    # from 16 angular nodes some weights double them at the first
-    # refinement and some do not, so the stack's passes read nodes at two
-    # n_theta for one n_panels
-    monkeypatch.setattr(torus_quad, "N_THETA", 16)
-    passes = []
-    near_nodes = torus_quad._near_nodes
-
-    def recording(*args):
-        passes.append(args[4:])
-        return near_nodes(*args)
-
-    monkeypatch.setattr(torus_quad, "_near_nodes", recording)
-    torus_quad._integrate(lap, STACK_WEIGHTS if alpha else
-                          (sectors.w_os_sq, sectors.w_ea_sq, sectors.es_plus_sq),
-                          alpha, 1)
-    assert len(passes) == len(set(passes))    # each pass's nodes built once
-    refined = [n_theta for n_theta, n_panels in passes
-               if n_panels == 2 * torus_quad.N_PANELS]
-    assert len(refined) == 2, passes
-    _assert_stack_is_bitwise_one_weight_calls(lap, STACK_WEIGHTS, alpha, 1)
-
-
-def test_stacked_near_field_stall_raises(lap, monkeypatch):
+def test_stacked_near_field_stall_raises(lap, monkeypatch, fresh_grids):
     # a weight that converges does not keep the stack from raising for the
-    # one that stalls
+    # one that does not
     monkeypatch.setattr(torus_quad, "GAUSS_ORDER", 2)
-    monkeypatch.setattr(torus_quad, "MAX_REFINE", 1)
     zero = lambda p1, p2: np.zeros_like(p1)
     torus_quad._integrate(lap, (zero,), 1e-13, 2)
     with pytest.raises(NoConvergence, match=r"alpha = 1e-13, k = 2"):
@@ -317,9 +343,7 @@ def test_far_field_estimate_sees_the_kinks():
 def test_far_deficit_broadcast_is_bitwise_nodewise(model):
     # the deficit is evaluated on the broadcast axes of the node set; it
     # must be the very floats of e_max - e on its masked nodes
-    spec = default_spec(model)
-    for level in torus_quad._far_grids(spec.grid_n, spec.patch_radius,
-                                       model.breakpoints):
+    for level in _node_sets(model)[:2]:
         nodewise = float(model.e_max) - model.values(level.p1, level.p2)
         assert level.deficit(model).tobytes() == nodewise.tobytes()
 
@@ -329,10 +353,8 @@ def test_far_value_is_bitwise_the_plain_sum(model):
     # the far sum divides the cached w * v into its one temporary in place,
     # and a stack of weights shares the denominator; each sum must be the
     # very float of the plain expression
-    spec = default_spec(model)
     vs = (sectors.w_os_sq, sectors.es_cos_sum, sectors.es_one)
-    for level in torus_quad._far_grids(spec.grid_n, spec.patch_radius,
-                                       model.breakpoints):
+    for level in _node_sets(model)[:2]:
         deficit = level.deficit(model)
         for k in (1, 2):
             for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
@@ -346,21 +368,21 @@ def test_far_value_is_bitwise_the_plain_sum(model):
 
 
 def test_far_caches_are_read_only_and_kept_by_sums(lap):
-    # the pool threads share the cached arrays, so no sum may write into them
-    spec = default_spec(lap)
-    level, _ = torus_quad._far_grids(spec.grid_n, spec.patch_radius,
-                                     lap.breakpoints)
-    torus_quad._far_values(level, lap, (sectors.w_ea_sq,), 1.0, 1)
-    deficit, weighted = level.deficit(lap), level.weighted(sectors.w_ea_sq)
-    before = deficit.tobytes(), weighted.tobytes()
-    for k in (1, 2):
-        for alpha in (0.0, 1e-3, 20.0):
-            torus_quad._far_values(level, lap, (sectors.w_ea_sq, sectors.es_one),
-                                   alpha, k)
-    assert not deficit.flags.writeable and not weighted.flags.writeable
-    assert level.deficit(lap) is deficit
-    assert level.weighted(sectors.w_ea_sq) is weighted
-    assert (deficit.tobytes(), weighted.tobytes()) == before
+    # the pool threads share the cached arrays of the far levels and the
+    # near set, so no sum may write into them
+    vs = (sectors.w_ea_sq, sectors.es_one)
+    torus_quad._integrate(lap, vs, 1.0, 1)
+    arrays = [(node_set.deficit(lap), *(node_set.weighted(v) for v in vs))
+              for node_set in _node_sets(lap)]
+    before = [[a.tobytes() for a in group] for group in arrays]
+    for alpha, k in ((0.0, 1), (1e-13, 1), (1e-13, 2), (1e-3, 2), (20.0, 1)):
+        torus_quad._integrate(lap, vs if alpha else vs[:1], alpha, k)
+        torus_quad._integrate(lap, vs[:1], alpha, k)
+    for node_set, group, saved in zip(_node_sets(lap), arrays, before):
+        assert not any(a.flags.writeable for a in group)
+        assert node_set.deficit(lap) is group[0]
+        assert all(node_set.weighted(v) is a for v, a in zip(vs, group[1:]))
+        assert [a.tobytes() for a in group] == saved
 
 
 def test_stepped_integral_unchanged_by_a_warm_family():
