@@ -82,12 +82,12 @@ class PhaseDiagram:
 def phase_diagram(model, mu, a_grid, b_grid, spec=None, threads=1):
     """Eigenvalue counts over an (a, b) grid, plus threshold overlays.
 
-    threads > 1 solves the cells on a thread pool sharing the far node sets
+    threads > 1 solves the cells on a thread pool sharing the node sets
     and the gammas cache.  It pays where the far sums, which release the
     interpreter lock, dominate: on a 2-core machine a warm 5x5 grid at mu = 2
-    over a, b in {-2, -1, 1, 2, 3} took 5.8-6.3 s at 1 thread and 2.9-3.2 s
-    at 2 on stepped:0.5, and 0.88-0.97 s at 1 and 0.79-0.90 s at 2 on the
-    Laplacian, whose near field holds the lock (BENCH_18.json).
+    over a, b in {-2, -1, 1, 2, 3} took 3.5-3.9 s at 1 thread and 2.2-2.6 s
+    at 2 on stepped:0.5, and 0.26-0.29 s at both on the Laplacian, whose
+    sums are small beside the Python work between them (BENCH_19.json).
     """
     a_grid = [float(a) for a in a_grid]
     b_grid = [float(b) for b in b_grid]

@@ -313,10 +313,10 @@ def _far_grids(grid_n, patch_radius, breakpoints):
 def _quotients(nodes, model, vs, alpha, k):
     """w v / (alpha + deficit)^k on the node set for each v in vs, in turn.
     The denominator is formed once for the stack, and the quotients share
-    one more temporary, so each must be read before the next is made.  Both
-    rows come from one allocation: as two, a stack paid page faults for
-    fresh memory on every call (a warm Laplacian es stack took 1.0 ms
-    against 0.7 ms)."""
+    one more temporary (one weight: the denominator's), so each must be
+    read before the next is made.  Both rows come from one allocation: as
+    two arrays, a stack paid page faults for fresh memory on every call (a
+    warm Laplacian es stack took 1.0 ms against 0.7 ms)."""
     wvs = [nodes.weighted(v) for v in vs]  # first, so v's temporaries are freed
     deficit = nodes.deficit(model)
     rows = np.empty((1 + (len(wvs) > 1), deficit.size))
