@@ -18,9 +18,12 @@ A record holds:
     stack (sectors.ES_WEIGHTS), at each alpha of ALPHAS; null where the
     stack is not integrable (es_one at alpha = 0);
   * cold: a cold gammas(laplacian) with every node set cleared, seconds
-    and counts, and, in a package with a cached near-field rule, ms to
-    build that rule's node set at delta = 0.5 with the Laplacian's deficit
-    and the four gammas weights on it;
+    and counts, and ms to build the near-field rule's node set at
+    delta = 0.5 with the Laplacian's deficit and the four gammas weights
+    on it;
+  * probe_ms: ms per thresholds.resonance_integrability_probe in the os
+    and ea sectors on the Laplacian and stepped:0.5, cold (every node set
+    cleared first) and warm (after a first probe);
   * solve: a warm solve(laplacian, 1, 3, 1) and solve(stepped:0.5, 1, 1, 3),
     and a warm find_eigenvalues_es(laplacian, 1, 1, 3), seconds and counts;
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
@@ -33,11 +36,9 @@ A record holds:
 
 The counts of a run are its integrals (one per weight), its node-array
 fills (each evaluates a deficit or a weight on a node set: a miss in a
-cached map, or in a package whose near field has no cache, a near-field
-pass's deficit or weight values) and its far passes (each forms one far
+cached map of torus_quad._NodeSet) and its far passes (each forms one far
 level's denominator).  They are counted on the private kernels of
-torus_quad, by whichever names the measured package has: a package with
-the cached near-field rule, or its parent with per-alpha near-field passes.
+torus_quad.
 
 Times are medians over REPEATS runs, with every run listed.  BLAS and OpenMP
 are pinned to one thread, as in perfbench/run.py.
@@ -67,12 +68,8 @@ SOLVES = {"laplacian": (1.0, 3.0, 1.0), "stepped:0.5": (1.0, 1.0, 3.0)}
 SWEEP_SEED, SWEEP_CYCLES = 1, 2
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
 COUNTERS = ("integrals", "fills", "far_passes")
-# torus_quad function -> (counter, its increment per call); a name the
-# measured package lacks is skipped
+# torus_quad function -> (counter, its increment per call)
 COUNTED = {"_near_values": ("integrals", lambda args: len(args[2])),
-           "_near_refined": ("integrals", lambda args: 1),
-           "_near_nodes": ("fills", lambda args: 1),
-           "_near_value": ("fills", lambda args: 1),
            "_far_values": ("far_passes", lambda args: 1)}
 
 
@@ -127,16 +124,13 @@ def measure(src):
             counts[key] += n
 
     for name, (counter, increment) in COUNTED.items():
-        if hasattr(torus_quad, name):
-            def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
-                        _n=increment):
-                count(_key, _n(args))
-                return _fn(*args)
+        def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
+                    _n=increment):
+            count(_key, _n(args))
+            return _fn(*args)
 
-            setattr(torus_quad, name, counted)
-    # the cached maps of the node sets, under whichever class defines them
-    node_set = getattr(torus_quad, "_NodeSet", torus_quad._FarLevel)
-    cached = node_set._cached
+        setattr(torus_quad, name, counted)
+    cached = torus_quad._NodeSet._cached
 
     def filling(self, cache, key, kept, compute):
         def fill():
@@ -144,7 +138,7 @@ def measure(src):
             return compute()
         return cached(self, cache, key, kept, fill)
 
-    node_set._cached = filling
+    torus_quad._NodeSet._cached = filling
 
     def counted_run(run):
         counts.update(dict.fromkeys(counts, 0))
@@ -205,16 +199,31 @@ def measure(src):
         return thresholds.gammas(lap)
 
     cold = {"gammas laplacian": timed_with_count(cold_gammas)}
-    if hasattr(torus_quad, "_NearSet"):
-        gamma_weights = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
-                         sectors.es_plus_sq)
+    gamma_weights = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
+                     sectors.es_plus_sq)
 
-        def near_build():
-            near = torus_quad._NearSet(0.5)
-            near.deficit(lap)
-            return [near.weighted(v) for v in gamma_weights]
+    def near_build():
+        near = torus_quad._NearSet(0.5)
+        near.deficit(lap)
+        return [near.weighted(v) for v in gamma_weights]
 
-        cold["near_set_build_ms"] = 1e3 * _per_call(near_build, 10)
+    cold["near_set_build_ms"] = 1e3 * _per_call(near_build, 10)
+
+    probe = {}
+    for name, model in models.items():
+        for sector in ("os", "ea"):
+            def run(m=model, sector=sector):
+                return thresholds.resonance_integrability_probe(m, sector)
+
+            def cold_run(run=run):
+                torus_quad._far_grids.cache_clear()
+                return run()
+
+            cold_runs = _run_times(cold_run, REPEATS)
+            probe[f"{name}/{sector}"] = {
+                "cold": 1e3 * statistics.median(cold_runs),
+                "cold_runs": [1e3 * t for t in cold_runs],
+                "warm": 1e3 * _per_call(run, 10)}
     torus_quad._far_grids.cache_clear()
 
     solves = {f"{name} {SOLVES[name]}": timed_with_count(
@@ -251,7 +260,8 @@ def measure(src):
             "cpu_count": os.cpu_count(),
             "src_lines": src_lines, "reexports": reexports,
             "far_sum_ms": far, "wrap_torus_us": wrap,
-            "integral_ms": integral, "cold": cold, "solve": solves,
+            "integral_ms": integral, "cold": cold, "probe_ms": probe,
+            "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,
                               "b_grid": PHASE_GRID, "runs": grids},
             "sweep": sweep_row}

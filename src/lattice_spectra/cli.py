@@ -281,7 +281,7 @@ def _add_common(p, formats=("json", "csv"), quadrature=True):
     if quadrature:
         p.add_argument("--tol-radial", type=float, default=None,
                        dest="tol_radial",
-                       help="near-field radial refinement tolerance")
+                       help="acceptance tolerance of the near-field estimate")
         p.add_argument("--grid-n", type=int, default=None, dest="grid_n",
                        help="far-field grid resolution override")
 

@@ -149,6 +149,8 @@ def eigenvalue_curve(model, sector, a, b, mu_grid, spec=None, branch=1):
     mu_grid = [float(m) for m in mu_grid]
     if any(m2 <= m1 for m1, m2 in zip(mu_grid, mu_grid[1:])):
         raise ValueError("mu grid must be strictly increasing")
+    if branch < 1:
+        raise ValueError(f"branch must be at least 1, got {branch}")
     energies = []
     for mu in mu_grid:
         if sector in sectors.RANK_ONE_SECTORS:
@@ -246,6 +248,8 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
         raise DomainError("z0 must exceed the family band top e_max = 1")
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if scan and not scan_step > 0:
+        raise ValueError(f"scan_step must be positive, got {scan_step:g}")
 
     @functools.cache
     def g(A):

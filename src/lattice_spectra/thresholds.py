@@ -1,5 +1,5 @@
-"""Sector constants, coupling thresholds, the count table, and
-threshold-solution classes.
+"""Sector constants, coupling thresholds, the count table,
+threshold-solution classes and the L2 probe of the threshold profiles.
 
 gamma_omega is the reciprocal of the normalized threshold integral of the
 squared sector weight; the coupling threshold in a rank-one sector is
@@ -10,6 +10,10 @@ The es threshold data need no integral of their own: with
 s = cos q1 + cos q2, w_os^2 + w_oa^2 + w_ea^2 + (2 + s)^2 = 4 (2 + s)
 pointwise, so with R = 1/gamma_os + 1/gamma_oa + 1/gamma_ea,
 theta_star = (R + 1/gamma_es)/4, theta_2star = 1/gamma_es - R, kappa1 = R.
+
+The probe builds no quadrature of its own: it sums the cached node sets of
+torus_quad, outside balls about pi_vec whose radii are the near rule's
+graded panel edges.
 """
 
 import enum
@@ -19,17 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import sectors
-from .dispersion import PI, is_even_per_coordinate, wrap_torus
+from .dispersion import is_even_per_coordinate
 from .errors import NotIntegrable, NumericalError, ZeroCoupling
-from .torus_quad import (FOUR_PI_SQ, _far_grids, _far_values, _integrate,
-                         _panel_nodes, chi_cutoff, default_spec)
+from .torus_quad import FOUR_PI_SQ, _integrate, _outside_balls
 
 NO_THRESHOLD = None  # sentinel: no eigenvalue for any coupling in that sector
 
 THETA_LINE_REL = 1e-8    # relative width of the line theta_star a = theta_2star b
-PROBE_RADII = tuple(np.geomspace(1e-4, 1e-1, 13)[::-1])  # descending
-ANNULUS_PANELS = 5       # _annulus_integral: Gauss panels (order 32) in ln r
-ANNULUS_N_THETA = 128    # and trapezoid points in angle
+PROBE_WINDOW = (1e-9, 0.1)  # range of the probe's radii
 
 
 @dataclass(frozen=True)
@@ -183,86 +184,36 @@ class GrowthReport:
     cauchy_diffs: tuple
 
 
-def _annulus_integral(v, r_in, r_out):
-    """Exact polar integral of v over the annulus r_in <= r <= r_out around
-    pi_vec, with Gauss nodes in ln r to resolve the 1/r^2 growth."""
-    edges = np.geomspace(r_in, r_out, ANNULUS_PANELS + 1)
-    s, wr = _panel_nodes(np.log(edges), 32)
-    r = np.exp(s)
-    theta = (np.arange(ANNULUS_N_THETA) + 0.5) * (2 * PI / ANNULUS_N_THETA)
-    u1 = r[:, None] * np.cos(theta)[None, :]
-    u2 = r[:, None] * np.sin(theta)[None, :]
-    vv = np.asarray(v(wrap_torus(PI + u1), wrap_torus(PI + u2)), dtype=float)
-    # area element r dr dtheta = r^2 ds dtheta in the log variable
-    return float(np.sum((wr * r * r)[:, None] * vv) * (2 * PI / ANNULUS_N_THETA))
-
-
 def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
-    """Numerical L2 probe of the threshold profile.
+    """L2 probe of the threshold profile |Phi_omega|^2 = w^2 / deficit^2.
 
-    I(r) = (1/4pi^2) int_{T2 minus B_r} |Phi_omega|^2, r in PROBE_RADII:
-    fitted against ln(1/r); a good linear fit flags the resonance
-    (log-divergent) case, vanishing Cauchy differences the square-integrable
-    case.
+    I(r) = (1/4pi^2) int_{T2 minus B_r} |Phi_omega|^2 at the near rule's
+    graded edges r in PROBE_WINDOW is fitted against ln(1/r): a good linear
+    fit flags the resonance (log-divergent) case, vanishing Cauchy
+    differences over the annuli inside r = 1e-3 the square-integrable case.
     """
     if sector in sectors.RANK_ONE_SECTORS:
         if b <= 0:
             raise ZeroCoupling("probe requires b > 0 in the rank-one sectors")
-    else:
-        cls = classify_threshold_solutions(model, a, b, spec=spec)
-        if cls.es is not ThresholdKind.EIGENFUNCTION:
-            raise NotIntegrable(
-                "es probe requires the threshold-eigenfunction coupling line")
-    spec = spec or default_spec(model)
-    delta = spec.patch_radius
-    rs = np.array(PROBE_RADII)
-    inner_edge = delta / 2 * 0.999
-    if rs[0] > inner_edge:
-        raise ValueError("probe radii must stay inside the analytic patch")
-
-    # |Phi_omega|^2 = w^2 / deficit^2; on the es eigenfunction line the
-    # profile shape reduces to w = es_plus
+    elif (classify_threshold_solutions(model, a, b, spec=spec).es
+          is not ThresholdKind.EIGENFUNCTION):
+        raise NotIntegrable(
+            "es probe requires the threshold-eigenfunction coupling line")
+    # on the es eigenfunction line the profile shape reduces to w = es_plus
     w_sq = sectors.RANK_ONE_WEIGHTS_SQ.get(sector, sectors.es_plus_sq)
-    e_max = float(model.e_max)
-
-    def vsq(p1, p2):
-        deficit = np.maximum(e_max - model.values(p1, p2), 1e-300)
-        return w_sq(p1, p2) / deficit ** 2
-
-    # fixed outer part: torus minus B_delta, the far-field sum of the same
-    # w^2 / deficit^2 on the level's cached deficit and weight values
-    fine = _far_grids(spec.grid_n, delta, model.breakpoints)[0]
-    outer = _far_values(fine, model, (w_sq,), 0.0, 2)[0]
-    # plus the chi-weighted ring between delta/2 and delta that the far grid
-    # down-weights: add it exactly from the annulus rule
-    ring = _annulus_integral(
-        lambda p1, p2: chi_cutoff(
-            np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI)), delta) * vsq(p1, p2),
-        inner_edge, delta)
-    base = outer + ring
-
-    values = []
-    for r in rs:
-        values.append((base + _annulus_integral(vsq, r, inner_edge))
-                      / FOUR_PI_SQ)
-    values = np.array(values)
+    rs, values = _outside_balls(model, w_sq, PROBE_WINDOW, spec)
+    values = values / FOUR_PI_SQ
 
     x = np.log(1.0 / rs)
-    slope, intercept = np.polyfit(x, values, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((values - fitted) ** 2))
-    ss_tot = float(np.sum((values - values.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    diffs = tuple(float(abs(values[i + 1] - values[i])) for i in range(len(rs) - 1))
-
-    # convergent when the tail Cauchy differences are negligible; divergent
-    # when the linear log fit explains the growth
-    tail_diffs = [d for r, d in zip(rs[1:], diffs) if r <= 1e-3] or list(diffs[-2:])
-    if max(tail_diffs) < 1e-6:
-        classification = "convergent"
-    else:
-        classification = "log-divergent" if r_squared > 0.999 else "convergent"
+    slope = np.polyfit(x, values, 1)[0]
+    r_squared = np.corrcoef(x, values)[0, 1] ** 2  # of the least-squares line
+    diffs = tuple(float(d) for d in np.abs(np.diff(values)))
+    # convergent when the Cauchy differences over the annuli inside r = 1e-3
+    # (by outer radius) vanish, divergent when the log fit explains the growth
+    tail = max(d for r, d in zip(rs, diffs) if r <= 1e-3)
+    divergent = tail >= 1e-6 and r_squared > 0.999
     return GrowthReport(sector=sector, rs=tuple(float(r) for r in rs),
                         values=tuple(float(v) for v in values),
-                        classification=classification, slope=float(slope),
-                        r_squared=float(r_squared), cauchy_diffs=diffs)
+                        classification="log-divergent" if divergent else "convergent",
+                        slope=float(slope), r_squared=float(r_squared),
+                        cauchy_diffs=diffs)

@@ -241,8 +241,9 @@ class _FarLevel(_NodeSet):
 
 class _NearSet(_NodeSet):
     """The near-field rule on B_delta(pi_vec) (see the module docstring):
-    offsets u1, u2 from pi_vec, their images p1, p2 on the torus, and
-    weights w, the radial weights times r chi(r) and the angular step.
+    radial panel edges, offsets u1, u2 from pi_vec, their images p1, p2 on
+    the torus, and weights w, the radial weights times r chi(r) and the
+    angular step.
 
     Three parts (slices): the even and the odd angular nodes
     theta_j = 2 pi j / N_THETA of the rule, and the even angular nodes of
@@ -271,6 +272,7 @@ class _NearSet(_NodeSet):
             u2.append(np.outer(r, np.sin(angles)).ravel())
             w.append(np.repeat(wr * r * chi_cutoff(r, delta) * h, len(angles)))
         ends = np.cumsum([0] + [len(part) for part in w])
+        self.edges = edges
         self.parts = tuple(map(slice, ends[:-1], ends[1:]))
         self.u1, self.u2 = np.concatenate(u1), np.concatenate(u2)
         super().__init__(wrap_torus(PI + self.u1), wrap_torus(PI + self.u2),
@@ -347,6 +349,24 @@ def _near_values(near, model, vs, alpha, k):
         abs_value = float(np.sum(np.abs(fine, out=fine)))
         out.append((even + odd, abs_value, abs(2 * even - coarse), abs(odd - even)))
     return out
+
+
+def _outside_balls(model, v, window, spec=None):
+    """(rs, values): the near rule's graded panel edges r in the window
+    (r_min, r_max), descending, and at each the integral of v / deficit^2
+    over the torus minus B_r(pi_vec), the fine far level's sum plus that of
+    the near rule's fine nodes outside r.  Inside delta/2, chi = 1, so each
+    sum covers whole panels at their full weight."""
+    spec = spec or default_spec(model)
+    fine, _, near = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
+    q = next(_quotients(near, model, (v,), 0.0, 2))[:near.parts[1].stop]
+    # both angular halves on the same radial nodes: (half, panel, node, angle)
+    panels = q.reshape(2, len(near.edges) - 1, GAUSS_ORDER, -1).sum(axis=(0, 2, 3))
+    outside = (_far_values(fine, model, (v,), 0.0, 2)[0]
+               + np.cumsum(panels[::-1])[::-1])  # outside each inner edge
+    r = near.edges[:-1]
+    keep = (window[0] <= r) & (r <= min(window[1], spec.patch_radius / 2))
+    return r[keep][::-1], outside[keep][::-1]
 
 
 # ---------------------------------------------------------------------------

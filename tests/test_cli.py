@@ -137,6 +137,21 @@ def test_multiplicity_json(capsys):
     assert max(data["verification"]) < 1e-8
 
 
+@pytest.mark.parametrize("argv", [
+    ("curve", "--sector", "es", "-a", "1", "-b", "1", "--mu-min", "2",
+     "--mu-max", "3", "-n", "3", "--branch", "0"),
+    ("curve", "--sector", "es", "-a", "1", "-b", "1", "--mu-min", "2",
+     "--mu-max", "3", "-n", "3", "--branch", "-1"),
+    ("multiplicity", "--z0", "1.5", "--scan", "--scan-step", "0"),
+    ("multiplicity", "--z0", "1.5", "--scan", "--scan-step", "-0.5"),
+], ids=["branch-0", "branch-neg", "scan-step-0", "scan-step-neg"])
+def test_invalid_branch_or_scan_step_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_oracle_json(capsys):
     code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
                          "--L", "10,12,14")

@@ -134,6 +134,19 @@ def test_eigenvalue_curve_absent_sector(lap):
         spectrum.eigenvalue_curve(lap, "os", 1.0, 1.0, [2.0, 1.5])
 
 
+@pytest.mark.parametrize("branch", [0, -1])
+def test_eigenvalue_curve_rejects_branch_below_one(lap, monkeypatch, branch):
+    # branch 0 once read recs[-1], a curve mixing both es branches, and -1
+    # an IndexError; both are refused before any root search
+    def fail(*args, **kwargs):
+        raise AssertionError("root search ran before the branch was checked")
+
+    monkeypatch.setattr(spectrum, "find_eigenvalues_es", fail)
+    with pytest.raises(ValueError, match="branch"):
+        spectrum.eigenvalue_curve(lap, "es", 1.0, 1.0, [2.0, 2.5, 3.0],
+                                  branch=branch)
+
+
 def test_triple_emergence(lap):
     rep = spectrum.triple_emergence_check(lap, 1.0)
     assert rep.a == pytest.approx(2 * PI - 4, rel=1e-6)
@@ -205,6 +218,17 @@ def test_multiplicity_two_invalid_z0():
         spectrum.multiplicity_two_construct(0.9)
     with pytest.raises(ValueError):
         spectrum.multiplicity_two_construct(1.5, mu=-1.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_multiplicity_two_rejects_nonpositive_scan_step(monkeypatch, step):
+    def fail(*args, **kwargs):
+        raise AssertionError("an integral ran before the step was checked")
+
+    monkeypatch.setattr(torus_quad, "_integrate", fail)
+    with pytest.raises(ValueError, match="scan_step"):
+        spectrum.multiplicity_two_construct(1.5, mu=1.0, scan=True,
+                                            scan_step=step)
 
 
 def test_multiplicity_two_verified_by_determinant():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from lattice_spectra import cli, sectors, torus_quad
 from lattice_spectra.dispersion import (PI, DiscreteLaplacian, PiecewisePhi,
-                                        SteppedPhiA)
+                                        SteppedPhiA, morse_data)
 from lattice_spectra.errors import ZeroCoupling
-from lattice_spectra.thresholds import (NO_THRESHOLD, ThresholdKind,
+from lattice_spectra.thresholds import (NO_THRESHOLD, PROBE_WINDOW, ThresholdKind,
                                         classify_threshold_solutions,
                                         coupling_thresholds,
                                         es_constants, gammas,
@@ -140,6 +140,75 @@ def test_probe_ea_convergent(lap):
     assert rep.classification == "convergent"
     tail = [d for r, d in zip(rep.rs[1:], rep.cauchy_diffs) if r <= 1e-3]
     assert max(tail) < 1e-6
+
+
+SEPARABLE = (DiscreteLaplacian(), SteppedPhiA(a_param=0.5), PiecewisePhi(eps=0.5))
+
+
+def _inner_tail(rep):
+    # Cauchy differences over the annuli inside r = 1e-3, by outer radius
+    return max(d for r, d in zip(rep.rs, rep.cauchy_diffs) if r <= 1e-3)
+
+
+@pytest.mark.parametrize("model", SEPARABLE, ids=repr)
+@pytest.mark.parametrize("sector", ["os", "oa"])
+def test_probe_odd_slope_is_leading_order(model, sector):
+    # |Phi|^2 ~ 4 (1 + sin 2 theta) / (h^2 r^2) near pi_vec for a Hessian
+    # -h I, so I(r) grows like 2 / (pi h^2) ln(1/r)
+    hess = morse_data(model).hessian
+    h = -hess[0][0]
+    assert hess[1][1] == pytest.approx(-h) and hess[0][1] == 0.0
+    rep = resonance_integrability_probe(model, sector)
+    assert rep.classification == "log-divergent"
+    assert rep.slope == pytest.approx(2.0 / (PI * h * h), rel=5e-5)
+
+
+@pytest.mark.parametrize("model", SEPARABLE, ids=repr)
+def test_probe_square_integrable_sectors_converge(model):
+    th = es_constants(model)
+    for rep in (resonance_integrability_probe(model, "ea"),
+                resonance_integrability_probe(model, "es", a=th.theta_2star,
+                                              b=th.theta_star)):
+        assert rep.classification == "convergent", rep.sector
+        assert _inner_tail(rep) < 1e-6, rep.sector
+
+
+@pytest.mark.parametrize("model, delta", [(m, None) for m in SEPARABLE]
+                         + [(DiscreteLaplacian(), 0.15)], ids=repr)
+def test_probe_radii_are_graded_near_rule_edges(model, delta):
+    # below delta = 0.2 the window reaches past delta/2, where chi < 1 and a
+    # ring edge would not bound a ball: the radii stop at delta/2
+    spec = (torus_quad.default_spec(model) if delta is None
+            else torus_quad.default_spec(model, patch_radius=delta))
+    delta = spec.patch_radius
+    near = torus_quad._far_grids(spec.grid_n, delta, model.breakpoints)[2]
+    rep = resonance_integrability_probe(model, "os", spec=spec)
+    graded = {float(r) for r in near.edges if 0 < r <= delta / 2}
+    lo, hi = PROBE_WINDOW
+    assert rep.rs == tuple(sorted((r for r in graded if lo <= r <= hi),
+                                  reverse=True))
+    assert len(rep.rs) == (13 if delta / 2 > hi else 14)
+    assert rep.classification == "log-divergent"
+
+
+def test_probe_after_gammas_fills_no_node_array(lap, monkeypatch):
+    gammas.cache_clear()
+    gammas(lap)
+    fills = []
+    cached = torus_quad._NodeSet._cached
+
+    def counting(self, cache, key, kept, compute):
+        def fill():
+            fills.append(key)
+            return compute()
+        return cached(self, cache, key, kept, fill)
+
+    monkeypatch.setattr(torus_quad._NodeSet, "_cached", counting)
+    th = es_constants(lap)
+    for sector in ("os", "oa", "ea"):
+        resonance_integrability_probe(lap, sector)
+    resonance_integrability_probe(lap, "es", a=th.theta_2star, b=th.theta_star)
+    assert fills == []
 
 
 def test_probe_requires_positive_b(lap):

@@ -76,6 +76,22 @@ def test_laplacian_es_integrals_within_their_error_estimates(lap, alpha):
         assert abs(res.value - exact) <= res.error_estimate, v.__name__
 
 
+@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 1e-2, 1.0, 20.0])
+def test_laplacian_squared_weight_integrals_within_their_error_estimates(lap, alpha):
+    # exact values from the closed-form q2 integrals and a 1-D quad in q1
+    for name, exact in laplacian_exact.squared_weight_integrals(alpha).items():
+        res = integrate_resolvent(lap, getattr(sectors, name), alpha=alpha)
+        assert abs(res.value - exact) <= res.error_estimate, name
+
+
+def test_laplacian_squared_weight_reference_at_threshold():
+    # at alpha = 0 the reference gives the closed-form sector constants
+    exact = laplacian_exact.squared_weight_integrals(0.0)
+    for name, gamma in (("w_os_sq", PI / (2 * PI - 4)), ("w_oa_sq", PI / (2 * PI - 4)),
+                        ("w_ea_sq", PI / (8 - 2 * PI)), ("es_plus_sq", 0.5)):
+        assert FOUR_PI_SQ / exact[name] == pytest.approx(gamma, rel=1e-12), name
+
+
 def test_resolvent_matches_brute_force(lap):
     # moderate alpha where a plain offset trapezoid is accurate
     alpha = 0.5
