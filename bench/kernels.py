@@ -20,7 +20,11 @@ A record holds:
   * cold: a cold gammas(laplacian) with every node set cleared, seconds
     and counts, and ms to build the near-field rule's node set at
     delta = 0.5 with the Laplacian's deficit and the four gammas weights
-    on it;
+    on it; and for each model of COLD_MODELS, on each of its far levels
+    the node count, ms per level build, per deficit fill and per fill of
+    each of the seven sector weights, then a cold gammas (seconds and
+    counts) and a cold dispersion.morse_data (seconds and its calls of the
+    model's values);
   * probe_ms: ms per thresholds.resonance_integrability_probe in the os
     and ea sectors on the Laplacian and stepped:0.5, cold (every node set
     cleared first) and warm (after a first probe);
@@ -67,6 +71,7 @@ PHASE_MU = 2.0
 SOLVES = {"laplacian": (1.0, 3.0, 1.0), "stepped:0.5": (1.0, 1.0, 3.0)}
 SWEEP_SEED, SWEEP_CYCLES = 1, 2
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
+COLD_MODELS = ("stepped:0.5", "piecewise:0.5")
 COUNTERS = ("integrals", "fills", "far_passes")
 # torus_quad function -> (counter, its increment per call)
 COUNTED = {"_near_values": ("integrals", lambda args: len(args[2])),
@@ -105,17 +110,94 @@ def _surface(package):
     return lines, names
 
 
+def _model(dispersion, name):
+    kind, _, param = name.partition(":")
+    if kind == "laplacian":
+        return dispersion.DiscreteLaplacian()
+    if kind == "stepped":
+        return dispersion.SteppedPhiA(a_param=float(param))
+    return dispersion.PiecewisePhi(eps=float(param))
+
+
+def _cold_row(model, timed_with_count):
+    """The cold path of one model: its far levels' build, the deficit and
+    weight fills on them, a cold gammas and a cold morse_data."""
+    from lattice_spectra import dispersion, sectors, thresholds, torus_quad
+
+    spec = torus_quad.default_spec(model)
+    key = (spec.grid_n, spec.patch_radius, model.breakpoints)
+    axes = []                       # the (x, w, delta) of each far level
+
+    class Recorded(torus_quad._FarLevel):
+        def __init__(self, *args):
+            axes.append(args)
+            super().__init__(*args)
+
+    real = torus_quad._FarLevel
+    torus_quad._FarLevel = Recorded
+    try:
+        torus_quad._far_grids.__wrapped__(*key)
+    finally:
+        torus_quad._FarLevel = real
+
+    weights = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
+               sectors.es_plus_sq, *sectors.ES_WEIGHTS)
+    levels = {}
+    for level_name, args in zip(("fine", "coarse"), axes):
+        level = real(*args)
+
+        def fill(compute, cache):
+            def run():
+                cache.clear()
+                compute()
+            return 1e3 * _per_call(run, 3)
+
+        levels[level_name] = {
+            "nodes": int(level.w.size),
+            "build_ms": 1e3 * _per_call(lambda: real(*args), 3),
+            "deficit_ms": fill(lambda: level.deficit(model), level.deficits),
+            "fill_ms": {v.__name__: fill(lambda v=v: level.weighted(v),
+                                         level.vcache)
+                        for v in weights}}
+
+    def cold_gammas():
+        torus_quad._far_grids.cache_clear()
+        thresholds.gammas.cache_clear()
+        return thresholds.gammas(model)
+
+    calls = []
+    values = type(model).values
+
+    def counted(self, *args):
+        calls.append(None)
+        return values(self, *args)
+
+    def cold_morse():
+        dispersion.morse_data.cache_clear()
+        calls.clear()
+        type(model).values = counted
+        try:
+            return dispersion.morse_data(model)
+        finally:
+            type(model).values = values
+
+    morse = _run_times(cold_morse, REPEATS)
+    torus_quad._far_grids.cache_clear()
+    return {"levels": levels, "gammas": timed_with_count(cold_gammas),
+            "morse_data": {"median_s": statistics.median(morse),
+                           "runs_s": morse, "values_calls": len(calls)}}
+
+
 def measure(src):
     sys.path.insert(0, str(src))
     import numpy as np
 
     from lattice_spectra import (determinant, dispersion, sectors, spectrum,
                                  thresholds, torus_quad)
-    from lattice_spectra.dispersion import (PI, DiscreteLaplacian,
-                                            SteppedPhiA, wrap_torus)
+    from lattice_spectra.dispersion import PI, wrap_torus
 
-    models = {"laplacian": DiscreteLaplacian(),
-              "stepped:0.5": SteppedPhiA(a_param=0.5)}
+    models = {name: _model(dispersion, name)
+              for name in ("laplacian", "stepped:0.5")}
     counts = dict.fromkeys(COUNTERS, 0)
     lock = threading.Lock()             # the grid's pool threads count too
 
@@ -208,6 +290,8 @@ def measure(src):
         return [near.weighted(v) for v in gamma_weights]
 
     cold["near_set_build_ms"] = 1e3 * _per_call(near_build, 10)
+    for name in COLD_MODELS:
+        cold[name] = _cold_row(_model(dispersion, name), timed_with_count)
 
     probe = {}
     for name, model in models.items():

@@ -8,10 +8,27 @@ The four invariant sectors are labelled by parity under momentum negation
     ea: even, swap-antisymmetric  w_ea = cos q1 - cos q2
     es: even, swap-symmetric      rank two, spanned by {1, cos q1 + cos q2}
 
-All weights are written in product form so that they evaluate without
-cancellation near (pi, pi), where the resolvent integrands peak.  The "plus"
-combination 2 + cos q1 + cos q2 vanishes to second order there and is the one
-combination that genuinely needs the stable form.
+Each weight applies its transcendentals per coordinate, so on the
+broadcast axes of a tensor grid it costs two axis evaluations and one
+broadcast sum (see torus_quad._FarLevel).
+
+The odd weights and w_ea are taken in their sum forms.  A half-angle
+product form such as 2 sin((q1 + q2)/2) cos((q1 - q2)/2) buys them no
+accuracy that reaches an integral.  The nodes arrive as torus coordinates
+rounded near pi, so at distance r from (pi, pi) w_os and w_oa carry an
+absolute error of about eps in either form, and w_ea eps in its sum form
+against eps r in product form.  They enter the integrals only squared, and
+no resolvent or threshold integral of the four model kinds moves by more
+than 4e-16 relative between the forms (tests/test_torus_quad.py keeps the
+product forms as the reference).
+
+es_plus = 2 + cos q1 + cos q2 keeps the stable form
+1 + cos q = 2 sin^2((q - pi)/2), relative error eps / r against the sum
+form's eps / r^2.  It vanishes to second order at (pi, pi) and also enters
+unsquared (the es line of thresholds, the log coefficient of asymptotics),
+where the sum form's absolute error eps would meet (alpha + r^2)^-2 directly:
+on the Laplacian at alpha = 1e-13, k = 2, its near-field error estimate
+reads 2e-4 and the integral raises NoConvergence.
 """
 
 import numpy as np
@@ -21,22 +38,19 @@ RANK_ONE_SECTORS = ("os", "oa", "ea")
 
 
 def w_os(q1, q2):
-    # sin q1 + sin q2
-    return 2.0 * np.sin((q1 + q2) / 2) * np.cos((q1 - q2) / 2)
+    return np.sin(q1) + np.sin(q2)
 
 
 def w_oa(q1, q2):
-    # sin q1 - sin q2
-    return 2.0 * np.cos((q1 + q2) / 2) * np.sin((q1 - q2) / 2)
+    return np.sin(q1) - np.sin(q2)
 
 
 def w_ea(q1, q2):
-    # cos q1 - cos q2
-    return -2.0 * np.sin((q1 + q2) / 2) * np.sin((q1 - q2) / 2)
+    return np.cos(q1) - np.cos(q2)
 
 
 def es_one(q1, q2):
-    return np.ones_like(np.asarray(q1, dtype=float))
+    return np.ones(np.broadcast(q1, q2).shape)
 
 
 def es_cos_sum(q1, q2):

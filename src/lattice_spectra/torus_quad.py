@@ -38,8 +38,11 @@ breakpoints), so every model with that key shares them, e.g. the whole
 SteppedPhiA(A) family that the multiplicity-two construction tunes.  Per
 model a set keeps only the deficit on its nodes, and per weight function v
 the product w * v of the rule's weights and v's values, in small bounded
-read-only maps, so clearing _far_grids drops every node array.  An integral
-at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over cached arrays.
+read-only maps, so clearing _far_grids drops every node array.  A far
+level forms no node coordinates: it evaluates the cutoff, the deficit and
+each v on the broadcast axes of its tensor grid and masks the result.  An
+integral at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over
+cached arrays.
 The kernel _integrate takes a stack of weights at one (alpha, k), e.g. the
 three of the rank-two determinant, which share each set's denominator;
 integrate_resolvent and integrate_threshold are its one-weight case.
@@ -171,8 +174,9 @@ def _axis_nodes_gauss(edges, counts):
 
 
 class _NodeSet:
-    """Quadrature nodes p1, p2 on the torus with weights w, none of which
-    depends on the model or on alpha.
+    """Quadrature weights w of a node set on the torus, which depend on
+    neither the model nor alpha.  A subclass says where its nodes lie: its
+    _values(v) is v on the nodes, in the order of w.
 
     Two small maps ride on it, each written under the set's lock (two
     threads may compute the same entry; both get equal arrays).  Their
@@ -188,8 +192,8 @@ class _NodeSet:
     DEFICITS_KEPT = 4
     VALUES_KEPT = 64
 
-    def __init__(self, p1, p2, w):
-        self.p1, self.p2, self.w = p1, p2, w
+    def __init__(self, w):
+        self.w = w
         self.deficits = {}
         self.vcache = {}
         self._lock = threading.Lock()
@@ -213,30 +217,38 @@ class _NodeSet:
     def weighted(self, v):
         return self._cached(
             self.vcache, v, self.VALUES_KEPT,
-            lambda: self.w * np.asarray(v(self.p1, self.p2), dtype=float))
+            lambda: self.w * np.asarray(self._values(v), dtype=float))
 
 
 class _FarLevel(_NodeSet):
     """One far-field node set: the axis nodes x of the tensor grid, the
-    mask of the grid nodes where 1 - chi > 0, and the masked nodes p1, p2
-    with their weights w (the rule's weights times 1 - chi)."""
+    mask of the grid nodes where 1 - chi > 0, and the weights w on the
+    masked nodes (the rule's weights times 1 - chi), in the grid's row-major
+    order.  The nodes themselves are never formed: the cutoff, the deficit
+    and every weight are evaluated on the broadcast axes x[:, None],
+    x[None, :] and then masked, so a function applied per coordinate costs
+    two axis evaluations.  Each entry is the float that the same expression
+    gives on the node (wrap_torus, hypot, chi_cutoff and the ufuncs act
+    elementwise)."""
 
     def __init__(self, x, w, delta):
-        p1, p2 = np.meshgrid(x, x, indexing="ij")
-        w2 = np.outer(w, w)
-        r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
-        weight = w2 * (1.0 - chi_cutoff(r, delta))
+        d = wrap_torus(x - PI)
+        r = np.hypot(d[:, None], d[None, :])
+        weight = np.outer(w, w)
+        inside = r < delta          # chi = 0, so 1 - chi = 1, elsewhere
+        weight[inside] *= 1.0 - chi_cutoff(r[inside], delta)
         self.x = x
         self.mask = weight > 0
-        super().__init__(p1[self.mask], p2[self.mask], weight[self.mask])
+        super().__init__(weight[self.mask])
+
+    def _values(self, v):
+        grid = np.broadcast_to(v(self.x[:, None], self.x[None, :]), self.mask.shape)
+        return grid[self.mask]
 
     def _deficit(self, model):
         # direct subtraction is fine here: e_max - e is bounded below by the
-        # deficit at delta/2 on the support of (1 - chi).  The model is
-        # evaluated on the broadcast axes, so a separable profile costs two
-        # axis evaluations; each entry is the float a per-node call gives.
-        return (float(model.e_max)
-                - model.values(self.x[:, None], self.x[None, :])[self.mask])
+        # deficit at delta/2 on the support of (1 - chi)
+        return float(model.e_max) - self._values(model.values)
 
 
 class _NearSet(_NodeSet):
@@ -275,8 +287,11 @@ class _NearSet(_NodeSet):
         self.edges = edges
         self.parts = tuple(map(slice, ends[:-1], ends[1:]))
         self.u1, self.u2 = np.concatenate(u1), np.concatenate(u2)
-        super().__init__(wrap_torus(PI + self.u1), wrap_torus(PI + self.u2),
-                         np.concatenate(w))
+        self.p1, self.p2 = wrap_torus(PI + self.u1), wrap_torus(PI + self.u2)
+        super().__init__(np.concatenate(w))
+
+    def _values(self, v):
+        return v(self.p1, self.p2)
 
     def _deficit(self, model):
         return model.deficit(self.u1, self.u2)
@@ -292,8 +307,8 @@ def _far_grids(grid_n, patch_radius, breakpoints):
 
     Every model with the same (grid_n, patch_radius, breakpoints) shares
     the sets, e.g. the whole SteppedPhiA(A) family.  Memory per key: a far
-    level holds three float arrays (p1, p2, w) over the masked nodes plus a
-    boolean mask over the grid, about 27 MB fine and 8 MB coarse at the
+    level holds its axis, one float array w over the masked nodes and a
+    boolean mask over the grid, about 9.8 MB fine and 2.7 MB coarse at the
     kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth of
     that on the 256 smooth grid; the near set holds five float arrays over
     its 41k nodes (at delta = 0.5), 1.6 MB.  Each cached deficit or w * v

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from lattice_spectra import dispersion
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         PiecewisePhi, SteppedPhiA, PI,
                                         fourier_coefficients,
                                         is_even_per_coordinate, model_from_spec,
                                         model_to_spec, morse_data,
                                         validate_hypothesis, wrap_torus)
-from lattice_spectra.errors import CutoffTooSmall, NonMaxAtPi
+from lattice_spectra.errors import CutoffTooSmall, DomainError, NonMaxAtPi
 
 
 def laplacian_table():
@@ -124,15 +125,85 @@ def test_morse_data_stepped():
     assert md.j_psi0 == pytest.approx(1.0, rel=1e-7)
 
 
+def diagonal_hop_table():
+    # the Laplacian plus ehat(+-(1, 1)) = 0.1: swap-symmetric, not even per
+    # coordinate, with a non-diagonal Hessian at (pi, pi)
+    return ExponentialHopping(table=(
+        (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
+        (1, 1, 0.1), (-1, -1, 0.1)))
+
+
+def flipped_laplacian():
+    # e(p) = 2 + cos p1 + cos p2 peaks at the origin, not at (pi, pi)
+    return ExponentialHopping(table=(
+        (0, 0, 2.0), (1, 0, 0.5), (-1, 0, 0.5), (0, 1, 0.5), (0, -1, 0.5)))
+
+
+@pytest.mark.parametrize("model", [SteppedPhiA(a_param=0.5), diagonal_hop_table()],
+                         ids=("stepped-0.5", "diagonal-hop"))
+def test_cold_morse_data_stops_refining_at_the_noise(model, monkeypatch):
+    # the finite-difference gradient stalls at roundoff above the 1e-13
+    # stop on these models; the Newton refinement then ran all 60 steps,
+    # about 1470 calls of e, where a few steps, the scans and the minimum
+    # search make about 230
+    calls = []
+    values = type(model).values
+
+    def counted(self, *args):
+        calls.append(None)
+        return values(self, *args)
+
+    monkeypatch.setattr(type(model), "values", counted)
+    morse_data.__wrapped__(model)
+    assert len(calls) <= 250
+
+
+def _refine_max_all_steps(model, p0, steps=60):
+    # the refinement without the stop at the finite-difference noise
+    p = np.array(p0, dtype=float)
+    for _ in range(steps):
+        g = dispersion._fd_gradient(model, p)
+        if np.max(np.abs(g)) < 1e-13:
+            break
+        h = dispersion._fd_hessian(model, p)
+        try:
+            dp = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            break
+        p = p + np.clip(dp, -0.2, 0.2)
+    return p
+
+
+@pytest.mark.parametrize("model", [
+    DiscreteLaplacian(), laplacian_table(), diagonal_hop_table(),
+    SteppedPhiA(a_param=0.5), SteppedPhiA(a_param=0.97),
+    SteppedPhiA(a_param=1.0), PiecewisePhi(eps=0.5), flipped_laplacian()],
+    ids=("laplacian", "laplacian-table", "diagonal-hop", "stepped-0.5",
+         "stepped-0.97", "stepped-1", "piecewise-0.5", "flipped"))
+def test_step_stop_changes_no_morse_data_or_validation(model, monkeypatch):
+    def cold():
+        morse_data.cache_clear()
+        try:
+            md = morse_data(model)
+        except DomainError as exc:
+            md = type(exc)
+        return md, validate_hypothesis(model)
+
+    stopped = cold()
+    monkeypatch.setattr(dispersion, "_refine_max", _refine_max_all_steps)
+    try:
+        assert cold() == stopped
+    finally:
+        morse_data.cache_clear()
+
+
 def test_hopping_table_requires_symmetry():
     with pytest.raises(ValueError):
         ExponentialHopping(table=((1, 0, -0.5), (0, 0, 2.0)))
 
 
 def test_non_max_at_pi_rejected():
-    # e(p) = 2 + cos p1 + cos p2 peaks at the origin, not at (pi, pi)
-    flipped = ExponentialHopping(table=(
-        (0, 0, 2.0), (1, 0, 0.5), (-1, 0, 0.5), (0, 1, 0.5), (0, -1, 0.5)))
+    flipped = flipped_laplacian()
     with pytest.raises(NonMaxAtPi):
         morse_data(flipped)
     rep = validate_hypothesis(flipped)

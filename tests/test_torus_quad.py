@@ -164,11 +164,12 @@ def test_warm_integral_fills_no_node_array(model, monkeypatch):
 def test_cache_clear_drops_the_near_arrays(lap):
     # perfbench clears _far_grids between set-ups; no node array may survive
     integrate_resolvent(lap, sectors.w_ea_sq, alpha=1e-6)
-    near = _node_sets(lap)[2]
+    fine, _, near = _node_sets(lap)
     arrays = (near, near.w, near.p1, near.u1, near.deficit(lap),
-              near.weighted(sectors.w_ea_sq))
+              near.weighted(sectors.w_ea_sq), fine, fine.x, fine.mask,
+              fine.w, fine.deficit(lap), fine.weighted(sectors.w_ea_sq))
     refs = [weakref.ref(a) for a in arrays]
-    del near, arrays
+    del fine, near, arrays
     torus_quad._far_grids.cache_clear()
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
@@ -355,13 +356,130 @@ def test_far_field_estimate_sees_the_kinks():
     assert res.error_estimate >= abs(res.value - far(2048).value)
 
 
+def _level_nodes(level):
+    # the masked nodes p1, p2 of a far level, which keeps only its axis and
+    # mask
+    p1, p2 = np.meshgrid(level.x, level.x, indexing="ij")
+    return p1[level.mask], p2[level.mask]
+
+
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_far_deficit_broadcast_is_bitwise_nodewise(model):
     # the deficit is evaluated on the broadcast axes of the node set; it
     # must be the very floats of e_max - e on its masked nodes
     for level in _node_sets(model)[:2]:
-        nodewise = float(model.e_max) - model.values(level.p1, level.p2)
+        nodewise = float(model.e_max) - model.values(*_level_nodes(level))
         assert level.deficit(model).tobytes() == nodewise.tobytes()
+
+
+# the half-angle product forms that the odd weights and w_ea once took
+def product_w_os(q1, q2):
+    return 2.0 * np.sin((q1 + q2) / 2) * np.cos((q1 - q2) / 2)
+
+
+def product_w_oa(q1, q2):
+    return 2.0 * np.cos((q1 + q2) / 2) * np.sin((q1 - q2) / 2)
+
+
+def product_w_ea(q1, q2):
+    return -2.0 * np.sin((q1 + q2) / 2) * np.sin((q1 - q2) / 2)
+
+
+def _squared(w):
+    return lambda q1, q2: w(q1, q2) ** 2
+
+
+# each sector weight and the one it replaced: the squared product forms,
+# and es_one as ones_like, whose shape is its first argument's
+PRODUCT_FORMS = {
+    sectors.w_os_sq: _squared(product_w_os),
+    sectors.w_oa_sq: _squared(product_w_oa),
+    sectors.w_ea_sq: _squared(product_w_ea),
+    sectors.es_plus_sq: sectors.es_plus_sq,
+    sectors.es_one: lambda q1, q2: np.ones_like(np.asarray(q1, dtype=float)),
+    sectors.es_cos_sum_sq: sectors.es_cos_sum_sq,
+    sectors.es_cos_sum: sectors.es_cos_sum,
+}
+SECTOR_WEIGHTS = tuple(PRODUCT_FORMS)
+
+
+def _far_levels_with_axes(model):
+    # fresh far levels of the model's key, each with the axis nodes and
+    # weights (x, w) and the patch radius that _far_grids passed to it
+    calls = []
+
+    class Recorded(torus_quad._FarLevel):
+        def __init__(self, x, w, delta):
+            calls.append((x, w, delta))
+            super().__init__(x, w, delta)
+
+    spec = default_spec(model)
+    with mock.patch.object(torus_quad, "_FarLevel", Recorded):
+        levels = torus_quad._far_grids.__wrapped__(
+            spec.grid_n, spec.patch_radius, model.breakpoints)[:2]
+    return zip(levels, calls)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_far_level_axis_build_is_bitwise_the_grid_build(model):
+    # the cutoff, the deficit and the weights are evaluated on the broadcast
+    # axes and then masked; each must be the very floats that the whole
+    # tensor grid gives on the masked nodes
+    for level, (x, w, delta) in _far_levels_with_axes(model):
+        p1, p2 = np.meshgrid(x, x, indexing="ij")
+        r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
+        weight = np.outer(w, w) * (1.0 - torus_quad.chi_cutoff(r, delta))
+        mask = weight > 0
+        assert level.x is x
+        assert level.mask.tobytes() == mask.tobytes()
+        assert level.w.tobytes() == weight[mask].tobytes()
+        p1, p2 = p1[mask], p2[mask]
+        for v in (*SECTOR_WEIGHTS, sectors.w_os, sectors.w_oa, sectors.w_ea,
+                  sectors.es_plus, *PRODUCT_FORMS.values()):
+            nodewise = np.broadcast_to(v(p1, p2), p1.shape)
+            assert level._values(v).tobytes() == nodewise.tobytes()
+            assert level.weighted(v).tobytes() == (level.w * nodewise).tobytes()
+
+
+FEW_EPS = 4 * np.finfo(float).eps
+
+
+def _assert_sum_forms_agree(q1, q2):
+    # a few eps, absolute: both forms see the same rounded coordinates
+    for w, product in ((sectors.w_os, product_w_os),
+                       (sectors.w_oa, product_w_oa),
+                       (sectors.w_ea, product_w_ea)):
+        assert np.max(np.abs(w(q1, q2) - product(q1, q2))) <= FEW_EPS
+
+
+@given(q1=st.floats(-PI, PI), q2=st.floats(-PI, PI))
+def test_sum_form_weights_agree_with_the_product_forms(q1, q2):
+    _assert_sum_forms_agree(np.float64(q1), np.float64(q2))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_sum_form_weights_agree_on_the_near_rule(model):
+    near = _node_sets(model)[2]
+    _assert_sum_forms_agree(near.p1, near.p2)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_integrals_agree_with_the_product_form_weights(model):
+    # the product forms on the same node sets give the integrals as they
+    # were before the sum forms (the far levels evaluate them bitwise as
+    # the nodes did, see above); every kernel result stays within 1e-14
+    for alpha in (0.0, 1e-13, 1e-6, 1.0, 20.0):
+        for k in (1, 2):
+            for v, product in PRODUCT_FORMS.items():
+                try:
+                    ref, = torus_quad._integrate(model, (product,), alpha, k)
+                except NotIntegrable:
+                    with pytest.raises(NotIntegrable):
+                        torus_quad._integrate(model, (v,), alpha, k)
+                    continue
+                got, = torus_quad._integrate(model, (v,), alpha, k)
+                assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0.0), (
+                    v.__name__, alpha, k)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -372,11 +490,12 @@ def test_far_value_is_bitwise_the_plain_sum(model):
     vs = (sectors.w_os_sq, sectors.es_cos_sum, sectors.es_one)
     for level in _node_sets(model)[:2]:
         deficit = level.deficit(model)
+        nodes = _level_nodes(level)
         for k in (1, 2):
             for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
                 stacked = torus_quad._far_values(level, model, vs, alpha, k)
                 for v, got in zip(vs, stacked):
-                    vv = np.asarray(v(level.p1, level.p2), dtype=float)
+                    vv = np.asarray(v(*nodes), dtype=float)
                     plain = float(np.sum(level.w * vv / (alpha + deficit) ** k))
                     alone, = torus_quad._far_values(level, model, (v,), alpha, k)
                     assert got.hex() == alone.hex() == plain.hex(), (
