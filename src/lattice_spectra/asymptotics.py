@@ -21,8 +21,7 @@ from . import sectors
 from .determinant import (ALPHA_FLOOR, find_eigenvalue_rank_one,
                           find_eigenvalues_es)
 from .dispersion import PI, morse_data
-from .errors import (DomainError, FitFailure, NonDiagonalHessian,
-                     UnresolvableRoots)
+from .errors import DomainError, FitFailure, UnresolvableRoots
 from .thresholds import (NO_THRESHOLD, ThresholdKind, _check_couplings,
                          classify_threshold_solutions, coupling_thresholds,
                          es_constants, gammas)
@@ -37,7 +36,7 @@ LOG_ALPHAS = np.geomspace(1e-6, 1e-3, 8)
 
 @dataclass(frozen=True)
 class LeadingCoefficients:
-    c_os: float          # None for non-diagonal Hessians or b <= 0
+    c_os: float          # None for b <= 0
     c_oa: float
     c_ea: float          # None for b <= 0
     es_exponent_rate: float   # 1/(J0 (a+4b)), None when a+4b <= 0
@@ -46,17 +45,17 @@ class LeadingCoefficients:
 
 
 def _rank_one_coefficient(model, sector, b, spec):
-    """c_omega of one rank-one sector at b > 0, None for os and oa at a
-    non-diagonal Hessian.  Only c_ea reads an integral (its k = 2 one)."""
-    md = morse_data(model)
+    """c_omega of one rank-one sector at b > 0.  Only c_ea reads an integral
+    (its k = 2 one).  os and oa take w ~ g.u near pi_vec, g_os = (1, 1) and
+    g_oa = (1, -1), so their law reads s = 2 g^T A^-1 g with A = -Hessian."""
     gamma = getattr(gammas(model, spec=spec), f"gamma_{sector}")
     if sector == "ea":
         i2 = integrate_threshold(model, sectors.w_ea_sq, k=2,
                                  spec=spec).value / FOUR_PI_SQ
         return 1.0 / (b * (gamma / b) ** 2 * i2)
-    if md.psi_deriv_sq is None:
-        return None
-    s = md.psi_deriv_sq[0] + md.psi_deriv_sq[1]
+    md = morse_data(model)
+    g = np.array([1.0, 1.0 if sector == "os" else -1.0])
+    s = 2.0 * g @ np.linalg.solve(-md.hessian_matrix, g)
     return 2.0 / (b * md.j0 * (gamma / b) ** 2 * s)
 
 
@@ -93,11 +92,7 @@ def leading_coefficient(model, sector, a=1.0, b=1.0, spec=None):
         raise ValueError(f"unknown sector {sector!r}")
     if b <= 0:
         raise DomainError(f"no {sector} threshold for b <= 0")
-    val = _rank_one_coefficient(model, sector, b, spec)
-    if val is None:
-        raise NonDiagonalHessian(
-            "c_os/c_oa require a diagonal Hessian at the maximizer")
-    return val
+    return _rank_one_coefficient(model, sector, b, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,6 @@ class NotEvenPerCoordinate(DomainError):
     """Dispersion is not even in each coordinate separately."""
 
 
-class NonDiagonalHessian(DomainError):
-    """Coefficient requires a diagonal Hessian at the maximizer."""
-
-
 class CutoffTooSmall(DomainError):
     """Hopping-range cutoff leaves too much l1 mass outside."""
 

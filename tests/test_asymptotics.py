@@ -6,8 +6,9 @@ import pytest
 from lattice_spectra import asymptotics as asy
 from lattice_spectra import sectors, thresholds, torus_quad
 from lattice_spectra.dispersion import PI, ExponentialHopping
-from lattice_spectra.errors import (DomainError, NonDiagonalHessian,
-                                    UnresolvableRoots, ZeroCoupling)
+from lattice_spectra.errors import (DomainError, UnresolvableRoots,
+                                    ZeroCoupling)
+from test_dispersion import diagonal_hop_table
 
 GAMMA_OS = PI / (2 * PI - 4)
 
@@ -85,13 +86,20 @@ def test_leading_coefficient_integrates_only_its_own_weight(lap):
                 == getattr(lc, f"c_{sector}"))
 
 
-def test_non_diagonal_hessian_rejected():
-    # cross hopping term makes the Hessian at (pi, pi) non-diagonal
-    model = ExponentialHopping(table=(
-        (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
-        (1, 1, 0.1), (-1, -1, 0.1)))
-    with pytest.raises(NonDiagonalHessian):
-        asy.leading_coefficient(model, "os", 1.0, 1.0)
+def test_odd_coefficients_at_a_non_diagonal_hessian():
+    # a diagonal hop makes the Hessian at (pi, pi) non-diagonal and splits
+    # os from oa; each reads its own g^T A^-1 g, and the measured openings
+    # approach each law as the Laplacian's do (criterion 8: 0.805 -> 0.852)
+    model = diagonal_hop_table(0.1)
+    lc = asy.leading_coefficients(model, 1.0, 1.0)
+    assert lc.c_os == pytest.approx(1.8490, rel=1e-4)
+    assert lc.c_oa == pytest.approx(1.7149, rel=1e-4)
+    for sector in ("os", "oa"):
+        assert asy.leading_coefficient(model, sector) == getattr(lc, f"c_{sector}")
+        rep = asy.fit_eigenvalue_asymptotics(model, sector, 1.0, 1.0)
+        ratios = [al / pred for _, al, pred in rep.samples]
+        assert all(0.7 <= r <= 1.3 for r in ratios), (sector, ratios)
+        assert np.all(np.diff(ratios) > 0), (sector, ratios)
 
 
 def test_zero_coupling_rejected_before_any_work(lap, monkeypatch):

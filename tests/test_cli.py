@@ -88,6 +88,15 @@ def test_validate_failure_exit_1(capsys):
     code, out, err = run(capsys, "validate", "--model", "stepped:1.0")
     assert code == 1
     assert json.loads(out)["passed"] is False
+    assert "not unique" in json.loads(out)["failures"][0]
+
+
+def test_validate_stepped_near_one_exit_0(capsys):
+    # the maximum at (pi, pi) is unique for every A < 1, however close the
+    # origin's lower local maximum A comes to it
+    code, out, err = run(capsys, "validate", "--model", "stepped:0.997")
+    assert code == 0, out
+    assert json.loads(out)["passed"] is True
 
 
 def assert_deterministic(tmp_path, command):

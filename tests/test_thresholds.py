@@ -17,6 +17,7 @@ from lattice_spectra.thresholds import (NO_THRESHOLD, PROBE_WINDOW, ThresholdKin
                                         es_constants, gammas,
                                         resonance_integrability_probe)
 from lattice_spectra.torus_quad import FOUR_PI_SQ, integrate_threshold
+from test_dispersion import diagonal_hop_table
 from test_torus_quad import (es_kappa1_weight, es_theta2_weight,
                              next_nearest_hopping)
 
@@ -150,17 +151,20 @@ def _inner_tail(rep):
     return max(d for r, d in zip(rep.rs, rep.cauchy_diffs) if r <= 1e-3)
 
 
-@pytest.mark.parametrize("model", SEPARABLE, ids=repr)
+@pytest.mark.parametrize("model", [
+    *SEPARABLE, pytest.param(diagonal_hop_table(0.1), id="diagonal-hop-0.1"),
+    pytest.param(diagonal_hop_table(0.3), id="diagonal-hop-0.3")], ids=repr)
 @pytest.mark.parametrize("sector", ["os", "oa"])
 def test_probe_odd_slope_is_leading_order(model, sector):
-    # |Phi|^2 ~ 4 (1 + sin 2 theta) / (h^2 r^2) near pi_vec for a Hessian
-    # -h I, so I(r) grows like 2 / (pi h^2) ln(1/r)
-    hess = morse_data(model).hessian
-    h = -hess[0][0]
-    assert hess[1][1] == pytest.approx(-h) and hess[0][1] == 0.0
+    # w ~ g.u and e_max - e ~ u^T A u / 2 near pi_vec, with A = -Hessian and
+    # g = (1, +-1), so I(r) grows like g^T A^-1 g / (pi sqrt(det A)) ln(1/r);
+    # 2 / (pi h^2) for A = h I
+    a = -morse_data(model).hessian_matrix
+    g = np.array([1.0, 1.0 if sector == "os" else -1.0])
+    slope = g @ np.linalg.solve(a, g) / (PI * np.sqrt(np.linalg.det(a)))
     rep = resonance_integrability_probe(model, sector)
     assert rep.classification == "log-divergent"
-    assert rep.slope == pytest.approx(2.0 / (PI * h * h), rel=5e-5)
+    assert rep.slope == pytest.approx(slope, rel=5e-5)
 
 
 @pytest.mark.parametrize("model", SEPARABLE, ids=repr)
