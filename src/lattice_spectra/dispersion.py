@@ -197,9 +197,9 @@ class SteppedPhiA:
     3pi/4 < |t| <= pi; the dispersion is e_A(p) = (phi_A(p1) + phi_A(p2))/2,
     normalized so e_max = e_A(pi_vec) = 1 and e_min = 0 for every A in [0,1].
     The maximum at pi_vec is unique iff A < 1, and validate_hypothesis
-    enforces exactly that: at A = 1 the value 1 is also attained at (0,0),
-    (0,pi), (pi,0) and is rejected as not unique; below 1 the lower local
-    maximum A at the origin passes however close A is to 1.
+    enforces it: at A = 1 the value 1 is also attained at (0,0), (0,pi),
+    (pi,0) and is rejected as not unique; below 1 the lower local maximum A
+    at the origin passes while 1 - A exceeds the check's 1e-9.
     """
 
     a_param: float
