@@ -23,13 +23,14 @@ A record holds:
     on it; and for each model of COLD_MODELS, on each of its far levels
     the node count, ms per level build, per deficit fill and per fill of
     each of the seven sector weights, then a cold gammas (seconds and
-    counts) and a cold dispersion.morse_data (seconds and its calls of the
-    model's values);
+    counts) and a cold dispersion.morse_data (seconds over MORSE_REPEATS
+    runs, and its calls of the model's values);
   * probe_ms: ms per thresholds.resonance_integrability_probe in the os
     and ea sectors on the Laplacian and stepped:0.5, cold (every node set
     cleared first) and warm (after a first probe);
   * solve: a warm solve(laplacian, 1, 3, 1) and solve(stepped:0.5, 1, 1, 3),
-    and a warm find_eigenvalues_es(laplacian, 1, 1, 3), seconds and counts;
+    and a warm find_eigenvalues_es(laplacian, 1, 1, 3), seconds and counts,
+    and per root found: integrals and seconds;
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
     PHASE_GRID on both models, at 1 and 2 threads, seconds and counts;
   * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
@@ -41,10 +42,12 @@ A record holds:
 The counts of a run are its integrals (one per weight), its node-array
 fills (each evaluates a deficit or a weight on a node set: a miss in a
 cached map of torus_quad._NodeSet) and its far passes (each forms one far
-level's denominator).  They are counted on the private kernels of
+level's reciprocal row).  They are counted on the private kernels of
 torus_quad.
 
-Times are medians over REPEATS runs, with every run listed.  BLAS and OpenMP
+Times are medians over REPEATS runs (MORSE_REPEATS for the cold
+morse_data rows, whose 10-20 ms spread widely over 3), with every run
+listed.  BLAS and OpenMP
 are pinned to one thread, as in perfbench/run.py.
 """
 
@@ -65,6 +68,7 @@ from pathlib import Path            # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3                   # runs of each solve and grid
+MORSE_REPEATS = 15            # runs of each cold morse_data
 KERNEL_REPEATS = 7            # batches of each kernel timing
 PHASE_GRID = (-2.0, -1.0, 1.0, 2.0, 3.0)
 PHASE_MU = 2.0
@@ -181,7 +185,7 @@ def _cold_row(model, timed_with_count):
         finally:
             type(model).values = values
 
-    morse = _run_times(cold_morse, REPEATS)
+    morse = _run_times(cold_morse, MORSE_REPEATS)
     torus_quad._far_grids.cache_clear()
     return {"levels": levels, "gammas": timed_with_count(cold_gammas),
             "morse_data": {"median_s": statistics.median(morse),
@@ -207,9 +211,9 @@ def measure(src):
 
     for name, (counter, increment) in COUNTED.items():
         def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
-                    _n=increment):
+                    _n=increment, **kwargs):
             count(_key, _n(args))
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         setattr(torus_quad, name, counted)
     cached = torus_quad._NodeSet._cached
@@ -228,13 +232,20 @@ def measure(src):
         result = run()
         return time.perf_counter() - start, dict(counts), result
 
-    def timed_with_count(run):
+    def timed_with_count(run, roots=None):
+        """Seconds and counts of a warm run; with roots (the number of
+        roots in the run's result), also integrals and seconds per root."""
         run()                                   # warm the caches
         times = []
         for _ in range(REPEATS):
-            dt, tally, _ = counted_run(run)
+            dt, tally, result = counted_run(run)
             times.append(dt)
-        return {"median_s": statistics.median(times), "runs_s": times, **tally}
+        row = {"median_s": statistics.median(times), "runs_s": times, **tally}
+        if roots is not None:
+            n = roots(result)
+            row.update(roots=n, integrals_per_root=tally["integrals"] / n,
+                       seconds_per_root=row["median_s"] / n)
+        return row
 
     far = {}
     for name, model in models.items():
@@ -311,10 +322,12 @@ def measure(src):
     torus_quad._far_grids.cache_clear()
 
     solves = {f"{name} {SOLVES[name]}": timed_with_count(
-                  lambda m=model, c=SOLVES[name]: spectrum.solve(m, *c))
+                  lambda m=model, c=SOLVES[name]: spectrum.solve(m, *c),
+                  lambda result: len(result.records))
               for name, model in models.items()}
     solves["find_eigenvalues_es laplacian (1.0, 1.0, 3.0)"] = timed_with_count(
-        lambda: determinant.find_eigenvalues_es(models["laplacian"], 1.0, 1.0, 3.0))
+        lambda: determinant.find_eigenvalues_es(models["laplacian"], 1.0, 1.0, 3.0),
+        len)
 
     grids = {}
     for name, model in models.items():

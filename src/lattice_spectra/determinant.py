@@ -11,28 +11,39 @@ and in the rank-two even-symmetric sector iff the 2x2 determinant
 
 vanishes, where Delta1 = 1 - (a mu/4pi^2) I[1], Delta2 = 1 - (b mu/4pi^2)
 I[(cos q1 + cos q2)^2], Delta3 = (1/4pi^2) I[cos q1 + cos q2] with
-I[v] = int v/(E - e).  All root finding runs in x = ln(alpha), where the
-determinants are nearly linear near threshold.
+I[v] = int v/(E - e).
 
-Delta is, up to the factor mu^2 a b, the determinant of the symmetric matrix
+The roots are the points where N(alpha) = G(alpha)^-1 - mu V is singular,
+G = (1/4pi^2) int u u^T/(alpha + d) with d = e_max - e and, in es,
+u = (1, cos q1 + cos q2) and V = diag(a, b); a rank-one sector has
+u = w_omega, V = b and N = 4pi^2/I[w^2] - b mu.  In es,
+Delta = mu^2 a b det((mu V)^-1 - G) and N = G^-1 ((mu V)^-1 - G) mu V, so
+Delta and det N vanish together.  Every node weight of the rule is at least
+0, so alpha -> G(alpha)^-1 is a parallel sum of terms linear in alpha and
+operator-concave (Anderson & Duffin, J. Math. Anal. Appl. 1969), with
+dN/dalpha = G^-1 G2 G^-1 positive definite, G2 = (1/4pi^2) int u u^T/(alpha +
+d)^2 (the kernel's k = 2 slopes).  So the eigenvalues of N increase with
+alpha, and the lower one is concave: Newton started above its zero
+overshoots at most once and then climbs monotonically.  By Cauchy-Schwarz
+dN/dalpha >= (1/4pi^2 int u u^T)^-1 = 1, so N(alpha) >= N(0+) + alpha.
 
-    M(alpha) = (mu V)^-1 - G(alpha) = [[Delta1/(a mu), -Delta3],
-                                       [-Delta3,       Delta2/(b mu)]],
-
-G = (1/4pi^2) int u u^T/(alpha + d) with u = (1, cos q1 + cos q2) and
-d = e_max - e.  dG/dalpha = -(1/4pi^2) int u u^T/(alpha + d)^2 is negative
-definite, so both eigenvalues of M increase with alpha.  Where es holds two
-roots (a, b > 0 above mu0_es), M is positive definite at large alpha and
-negative definite at threshold: the lower eigenvalue crosses zero once, at
-the outer root, and the upper one once, at the inner root.  A double root is
-a point where both vanish, M = 0.
+A safeguarded Newton iteration in alpha finds every root (_root):
+  * rank-one, from alpha0 = b mu - gamma = b (mu - mu0): N(0) = gamma - b mu
+    on the same rule, so N(alpha0) >= 0 bounds the root from above;
+  * es, from alpha_hi = mu max(|a|, |b|) + 1, where N is positive definite.
+    N(0+) has es_count negative eigenvalues.  The single root, or the outer
+    of two, is the zero of the lower eigenvalue; the inner root is the zero
+    of the upper eigenvalue below the outer one.  A double root is N = 0.
+A step that leaves the bracket of evaluated points takes its geometric
+midpoint; a step below ALPHA_FLOOR evaluates the floor once, and a branch
+still positive there raises UnresolvableRoots.  The search stops at a step
+or a bracket below ROOT_REL_TOL relative: near threshold N cancels down to
+its rounding floor, where the steps alone would not settle.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-
-import scipy.optimize
 
 from . import sectors
 from .errors import (BelowThreshold, BracketFailure, UnresolvableRoots,
@@ -43,6 +54,8 @@ from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
 
 ALPHA_FLOOR = 1e-13   # roots closer to threshold are unresolvable
 ZERO_TOL = 1e-8       # |Delta_i| below this counts as a vanishing component
+ROOT_REL_TOL = 1e-12  # Newton stops at a step or bracket this small, relative
+MAX_STEPS = 100       # Newton steps per root before UnresolvableRoots
 
 
 @dataclass(frozen=True)
@@ -80,13 +93,15 @@ def delta_rank_one(model, sector, b, mu, *, alpha, spec=None):
     return 1.0 - b * mu * integral / FOUR_PI_SQ
 
 
-def delta_es(model, a, b, mu, *, alpha, spec=None):
-    """All components of the rank-two determinant at z = e_max + alpha."""
+def _check_es(a, b, alpha):
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
     if alpha <= 0:
         raise BelowThreshold("z must exceed the band top e_max")
-    i1, i2, i3 = (r.value for r in _integrate(model, sectors.ES_WEIGHTS, alpha, 1, spec))
+
+
+def _es_parts(a, b, mu, i1, i2, i3):
+    """The determinant components from I[1], I[s^2], I[s]."""
     d1 = 1.0 - a * mu * i1 / FOUR_PI_SQ
     d2 = 1.0 - b * mu * i2 / FOUR_PI_SQ
     d3 = i3 / FOUR_PI_SQ
@@ -94,47 +109,79 @@ def delta_es(model, a, b, mu, *, alpha, spec=None):
                               combined=d1 * d2 - mu ** 2 * a * b * d3 ** 2)
 
 
+def delta_es(model, a, b, mu, *, alpha, spec=None):
+    """All components of the rank-two determinant at z = e_max + alpha."""
+    _check_es(a, b, alpha)
+    return _es_parts(a, b, mu, *(r.value for r in _integrate(
+        model, sectors.ES_WEIGHTS, alpha, 1, spec)))
+
+
 # ---------------------------------------------------------------------------
-# root machinery in x = ln alpha
+# safeguarded Newton on a branch of N(alpha) = G(alpha)^-1 - mu V
 # ---------------------------------------------------------------------------
 
-def _root(f, alpha_hi, what):
-    """(alpha, f(alpha)) at the zero of f, increasing in alpha, in
-    [ALPHA_FLOOR, alpha_hi).
+def _root(branch, alpha_hi, what):
+    """alpha at the zero of branch in [ALPHA_FLOOR, alpha_hi).
 
-    f must be positive at alpha_hi.  x = ln alpha walks down in steps of
-    ln 4 to the first sign change, which Brent's method refines in x.  f is
-    memoised in x for the search, so Brent's bracket ends and the returned
-    value cost no evaluation.
+    branch(alpha) is (value, slope) of an increasing branch of N, positive
+    at alpha_hi.  Newton steps from alpha_hi; a step that leaves the bracket
+    (lo, hi) of evaluated points below and above the zero takes the
+    bracket's geometric midpoint, and the first step below ALPHA_FLOOR
+    evaluates the floor instead.  The search stops at a step or a bracket
+    below ROOT_REL_TOL relative and returns the last evaluated alpha, so the
+    caller's memo of branch holds its point.
     """
-    g = functools.cache(lambda x: f(math.exp(x)))
-    x_hi = math.log(alpha_hi)
-    if g(x_hi) <= 0:
-        raise BracketFailure(f"{what}: determinant not positive at the upper "
-                             f"bracket alpha = {alpha_hi:g}")
-    while (x_lo := x_hi - math.log(4.0)) >= math.log(ALPHA_FLOOR):
-        f_lo = g(x_lo)
-        if f_lo == 0.0:
-            return math.exp(x_lo), f_lo
-        if f_lo < 0:
-            x = scipy.optimize.brentq(g, x_lo, x_hi, xtol=1e-12,
-                                      rtol=8.9e-16, maxiter=200)
-            return math.exp(x), g(x)
-        x_hi = x_lo
-    raise UnresolvableRoots(f"{what}: no sign change above the floor "
-                            f"alpha = {ALPHA_FLOOR:g}")
+    lo, hi = None, alpha_hi
+    alpha = alpha_hi
+
+    def state():
+        return (f"(last alpha = {alpha:.17g}, N = {value:.3g}, "
+                f"bracket ({lo or ALPHA_FLOOR:.17g}, {hi:.17g}))")
+
+    value, slope = branch(alpha)
+    if not value > 0:
+        raise BracketFailure(f"{what}: N not positive at the upper bracket "
+                             f"{state()}")
+    for _ in range(MAX_STEPS):
+        if value == 0.0:
+            return alpha
+        if value > 0:
+            hi = alpha
+        else:
+            lo = alpha
+        step = alpha - value / slope if slope > 0 else math.nan
+        if (abs(step - alpha) <= ROOT_REL_TOL * alpha
+                or lo is not None and hi - lo <= ROOT_REL_TOL * hi):
+            return alpha
+        if lo is None and step < ALPHA_FLOOR:
+            step = ALPHA_FLOOR
+        elif not (lo or ALPHA_FLOOR) < step < hi:
+            step = math.sqrt((lo or ALPHA_FLOOR) * hi)
+        alpha = step
+        value, slope = branch(alpha)
+        if alpha == ALPHA_FLOOR and value > 0:
+            raise UnresolvableRoots(f"{what}: N still positive at the floor "
+                                    f"alpha = {ALPHA_FLOOR:g} {state()}")
+    raise UnresolvableRoots(f"{what}: no convergence in {MAX_STEPS} steps "
+                            f"{state()}")
 
 
-def _es_branches(parts, a, b, mu):
-    """Eigenvalues (lower, upper) of M = [[Delta1/(a mu), -Delta3],
-    [-Delta3, Delta2/(b mu)]].  The one of larger modulus comes from the
-    trace; the other is det M / it, free of cancellation."""
-    m11, m22 = parts.delta1 / (a * mu), parts.delta2 / (b * mu)
-    half_tr = 0.5 * (m11 + m22)
-    big = half_tr + math.copysign(math.hypot(0.5 * (m11 - m22), parts.delta3),
-                                  half_tr)
-    small = (m11 * m22 - parts.delta3 ** 2) / big if big != 0.0 else 0.0
-    return (small, big) if half_tr >= 0 else (big, small)
+def _eigen_branch(n, dn, upper):
+    """(value, slope) of the lower or upper eigenvalue of the symmetric 2x2
+    matrix n = (n11, n22, n12), whose alpha-derivative is dn (a callable
+    x -> x^T dN x).  The eigenvalue of larger modulus comes from the trace;
+    the other is det / it, free of cancellation."""
+    n11, n22, n12 = n
+    half_tr = 0.5 * (n11 + n22)
+    big = half_tr + math.copysign(math.hypot(0.5 * (n11 - n22), n12), half_tr)
+    small = (n11 * n22 - n12 ** 2) / big if big != 0.0 else 0.0
+    lower, higher = (small, big) if half_tr >= 0 else (big, small)
+    lam = higher if upper else lower
+    # an eigenvector: the longer of the two rows of adj(n - lam)
+    x = max(((n12, lam - n11), (lam - n22, n12)),
+            key=lambda v: v[0] ** 2 + v[1] ** 2)
+    norm_sq = x[0] ** 2 + x[1] ** 2
+    return lam, dn(x) / norm_sq if norm_sq > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +190,11 @@ def _es_branches(parts, a, b, mu):
 
 def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
     """The unique eigenvalue in a rank-one sector, or None where the count
-    table has none."""
+    table has none.
+
+    N(alpha) = 4pi^2/I(alpha) - b mu, I = int w^2/(alpha + d), from the seed
+    alpha0 = b mu - gamma = b (mu - mu0), which bounds the root from above.
+    """
     if b == 0:
         raise ZeroCoupling("coupling b must be nonzero")
     if mu <= 0:
@@ -153,23 +204,34 @@ def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
     gamma = getattr(gammas(model, spec=spec), f"gamma_{sector}")
     if not above_threshold(mu, gamma / b):
         return None
+    w_sq = sectors.RANK_ONE_WEIGHTS_SQ[sector]
 
-    f = lambda al: delta_rank_one(model, sector, b, mu, spec=spec, alpha=al)
-    alpha, f_root = _root(f, mu * abs(b) + 1.0,
-                          f"{sector} root at b = {b:.17g}, mu = {mu:.17g}")
-    return EigenvalueRecord(sector=sector, mu=mu, energy=float(model.e_max) + alpha,
-                            multiplicity=1, c1=None, c2=1.0,
-                            residual=abs(f_root))
+    @functools.cache
+    def point(alpha):
+        (res,), (slope,) = _integrate(model, (w_sq,), alpha, 1, spec, slopes=True)
+        return res.value, slope
+
+    def branch(alpha):
+        i, j = point(alpha)
+        return FOUR_PI_SQ / i - b * mu, FOUR_PI_SQ * j / i ** 2
+
+    alpha = _root(branch, b * mu - gamma,
+                  f"{sector} root at (b, mu) = ({b:.17g}, {mu:.17g})")
+    return EigenvalueRecord(
+        sector=sector, mu=mu, energy=float(model.e_max) + alpha,
+        multiplicity=1, c1=None, c2=1.0,
+        residual=abs(1.0 - b * mu * point(alpha)[0] / FOUR_PI_SQ))
 
 
 def find_eigenvalues_es(model, a, b, mu, spec=None):
     """Zeros of the rank-two determinant above e_max, per the count table.
 
-    One root is a zero of Delta itself.  Two roots (a, b > 0) are the zero
-    crossings of the lower eigenvalue of M (outer root) and of the upper one
-    (inner root); a double root, M = 0, is one record of multiplicity 2.
-    Both paths read one memo of delta_es parts: each record's residual and
-    coefficients come from the parts at its root, with no evaluation.
+    The single root, or the outer of two, is the zero of the lower
+    eigenvalue of N = G^-1 - mu V; the inner one the zero of the upper
+    eigenvalue below the outer root.  A double root, N = 0, is one record
+    of multiplicity 2.  Both searches read one memo of kernel points: each
+    record's residual and coefficients come from the point at its root,
+    with no evaluation.
     """
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
@@ -180,31 +242,40 @@ def find_eigenvalues_es(model, a, b, mu, spec=None):
     if expected == 0:
         return []
 
-    alpha_hi = mu * max(abs(a), abs(b)) + 1.0
     what = f"es root at (a, b, mu) = ({a:.17g}, {b:.17g}, {mu:.17g})"
 
-    parts = functools.cache(
-        lambda al: delta_es(model, a, b, mu, spec=spec, alpha=al))
+    @functools.cache
+    def point(alpha):
+        results, slopes = _integrate(model, sectors.ES_WEIGHTS, alpha, 1, spec,
+                                     slopes=True)
+        return tuple(r.value for r in results), slopes
+
+    def branch(alpha, upper):
+        (i1, i2, i3), (j1, j2, j3) = point(alpha)
+        scale = FOUR_PI_SQ / (i1 * i2 - i3 ** 2)     # G^-1 = scale adj(I)
+        g11, g22, g12 = scale * i2, scale * i1, -scale * i3
+
+        def slope(x):   # x^T G^-1 G2 G^-1 x, G2 = [[j1, j3], [j3, j2]]/4pi^2
+            y1, y2 = g11 * x[0] + g12 * x[1], g12 * x[0] + g22 * x[1]
+            return (j1 * y1 ** 2 + 2 * j3 * y1 * y2 + j2 * y2 ** 2) / FOUR_PI_SQ
+
+        return _eigen_branch((g11 - a * mu, g22 - b * mu, g12), slope, upper)
 
     def record(alpha):
-        pairs = _coefficient_pairs(parts(alpha))
+        parts = _es_parts(a, b, mu, *point(alpha)[0])
+        pairs = _coefficient_pairs(parts)
         c1, c2 = (None, None) if len(pairs) == 2 else map(float, pairs[0])
         return EigenvalueRecord(sector="es", mu=mu,
                                 energy=float(model.e_max) + alpha,
                                 multiplicity=len(pairs), c1=c1, c2=c2,
-                                residual=abs(parts(alpha).combined))
+                                residual=abs(parts.combined))
 
-    if expected == 1:
-        alpha, _ = _root(lambda al: parts(al).combined, alpha_hi, what)
-        return [record(alpha)]
-
-    records = []
-    for branch, which in ((0, "outer"), (1, "inner")):
-        alpha, _ = _root(lambda al: _es_branches(parts(al), a, b, mu)[branch],
-                         alpha_hi, f"{which} {what}")
+    alpha = _root(lambda al: branch(al, False), mu * max(abs(a), abs(b)) + 1.0,
+                  what if expected == 1 else f"outer {what}")
+    records = [record(alpha)]
+    if expected == 2 and records[0].multiplicity == 1:   # N = 0: one record
+        alpha = _root(lambda al: branch(al, True), alpha, f"inner {what}")
         records.append(record(alpha))
-        if records[-1].multiplicity == 2:   # M = 0: both roots in one record
-            break
     return records
 
 
@@ -236,12 +307,15 @@ def _coefficient_pairs(parts):
 def multiplicity_check(model, a, b, mu, z0, spec=None):
     """True iff (mu, z0) is a multiplicity-two zero: all three determinant
     components vanish (below ZERO_TOL), and so does the z-derivative of the
-    combination."""
+    combination.  One kernel call at z0 gives both: with J the k = 2 sums,
+    Delta1' = a mu J1/4pi^2, Delta2' = b mu J2/4pi^2, Delta3' = -J3/4pi^2."""
     alpha0 = z0 - float(model.e_max)
-    parts = delta_es(model, a, b, mu, spec=spec, alpha=alpha0)
+    _check_es(a, b, alpha0)
+    results, (j1, j2, j3) = _integrate(model, sectors.ES_WEIGHTS, alpha0, 1,
+                                       spec, slopes=True)
+    parts = _es_parts(a, b, mu, *(r.value for r in results))
     if max(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)) >= ZERO_TOL:
         return False
-    h = min(0.5 * alpha0, max(1e-6 * alpha0, 1e-10))
-    up = delta_es(model, a, b, mu, spec=spec, alpha=alpha0 + h).combined
-    dn = delta_es(model, a, b, mu, spec=spec, alpha=alpha0 - h).combined
-    return abs((up - dn) / (2 * h)) < 1e-6
+    slope = (a * mu * j1 * parts.delta2 + b * mu * j2 * parts.delta1
+             + 2 * mu ** 2 * a * b * parts.delta3 * j3) / FOUR_PI_SQ
+    return abs(slope) < 1e-6

@@ -71,5 +71,7 @@ class FitFailure(NumericalError):
 
 
 class UnresolvableRoots(NumericalError):
-    """Requested roots sit closer to threshold than working precision: no
-    sign change above the floor ``determinant.ALPHA_FLOOR``."""
+    """Requested roots sit closer to threshold than working precision: the
+    determinant branch is still positive at the floor
+    ``determinant.ALPHA_FLOOR``, or its Newton search did not settle within
+    ``determinant.MAX_STEPS`` steps."""

@@ -43,9 +43,17 @@ level forms no node coordinates: it evaluates the cutoff, the deficit and
 each v on the broadcast axes of its tensor grid and masks the result.  An
 integral at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over
 cached arrays.
+
 The kernel _integrate takes a stack of weights at one (alpha, k), e.g. the
-three of the rank-two determinant, which share each set's denominator;
-integrate_resolvent and integrate_threshold are its one-weight case.
+three of the rank-two determinant; integrate_resolvent and
+integrate_threshold are its one-weight case.  Per node set and call it forms
+one reciprocal row r = 1/(alpha + deficit)^k in place, and each weight's sum
+is the dot product of its cached w v with r.  Every weight is its own dot
+with the same r, so a stacked result is bitwise that of the one-weight call.
+The dot accumulates in BLAS order, not np.sum's pairwise order: a far sum
+lies within about 1e3 eps sum |w v r| of the pairwise one.  At k = 1 the
+kernel can also return each weight's k = 2 sum from r^2 (slopes), the
+alpha-derivative that steers the determinant's Newton search.
 """
 
 import math
@@ -296,6 +304,13 @@ class _NearSet(_NodeSet):
     def _deficit(self, model):
         return model.deficit(self.u1, self.u2)
 
+    def weighted_abs(self, v):
+        """|w v| on the fine part (the even and odd nodes), kept in vcache
+        next to w v."""
+        return self._cached(
+            self.vcache, (abs, v), self.VALUES_KEPT,
+            lambda: np.abs(self.weighted(v)[:self.parts[1].stop]))
+
 
 @lru_cache(maxsize=32)
 def _far_grids(grid_n, patch_radius, breakpoints):
@@ -312,9 +327,11 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth of
     that on the 256 smooth grid; the near set holds five float arrays over
     its 41k nodes (at delta = 0.5), 1.6 MB.  Each cached deficit or w * v
-    product adds one read-only float array of its set's node count, and a
-    sum makes one or two temporaries of that size.  cache_clear drops all
-    of it."""
+    product adds one read-only float array of its set's node count (and on
+    the near set |w v| over its fine nodes), and a kernel call makes one
+    reciprocal row of that size per set, two with slopes, which every
+    weight of its stack reads by a dot product.  cache_clear drops all of
+    it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
     else:
@@ -327,43 +344,58 @@ def _far_grids(grid_n, patch_radius, breakpoints):
             _NearSet(patch_radius))
 
 
-def _quotients(nodes, model, vs, alpha, k):
-    """w v / (alpha + deficit)^k on the node set for each v in vs, in turn.
-    The denominator is formed once for the stack, and the quotients share
-    one more temporary (one weight: the denominator's), so each must be
-    read before the next is made.  Both rows come from one allocation: as
-    two arrays, a stack paid page faults for fresh memory on every call (a
-    warm Laplacian es stack took 1.0 ms against 0.7 ms)."""
-    wvs = [nodes.weighted(v) for v in vs]  # first, so v's temporaries are freed
+def _reciprocals(nodes, model, alpha, k, slopes=False):
+    """Rows of 1/(alpha + deficit)^k on the node set and, with slopes
+    (k = 1), of its square 1/(alpha + deficit)^2, formed in place: add,
+    reciprocal, square.  Both rows come from one allocation: as two arrays,
+    a call paid page faults for fresh memory every time."""
     deficit = nodes.deficit(model)
-    rows = np.empty((1 + (len(wvs) > 1), deficit.size))
-    den = np.add(deficit, alpha, out=rows[0])
+    rows = np.empty((1 + slopes, deficit.size))
+    r = np.add(deficit, alpha, out=rows[0])
+    np.reciprocal(r, out=r)
     if k == 2:
-        np.square(den, out=den)
-    out = rows[-1]
-    for wv in wvs:
-        yield np.divide(wv, den, out=out)
+        np.square(r, out=r)
+    if slopes:
+        np.square(r, out=rows[1])
+    return rows
 
 
-def _far_values(level, model, vs, alpha, k):
+def _far_values(level, model, vs, alpha, k, slopes=False):
     """sum of w v / (alpha + deficit)^k over the level's nodes, for each v
-    in vs.  The float operations are those of that expression, in its
-    order, so each sum is the same to the bit."""
-    return [float(np.sum(q)) for q in _quotients(level, model, vs, alpha, k)]
+    in vs: the dot product of the cached w v with the one reciprocal row of
+    the call, so a stacked sum is the very float of a one-weight call.
+    With slopes (k = 1), (values, slopes), slopes the sums of
+    w v / (alpha + deficit)^2 from the same row."""
+    wvs = [level.weighted(v) for v in vs]  # first, so v's temporaries are freed
+    rows = _reciprocals(level, model, alpha, k, slopes)
+    values = [float(np.dot(wv, rows[0])) for wv in wvs]
+    if not slopes:
+        return values
+    return values, [float(np.dot(wv, rows[1])) for wv in wvs]
 
 
-def _near_values(near, model, vs, alpha, k):
+def _near_values(near, model, vs, alpha, k, slopes=False):
     """(value, abs_value, radial_err, angular_err) of the near field of each
     v in vs: the integral of chi v / (alpha + deficit)^k over the patch, the
     integral of its modulus (a scale for relative-tolerance decisions), and
-    the two error estimates of the rule (see _NearSet)."""
+    the two error estimates of the rule (see _NearSet).  Each is a dot
+    product with the call's reciprocal row r; the denominator is positive,
+    so the modulus integral is the dot of the cached |w v| with r.  With
+    slopes (k = 1), (rows, slopes), slopes the sums of
+    w v / (alpha + deficit)^2 over the fine nodes (the even and odd parts)."""
+    fine = slice(0, near.parts[1].stop)
+    wvs = [(near.weighted(v), near.weighted_abs(v)) for v in vs]
+    rows = _reciprocals(near, model, alpha, k, slopes)
+    r = rows[0]
     out = []
-    for q in _quotients(near, model, vs, alpha, k):
-        even, odd, coarse = (float(np.sum(q[part])) for part in near.parts)
-        fine = q[:near.parts[1].stop]
-        abs_value = float(np.sum(np.abs(fine, out=fine)))
-        out.append((even + odd, abs_value, abs(2 * even - coarse), abs(odd - even)))
-    return out
+    for wv, abs_wv in wvs:
+        even, odd, coarse = (float(np.dot(wv[part], r[part]))
+                             for part in near.parts)
+        out.append((even + odd, float(np.dot(abs_wv, r[fine])),
+                    abs(2 * even - coarse), abs(odd - even)))
+    if not slopes:
+        return out
+    return out, [float(np.dot(wv[fine], rows[1][fine])) for wv, _ in wvs]
 
 
 def _outside_balls(model, v, window, spec=None):
@@ -374,7 +406,10 @@ def _outside_balls(model, v, window, spec=None):
     sum covers whole panels at their full weight."""
     spec = spec or default_spec(model)
     fine, _, near = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
-    q = next(_quotients(near, model, (v,), 0.0, 2))[:near.parts[1].stop]
+    stop = near.parts[1].stop
+    wv = near.weighted(v)[:stop]
+    q = _reciprocals(near, model, 0.0, 2)[0, :stop]
+    np.multiply(wv, q, out=q)
     # both angular halves on the same radial nodes: (half, panel, node, angle)
     panels = q.reshape(2, len(near.edges) - 1, GAUSS_ORDER, -1).sum(axis=(0, 2, 3))
     outside = (_far_values(fine, model, (v,), 0.0, 2)[0]
@@ -424,12 +459,19 @@ def integrate_threshold(model, v, k=1, spec=None):
     return _integrate(model, (v,), 0.0, k, spec)[0]
 
 
-def _integrate(model, vs, alpha, k, spec=None):
+def _integrate(model, vs, alpha, k, spec=None, slopes=False):
     """One IntegralResult per weight in vs at alpha >= 0: the far field plus
     the near field, each a sum over cached node arrays (see the module
-    docstring)."""
+    docstring).
+
+    With slopes (k = 1 only), (results, slopes): each slope is the sum of
+    w v / (alpha + deficit)^2 over the fine far level and the near set's fine
+    nodes, -d/dalpha of the value, from the same reciprocal rows.  It steers
+    a root search and carries no error estimate or convergence check."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
+    if slopes and k != 1:
+        raise ValueError("slopes are the k = 2 sums beside k = 1")
     # analytic weights vanish to integer orders; the ring estimate is
     # accurate to far better than the half-integer margin
     for v in vs if alpha == 0 else ():
@@ -440,11 +482,13 @@ def _integrate(model, vs, alpha, k, spec=None):
     spec = spec or default_spec(model)
     fine, coarse, near = _far_grids(spec.grid_n, spec.patch_radius,
                                     model.breakpoints)
+    fars = _far_values(fine, model, vs, alpha, k, slopes)
+    nears = _near_values(near, model, vs, alpha, k, slopes)
+    if slopes:
+        (fars, far_slopes), (nears, near_slopes) = fars, nears
     results = []
     for far, far_coarse, (value, abs_value, radial_err, angular_err) in zip(
-            _far_values(fine, model, vs, alpha, k),
-            _far_values(coarse, model, vs, alpha, k),
-            _near_values(near, model, vs, alpha, k)):
+            fars, _far_values(coarse, model, vs, alpha, k), nears):
         near_err = radial_err + angular_err
         if near_err > spec.radial_tol * max(abs(far + value),
                                             1e-2 * (abs(far) + abs_value), 1e-300):
@@ -453,6 +497,8 @@ def _integrate(model, vs, alpha, k, spec=None):
                 f"angular {angular_err:g} (alpha = {alpha:g}, k = {k})")
         results.append(IntegralResult(value=far + value,
                                       error_estimate=abs(far - far_coarse) + near_err))
+    if slopes:
+        return results, [f + n for f, n in zip(far_slopes, near_slopes)]
     return results
 
 

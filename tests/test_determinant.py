@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lattice_spectra import sectors, spectrum, torus_quad
 from lattice_spectra.asymptotics import leading_coefficients
-from lattice_spectra.determinant import (delta_es, delta_rank_one,
+from lattice_spectra.determinant import (ALPHA_FLOOR, delta_es,
+                                         delta_rank_one,
                                          eigenfunction_es,
                                          find_eigenvalue_rank_one,
                                          find_eigenvalues_es,
                                          multiplicity_check)
+from lattice_spectra.dispersion import DiscreteLaplacian, SteppedPhiA
 from lattice_spectra.errors import UnresolvableRoots, ZeroCoupling
 from lattice_spectra.thresholds import NO_THRESHOLD, coupling_thresholds
+from test_dispersion import diagonal_hop_table
 
 # frozen reference roots for the discrete Laplacian (independently confirmed
 # against box-truncation diagonalization in test_lattice_oracle /
@@ -83,14 +87,15 @@ def test_es_two_roots_frozen(lap):
 
 def _kernel_log(monkeypatch):
     # one entry per weight integrated by the kernel, (weight, alpha, k),
-    # whoever calls the kernel, and a count of the node arrays it fills
-    # (deficits and w * v products)
-    log = {"integrals": [], "fills": 0}
+    # whoever calls the kernel, a count of the kernel calls, and a count of
+    # the node arrays it fills (deficits and w * v products)
+    log = {"integrals": [], "calls": 0, "fills": 0}
     near_values, cached = torus_quad._near_values, torus_quad._NodeSet._cached
 
-    def integrating(near, model, vs, alpha, k):
+    def integrating(near, model, vs, alpha, k, *args, **kwargs):
         log["integrals"] += [(v.__name__, alpha, k) for v in vs]
-        return near_values(near, model, vs, alpha, k)
+        log["calls"] += 1
+        return near_values(near, model, vs, alpha, k, *args, **kwargs)
 
     def caching(node_set, cache, key, kept, compute):
         def filling():
@@ -104,12 +109,22 @@ def _kernel_log(monkeypatch):
 
 
 def test_es_two_roots_integral_count(lap, monkeypatch):
-    # both eigenvalue branches of M share one memo of delta_es points, and
+    # both eigenvalue branches of N share one memo of kernel points, and
     # a warm search reads every node array from the caches
     find_eigenvalues_es(lap, 1.0, 1.0, 3.0)  # warm the constants and arrays
     log = _kernel_log(monkeypatch)
     find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
-    assert len(log["integrals"]) <= 45, log["integrals"]
+    assert len(log["integrals"]) <= 30, log["integrals"]
+    assert log["fills"] == 0
+
+
+def test_warm_solve_integral_count(lap, monkeypatch):
+    # the Newton search costs a few kernel points per root (the bracketed
+    # descent and Brent took 43 integrals here)
+    spectrum.solve(lap, 1.0, 3.0, 1.0)
+    log = _kernel_log(monkeypatch)
+    assert spectrum.solve(lap, 1.0, 3.0, 1.0).total_count == 4
+    assert len(log["integrals"]) <= 32, log["integrals"]
     assert log["fills"] == 0
 
 
@@ -154,6 +169,53 @@ def test_solve_counts_and_es_residuals_over_sign_regimes(lap, signs, size_a,
             assert rec.residual < 1e-9
 
 
+def _keeps_roots_resolvable(model, a, b, mu):
+    # at least 1e-3 relative from every threshold, and es roots at
+    # alpha ~ exp(-exponent) with exponent <= 20
+    mu0 = coupling_thresholds(model, a, b).mu0
+    if not all(abs(mu - m) > 1e-3 * m for m in mu0.values()
+               if m is not NO_THRESHOLD):
+        return False
+    lc = leading_coefficients(model, a, b)
+    if lc.es_exponent_rate is not None and lc.es_exponent_rate / mu > 20:
+        return False
+    return not (lc.Lambda is not None and mu > mu0["es"]
+                and lc.Lambda / (mu - mu0["es"]) > 20)
+
+
+NEWTON_MODELS = {"laplacian": DiscreteLaplacian(),
+                 "diagonal-hop-0.1": diagonal_hop_table(0.1)}
+
+
+@settings(max_examples=25)
+@given(name=st.sampled_from(sorted(NEWTON_MODELS)),
+       signs=st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))),
+       size_a=st.floats(0.1, 3.0), size_b=st.floats(0.1, 3.0),
+       mu=st.floats(0.2, 6.0))
+def test_newton_roots_are_sign_changes_of_the_determinant(name, signs, size_a,
+                                                          size_b, mu):
+    # the Newton search on N against the public determinants, which it does
+    # not call: each simple root must sit inside a sign change of Delta
+    # between alpha (1 - 1e-8) and alpha (1 + 1e-8).  The record keeps
+    # E = e_max + alpha, so alpha is known to a unit in the last place of E
+    # only, which the window must cover for roots below about 1e-7
+    model = NEWTON_MODELS[name]
+    a, b = signs[0] * size_a, signs[1] * size_b
+    assume(_keeps_roots_resolvable(model, a, b, mu))
+    res = spectrum.solve(model, a, b, mu)
+    pred = spectrum.predicted_sector_counts(model, a, b, mu)
+    assert res.sector_counts() == {s: pred[s] for s in sectors.SECTORS}
+    for rec in res.records:
+        alpha = rec.energy - float(model.e_max)
+        if rec.sector == "es":
+            delta = lambda al: delta_es(model, a, b, mu, alpha=al).combined
+        else:
+            delta = lambda al: delta_rank_one(model, rec.sector, b, mu, alpha=al)
+        h = max(1e-8 * alpha, 2 * np.spacing(rec.energy))
+        below, above = delta(alpha - h), delta(alpha + h)
+        assert below * above < 0, (rec, below, above)
+
+
 def test_es_records_ordered_and_coefficients(lap):
     recs = find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
     for r in recs:
@@ -177,6 +239,35 @@ def test_delta3_nonzero_above_band(lap):
 def test_multiplicity_check_rejects_simple_roots(lap):
     recs = find_eigenvalues_es(lap, 1.0, 1.0, 3.0)
     assert not multiplicity_check(lap, 1.0, 1.0, 3.0, recs[0].energy)
+
+
+def test_multiplicity_check_is_one_kernel_call(monkeypatch):
+    # the z-derivative comes from the k = 2 slopes of the call at z0, not
+    # from two more determinants at z0 +- h
+    res = spectrum.multiplicity_two_construct(1.5, mu=1.0)
+    model = SteppedPhiA(a_param=res.A0)
+    log = _kernel_log(monkeypatch)
+    assert multiplicity_check(model, res.a0, res.b0, 1.0, 1.5)
+    assert log["calls"] == 1
+    assert len(log["integrals"]) == 3
+
+
+def test_unresolvable_root_names_its_state(lap):
+    # the inner root just above mu0 lies far below the floor; the error
+    # names the sector, the couplings, the last alpha and the bracket
+    mu = coupling_thresholds(lap, 1.0, 1.0).mu0["es"] * (1 + 1e-7)
+    with pytest.raises(UnresolvableRoots) as info:
+        find_eigenvalues_es(lap, 1.0, 1.0, mu)
+    message = str(info.value)
+    assert message.startswith(
+        f"inner es root at (a, b, mu) = (1, 1, {mu:.17g}): "), message
+    match = re.search(r"last alpha = (\S+), N = \S+, "
+                      r"bracket \((\S+), (\S+)\)\)$", message)
+    assert match, message
+    last, lo, hi = (float(x) for x in match.groups())
+    assert last == lo == ALPHA_FLOOR < hi
+    # hi lies between the two roots, where Delta is negative
+    assert delta_es(lap, 1.0, 1.0, mu, alpha=hi).combined < 0
 
 
 def test_record_as_dict(lap):

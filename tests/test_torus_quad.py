@@ -482,11 +482,16 @@ def test_integrals_agree_with_the_product_form_weights(model):
                     v.__name__, alpha, k)
 
 
+# a far sum is a BLAS dot product of the cached w * v with the reciprocal
+# row, not np.sum's pairwise order; the dot accumulates in its own order
+DOT_EPS = 1e3 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_far_value_is_bitwise_the_plain_sum(model):
-    # the far sum divides the cached w * v into its one temporary in place,
-    # and a stack of weights shares the denominator; each sum must be the
-    # very float of the plain expression
+def test_far_value_matches_the_plain_sum(model):
+    # each far sum lies within DOT_EPS sum |w v| / (alpha + d)^k of the
+    # plain expression, and a stack of weights, which shares the reciprocal
+    # row, gives each sum to the bit of its one-weight call
     vs = (sectors.w_os_sq, sectors.es_cos_sum, sectors.es_one)
     for level in _node_sets(model)[:2]:
         deficit = level.deficit(model)
@@ -496,9 +501,11 @@ def test_far_value_is_bitwise_the_plain_sum(model):
                 stacked = torus_quad._far_values(level, model, vs, alpha, k)
                 for v, got in zip(vs, stacked):
                     vv = np.asarray(v(*nodes), dtype=float)
-                    plain = float(np.sum(level.w * vv / (alpha + deficit) ** k))
+                    terms = level.w * vv / (alpha + deficit) ** k
+                    plain = float(np.sum(terms))
                     alone, = torus_quad._far_values(level, model, (v,), alpha, k)
-                    assert got.hex() == alone.hex() == plain.hex(), (
+                    assert got.hex() == alone.hex(), (v.__name__, k, alpha)
+                    assert abs(got - plain) <= DOT_EPS * np.sum(np.abs(terms)), (
                         v.__name__, k, alpha)
 
 
