@@ -135,8 +135,8 @@ def _root(branch, alpha_hi, what):
     alpha = alpha_hi
 
     def state():
-        return (f"(last alpha = {alpha:.17g}, N = {value:.3g}, "
-                f"bracket ({lo or ALPHA_FLOOR:.17g}, {hi:.17g}))")
+        return (f"(last alpha = {alpha!r}, N = {value:.3g}, "
+                f"bracket ({lo or ALPHA_FLOOR!r}, {hi!r}))")
 
     value, slope = branch(alpha)
     if not value > 0:

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lattice_spectra import sectors, spectrum, torus_quad
+from lattice_spectra import determinant, sectors, spectrum, torus_quad
 from lattice_spectra.asymptotics import leading_coefficients
 from lattice_spectra.determinant import (ALPHA_FLOOR, delta_es,
                                          delta_rank_one,
@@ -14,7 +15,8 @@ from lattice_spectra.determinant import (ALPHA_FLOOR, delta_es,
                                          find_eigenvalues_es,
                                          multiplicity_check)
 from lattice_spectra.dispersion import DiscreteLaplacian, SteppedPhiA
-from lattice_spectra.errors import UnresolvableRoots, ZeroCoupling
+from lattice_spectra.errors import (BracketFailure, UnresolvableRoots,
+                                    ZeroCoupling)
 from lattice_spectra.thresholds import NO_THRESHOLD, coupling_thresholds
 from test_dispersion import diagonal_hop_table
 
@@ -167,6 +169,23 @@ def test_solve_counts_and_es_residuals_over_sign_regimes(lap, signs, size_a,
     for rec in res.records:
         if rec.sector == "es":
             assert rec.residual < 1e-9
+
+
+def test_newton_safeguards_on_a_synthetic_branch(monkeypatch):
+    # a slope that steers nowhere (0) leaves only the bracket's geometric
+    # midpoints, which still close on the zero; every failure names the
+    # last alpha and the bracket
+    root = 1e-3
+    steerless = lambda al: (math.log(al / root), 0.0)
+    assert determinant._root(steerless, 10.0, "test") == pytest.approx(
+        root, rel=1e-11)
+    with pytest.raises(BracketFailure,
+                       match=r"^test: .*last alpha = 1e-05, .*bracket \(1e-13, 1e-05\)"):
+        determinant._root(steerless, 1e-5, "test")
+    monkeypatch.setattr(determinant, "MAX_STEPS", 3)
+    with pytest.raises(UnresolvableRoots, match=r"no convergence in 3 steps "
+                       r"\(last alpha = \S+, N = \S+, bracket \(\S+, \S+\)\)$"):
+        determinant._root(steerless, 10.0, "test")
 
 
 def _keeps_roots_resolvable(model, a, b, mu):
