@@ -149,15 +149,15 @@ def _root(branch, alpha_hi, what):
             hi = alpha
         else:
             lo = alpha
-        step = alpha - value / slope if slope > 0 else math.nan
-        if (abs(step - alpha) <= ROOT_REL_TOL * alpha
+        target = alpha - value / slope if slope > 0 else math.nan
+        if (abs(target - alpha) <= ROOT_REL_TOL * alpha
                 or lo is not None and hi - lo <= ROOT_REL_TOL * hi):
             return alpha
-        if lo is None and step < ALPHA_FLOOR:
-            step = ALPHA_FLOOR
-        elif not (lo or ALPHA_FLOOR) < step < hi:
-            step = math.sqrt((lo or ALPHA_FLOOR) * hi)
-        alpha = step
+        if lo is None and target < ALPHA_FLOOR:
+            target = ALPHA_FLOOR
+        elif not (lo or ALPHA_FLOOR) < target < hi:
+            target = math.sqrt((lo or ALPHA_FLOOR) * hi)
+        alpha = target
         value, slope = branch(alpha)
         if alpha == ALPHA_FLOOR and value > 0:
             raise UnresolvableRoots(f"{what}: N still positive at the floor "
