@@ -27,13 +27,14 @@ alpha, and the lower one is concave: Newton started above its zero
 overshoots at most once and then climbs monotonically.  By Cauchy-Schwarz
 dN/dalpha >= (1/4pi^2 int u u^T)^-1 = 1, so N(alpha) >= N(0+) + alpha.
 
-A safeguarded Newton iteration in alpha finds every root (_root):
+thresholds.sector_count is the number of negative eigenvalues of N(0+),
+and so of roots.  A safeguarded Newton iteration in alpha (_root) finds the
+zero of each branch of N from the lowest up, each below the one before:
   * rank-one, from alpha0 = b mu - gamma = b (mu - mu0): N(0) = gamma - b mu
     on the same rule, so N(alpha0) >= 0 bounds the root from above;
   * es, from alpha_hi = mu max(|a|, |b|) + 1, where N is positive definite.
-    N(0+) has es_count negative eigenvalues.  The single root, or the outer
-    of two, is the zero of the lower eigenvalue; the inner root is the zero
-    of the upper eigenvalue below the outer one.  A double root is N = 0.
+    The single root, or the outer of two, is the zero of the lower
+    eigenvalue, the inner root that of the upper one.  A double root is N = 0.
 A step that leaves the bracket of evaluated points takes its geometric
 midpoint; a step below ALPHA_FLOOR evaluates the floor once, and a branch
 still positive there raises UnresolvableRoots.  The search stops at a step
@@ -48,8 +49,7 @@ from dataclasses import dataclass
 from . import sectors
 from .errors import (BelowThreshold, BracketFailure, UnresolvableRoots,
                      ZeroCoupling)
-from .thresholds import (above_threshold, coupling_thresholds, es_count,
-                         gammas)
+from .thresholds import gammas, sector_count
 from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
 
 ALPHA_FLOOR = 1e-13   # roots closer to threshold are unresolvable
@@ -75,6 +75,7 @@ class EigenvalueRecord:
     c1: float | None
     c2: float | None
     residual: float
+    log_alpha: float   # ln(energy - e_max): energy holds alpha to an ulp only
 
 
 def delta_rank_one(model, sector, b, mu, *, alpha, spec=None):
@@ -190,92 +191,79 @@ def _eigen_branch(n, dn, upper):
 
 def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
     """The unique eigenvalue in a rank-one sector, or None where the count
-    table has none.
-
-    N(alpha) = 4pi^2/I(alpha) - b mu, I = int w^2/(alpha + d), from the seed
-    alpha0 = b mu - gamma = b (mu - mu0), which bounds the root from above.
-    """
-    if b == 0:
-        raise ZeroCoupling("coupling b must be nonzero")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if b < 0:
-        return None
-    gamma = getattr(gammas(model, spec=spec), f"gamma_{sector}")
-    if not above_threshold(mu, gamma / b):
-        return None
-    w_sq = sectors.RANK_ONE_WEIGHTS_SQ[sector]
-
-    @functools.cache
-    def point(alpha):
-        (res,), (slope,) = _integrate(model, (w_sq,), alpha, 1, spec, slopes=True)
-        return res.value, slope
-
-    def branch(alpha):
-        i, j = point(alpha)
-        return FOUR_PI_SQ / i - b * mu, FOUR_PI_SQ * j / i ** 2
-
-    alpha = _root(branch, b * mu - gamma,
-                  f"{sector} root at (b, mu) = ({b:.17g}, {mu:.17g})")
-    return EigenvalueRecord(
-        sector=sector, mu=mu, energy=float(model.e_max) + alpha,
-        multiplicity=1, c1=None, c2=1.0,
-        residual=abs(1.0 - b * mu * point(alpha)[0] / FOUR_PI_SQ))
+    table has none."""
+    if sector not in sectors.RANK_ONE_SECTORS:
+        raise ValueError(f"not a rank-one sector: {sector}")
+    return next(iter(_find(model, sector, None, b, mu, spec)), None)
 
 
 def find_eigenvalues_es(model, a, b, mu, spec=None):
-    """Zeros of the rank-two determinant above e_max, per the count table.
+    """Zeros of the rank-two determinant above e_max, per the count table,
+    outer root first; a double root is one record of multiplicity 2."""
+    return _find(model, "es", a, b, mu, spec)
 
-    The single root, or the outer of two, is the zero of the lower
-    eigenvalue of N = G^-1 - mu V; the inner one the zero of the upper
-    eigenvalue below the outer root.  A double root, N = 0, is one record
-    of multiplicity 2.  Both searches read one memo of kernel points: each
-    record's residual and coefficients come from the point at its root,
-    with no evaluation.
-    """
+
+def _find(model, sector, a, b, mu, spec):
+    """Records of the sector_count roots in one sector (a is None in a
+    rank-one sector).  Root k is the zero of N's k-th eigenvalue from the
+    lowest, searched below root k - 1; a double root (N = 0) ends the
+    search.  The searches share one memo of kernel points, and each record's
+    residual and coefficients are read off the point at its root."""
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    mu0_es = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
-    expected = es_count(a, b, mu, mu0_es)
-    if expected == 0:
+    count = sector_count(model, sector, a, b, mu, spec=spec)
+    if count == 0:
         return []
+    if sector == "es":
+        weights, alpha = sectors.ES_WEIGHTS, mu * max(abs(a), abs(b)) + 1.0
+        what = f"es root at (a, b, mu) = ({a:.17g}, {b:.17g}, {mu:.17g})"
 
-    what = f"es root at (a, b, mu) = ({a:.17g}, {b:.17g}, {mu:.17g})"
+        def branch(values, slopes, upper):
+            (i1, i2, i3), (j1, j2, j3) = values, slopes
+            scale = FOUR_PI_SQ / (i1 * i2 - i3 ** 2)     # G^-1 = scale adj(I)
+            g11, g22, g12 = scale * i2, scale * i1, -scale * i3
+
+            def slope(x):   # x^T G^-1 G2 G^-1 x, G2 = [[j1, j3], [j3, j2]]/4pi^2
+                y1, y2 = g11 * x[0] + g12 * x[1], g12 * x[0] + g22 * x[1]
+                return (j1 * y1 ** 2 + 2 * j3 * y1 * y2 + j2 * y2 ** 2) / FOUR_PI_SQ
+
+            return _eigen_branch((g11 - a * mu, g22 - b * mu, g12), slope, upper)
+
+        def fields(values):   # multiplicity, c1, c2, residual
+            parts = _es_parts(a, b, mu, *values)
+            pairs = _coefficient_pairs(parts)
+            c1, c2 = (None, None) if len(pairs) == 2 else map(float, pairs[0])
+            return len(pairs), c1, c2, abs(parts.combined)
+    else:
+        gamma = getattr(gammas(model, spec=spec), f"gamma_{sector}")
+        weights, alpha = (sectors.RANK_ONE_WEIGHTS_SQ[sector],), b * mu - gamma
+        what = f"{sector} root at (b, mu) = ({b:.17g}, {mu:.17g})"
+
+        def branch(values, slopes, upper):   # N = 4pi^2/I - b mu
+            (i,), (j,) = values, slopes
+            return FOUR_PI_SQ / i - b * mu, FOUR_PI_SQ * j / i ** 2
+
+        def fields(values):
+            return 1, None, 1.0, abs(1.0 - b * mu * values[0] / FOUR_PI_SQ)
 
     @functools.cache
     def point(alpha):
-        results, slopes = _integrate(model, sectors.ES_WEIGHTS, alpha, 1, spec,
-                                     slopes=True)
+        results, slopes = _integrate(model, weights, alpha, 1, spec, slopes=True)
         return tuple(r.value for r in results), slopes
 
-    def branch(alpha, upper):
-        (i1, i2, i3), (j1, j2, j3) = point(alpha)
-        scale = FOUR_PI_SQ / (i1 * i2 - i3 ** 2)     # G^-1 = scale adj(I)
-        g11, g22, g12 = scale * i2, scale * i1, -scale * i3
-
-        def slope(x):   # x^T G^-1 G2 G^-1 x, G2 = [[j1, j3], [j3, j2]]/4pi^2
-            y1, y2 = g11 * x[0] + g12 * x[1], g12 * x[0] + g22 * x[1]
-            return (j1 * y1 ** 2 + 2 * j3 * y1 * y2 + j2 * y2 ** 2) / FOUR_PI_SQ
-
-        return _eigen_branch((g11 - a * mu, g22 - b * mu, g12), slope, upper)
-
-    def record(alpha):
-        parts = _es_parts(a, b, mu, *point(alpha)[0])
-        pairs = _coefficient_pairs(parts)
-        c1, c2 = (None, None) if len(pairs) == 2 else map(float, pairs[0])
-        return EigenvalueRecord(sector="es", mu=mu,
-                                energy=float(model.e_max) + alpha,
-                                multiplicity=len(pairs), c1=c1, c2=c2,
-                                residual=abs(parts.combined))
-
-    alpha = _root(lambda al: branch(al, False), mu * max(abs(a), abs(b)) + 1.0,
-                  what if expected == 1 else f"outer {what}")
-    records = [record(alpha)]
-    if expected == 2 and records[0].multiplicity == 1:   # N = 0: one record
-        alpha = _root(lambda al: branch(al, True), alpha, f"inner {what}")
-        records.append(record(alpha))
+    records = []
+    for k in range(count):
+        alpha = _root(lambda al: branch(*point(al), upper=k), alpha,
+                      what if count == 1 else f"{('outer', 'inner')[k]} {what}")
+        multiplicity, c1, c2, residual = fields(point(alpha)[0])
+        records.append(EigenvalueRecord(
+            sector=sector, mu=mu, energy=float(model.e_max) + alpha,
+            multiplicity=multiplicity, c1=c1, c2=c2, residual=residual,
+            log_alpha=math.log(alpha)))
+        if multiplicity == 2:
+            break
     return records
 
 

@@ -18,8 +18,7 @@ from .determinant import find_eigenvalue_rank_one, find_eigenvalues_es
 from .dispersion import SteppedPhiA, is_even_per_coordinate
 from .errors import (DomainError, NotEvenPerCoordinate, SignChangeAbsent,
                      ZeroCoupling)
-from .thresholds import (above_threshold, coupling_thresholds, es_count,
-                         gammas)
+from .thresholds import coupling_thresholds, gammas, sector_count
 from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
 
 TRIPLE_OFFSET_REL = 0.1   # triple_emergence_check's offset from mu0
@@ -53,11 +52,9 @@ def solve(model, a, b, mu, spec=None):
 
 def predicted_sector_counts(model, a, b, mu, spec=None):
     """Counts predicted by the threshold table (no root finding)."""
-    ct = coupling_thresholds(model, a, b, spec=spec)
-    out = {s: int(above_threshold(mu, ct.mu0[s]))
-           for s in sectors.RANK_ONE_SECTORS}
-    out["es"] = es_count(a, b, mu, ct.mu0["es"])
-    out["total"] = sum(out[s] for s in sectors.SECTORS)
+    out = {s: sector_count(model, s, a, b, mu, spec=spec)
+           for s in sectors.SECTORS}
+    out["total"] = sum(out.values())
     return out
 
 

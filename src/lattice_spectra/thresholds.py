@@ -6,6 +6,9 @@ squared sector weight; the coupling threshold in a rank-one sector is
 gamma_omega / b (for b > 0), and in the rank-two even-symmetric sector
 (a + 4b) gamma_es / (ab) when that is positive.
 
+The count table is sector_count, the negative inertia of N(0+) = lim
+G(alpha)^-1 - mu V; predicted_sector_counts and the root finders ask it.
+
 The es threshold data need no integral of their own: with
 s = cos q1 + cos q2, w_os^2 + w_oa^2 + w_ea^2 + (2 + s)^2 = 4 (2 + s)
 pointwise, so with R = 1/gamma_os + 1/gamma_oa + 1/gamma_ea,
@@ -100,12 +103,15 @@ def coupling_thresholds(model, a, b, spec=None):
     if even and abs(g.gamma_os - g.gamma_oa) > 1e-8 * g.gamma_os:
         raise NumericalError(
             "gamma_os and gamma_oa must coincide for per-coordinate-even models")
-    mu0 = {}
-    for name, gamma in (("os", g.gamma_os), ("oa", g.gamma_oa), ("ea", g.gamma_ea)):
-        mu0[name] = gamma / b if b > 0 else NO_THRESHOLD
-    ratio = (a + 4 * b) / (a * b)
-    mu0["es"] = ratio * g.gamma_es if ratio > 0 else 0.0
+    mu0 = {s: _mu0(g, s, a, b) for s in sectors.SECTORS}
     return CouplingThresholds(a=a, b=b, mu0=mu0, even_per_coordinate=even)
+
+
+def _mu0(g, sector, a, b):
+    if sector == "es":
+        ratio = (a + 4 * b) / (a * b)
+        return ratio * g.gamma_es if ratio > 0 else 0.0
+    return getattr(g, f"gamma_{sector}") / b if b > 0 else NO_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -115,25 +121,33 @@ def coupling_thresholds(model, a, b, spec=None):
 AT_THRESHOLD_REL = 1e-9
 
 
-def above_threshold(mu, mu0):
-    """True iff mu lies above the sector threshold mu0 beyond the
-    at-threshold band.
+def sector_count(model, sector, a, b, mu, spec=None):
+    """Eigenvalues above the band in one sector at mu > 0 (a is unused in a
+    rank-one sector): the negative inertia of N(0+) = lim G(alpha)^-1 - mu V,
+    each of whose eigenvalues crosses zero once as alpha grows (determinant).
 
-    Couplings within a relative 1e-9 of a threshold count as at-threshold:
-    the computed mu0 carries quadrature error, and analytically equal
-    thresholds (gamma_os = gamma_oa) differ in their last float digits.
-    The root finders ask this table, so they agree with it in the band.
+    Rank-one, N(0+) = gamma - b mu: one root iff b > 0 and mu > gamma / b.
+    In es, G's entry I[1] diverges along u(pi) = (1, -2), so G^-1 tends to
+    gamma_es n n^T, n = (2, 1), and det N(0+) = mu (mu a b - gamma_es (a + 4b))
+    vanishes at mu0_es.  For a, b < 0, N(0+) > 0: no root.  For a b < 0,
+    -mu V has one positive direction: one root iff det < 0, for every mu if
+    a + 4b >= 0, else above mu0_es.  For a, b > 0, N(0+) < 0 orthogonal to
+    n: one root, two above mu0_es.  Within a relative AT_THRESHOLD_REL above
+    mu0 counts as at threshold: the computed mu0 carries quadrature error,
+    and equal thresholds (gamma_os = gamma_oa) differ in their last digits.
     """
-    return mu0 is not NO_THRESHOLD and mu > mu0 * (1 + AT_THRESHOLD_REL)
-
-
-def es_count(a, b, mu, mu0_es):
-    """Number of rank-two (es) eigenvalues above the band at coupling mu."""
+    if sector == "es":
+        mu0 = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
+    else:
+        mu0 = _mu0(gammas(model, spec=spec), sector, a, b)
+    above = mu0 is not NO_THRESHOLD and mu > mu0 * (1 + AT_THRESHOLD_REL)
+    if sector != "es":
+        return int(above)
     if a < 0 and b < 0:
         return 0
     if a * b < 0:
-        return 1 if a + 4 * b >= 0 or above_threshold(mu, mu0_es) else 0
-    return 2 if above_threshold(mu, mu0_es) else 1
+        return int(a + 4 * b >= 0 or above)
+    return 1 + above
 
 
 class ThresholdKind(enum.Enum):

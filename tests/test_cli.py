@@ -39,7 +39,8 @@ def test_solve_json(capsys):
     assert data["sector_counts"] == {"os": 1, "oa": 1, "ea": 1, "es": 1}
     assert len(data["records"]) == 4
     assert all(list(r) == ["sector", "mu", "energy", "multiplicity", "c1",
-                           "c2", "residual"] for r in data["records"])
+                           "c2", "residual", "log_alpha"]
+               for r in data["records"])
 
 
 def test_csv_offered_only_where_written(capsys, monkeypatch):

@@ -2,9 +2,8 @@ import dataclasses
 import math
 import re
 
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lattice_spectra import determinant, sectors, spectrum, torus_quad
 from lattice_spectra.asymptotics import leading_coefficients
@@ -211,13 +210,14 @@ NEWTON_MODELS = {"laplacian": DiscreteLaplacian(),
        signs=st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))),
        size_a=st.floats(0.1, 3.0), size_b=st.floats(0.1, 3.0),
        mu=st.floats(0.2, 6.0))
+# an es root at alpha = 4.6e-9, which E = e_max + alpha keeps to 1e-7 only
+@example(name="laplacian", signs=(-1, 1), size_a=0.5, size_b=0.5, mu=0.21875)
 def test_newton_roots_are_sign_changes_of_the_determinant(name, signs, size_a,
                                                           size_b, mu):
     # the Newton search on N against the public determinants, which it does
     # not call: each simple root must sit inside a sign change of Delta
-    # between alpha (1 - 1e-8) and alpha (1 + 1e-8).  The record keeps
-    # E = e_max + alpha, so alpha is known to a unit in the last place of E
-    # only, which the window must cover for roots below about 1e-7
+    # between alpha (1 - 1e-8) and alpha (1 + 1e-8), alpha from the record's
+    # log_alpha
     model = NEWTON_MODELS[name]
     a, b = signs[0] * size_a, signs[1] * size_b
     assume(_keeps_roots_resolvable(model, a, b, mu))
@@ -225,12 +225,12 @@ def test_newton_roots_are_sign_changes_of_the_determinant(name, signs, size_a,
     pred = spectrum.predicted_sector_counts(model, a, b, mu)
     assert res.sector_counts() == {s: pred[s] for s in sectors.SECTORS}
     for rec in res.records:
-        alpha = rec.energy - float(model.e_max)
+        alpha = math.exp(rec.log_alpha)
         if rec.sector == "es":
             delta = lambda al: delta_es(model, a, b, mu, alpha=al).combined
         else:
             delta = lambda al: delta_rank_one(model, rec.sector, b, mu, alpha=al)
-        h = max(1e-8 * alpha, 2 * np.spacing(rec.energy))
+        h = 1e-8 * alpha
         below, above = delta(alpha - h), delta(alpha + h)
         assert below * above < 0, (rec, below, above)
 
@@ -295,4 +295,4 @@ def test_record_as_dict(lap):
     assert d["sector"] == "os"
     assert d["multiplicity"] == 1
     assert set(d) == {"sector", "mu", "energy", "multiplicity", "c1", "c2",
-                      "residual"}
+                      "residual", "log_alpha"}

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -327,3 +330,21 @@ def test_separable_path_kinked_models():
         h = lo.build(model, 8, mu=0.0)
         top = lo.top_eigenvalues(h, 1)[0]
         assert top < float(model.e_max) + 1e-9
+
+
+def test_oracle_imports_no_determinant_layer():
+    # the oracle counts by its own inertia, an independent check of the
+    # determinant path only while it shares no code with it
+    tree = ast.parse(Path(lo.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            if not node.module or node.module == "lattice_spectra":
+                imported.update(alias.name for alias in node.names)
+    assert imported, "no imports read"
+    assert not imported & {"torus_quad", "thresholds", "determinant",
+                           "spectrum"}, imported

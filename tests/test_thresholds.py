@@ -4,14 +4,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lattice_spectra import cli, sectors, torus_quad
+from lattice_spectra import cli, sectors, spectrum, torus_quad
 from lattice_spectra.dispersion import (PI, DiscreteLaplacian, PiecewisePhi,
                                         SteppedPhiA, morse_data)
 from lattice_spectra.errors import ZeroCoupling
-from lattice_spectra.thresholds import (NO_THRESHOLD, PROBE_WINDOW, ThresholdKind,
+from lattice_spectra.thresholds import (AT_THRESHOLD_REL, NO_THRESHOLD,
+                                        PROBE_WINDOW, ThresholdKind,
                                         classify_threshold_solutions,
                                         coupling_thresholds,
                                         es_constants, gammas,
@@ -108,6 +109,53 @@ def test_zero_coupling_rejected(lap):
         coupling_thresholds(lap, 0.0, 1.0)
     with pytest.raises(ZeroCoupling):
         coupling_thresholds(lap, 1.0, 0.0)
+
+
+COUNT_MODELS = {"laplacian": DiscreteLaplacian(),
+                "stepped:0.5": SteppedPhiA(a_param=0.5),
+                "diagonal-hop-0.1": diagonal_hop_table(0.1)}
+
+
+def _paper_table(g, a, b, mu):
+    # the count table as the paper states it, with the 1e-9 at-threshold
+    # band: mu0 (1 + 1e-9) still counts as at threshold
+    def above(mu0):
+        return mu > mu0 * (1 + 1e-9)
+
+    counts = {s: int(b > 0 and above(getattr(g, f"gamma_{s}") / b))
+              for s in sectors.RANK_ONE_SECTORS}
+    mu0_es = (a + 4 * b) / (a * b) * g.gamma_es
+    if a < 0 and b < 0:
+        counts["es"] = 0
+    elif a * b < 0:                 # one root unless a + 4b < 0, mu <= mu0
+        counts["es"] = 1 if a + 4 * b >= 0 else int(above(mu0_es))
+    else:                           # one root, two above mu0
+        counts["es"] = 2 if above(mu0_es) else 1
+    return counts
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(COUNT_MODELS)),
+       signs=st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))),
+       size_a=st.floats(0.03, 30.0), size_b=st.floats(0.03, 30.0),
+       mu=st.floats(0.01, 100.0),
+       edge=st.sampled_from((None,) + sectors.SECTORS),
+       rel=st.sampled_from((AT_THRESHOLD_REL, 2e-9)))
+def test_counts_follow_the_paper_table(name, signs, size_a, size_b, mu, edge,
+                                       rel):
+    # the count table against the paper's, written out above; with an edge
+    # sector, mu sits on its band edge mu0 (1 + 1e-9) or just above it
+    model = COUNT_MODELS[name]
+    a, b = signs[0] * size_a, signs[1] * size_b
+    mu0 = coupling_thresholds(model, a, b).mu0
+    if edge is not None:
+        assume(mu0[edge] is not NO_THRESHOLD and mu0[edge] > 0)
+        mu = mu0[edge] * (1 + rel)
+    pred = spectrum.predicted_sector_counts(model, a, b, mu)
+    table = _paper_table(gammas(model), a, b, mu)
+    assert pred == {**table, "total": sum(table.values())}
+    if edge in sectors.RANK_ONE_SECTORS:
+        assert table[edge] == (rel == 2e-9)
 
 
 def test_classification_positive_b(lap):
