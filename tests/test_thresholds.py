@@ -156,6 +156,8 @@ def test_counts_follow_the_paper_table(name, signs, size_a, size_b, mu, edge,
     assert pred == {**table, "total": sum(table.values())}
     if edge in sectors.RANK_ONE_SECTORS:
         assert table[edge] == (rel == 2e-9)
+    elif edge == "es":              # the edge adds the es root above mu0
+        assert table["es"] == (a > 0 and b > 0) + (rel == 2e-9)
 
 
 def test_classification_positive_b(lap):
