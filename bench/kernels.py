@@ -32,7 +32,7 @@ A record holds:
     and a warm find_eigenvalues_es(laplacian, 1, 1, 3), seconds and counts,
     and per root found: integrals and seconds;
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
-    PHASE_GRID on both models, at 1 and 2 threads, seconds and counts;
+    PHASE_GRID on both models, seconds and counts;
   * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
     warm Laplacian solves), seconds, counts, roots and integrals per root;
   * the git revision and src tree hash of DIR, the machine's core count,
@@ -62,7 +62,6 @@ import json                         # noqa: E402
 import statistics                   # noqa: E402
 import subprocess                   # noqa: E402
 import sys                          # noqa: E402
-import threading                    # noqa: E402
 import time                         # noqa: E402
 from pathlib import Path            # noqa: E402
 
@@ -203,11 +202,9 @@ def measure(src):
     models = {name: _model(dispersion, name)
               for name in ("laplacian", "stepped:0.5")}
     counts = dict.fromkeys(COUNTERS, 0)
-    lock = threading.Lock()             # the grid's pool threads count too
 
     def count(key, n):
-        with lock:
-            counts[key] += n
+        counts[key] += n
 
     for name, (counter, increment) in COUNTED.items():
         def counted(*args, _fn=getattr(torus_quad, name), _key=counter,
@@ -329,12 +326,9 @@ def measure(src):
         lambda: determinant.find_eigenvalues_es(models["laplacian"], 1.0, 1.0, 3.0),
         len)
 
-    grids = {}
-    for name, model in models.items():
-        for threads in (1, 2):
-            grids[f"{name} threads={threads}"] = timed_with_count(
-                lambda m=model, n=threads: spectrum.phase_diagram(
-                    m, PHASE_MU, PHASE_GRID, PHASE_GRID, threads=n))
+    grids = {name: timed_with_count(lambda m=model: spectrum.phase_diagram(
+                 m, PHASE_MU, PHASE_GRID, PHASE_GRID))
+             for name, model in models.items()}
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads

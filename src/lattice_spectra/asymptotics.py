@@ -218,7 +218,7 @@ def fit_eigenvalue_asymptotics(model, sector, a=1.0, b=1.0, spec=None,
         return _exponential_law(np.geomspace(rate / 16.0, rate / 4.5, 8),
                                 lambda mu: es_opening(mu, max), rate)
     mu0 = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
-    if mu0 <= 0:
+    if mu0 is NO_THRESHOLD or mu0 <= 0:
         raise DomainError("threshold branch requires (a + 4b)/(ab) > 0")
     emergent = lambda lam: es_opening(mu0 + lam, min)
     if (classify_threshold_solutions(model, a, b, spec=spec).es

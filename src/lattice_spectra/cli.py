@@ -167,11 +167,9 @@ def _cmd_phase_diagram(args):
     sp = _quad_spec(model, args)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_n)
     b_grid = np.linspace(args.b_min, args.b_max, args.b_n)
-    threads = args.threads or os.cpu_count() or 1
-    pd = spectrum.phase_diagram(model, args.mu, a_grid, b_grid, spec=sp,
-                                threads=threads)
+    pd = spectrum.phase_diagram(model, args.mu, a_grid, b_grid, spec=sp)
     payload = {
-        "metadata": {**_metadata(model, sp), "threads": threads},
+        "metadata": _metadata(model, sp),
         "mu": pd.mu,
         "cells": [{"a": c.a, "b": c.b, "count": c.count} for c in pd.cells],
         "boundaries": {
@@ -329,7 +327,6 @@ def build_parser():
     p.add_argument("--b-min", type=float, required=True, dest="b_min")
     p.add_argument("--b-max", type=float, required=True, dest="b_max")
     p.add_argument("--b-n", type=int, default=9, dest="b_n")
-    p.add_argument("--threads", type=int, default=None, help="default: all cores")
     p.set_defaults(func=_cmd_phase_diagram)
 
     p = sub.add_parser("asymptotics", help="near-threshold rate fits")

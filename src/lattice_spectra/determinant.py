@@ -211,8 +211,6 @@ def _find(model, sector, a, b, mu, spec):
     residual and coefficients are read off the point at its root."""
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
     count = sector_count(model, sector, a, b, mu, spec=spec)
     if count == 0:
         return []

@@ -3,10 +3,10 @@ and the constructive multiplicity-two example.
 
 The operator decomposes over the four symmetry sectors, so the spectrum is
 the union of the three rank-one roots and the zeros of the rank-two
-determinant; counts follow the threshold table exactly.
+determinant; counts follow the threshold table exactly.  The phase diagram
+reads each cell's count off that table and searches no root.
 """
 
-import concurrent.futures
 import functools
 from dataclasses import dataclass
 
@@ -76,35 +76,21 @@ class PhaseDiagram:
     boundaries: dict
 
 
-def phase_diagram(model, mu, a_grid, b_grid, spec=None, threads=1):
+def phase_diagram(model, mu, a_grid, b_grid, spec=None, threads=None):
     """Eigenvalue counts over an (a, b) grid, plus threshold overlays.
 
-    threads > 1 solves the cells on a thread pool sharing the node sets
-    and the gammas cache.  It pays where the far sums, which release the
-    interpreter lock, dominate: on a 2-core machine a warm 5x5 grid at mu = 2
-    over a, b in {-2, -1, 1, 2, 3} took 3.5-3.9 s at 1 thread and 2.2-2.6 s
-    at 2 on stepped:0.5, and 0.26-0.29 s at both on the Laplacian, whose
-    sums are small beside the Python work between them (BENCH_19.json).
+    Each cell's count is the count table's total, predicted_sector_counts,
+    which the root finders of solve take their root counts from; no root is
+    searched, so no cell raises UnresolvableRoots.  ``threads`` is accepted
+    and ignored: the table needs no pool, and existing callers still pass it.
     """
     a_grid = [float(a) for a in a_grid]
     b_grid = [float(b) for b in b_grid]
     if any(a == 0 for a in a_grid) or any(b == 0 for b in b_grid):
         raise ZeroCoupling("grids must exclude a = 0 and b = 0")
-
-    pairs = [(a, b) for a in a_grid for b in b_grid]
-
-    def count(pair):
-        a, b = pair
-        return solve(model, a, b, mu, spec=spec).total_count
-
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            counts = list(ex.map(count, pairs))
-    else:
-        counts = [count(p) for p in pairs]
-
-    cells = tuple(PhaseDiagramCell(a=a, b=b, count=c)
-                  for (a, b), c in zip(pairs, counts))
+    cells = tuple(PhaseDiagramCell(
+        a=a, b=b, count=predicted_sector_counts(model, a, b, mu, spec)["total"])
+        for a in a_grid for b in b_grid)
 
     g = gammas(model, spec=spec)
     hyperbola = []

@@ -109,7 +109,10 @@ def coupling_thresholds(model, a, b, spec=None):
 
 def _mu0(g, sector, a, b):
     if sector == "es":
+        if a < 0 and b < 0:
+            return NO_THRESHOLD        # no es root at any mu
         ratio = (a + 4 * b) / (a * b)
+        # 0.0 where a b < 0 <= a + 4b: a root at every mu > 0
         return ratio * g.gamma_es if ratio > 0 else 0.0
     return getattr(g, f"gamma_{sector}") / b if b > 0 else NO_THRESHOLD
 
@@ -136,6 +139,8 @@ def sector_count(model, sector, a, b, mu, spec=None):
     mu0 counts as at threshold: the computed mu0 carries quadrature error,
     and equal thresholds (gamma_os = gamma_oa) differ in their last digits.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     if sector == "es":
         mu0 = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
     else:

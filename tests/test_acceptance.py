@@ -94,8 +94,10 @@ def test_criterion_4_count_table(lap):
     checks = 0
     for a, b in regimes:
         ct = coupling_thresholds(lap, a, b)
+        # mu0_es is NO_THRESHOLD (None) for a, b < 0 and 0.0 where es has
+        # a root at every mu; both sample around mu = 1
         mu0_es = ct.mu0["es"]
-        mus = {f * (mu0_es if mu0_es > 0 else 1.0) for f in (0.5, 1.0, 2.0)}
+        mus = {f * (mu0_es or 1.0) for f in (0.5, 1.0, 2.0)}
         if b > 0:
             for gam in (g.gamma_os, g.gamma_ea):
                 mus.update(f * gam / b for f in (0.5, 1.0, 2.0))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from lattice_spectra import spectrum
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -52,6 +54,24 @@ def test_sector_count_accepts_the_workload_k(lap):
     sc = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
     assert isinstance(sc, oracle.SectorCounts)
     assert sc.ambiguous is False
+
+
+def test_phase_diagram_accepts_the_workload_threads(lap):
+    # coupling-scan still passes threads=2, and the tracer reads it before
+    # each diagram runs
+    grid = [-1.0, 1.0]
+    plain = spectrum.phase_diagram(lap, 2.0, grid, grid, threads=2)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer({layer: importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+                             for layer in tracing.LAYER_API})
+    tracer.install()
+    try:
+        traced = spectrum.phase_diagram(lap, 2.0, grid, grid, threads=2)
+    finally:
+        tracer.uninstall()
+    assert traced.cells == plain.cells
+    assert [s.extra for s in tracer.spans
+            if s.name == "spectrum.phase_diagram"] == [{"threads": 2}]
 
 
 def test_traced_box_counts_match_untraced(lap):

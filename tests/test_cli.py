@@ -202,23 +202,37 @@ def test_tol_override_in_metadata(capsys):
     assert code == 0
     metadata = json.loads(out)["metadata"]
     assert metadata["tolerances"]["radial"] == 1e-8
-    assert "threads" not in metadata    # only phase-diagram runs threads
+    assert "threads" not in metadata
 
 
-def test_threads_only_on_phase_diagram(capsys):
+PHASE_ARGV = ("phase-diagram", "--a-min", "-1", "--a-max", "1", "--a-n", "2",
+              "--b-min", "-1", "--b-max", "1", "--b-n", "2")
+
+
+def test_phase_diagram_has_no_threads_option(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "-a", "1", "-b", "3", "--mu", "1", "--threads", "2"])
+        cli.main([*PHASE_ARGV, "--mu", "3", "--threads", "2"])
     assert exc.value.code == 3
-    argv = ["phase-diagram", "--mu", "3", "--a-min", "-1", "--a-max", "1",
-            "--a-n", "2", "--b-min", "-1", "--b-max", "1", "--b-n", "2"]
-    cells = {}
-    for threads in (1, 2):
-        code, out, err = run(capsys, *argv, "--threads", str(threads))
-        assert code == 0
-        data = json.loads(out)
-        assert data["metadata"]["threads"] == threads
-        cells[threads] = data["cells"]
-    assert cells[1] == cells[2]
+    code, out, err = run(capsys, *PHASE_ARGV, "--mu", "3")
+    assert code == 0
+    assert "threads" not in json.loads(out)["metadata"]
+
+
+def test_phase_diagram_nonpositive_mu_exit_3(capsys):
+    code, out, err = run(capsys, *PHASE_ARGV, "--mu", "0")
+    assert code == 3
+    assert out == ""
+    assert err == "config error: mu must be positive\n"
+
+
+@pytest.mark.parametrize("a,b,es", [("-1", "-1", None), ("-1", "1", 0.0)])
+def test_thresholds_json_es_without_a_threshold(capsys, a, b, es):
+    # a, b < 0: no es root at any mu (null); a b < 0 <= a + 4b: a root at
+    # every mu (0.0)
+    code, out, err = run(capsys, "thresholds", "--format", "json",
+                         "-a", a, "-b", b)
+    assert code == 0
+    assert json.loads(out)["mu0"]["es"] == es
 
 
 def test_es_asymptotics_without_a_threshold_exit_1(capsys):

@@ -69,11 +69,23 @@ def test_phase_diagram_small_grid(lap):
     assert pd.boundaries["b_os"] == pytest.approx(PI / (2 * PI - 4) / 3.0, rel=1e-6)
 
 
-def test_phase_diagram_threads_agree(lap):
-    grid = [-1.0, 1.0]
-    pd1 = spectrum.phase_diagram(lap, 2.0, grid, grid, threads=1)
-    pd2 = spectrum.phase_diagram(lap, 2.0, grid, grid, threads=2)
-    assert [c.count for c in pd1.cells] == [c.count for c in pd2.cells]
+def test_phase_diagram_counts_cells_where_roots_are_unresolvable(lap):
+    # at mu = 0.5 the es roots of (-1, 0.3) and (1, -0.3) lie below the
+    # finder's alpha floor; the diagram reads every count off the table
+    grid = [-1.0, -0.3, 0.3, 1.0]
+    pd = spectrum.phase_diagram(lap, 0.5, grid, grid)
+    assert [(c.a, c.b) for c in pd.cells] == [(a, b) for a in grid for b in grid]
+    for c in pd.cells:
+        assert c.count == spectrum.predicted_sector_counts(
+            lap, c.a, c.b, 0.5)["total"], (c.a, c.b)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_counts_reject_nonpositive_mu(lap, mu):
+    with pytest.raises(ValueError, match="mu must be positive"):
+        spectrum.predicted_sector_counts(lap, 1.0, 1.0, mu)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        spectrum.phase_diagram(lap, mu, [-1.0, 1.0], [1.0])
 
 
 def test_shared_far_caches_under_threads(lap):
