@@ -8,18 +8,19 @@ small-coupling branch behaves like exp(-1/(J0 (a+4b) mu)) and the branch
 emerging at mu0 like exp(-Lambda/lambda), degenerating to a linear law on the
 coupling line theta_star a = theta_2star b.
 
-Each fit hands its measured opening E - e_max to one of three laws: linear,
-log-corrected linear or exponential.  The fixed sampling grids are the module
-constants LINEAR_LAMBDAS, ODD_LAMBDAS and LOG_ALPHAS.
+Each fit hands its measured opening alpha = E - e_max, read off a root's
+log_alpha (E holds alpha only to an ulp of e_max), to one of three laws:
+linear, log-corrected linear or exponential.  The fixed sampling grids are the
+module constants LINEAR_LAMBDAS, ODD_LAMBDAS and LOG_ALPHAS.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sectors
-from .determinant import (ALPHA_FLOOR, find_eigenvalue_rank_one,
-                          find_eigenvalues_es)
+from .determinant import find_eigenvalue_rank_one, find_eigenvalues_es
 from .dispersion import PI, morse_data
 from .errors import DomainError, FitFailure, UnresolvableRoots
 from .thresholds import (NO_THRESHOLD, ThresholdKind, _check_couplings,
@@ -118,14 +119,6 @@ def _report(predicted, measured, xs, residual, samples):
                      residual=float(residual), samples=tuple(samples))
 
 
-def _alpha_or_raise(energy, e_max):
-    alpha = energy - e_max
-    if alpha < ALPHA_FLOOR:
-        raise UnresolvableRoots(
-            f"E - e_max = {alpha:.3g} below the resolvable floor")
-    return alpha
-
-
 def _linear_law(lambdas, opening, c):
     """alpha ~ c lambda: the slope alpha/lambda at the smallest lambda (last
     sample) against c; the residual is the spread of the slopes."""
@@ -178,7 +171,6 @@ def fit_eigenvalue_asymptotics(model, sector, a=1.0, b=1.0, spec=None,
     law over LINEAR_LAMBDAS on the theta_star a = theta_2star b line,
     exponential law in lambda over [Lambda/20, Lambda/5] off it).
     """
-    e_max = float(model.e_max)
     if sector in sectors.RANK_ONE_SECTORS:
         mu0 = coupling_thresholds(model, a, b, spec=spec).mu0[sector]
         if mu0 is NO_THRESHOLD:
@@ -193,7 +185,7 @@ def fit_eigenvalue_asymptotics(model, sector, a=1.0, b=1.0, spec=None,
                 # means the opening fell inside the at-threshold band
                 raise UnresolvableRoots(f"{sector} eigenvalue at mu = "
                                         f"{mu:.17g} is too close to threshold")
-            return _alpha_or_raise(rec.energy, e_max)
+            return math.exp(rec.log_alpha)
 
         if sector == "ea":
             return _linear_law(LINEAR_LAMBDAS, opening, c)
@@ -208,7 +200,7 @@ def fit_eigenvalue_asymptotics(model, sector, a=1.0, b=1.0, spec=None,
         recs = find_eigenvalues_es(model, a, b, mu, spec=spec)
         if not recs:
             raise DomainError(f"no es eigenvalue at mu = {mu:g}")
-        return _alpha_or_raise(pick(r.energy for r in recs), e_max)
+        return math.exp(pick(r.log_alpha for r in recs))
 
     lc = leading_coefficients(model, a, b, spec=spec)
     if branch == "exponential":

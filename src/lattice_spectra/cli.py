@@ -4,11 +4,15 @@ Every computation is exposed as a batch subcommand with machine-readable
 output.  JSON is the default; thresholds (CSV by default), curve,
 phase-diagram, asymptotics, oracle and resonance also write CSV.  This module
 is the only one that formats output: the numerical modules return
-dataclasses.  Exit codes: 0 success, 1 domain error (violated mathematical
-precondition), 2 numerical failure, 3 configuration error.  Identical
-configurations produce byte-identical output: field order is fixed, JSON
-floats use Python's shortest round-trip representation and CSV floats 17
-significant digits, which also round-trip.
+dataclasses, and a subcommand's JSON is its run metadata followed by its
+result dataclass (dataclasses.asdict, in field order), so each field is
+declared once, in its dataclass.  validate, solve and oracle, whose output
+is not one dataclass, and the CSV columns pick their keys here.  Exit codes:
+0 success, 1 domain error (violated mathematical precondition), 2 numerical
+failure, 3 configuration error.  Identical configurations produce
+byte-identical output: field order is fixed, JSON floats use Python's
+shortest round-trip representation and CSV floats 17 significant digits,
+which also round-trip.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, lattice_oracle, spectrum, thresholds
+from . import asymptotics, lattice_oracle, sectors, spectrum, thresholds
 from .dispersion import (DiscreteLaplacian, PiecewisePhi, SteppedPhiA,
                          model_from_spec, model_to_spec, validate_hypothesis,
                          morse_data)
@@ -106,18 +110,13 @@ def _cmd_validate(args):
 def _cmd_thresholds(args):
     model = _parse_model(args.model)
     sp = _quad_spec(model, args)
-    g = thresholds.gammas(model, spec=sp)
-    th = thresholds.es_constants(model, spec=sp)
     constants = {
-        "gamma_os": g.gamma_os, "gamma_oa": g.gamma_oa,
-        "gamma_ea": g.gamma_ea, "gamma_es": g.gamma_es,
-        "theta_star": th.theta_star, "theta_2star": th.theta_2star,
-        "kappa1": th.kappa1,
-    }
+        **dataclasses.asdict(thresholds.gammas(model, spec=sp)),
+        **dataclasses.asdict(thresholds.es_constants(model, spec=sp))}
     payload = {"metadata": _metadata(model, sp), **constants}
     if args.a is not None and args.b is not None:
-        ct = thresholds.coupling_thresholds(model, args.a, args.b, spec=sp)
-        payload["mu0"] = {s: ct.mu0[s] for s in ("os", "oa", "ea", "es")}
+        payload["mu0"] = thresholds.coupling_thresholds(model, args.a, args.b,
+                                                        spec=sp).mu0
         cls = thresholds.classify_threshold_solutions(model, args.a, args.b,
                                                       spec=sp)
         payload["threshold_solutions"] = {
@@ -148,15 +147,7 @@ def _cmd_curve(args):
     mus = np.linspace(args.mu_min, args.mu_max, args.n)
     rep = spectrum.eigenvalue_curve(model, args.sector, args.a, args.b, mus,
                                     spec=sp, branch=args.branch)
-    payload = {
-        "metadata": _metadata(model, sp),
-        "sector": rep.sector,
-        "strictly_increasing": rep.strictly_increasing,
-        "min_first_difference": rep.min_first_difference,
-        "min_second_difference": rep.min_second_difference,
-        "mus": list(rep.mus),
-        "energies": list(rep.energies),
-    }
+    payload = {"metadata": _metadata(model, sp), **dataclasses.asdict(rep)}
     _emit(args, payload,
           csv_text=_csv(["mu", "energy"], zip(rep.mus, rep.energies)))
     return 0
@@ -168,17 +159,7 @@ def _cmd_phase_diagram(args):
     a_grid = np.linspace(args.a_min, args.a_max, args.a_n)
     b_grid = np.linspace(args.b_min, args.b_max, args.b_n)
     pd = spectrum.phase_diagram(model, args.mu, a_grid, b_grid, spec=sp)
-    payload = {
-        "metadata": _metadata(model, sp),
-        "mu": pd.mu,
-        "cells": [{"a": c.a, "b": c.b, "count": c.count} for c in pd.cells],
-        "boundaries": {
-            "b_os": pd.boundaries["b_os"],
-            "b_oa": pd.boundaries["b_oa"],
-            "b_ea": pd.boundaries["b_ea"],
-            "es_hyperbola": [list(p) for p in pd.boundaries["es_hyperbola"]],
-        },
-    }
+    payload = {"metadata": _metadata(model, sp), **dataclasses.asdict(pd)}
     _emit(args, payload, csv_text=_csv(
         ["a", "b", "count"], [(c.a, c.b, c.count) for c in pd.cells]))
     return 0
@@ -209,7 +190,7 @@ def _cmd_oracle(args):
         counts = lattice_oracle.sector_count_above(h, e_max, args.margin)
         per_l.append({
             "L": L, "total": counts.total,
-            "counts": {s: getattr(counts, s) for s in ("os", "oa", "ea", "es")},
+            "counts": {s: getattr(counts, s) for s in sectors.SECTORS},
             "entries": [[v, s] for v, s in counts.entries],
         })
         rows += [(L, i, v, s) for i, (v, s) in enumerate(counts.entries)]
@@ -236,13 +217,7 @@ def _cmd_multiplicity(args):
     res = spectrum.multiplicity_two_construct(args.z0, mu=args.mu,
                                               scan=args.scan,
                                               scan_step=args.scan_step)
-    payload = {
-        "z0": res.z0, "mu": res.mu, "A0": res.A0,
-        "a0": res.a0, "b0": res.b0,
-        "g_residual": res.g_residual,
-        "verification": list(res.verification),
-    }
-    _emit(args, payload)
+    _emit(args, dataclasses.asdict(res))
     return 0
 
 
@@ -251,16 +226,7 @@ def _cmd_resonance(args):
     sp = _quad_spec(model, args)
     rep = thresholds.resonance_integrability_probe(model, args.sector,
                                                    a=args.a, b=args.b, spec=sp)
-    payload = {
-        "metadata": _metadata(model, sp),
-        "sector": rep.sector,
-        "classification": rep.classification,
-        "slope": rep.slope,
-        "r_squared": rep.r_squared,
-        "rs": list(rep.rs),
-        "values": list(rep.values),
-        "cauchy_diffs": list(rep.cauchy_diffs),
-    }
+    payload = {"metadata": _metadata(model, sp), **dataclasses.asdict(rep)}
     _emit(args, payload, csv_text=_csv(["r", "I_r"], zip(rep.rs, rep.values)))
     return 0
 
@@ -309,7 +275,7 @@ def build_parser():
 
     p = sub.add_parser("curve", help="eigenvalue curve E(mu) in one sector")
     _add_common(p)
-    p.add_argument("--sector", choices=("os", "oa", "ea", "es"), required=True)
+    p.add_argument("--sector", choices=sectors.SECTORS, required=True)
     p.add_argument("-a", type=float, default=1.0)
     p.add_argument("-b", type=float, default=1.0)
     p.add_argument("--mu-min", type=float, required=True, dest="mu_min")
@@ -331,7 +297,7 @@ def build_parser():
 
     p = sub.add_parser("asymptotics", help="near-threshold rate fits")
     _add_common(p)
-    p.add_argument("--sector", choices=("os", "oa", "ea", "es"), required=True)
+    p.add_argument("--sector", choices=sectors.SECTORS, required=True)
     p.add_argument("-a", type=float, default=1.0)
     p.add_argument("-b", type=float, default=1.0)
     p.add_argument("--branch", choices=("exponential", "threshold"),
@@ -362,7 +328,7 @@ def build_parser():
 
     p = sub.add_parser("resonance", help="threshold resonance dichotomy probe")
     _add_common(p)
-    p.add_argument("--sector", choices=("os", "oa", "ea", "es"), required=True)
+    p.add_argument("--sector", choices=sectors.SECTORS, required=True)
     p.add_argument("-a", type=float, default=1.0)
     p.add_argument("-b", type=float, default=1.0)
     p.set_defaults(func=_cmd_resonance)

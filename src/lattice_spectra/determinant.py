@@ -208,9 +208,8 @@ def _find(model, sector, a, b, mu, spec):
     rank-one sector).  Root k is the zero of N's k-th eigenvalue from the
     lowest, searched below root k - 1; a double root (N = 0) ends the
     search.  The searches share one memo of kernel points, and each record's
-    residual and coefficients are read off the point at its root."""
-    if a == 0 or b == 0:
-        raise ZeroCoupling("couplings a, b must be nonzero")
+    residual and coefficients are read off the point at its root.
+    sector_count rejects a zero coupling."""
     count = sector_count(model, sector, a, b, mu, spec=spec)
     if count == 0:
         return []
@@ -273,10 +272,11 @@ def eigenfunction_es(model, record, a, b, spec=None):
     """Coefficient pairs (c1, c2) of Psi = (c1 + c2 (cos p1 + cos p2))/(E - e).
 
     Returns a list with one pair, or two basis pairs for a multiplicity-two
-    record, from delta_es at its energy; the finder reads its own parts.
+    record, from delta_es at the record's alpha, exp(log_alpha); the finder
+    reads its own parts.
     """
     return _coefficient_pairs(delta_es(model, a, b, record.mu, spec=spec,
-                                       alpha=record.energy - float(model.e_max)))
+                                       alpha=math.exp(record.log_alpha)))
 
 
 def _coefficient_pairs(parts):

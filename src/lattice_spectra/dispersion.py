@@ -34,22 +34,8 @@ MAX_SCAN_TOL = 1e-12      # morse_data: relative excess of a scan node over e_ma
 
 
 def wrap_torus(t):
-    """Map angles to the fundamental domain (-pi, pi].
-
-    This is np.mod(t + pi, 2 pi) - pi to the bit.  When every z = t + pi
-    lies in [-2 pi, 4 pi), np.mod(z, 2 pi) is z - 2 pi where z >= 2 pi
-    (fmod is exact there), z + 2 pi where z < 0 (a negative remainder gets
-    2 pi added once) and z elsewhere, so these shifts give mod's floats
-    without its division.  np.mod takes any other input, NaN included.
-    """
-    z = np.asarray(np.asarray(t, dtype=float) + PI)
-    if z.size and -2 * PI <= z.min() and z.max() < 4 * PI:
-        below, above = z < 0, z >= 2 * PI
-        np.add(z, 2 * PI, out=z, where=below)
-        np.subtract(z, 2 * PI, out=z, where=above)
-    else:
-        z = np.mod(z, 2 * PI)
-    out = z - PI
+    """Map angles to the fundamental domain (-pi, pi]."""
+    out = np.mod(np.asarray(t, dtype=float) + PI, 2 * PI) - PI
     # mod sends pi to -pi; put it back on the closed right end
     return np.where(out == -PI, PI, out)
 

@@ -116,11 +116,11 @@ def phase_diagram(model, mu, a_grid, b_grid, spec=None, threads=None):
 @dataclass(frozen=True)
 class CurveReport:
     sector: str
-    mus: tuple
-    energies: tuple
     strictly_increasing: bool
     min_first_difference: float
     min_second_difference: float
+    mus: tuple
+    energies: tuple
 
 
 def eigenvalue_curve(model, sector, a, b, mu_grid, spec=None, branch=1):

@@ -53,7 +53,11 @@ class EsConstants:
 
 @lru_cache(maxsize=32)
 def gammas(model, spec=None):
-    """The four sector constants gamma_omega (cached per model)."""
+    """The four sector constants gamma_omega (cached per model).
+
+    A per-coordinate-even model has gamma_os = gamma_oa; the model is probed
+    for evenness only when the computed pair differs.
+    """
     out = {}
     weights = {"os": sectors.w_os_sq, "oa": sectors.w_oa_sq,
                "ea": sectors.w_ea_sq, "es": sectors.es_plus_sq}
@@ -64,6 +68,10 @@ def gammas(model, spec=None):
         if val <= 0:
             raise NumericalError(f"threshold integral for {name} not positive")
         out[name] = 1.0 / val
+    if (abs(out["os"] - out["oa"]) > 1e-8 * out["os"]
+            and is_even_per_coordinate(model)):
+        raise NumericalError(
+            "gamma_os and gamma_oa must coincide for per-coordinate-even models")
     return SectorConstants(gamma_os=out["os"], gamma_oa=out["oa"],
                            gamma_ea=out["ea"], gamma_es=out["es"])
 
@@ -88,7 +96,6 @@ class CouplingThresholds:
     a: float
     b: float
     mu0: dict          # sector -> threshold, or NO_THRESHOLD sentinel
-    even_per_coordinate: bool
 
 
 def _check_couplings(a, b):
@@ -99,12 +106,8 @@ def _check_couplings(a, b):
 def coupling_thresholds(model, a, b, spec=None):
     _check_couplings(a, b)
     g = gammas(model, spec=spec)
-    even = is_even_per_coordinate(model)
-    if even and abs(g.gamma_os - g.gamma_oa) > 1e-8 * g.gamma_os:
-        raise NumericalError(
-            "gamma_os and gamma_oa must coincide for per-coordinate-even models")
-    mu0 = {s: _mu0(g, s, a, b) for s in sectors.SECTORS}
-    return CouplingThresholds(a=a, b=b, mu0=mu0, even_per_coordinate=even)
+    return CouplingThresholds(a=a, b=b,
+                              mu0={s: _mu0(g, s, a, b) for s in sectors.SECTORS})
 
 
 def _mu0(g, sector, a, b):
@@ -139,12 +142,10 @@ def sector_count(model, sector, a, b, mu, spec=None):
     mu0 counts as at threshold: the computed mu0 carries quadrature error,
     and equal thresholds (gamma_os = gamma_oa) differ in their last digits.
     """
+    _check_couplings(a, b)
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if sector == "es":
-        mu0 = coupling_thresholds(model, a, b, spec=spec).mu0["es"]
-    else:
-        mu0 = _mu0(gammas(model, spec=spec), sector, a, b)
+    mu0 = _mu0(gammas(model, spec=spec), sector, a, b)
     above = mu0 is not NO_THRESHOLD and mu > mu0 * (1 + AT_THRESHOLD_REL)
     if sector != "es":
         return int(above)
@@ -195,11 +196,11 @@ def classify_threshold_solutions(model, a, b, spec=None):
 @dataclass(frozen=True)
 class GrowthReport:
     sector: str
-    rs: tuple
-    values: tuple
     classification: str   # "log-divergent" | "convergent"
     slope: float
     r_squared: float
+    rs: tuple
+    values: tuple
     cauchy_diffs: tuple
 
 

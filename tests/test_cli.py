@@ -318,3 +318,48 @@ def test_csv_carries_the_json_numbers(capsys, command):
             else:
                 # .17g round-trips every float exactly
                 assert float(field) == value
+
+
+# each subcommand that writes a result dataclass whole: its argv, and its JSON
+# key order at the top level and in the nested objects named by a key path
+KEY_ORDER_CASES = {
+    "thresholds": (
+        ["thresholds", "--format", "json", "-a", "1", "-b", "1"],
+        {(): ["metadata", "gamma_os", "gamma_oa", "gamma_ea", "gamma_es",
+              "theta_star", "theta_2star", "kappa1", "mu0",
+              "threshold_solutions"],
+         ("mu0",): ["os", "oa", "ea", "es"],
+         ("threshold_solutions",): ["os", "oa", "ea", "es"]}),
+    "curve": (
+        CSV_CASES["curve"][0],
+        {(): ["metadata", "sector", "strictly_increasing",
+              "min_first_difference", "min_second_difference", "mus",
+              "energies"]}),
+    "phase-diagram": (
+        CSV_CASES["phase-diagram"][0],
+        {(): ["metadata", "mu", "cells", "boundaries"],
+         ("cells", 0): ["a", "b", "count"],
+         ("boundaries",): ["b_os", "b_oa", "b_ea", "es_hyperbola"]}),
+    "multiplicity": (
+        ["multiplicity", "--z0", "1.5"],
+        {(): ["z0", "mu", "A0", "a0", "b0", "g_residual", "verification"]}),
+    "resonance": (
+        ["resonance", "--sector", "ea"],
+        {(): ["metadata", "sector", "classification", "slope", "r_squared",
+              "rs", "values", "cauchy_diffs"]}),
+}
+
+
+@pytest.mark.parametrize("command", list(KEY_ORDER_CASES))
+def test_json_key_order(capsys, command):
+    # the payloads are the result dataclasses in field order, so reordering
+    # a dataclass's fields would change the output bytes
+    argv, orders = KEY_ORDER_CASES[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    for path, keys in orders.items():
+        node = data
+        for step in path:
+            node = node[step]
+        assert list(node) == keys, path

@@ -245,6 +245,15 @@ def test_es_records_ordered_and_coefficients(lap):
         assert (r.c1, r.c2) == (pytest.approx(c1), pytest.approx(c2))
 
 
+def test_eigenfunction_es_at_the_record_alpha(lap):
+    # alpha = 4.6e-9: energy - e_max holds it only to 1e-7 relative, which
+    # moved (c1, c2) by 2e-10; log_alpha carries the root's own alpha
+    rec, = find_eigenvalues_es(lap, -0.5, 0.5, 0.21875)
+    (c1, c2), = eigenfunction_es(lap, rec, -0.5, 0.5)
+    assert (c1, c2) == (pytest.approx(rec.c1, rel=1e-12),
+                        pytest.approx(rec.c2, rel=1e-12))
+
+
 def test_delta3_nonzero_above_band(lap):
     # the off-diagonal component is nonzero for z > e_max (its sign is a
     # normalization convention; only its square enters the determinant)

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -46,7 +44,7 @@ EDGE_ANGLES = (PI, -PI, 3 * PI, -3 * PI, 0.0, -0.0,
 @pytest.mark.parametrize("lo, hi", [(PI - 1, PI + 1), (-3 * PI, 3 * PI),
                                     (-50.0, 50.0)])
 def test_wrap_torus_is_bitwise_mod(lo, hi):
-    # (-50, 50) leaves [-3 pi, 3 pi) and so takes the np.mod fallback
+    # (-50, 50) spans several periods on either side of the fundamental domain
     t = np.random.default_rng(7).uniform(lo, hi, 100_000)
     assert wrap_torus(t).tobytes() == _wrap_by_mod(t).tobytes()
     with_edges = np.concatenate((t, [a for a in EDGE_ANGLES if lo <= a < hi]))
@@ -58,18 +56,9 @@ def test_wrap_torus_is_bitwise_mod(lo, hi):
                                np.nan, [np.nan, 1.0], [-np.inf, 0.0]],
                          ids=repr)
 def test_wrap_torus_special_inputs_are_bitwise_mod(t):
-    # +-(3 pi + 0.5) lie just outside the shift's range on either side
     with np.errstate(invalid="ignore"):
         got, want = wrap_torus(t), _wrap_by_mod(t)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_wrap_torus_in_range_takes_no_mod():
-    t = np.random.default_rng(8).uniform(-3 * PI, 3 * PI, 1000)
-    want = _wrap_by_mod(t)
-    with mock.patch.object(np, "mod", side_effect=AssertionError("np.mod")):
-        got = wrap_torus(t)
-    assert got.tobytes() == want.tobytes()
 
 
 def test_laplacian_values(lap):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 from unittest import mock
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lattice_spectra import cli, sectors, spectrum, torus_quad
+from lattice_spectra import cli, sectors, spectrum, thresholds, torus_quad
 from lattice_spectra.dispersion import (PI, DiscreteLaplacian, PiecewisePhi,
                                         SteppedPhiA, morse_data)
-from lattice_spectra.errors import ZeroCoupling
+from lattice_spectra.errors import NumericalError, ZeroCoupling
 from lattice_spectra.thresholds import (AT_THRESHOLD_REL, NO_THRESHOLD,
                                         PROBE_WINDOW, ThresholdKind,
                                         classify_threshold_solutions,
@@ -72,8 +73,9 @@ def test_es_constants_equal_their_integrals_property(t2, a_param):
 def test_es_constants_make_no_integral(model):
     gammas(model, spec=None)
     es_constants.cache_clear()
-    with mock.patch.object(torus_quad, "_integrate",
-                           wraps=torus_quad._integrate) as spy:
+    # thresholds binds _integrate at import, so the spy goes on that name
+    with mock.patch.object(thresholds, "_integrate",
+                           wraps=thresholds._integrate) as spy:
         es_constants(model, spec=None)
     assert spy.call_count == 0
 
@@ -109,6 +111,32 @@ def test_zero_coupling_rejected(lap):
         coupling_thresholds(lap, 0.0, 1.0)
     with pytest.raises(ZeroCoupling):
         coupling_thresholds(lap, 1.0, 0.0)
+
+
+def test_count_table_rejects_zero_coupling(lap):
+    # the es threshold (a + 4b)/(ab) gamma_es would divide by zero
+    with pytest.raises(ZeroCoupling):
+        spectrum.predicted_sector_counts(lap, 0.0, 1.0, 1.0)
+
+
+def test_gammas_rejects_unequal_odd_constants_on_an_even_model(lap,
+                                                                 monkeypatch):
+    # the Laplacian is even per coordinate, so gamma_os = gamma_oa; an oa
+    # integral moved by 1e-6 relative must be caught
+    original = thresholds._integrate
+
+    def skewed(model, vs, *args, **kwargs):
+        results = original(model, vs, *args, **kwargs)
+        return [dataclasses.replace(r, value=r.value * (1 + 1e-6))
+                if v is sectors.w_oa_sq else r for v, r in zip(vs, results)]
+
+    monkeypatch.setattr(thresholds, "_integrate", skewed)
+    gammas.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match="coincide"):
+            gammas(lap)
+    finally:
+        gammas.cache_clear()
 
 
 COUNT_MODELS = {"laplacian": DiscreteLaplacian(),
