@@ -111,10 +111,7 @@ def test_zero_coupling_rejected(lap):
         coupling_thresholds(lap, 0.0, 1.0)
     with pytest.raises(ZeroCoupling):
         coupling_thresholds(lap, 1.0, 0.0)
-
-
-def test_count_table_rejects_zero_coupling(lap):
-    # the es threshold (a + 4b)/(ab) gamma_es would divide by zero
+    # in the count table the es threshold (a + 4b)/(ab) would divide by zero
     with pytest.raises(ZeroCoupling):
         spectrum.predicted_sector_counts(lap, 0.0, 1.0, 1.0)
 
