@@ -35,6 +35,12 @@ A record holds:
     PHASE_GRID on both models, seconds and counts;
   * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
     warm Laplacian solves), seconds, counts, roots and integrals per root;
+  * oracle: the finite-box oracle's (1, 3, 1) Laplacian boxes at
+    ORACLE_LS (build and sector_count_above each, then extrapolate) and
+    the criterion-9 box at L = 80 for the multiplicity-two construction at
+    z0 = 1.5; seconds over ORACLE_REPEATS runs, the box builds' seconds,
+    the roots, and the resolvent evaluations G(E) of the secular equation
+    per root (null where the package has no secular path);
   * the git revision and src tree hash of DIR, the machine's core count,
     the lines of DIR/lattice_spectra/*.py and the number of names that
     lattice_spectra/__init__.py re-exports.
@@ -73,6 +79,9 @@ PHASE_GRID = (-2.0, -1.0, 1.0, 2.0, 3.0)
 PHASE_MU = 2.0
 SOLVES = {"laplacian": (1.0, 3.0, 1.0), "stepped:0.5": (1.0, 1.0, 3.0)}
 SWEEP_SEED, SWEEP_CYCLES = 1, 2
+ORACLE_LS, ORACLE_COUPLING, ORACLE_MARGIN = (30, 45, 60), (1.0, 3.0, 1.0), 5e-3
+MULT2_Z0, MULT2_L, MULT2_MARGIN = 1.5, 80, 1e-2
+ORACLE_REPEATS = 7
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
 COLD_MODELS = ("stepped:0.5", "piecewise:0.5")
 COUNTERS = ("integrals", "fills", "far_passes")
@@ -191,12 +200,69 @@ def _cold_row(model, timed_with_count):
                            "runs_s": morse, "values_calls": len(calls)}}
 
 
+def _oracle_rows(lattice_oracle, spectrum, dispersion):
+    """The oracle's box sequence and criterion-9 box, with the secular
+    equation's resolvent evaluations counted where the package has one."""
+    lo = lattice_oracle
+    secular = getattr(lo, "_secular_matrix", None)
+    evaluations = []
+
+    def counted(*args):
+        evaluations.append(None)
+        return secular(*args)
+
+    lap = dispersion.DiscreteLaplacian()
+    c = spectrum.multiplicity_two_construct(MULT2_Z0, mu=1.0)
+    stepped = dispersion.SteppedPhiA(a_param=c.A0)
+
+    def sequence():
+        """(roots, build seconds) of the box sequence and its limits."""
+        a, b, mu = ORACLE_COUPLING
+        start = time.perf_counter()
+        hs = [lo.build(lap, L, a=a, b=b, mu=mu) for L in ORACLE_LS]
+        build_s = time.perf_counter() - start
+        boxes = [lo.sector_count_above(h, 4.0, ORACLE_MARGIN) for h in hs]
+        for j in range(min(box.total for box in boxes)):
+            lo.extrapolate(ORACLE_LS, [box.entries[j][0] for box in boxes])
+        return sum(box.total for box in boxes), build_s
+
+    def mult2_box():
+        start = time.perf_counter()
+        h = lo.build(stepped, MULT2_L, a=c.a0, b=c.b0, mu=1.0)
+        build_s = time.perf_counter() - start
+        return lo.sector_count_above(h, 1.0, MULT2_MARGIN).total, build_s
+
+    def row(run):
+        run()                                   # warm numpy and scipy
+        evaluations.clear()
+        times, build_times = [], []
+        for _ in range(ORACLE_REPEATS):
+            start = time.perf_counter()
+            roots, build_s = run()
+            times.append(time.perf_counter() - start)
+            build_times.append(build_s)
+        return {"median_s": statistics.median(times), "runs_s": times,
+                "build_median_s": statistics.median(build_times),
+                "roots": roots,
+                "resolvent_per_root": (len(evaluations) / (ORACLE_REPEATS * roots)
+                                       if secular is not None and roots else None)}
+
+    if secular is not None:
+        lo._secular_matrix = counted
+    try:
+        return {f"sequence L={ORACLE_LS} {ORACLE_COUPLING}": row(sequence),
+                f"criterion-9 L={MULT2_L} z0={MULT2_Z0}": row(mult2_box)}
+    finally:
+        if secular is not None:
+            lo._secular_matrix = secular
+
+
 def measure(src):
     sys.path.insert(0, str(src))
     import numpy as np
 
-    from lattice_spectra import (determinant, dispersion, sectors, spectrum,
-                                 thresholds, torus_quad)
+    from lattice_spectra import (determinant, dispersion, lattice_oracle,
+                                 sectors, spectrum, thresholds, torus_quad)
     from lattice_spectra.dispersion import PI, wrap_torus
 
     models = {name: _model(dispersion, name)
@@ -355,7 +421,8 @@ def measure(src):
             "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,
                               "b_grid": PHASE_GRID, "runs": grids},
-            "sweep": sweep_row}
+            "sweep": sweep_row,
+            "oracle": _oracle_rows(lattice_oracle, spectrum, dispersion)}
 
 
 def main(argv=None):

@@ -24,11 +24,22 @@ block is an explicit CSR matrix, read off ``operator()`` by probing it with
 periodic combs; a long-range block is applied as Q^T H Q y.  The box
 restriction of H0 has no eigenvalue above e_max, so by min-max a block holds
 no more eigenvalues above it than mu V has positive eigenvalues in its
-sector: 1 in os, oa and ea, 2 in es.  ``sector_count_above`` asks each
-rank-one block for its largest eigenvalue, unless mu V, the 1x1 matrix mu b
-there, is not positive.  An es block held as a CSR matrix first counts its
-eigenvalues above the cut exactly, by inertia, from the box operator, Q and
-the potential alone; Lanczos is then asked for just that many (0, 1 or 2).
+sector: 1 in os, oa and ea, 2 in es.
+
+``sector_count_above`` counts and solves a separable box (built with R =
+None) without forming any block.  There H0 = Phi (x) I + I (x) Phi is a
+Kronecker sum, diagonalized by one ``eigh`` of the (2L + 1) x (2L + 1)
+Toeplitz matrix Phi, and mu V is D = mu b (mu diag(a, b) in es) on the
+sector's one or two potential vectors Y.  An E above the free box's
+spectrum is an eigenvalue exactly when D^-1 - G(E), with
+G(E) = Y^T (E - H0)^-1 Y, is singular: a secular equation of size 1 or 2
+(Golub, SIAM Rev. 15, 318 (1973); Bunch, Nielsen & Sorensen, Numer. Math.
+31, 31 (1978)).  Inertia counts its roots above the cut and Newton finds
+each on its branch.  A table box (built with R) keeps its CSR blocks: a
+rank-one block is asked for its largest eigenvalue, unless mu b is not
+positive, and an es block first counts its eigenvalues above the cut by
+the same inertia formula, from the box operator, Q and the potential alone;
+Lanczos is then asked for just that many (0, 1 or 2).
 """
 
 from dataclasses import dataclass
@@ -55,6 +66,10 @@ _ROUNDOFF = 1e-14
 # takes (2 reach + 1)^2 products
 _MAX_REACH = 8
 TAIL_TOL = 1e-10  # largest l1 tail of an FFT hopping table (build with R)
+# a secular root is taken once a Newton step moves it by at most this
+# fraction of max(1, |E|); quadratic convergence leaves roundoff after it
+_SECULAR_TOL = 1e-14
+_SECULAR_STEPS = 100
 
 _SECTOR_CHARACTERS = {
     # (parity under x -> -x, parity under coordinate swap)
@@ -280,17 +295,30 @@ def build(model, L, R=None, a=1.0, b=1.0, mu=0.0):
 # diagonalization
 # ---------------------------------------------------------------------------
 
+def _branches_above(d, g):
+    """The ascending eigenvalue indices of D^-1 - G that cross zero above t.
+
+    D (diagonal ``d``, no zero entry) is mu V on the potential's sector
+    vectors Y, and G = Y^T (t - H0)^-1 Y with t - H0 positive definite,
+    because the box restriction of H0 stays below e_max < t.  The matrix
+    [[-(t - H0), Y], [Y^T, -D^-1]] has the Schur complements H - t and
+    -(D^-1 - G), so Haynsworth inertia additivity gives
+    #{eig(H) > t} = n_-(D^-1 - G) - n_-(D).  D^-1 - G(E) increases with E
+    and tends to D^-1, so its eigenvalue branches n_-(D) .. n_-(D^-1 - G) - 1
+    are the ones that cross zero above t, each once, at an eigenvalue of H.
+    """
+    negative = np.linalg.eigvalsh(np.diag(1.0 / d) - g) < 0
+    return range(int(np.sum(d < 0)), int(np.sum(negative)))
+
+
 def _count_above(blk, mat, t):
     """Exact number of eigenvalues above t of a sector block held as the CSR
     matrix ``mat``.
 
     Write mat = H0 + W with W = Q^T diag(mu v) Q, the potential's block.
-    The columns of Q have disjoint supports, so W is diagonal; let J be its
-    nonzero columns (at most 2) and D = W[J, J].  S = t - H0 is positive
-    definite because the box restriction of H0 stays below e_max < t.  The
-    matrix [[-S, P], [P^T, -D^-1]] (P = I[:, J]) has the Schur complements
-    mat - t and -(D^-1 - S^-1[J, J]), so Haynsworth inertia additivity gives
-    #{eig(mat) > t} = n_-(D^-1 - S^-1[J, J]) - n_-(D): one sparse LU of S
+    The columns of Q have disjoint supports, so W is diagonal; its nonzero
+    columns J (at most 2) are the potential's sector vectors, and
+    G = S^-1[J, J] with S = t - H0 (``_branches_above``): one sparse LU of S
     and |J| solves.
     """
     q = blk.basis
@@ -301,8 +329,95 @@ def _count_above(blk, mat, t):
     s = scipy.sparse.diags(t + w) - mat
     unit = np.zeros((blk.dimension, j.size))
     unit[j, np.arange(j.size)] = 1.0
-    schur = np.diag(1.0 / w[j]) - scipy.sparse.linalg.splu(s.tocsc()).solve(unit)[j]
-    return int(np.sum(np.linalg.eigvalsh(schur) < 0) - np.sum(w[j] < 0))
+    g = scipy.sparse.linalg.splu(s.tocsc()).solve(unit)[j]
+    return len(_branches_above(w[j], g))
+
+
+def _secular_matrix(y, poles, e):
+    """G(E) = Y^T (E - H0)^-1 Y and -G'(E) from the potential's sector
+    vectors ``y`` expanded in the eigenvectors of H0, whose eigenvalues are
+    ``poles``."""
+    inv = 1.0 / (e - poles)
+    scaled = y * inv
+    return scaled @ y.T, (scaled * inv) @ y.T
+
+
+def _sector_potential(h, sector, u):
+    """(Y, D): the potential's sector vectors expanded in U (x) U, and mu V
+    on them, without the vectors on which mu V vanishes.
+
+    The neighbours' vector is (d_e1 + c_n d_-e1 + c_s d_e2 + c_n c_s d_-e2)/2
+    with the sector's characters (c_n, c_s); es adds the origin's d_0.  The
+    component of d_(x1, x2) on U_i (x) U_k is U[L + x1, i] U[L + x2, k].
+    """
+    cn, cs = _SECTOR_CHARACTERS[sector]
+    c = h.L
+    vectors = [0.5 * (np.outer(u[c + 1], u[c]) + cn * np.outer(u[c - 1], u[c])
+                      + cs * np.outer(u[c], u[c + 1])
+                      + cn * cs * np.outer(u[c], u[c - 1])).ravel()]
+    d = [h.mu * h.b]
+    if sector == "es":
+        vectors.insert(0, np.outer(u[c], u[c]).ravel())
+        d.insert(0, h.mu * h.a)
+    keep = np.flatnonzero(d)
+    return np.array(vectors)[keep], np.array(d, dtype=float)[keep]
+
+
+def _branch_root(y, poles, d, branch, lo, hi, at_lo, where):
+    """The zero of eigenvalue ``branch`` (ascending) of D^-1 - G(E) in
+    (lo, hi), by Newton safeguarded with bisection; ``at_lo`` is
+    ``_secular_matrix`` at lo.  NoConvergence names ``where`` and the last
+    bracket."""
+    e, (g, slope) = lo, at_lo
+    inverse = np.diag(1.0 / d)
+    for _ in range(_SECULAR_STEPS):
+        vals, vecs = np.linalg.eigh(inverse - g)
+        f, x = vals[branch], vecs[:, branch]
+        if f == 0.0:
+            return e
+        if f < 0.0:
+            lo = e
+        else:
+            hi = e
+        step = e - f / (x @ slope @ x)
+        if abs(step - e) <= _SECULAR_TOL * max(1.0, abs(step)):
+            return step
+        e = step if lo < step < hi else 0.5 * (lo + hi)
+        g, slope = _secular_matrix(y, poles, e)
+    raise NoConvergence(f"secular equation did not converge {where}, last "
+                        f"bracket [{lo!r}, {hi!r}]")
+
+
+def _secular_entries(h, t, margin):
+    """(energy, sector) of every eigenvalue above t of a separable box.
+
+    One ``eigh`` of Phi gives the eigenpairs of H0 = Phi (x) I + I (x) Phi;
+    per sector, ``_branches_above`` counts the roots of det(D^-1 - G(E))
+    above t, and each is found on its branch, bracketed by
+    [t, 2 max lam + max D + margin] (the top of H0 plus that of mu V bounds
+    every eigenvalue).  Newton from t climbs a rank-one branch 1/D - G(E),
+    concave and increasing, monotonically to its root; a step that leaves
+    the bracket bisects it instead.
+    """
+    idx = np.arange(2 * h.L + 1)
+    lam, u = np.linalg.eigh(h.phi_row[np.abs(idx[:, None] - idx[None, :])])
+    if t <= 2.0 * lam[-1]:
+        raise ValueError(f"cut t = {t!r} is not above the free box's top "
+                         f"eigenvalue {2.0 * lam[-1]!r}")
+    poles = (lam[:, None] + lam[None, :]).ravel()
+    entries = []
+    for sector in SECTORS:
+        y, d = _sector_potential(h, sector, u)
+        if d.size == 0:
+            continue
+        at_t = _secular_matrix(y, poles, t)
+        hi = 2.0 * lam[-1] + np.max(d) + margin
+        where = (f"in the {sector} sector of the L = {h.L} box at (a, b, mu)"
+                 f" = ({h.a}, {h.b}, {h.mu}) above t = {t!r}")
+        entries += [(float(_branch_root(y, poles, d, branch, t, hi, at_t,
+                                        where)), sector)
+                    for branch in _branches_above(d, at_t[0])]
+    return entries
 
 
 def eigen_pairs(h, k, above=None):
@@ -372,17 +487,26 @@ def sector_count_above(h, e_max, margin, k=None):
 
     The box restriction of H0 has no eigenvalue above e_max, so by min-max a
     sector holds no more eigenvalues above it than mu V has positive
-    eigenvalues there: at most 1 in os, oa and ea, 2 in es.  On a rank-one
-    sector mu V is the 1x1 matrix mu b, so where mu b <= 0 the block holds
-    none and is not diagonalized; otherwise it is asked for its largest
-    eigenvalue.  The es block is asked for at most 2 above t: a
-    Lanczos-size CSR block counts them first by inertia and converges only
-    those (``eigen_pairs``), while a dense or matvec block is asked for 2.
-    Either way the count is exact.  The rank-one blocks skip the inertia
-    count: a factorization per block measured slower on the (1, 3, 1)
-    boxes at L = 30, 45, 60, where each of them holds its bound state.
-    ``k`` is ignored; it is accepted so that callers still passing it keep
-    working.
+    eigenvalues there: at most 1 in os, oa and ea, 2 in es.
+
+    A separable box (``phi_row`` set, built with R = None) forms no block:
+    each sector's eigenvalues above t are the roots of its secular equation
+    of size 1, or 2 in es (``_secular_entries``), counted by inertia and
+    each found by Newton on its branch.  ValueError when t is not above the
+    free box's top eigenvalue; NoConvergence when a root is not resolved.
+
+    A table box keeps its sector blocks.  On a rank-one sector mu V is the
+    1x1 matrix mu b, so where mu b <= 0 the block holds none and is not
+    diagonalized; otherwise it is asked for its largest eigenvalue.  The es
+    block is asked for at most 2 above t: a Lanczos-size block counts them
+    first by inertia and converges only those (``eigen_pairs``), while a
+    dense block is asked for 2.  The rank-one blocks skip the
+    inertia count: a factorization per block measured slower on the
+    (1, 3, 1) boxes at L = 30, 45, 60, where each of them holds its bound
+    state.
+
+    Either way the count is exact.  ``k`` is ignored; it is accepted so that
+    callers still passing it keep working.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -393,8 +517,11 @@ def sector_count_above(h, e_max, margin, k=None):
             return eigen_pairs(h.sector_block(s), 2, above=t)
         return eigen_pairs(h.sector_block(s), 1) if h.mu * h.b > 0 else ()
 
-    entries = sorted(((float(v), s) for s in SECTORS for v in block_values(s)
-                      if v > t), key=lambda entry: -entry[0])
+    if h.phi_row is not None:
+        found = _secular_entries(h, t, margin)
+    else:
+        found = [(float(v), s) for s in SECTORS for v in block_values(s) if v > t]
+    entries = sorted(found, key=lambda entry: -entry[0])
     counts = {s: sum(1 for _, sec in entries if sec == s) for s in SECTORS}
     return SectorCounts(**counts, total=len(entries), entries=tuple(entries))
 

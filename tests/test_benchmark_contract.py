@@ -79,7 +79,7 @@ def test_traced_box_counts_match_untraced(lap):
     modules = {layer: importlib.import_module(f"{tracing.PACKAGE}.{layer}")
                for layer in tracing.LAYER_API}
     oracle = modules["lattice_oracle"]
-    h = oracle.build(lap, 20, a=1.0, b=3.0, mu=1.0)    # Lanczos blocks
+    h = oracle.build(lap, 20, R=1, a=1.0, b=3.0, mu=1.0)  # table box: Lanczos
     plain = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
     tracer = tracing.Tracer(modules)
     tracer.install()

@@ -113,9 +113,15 @@ def test_determinism(tmp_path, capsys):
 
 
 def test_oracle_determinism(tmp_path, capsys):
-    # Lanczos-size sector blocks, and exactly degenerate os and oa states
+    # exactly degenerate os and oa states, from the secular equation
     assert_deterministic(tmp_path, ["oracle", "-a", "1", "-b", "3", "--mu", "1",
                                     "--L", "20,22,24"])
+
+
+def test_oracle_table_box_determinism(tmp_path, capsys):
+    # the same states from the Lanczos-size sector blocks of a table box
+    assert_deterministic(tmp_path, ["oracle", "-a", "1", "-b", "3", "--mu", "1",
+                                    "--L", "20,22,24", "--R", "1"])
 
 
 def test_curve_csv(capsys):

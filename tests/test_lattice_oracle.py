@@ -140,7 +140,7 @@ def _spy_lanczos(monkeypatch):
 
 @pytest.mark.parametrize("L", (8, 20))   # dense and Lanczos blocks
 def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
-    h = lo.build(lap, L, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(lap, L, R=1, a=1.0, b=3.0, mu=1.0)
     asked, lanczos = _spy_lanczos(monkeypatch)
     sc = lo.sector_count_above(h, 4.0, 1e-3)
     # min-max bounds each block's count by its rank; the Lanczos-size blocks
@@ -161,7 +161,7 @@ def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
 def test_es_lanczos_work_stays_near_a_rank_one_block(lap, monkeypatch):
     # es holds one bound state at (1, 3, 1): asked for 2, Lanczos converged
     # a continuum state near e_max in 633 products, against 41 for os
-    h = lo.build(lap, 45, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(lap, 45, R=1, a=1.0, b=3.0, mu=1.0)
     _, lanczos = _spy_lanczos(monkeypatch)
     lo.sector_count_above(h, 4.0, 5e-3)
     assert lanczos["es"]["products"] <= 2 * lanczos["os"]["products"]
@@ -174,7 +174,7 @@ def test_rank_one_blocks_without_positive_mu_b_are_skipped(lap, monkeypatch,
     # mu V is the 1x1 matrix mu b on a rank-one sector, so by min-max such a
     # block holds nothing above e_max when mu b <= 0; Lanczos spent 301
     # products per block converging a continuum state there at L = 45
-    h = lo.build(lap, 45, a=a, b=b, mu=mu)
+    h = lo.build(lap, 45, R=1, a=a, b=b, mu=mu)
     asked, lanczos = _spy_lanczos(monkeypatch)
     sc = lo.sector_count_above(h, 4.0, 1e-3)
     assert asked == {"es": 2}
@@ -186,7 +186,7 @@ def test_rank_one_blocks_without_positive_mu_b_are_skipped(lap, monkeypatch,
 def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
     # an es block whose inertia count is 1 must not drop a Lanczos value
     # below the cut; the rank-one blocks filter theirs
-    h = lo.build(lap, 20, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(lap, 20, R=1, a=1.0, b=3.0, mu=1.0)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda op, k, **kwargs: np.full(k, 3.9))
     with pytest.raises(NoConvergence, match=r"t = 4\.001 in the es block of "
@@ -207,10 +207,10 @@ def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
 @example(L=28, a=5.0, b=0.0, mu=1.0)
 @example(L=30, a=1.0, b=1.0, mu=0.0)
 def test_lanczos_blocks_match_dense_eigvalsh(L, a, b, mu):
-    # every block here is larger than DENSE_LIMIT, so es takes the inertia
-    # count and the others Lanczos for their rank
+    # every block of this table box is larger than DENSE_LIMIT, so es takes
+    # the inertia count and the others Lanczos for their rank
     cutoff = 4.0 + 1e-3
-    h = lo.build(DiscreteLaplacian(), L, a=a, b=b, mu=mu)
+    h = lo.build(DiscreteLaplacian(), L, R=1, a=a, b=b, mu=mu)
     want = {}
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
@@ -223,6 +223,88 @@ def test_lanczos_blocks_match_dense_eigvalsh(L, a, b, mu):
         got = np.sort([v for v, t in sc.entries if t == s])
         assert getattr(sc, s) == got.size == want[s].size
         assert np.max(np.abs(got - want[s]), initial=0.0) < 1e-10
+
+
+SEPARABLE_MODELS = {"laplacian": DiscreteLaplacian(),
+                    "stepped-0.5": SteppedPhiA(a_param=0.5),
+                    "piecewise-0.5": PiecewisePhi(eps=0.5)}
+_COUPLING = st.one_of(st.just(0.0), st.floats(-3.0, 6.0))
+
+
+@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(L=st.integers(3, 6), a=_COUPLING, b=_COUPLING,
+       mu=st.one_of(st.just(0.0), st.floats(0.2, 4.0)))
+def test_secular_counts_match_dense_sector_blocks(name, L, a, b, mu):
+    # a separable box is counted and solved from one eigh of Phi; compare
+    # with eigvalsh of each sector's projection of the dense box matrix
+    model = SEPARABLE_MODELS[name]
+    cutoff = float(model.e_max) + 1e-3
+    h = lo.build(model, L, a=a, b=b, mu=mu)
+    ref = _kron_reference(h)
+    want = {}
+    for s in ("os", "oa", "ea", "es"):
+        q = h.sector_block(s).basis.toarray()
+        full = np.linalg.eigvalsh(q.T @ ref @ q)
+        assume(np.min(np.abs(full - cutoff)) > 1e-8)
+        want[s] = np.sort(full[full > cutoff])
+    sc = lo.sector_count_above(h, float(model.e_max), 1e-3)
+    for s in ("os", "oa", "ea", "es"):
+        got = np.sort([v for v, t in sc.entries if t == s])
+        assert getattr(sc, s) == got.size == want[s].size
+        assert np.max(np.abs(got - want[s]), initial=0.0) < 1e-10
+
+
+@pytest.mark.parametrize("model, L", ((DiscreteLaplacian(), 45),
+                                      (SteppedPhiA(a_param=0.5), 20)))
+def test_separable_boxes_call_no_eigensolver(monkeypatch, model, L):
+    # Lanczos-size sparse blocks on the Laplacian, matvec blocks on stepped
+    h = lo.build(model, L, a=1.0, b=3.0, mu=1.0)
+    t = float(model.e_max) + 5e-3
+    want = [v for v in lo.top_eigenvalues(h, 6) if v > t]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("separable boxes are solved without eigsh")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
+    monkeypatch.setattr(lo, "eigen_pairs", forbidden)
+    sc = lo.sector_count_above(h, float(model.e_max), 5e-3)
+    assert sc.total == len(want) >= 4
+    assert [v for v, _ in sc.entries] == pytest.approx(want, abs=1e-12)
+
+
+def test_secular_es_root_with_a_negative_coupling(lap):
+    # D = mu diag(a, b) has one negative entry at (-1, 2, 2.5), so es's one
+    # root above t lies on branch 1 of D^-1 - G(E), not branch 0
+    h = lo.build(lap, 20, a=-1.0, b=2.0, mu=2.5)
+    blk = lo.build(lap, 20, R=1, a=-1.0, b=2.0, mu=2.5).sector_block("es")
+    full = np.linalg.eigvalsh(blk.operator().toarray())
+    want = full[full > 4.0 + 1e-3]
+    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    assert sc.es == want.size == 1
+    assert [v for v, s in sc.entries if s == "es"] == pytest.approx(want, abs=1e-12)
+
+
+def test_secular_cut_must_clear_the_free_box(lap):
+    h = lo.build(lap, 5, a=1.0, b=3.0, mu=1.0)
+    n = 2 * h.L + 1
+    idx = np.arange(n)
+    # the same eigh of Phi as the oracle's, so the same last bits
+    top = 2.0 * np.linalg.eigh(h.phi_row[np.abs(idx[:, None] - idx[None, :])])[0][-1]
+    margin = 2.0 ** -10
+    assert (top - margin) + margin == top
+    for e_max in (top - margin, top - 0.25):
+        with pytest.raises(ValueError, match="free box's top eigenvalue"):
+            lo.sector_count_above(h, e_max, margin)
+
+
+def test_secular_nonconvergence_names_its_state(lap, monkeypatch):
+    monkeypatch.setattr(lo, "_SECULAR_STEPS", 1)
+    h = lo.build(lap, 10, a=1.0, b=3.0, mu=1.0)
+    with pytest.raises(NoConvergence, match=r"os sector of the L = 10 box at "
+                       r"\(a, b, mu\) = \(1\.0, 3\.0, 1\.0\) above t = 4\.001, "
+                       r"last bracket \[4\.001, "):
+        lo.sector_count_above(h, 4.0, 1e-3)
 
 
 @settings(max_examples=20)

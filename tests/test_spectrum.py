@@ -190,17 +190,30 @@ def test_multiplicity_two_construct_frozen():
 
 
 def test_multiplicity_two_construct_reuses_g_values(monkeypatch):
-    # brentq's end points and g_residual revisit values of G already computed
+    # brentq's end points and g_residual revisit values of G already
+    # computed.  G(A) reaches the kernel through torus_quad, and the stacked
+    # call at A0 through the name spectrum bound at import; spy on both
     calls = []
-    original = torus_quad._integrate
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def spy(module):
+        original = module._integrate
 
-    monkeypatch.setattr(torus_quad, "_integrate", counting)
-    _assert_frozen_construction(spectrum.multiplicity_two_construct(1.5, mu=1.0))
-    assert 0 < len(calls) <= 14
+        def counting(model, weights, *args, **kwargs):
+            calls.append((module.__name__, model.a_param, len(weights)))
+            return original(model, weights, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_integrate", counting)
+
+    spy(torus_quad)
+    spy(spectrum)
+    res = spectrum.multiplicity_two_construct(1.5, mu=1.0)
+    _assert_frozen_construction(res)
+    g_params = [a for name, a, n in calls if name.endswith("torus_quad") and n == 1]
+    assert calls[-1] == (spectrum.__name__, res.A0, 3)
+    assert len(set(g_params)) == len(g_params) == len(calls) - 1
+    # G at A = 0 and 1, then brentq's 7 new points at xtol 1e-13; and the
+    # one stacked call at A0 for a0, b0 and the verification
+    assert len(calls) <= 10
 
 
 def test_multiplicity_two_construct_builds_one_far_node_set():
