@@ -5,41 +5,34 @@ five-point potential mu * (a at the origin, b at the four neighbors).  Bound
 states above the band decay exponentially, so box eigenvalues converge
 exponentially in L and an Aitken-type extrapolation recovers the limit.
 
-``TruncatedHamiltonian.operator()`` is the one box operator, built without
+A box holds its free operator H0 in one of two forms, both built without
 the torus quadrature:
 
-  * a hopping table as a sparse sum of shifts.  The table is either
-    tabulated (FFT coefficients) or the axis table of a separable kind
-    e(p) = g(p1) + g(p2) whose exact 1-D coefficients of g (computed with
-    scipy.integrate.quad) are roundoff beyond the first few, as on the
-    Laplacian;
-  * other separable kinds via all the 1-D coefficients, applied as
-    Phi X + X Phi without truncating the (slowly decaying) hopping range.
+  * a separable kind e(p) = g(p1) + g(p2) (``build`` with R = None) as the
+    1-D profile coefficients c_0..c_2L of g (scipy.integrate.quad): H0 =
+    Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|, applied
+    as Phi X + X Phi, with no hopping the box can see left out;
+  * any kind (``build`` with R) as its FFT hopping table, a sparse sum of
+    shifts.
 
 Negation x -> -x and the coordinate swap preserve the box and V, so the
 operator splits into the four sectors os, oa, ea, es.  Each sector block
-Q^T H Q (Q a sparse isometry onto the sector) is diagonalized on its own, and
-every eigenvalue carries the sector of its block.  With a hopping table the
-block is an explicit CSR matrix, read off ``operator()`` by probing it with
-periodic combs; a long-range block is applied as Q^T H Q y.  The box
-restriction of H0 has no eigenvalue above e_max, so by min-max a block holds
-no more eigenvalues above it than mu V has positive eigenvalues in its
-sector: 1 in os, oa and ea, 2 in es.
+Q^T H Q (Q a sparse isometry onto the sector) holds its sector's
+eigenvalues.  The box restriction of H0 has no eigenvalue above e_max, so by
+min-max a block holds no more eigenvalues above it than mu V has positive
+eigenvalues in its sector: 1 in os, oa and ea, 2 in es.
 
-``sector_count_above`` counts and solves a separable box (built with R =
-None) without forming any block.  There H0 = Phi (x) I + I (x) Phi is a
-Kronecker sum, diagonalized by one ``eigh`` of the (2L + 1) x (2L + 1)
-Toeplitz matrix Phi, and mu V is D = mu b (mu diag(a, b) in es) on the
-sector's one or two potential vectors Y.  An E above the free box's
-spectrum is an eigenvalue exactly when D^-1 - G(E), with
-G(E) = Y^T (E - H0)^-1 Y, is singular: a secular equation of size 1 or 2
-(Golub, SIAM Rev. 15, 318 (1973); Bunch, Nielsen & Sorensen, Numer. Math.
-31, 31 (1978)).  Inertia counts its roots above the cut and Newton finds
-each on its branch.  A table box (built with R) keeps its CSR blocks: a
-rank-one block is asked for its largest eigenvalue, unless mu b is not
-positive, and an es block first counts its eigenvalues above the cut by
-the same inertia formula, from the box operator, Q and the potential alone;
-Lanczos is then asked for just that many (0, 1 or 2).
+Both forms count the same way.  On a sector, mu V is D = mu b (mu diag(a,
+b) in es) on the potential's one or two sector vectors Y.  For t above the
+free box's spectrum the sector holds n_-(N(t)) eigenvalues above t, where
+N(E) = G(E)^-1 - D with G(E) = Y^T (E - H0)^-1 Y is the box's
+Birman-Schwinger matrix; N increases with E, so each of its negative
+eigenvalues at t crosses zero once above t, at an eigenvalue of H.  A
+separable box finds each such root by Newton on its branch of N, from one
+``eigh`` of the (2L + 1) x (2L + 1) matrix Phi: a secular equation of size
+1 or 2 (Golub, SIAM Rev. 15, 318 (1973)).  A table box keeps its CSR
+sector blocks and Lanczos; an es block first counts its eigenvalues above
+the cut, from one sparse LU of t - H0, and asks Lanczos for just that many.
 """
 
 from dataclasses import dataclass
@@ -59,12 +52,6 @@ from .sectors import RANK_ONE_SECTORS, SECTORS
 # dimension 900 to 961
 DENSE_LIMIT = 400
 
-# separable profile coefficients at most this fraction of the largest are
-# quadrature roundoff (at most 2.9e-16 beyond c_1 on the Laplacian)
-_ROUNDOFF = 1e-14
-# a separable profile reaching farther keeps the matvec: the comb probe
-# takes (2 reach + 1)^2 products
-_MAX_REACH = 8
 TAIL_TOL = 1e-10  # largest l1 tail of an FFT hopping table (build with R)
 # a secular root is taken once a Newton step moves it by at most this
 # fraction of max(1, |E|); quadratic convergence leaves roundoff after it
@@ -86,9 +73,9 @@ class TruncatedHamiltonian:
     a: float
     b: float
     mu: float
-    hopping: dict | None        # (x1, x2) -> value; None: phi_row matvec
-    phi_row: np.ndarray | None  # c[0..2L], 1-D coefficients (separable kinds)
-    tail_bound: float           # l1 mass of the hoppings left out of the box
+    hopping: dict | None        # (x1, x2) -> value within R; None: profile
+    phi_row: np.ndarray | None  # c[0..2L] of the separable g; None: table
+    tail_bound: float           # l1 mass of the table beyond R; 0: profile
 
     @property
     def dimension(self):
@@ -237,46 +224,22 @@ def _phi_coefficients(model, n_max):
     return c
 
 
-def _axis_table(phi_row):
-    """(hopping table, dropped l1 mass) of a separable profile whose
-    coefficients beyond the first few are roundoff; (None, 0.0) when it
-    reaches farther than _MAX_REACH.
-
-    e(p) = g(p1) + g(p2) hops by c_n along each axis and sits at 2 c_0 on
-    the diagonal; each dropped c_n would enter four entries of the table.
-    """
-    scale = np.max(np.abs(phi_row))
-    significant = np.flatnonzero(np.abs(phi_row) > _ROUNDOFF * scale)
-    reach = int(significant[-1]) if significant.size else 0
-    if reach > _MAX_REACH:
-        return None, 0.0
-    table = {(0, 0): 2.0 * float(phi_row[0])}
-    for n in range(1, reach + 1):
-        for x in ((n, 0), (-n, 0), (0, n), (0, -n)):
-            table[x] = float(phi_row[n])
-    return table, 4.0 * float(np.sum(np.abs(phi_row[reach + 1:])))
-
-
 def build(model, L, R=None, a=1.0, b=1.0, mu=0.0):
     """Box truncation of the operator.
 
-    With R given, the hopping table comes from the FFT coefficients with an
-    l1 tail bound (CutoffTooSmall when it exceeds TAIL_TOL); a table that is
-    not invariant under the coordinate swap is rejected.  With R = None a
-    separable kind is assembled from its 1-D profile coefficients c_0..c_2L.
-    When every c_n beyond the first few (at most 8) is roundoff, |c_n| <=
-    1e-14 max |c| as on the Laplacian, the first few become the axis hopping
-    table, so the sector blocks are sparse, and ``tail_bound`` is the l1
-    mass of the dropped ones; a longer-range profile keeps the matvec over
-    every coefficient (tail_bound 0).
+    With R given, H0 is the hopping table of the FFT coefficients within R,
+    with an l1 tail bound (CutoffTooSmall when it exceeds TAIL_TOL); a table
+    that is not invariant under the coordinate swap is rejected.  With
+    R = None, H0 of a separable kind is its 1-D profile coefficients
+    c_0..c_2L, every one the box sees, so ``hopping`` is None and
+    ``tail_bound`` 0; a kind that is not separable raises ValueError.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     if R is None:
-        phi_row = _phi_coefficients(model, 2 * L)
-        hopping, tail = _axis_table(phi_row)
-        return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=hopping,
-                                    phi_row=phi_row, tail_bound=tail)
+        return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=None,
+                                    phi_row=_phi_coefficients(model, 2 * L),
+                                    tail_bound=0.0)
     if not L >= R >= 1:
         raise ValueError("need L >= R >= 1")
     from .dispersion import fourier_coefficients
@@ -296,19 +259,21 @@ def build(model, L, R=None, a=1.0, b=1.0, mu=0.0):
 # ---------------------------------------------------------------------------
 
 def _branches_above(d, g):
-    """The ascending eigenvalue indices of D^-1 - G that cross zero above t.
+    """The ascending eigenvalue indices of N = G^-1 - D that cross zero
+    above t.
 
-    D (diagonal ``d``, no zero entry) is mu V on the potential's sector
-    vectors Y, and G = Y^T (t - H0)^-1 Y with t - H0 positive definite,
-    because the box restriction of H0 stays below e_max < t.  The matrix
-    [[-(t - H0), Y], [Y^T, -D^-1]] has the Schur complements H - t and
-    -(D^-1 - G), so Haynsworth inertia additivity gives
-    #{eig(H) > t} = n_-(D^-1 - G) - n_-(D).  D^-1 - G(E) increases with E
-    and tends to D^-1, so its eigenvalue branches n_-(D) .. n_-(D^-1 - G) - 1
-    are the ones that cross zero above t, each once, at an eigenvalue of H.
+    D (diagonal ``d``) is mu V on the potential's sector vectors Y, and
+    G = Y^T X^-1 Y with X = t - H0 positive definite, because the box
+    restriction of H0 stays below e_max < t.  H has as many eigenvalues
+    above t as X - Y D Y^T, congruent to I - Z D Z^T with Z = X^-1/2 Y, has
+    negative ones; Z D Z^T shares its nonzero eigenvalues with
+    G^1/2 D G^1/2 (Z^T Z = G), so #{eig(H) > t} = n_-(I - G^1/2 D G^1/2) =
+    n_-(N).  N(E) increases with E without bound, so its branches
+    0 .. n_-(N(t)) - 1 are the ones that cross zero above t, each once, at
+    an eigenvalue of H.
     """
-    negative = np.linalg.eigvalsh(np.diag(1.0 / d) - g) < 0
-    return range(int(np.sum(d < 0)), int(np.sum(negative)))
+    negative = np.linalg.eigvalsh(np.linalg.inv(g) - np.diag(d)) < 0
+    return range(int(np.sum(negative)))
 
 
 def _count_above(blk, mat, t):
@@ -344,7 +309,7 @@ def _secular_matrix(y, poles, e):
 
 def _sector_potential(h, sector, u):
     """(Y, D): the potential's sector vectors expanded in U (x) U, and mu V
-    on them, without the vectors on which mu V vanishes.
+    on them.
 
     The neighbours' vector is (d_e1 + c_n d_-e1 + c_s d_e2 + c_n c_s d_-e2)/2
     with the sector's characters (c_n, c_s); es adds the origin's d_0.  The
@@ -359,22 +324,19 @@ def _sector_potential(h, sector, u):
     if sector == "es":
         vectors.insert(0, np.outer(u[c], u[c]).ravel())
         d.insert(0, h.mu * h.a)
-    keep = np.flatnonzero(d)
-    return np.array(vectors)[keep], np.array(d, dtype=float)[keep]
+    return np.array(vectors), np.array(d, dtype=float)
 
 
 def _branch_root(y, poles, d, branch, lo, hi, at_lo, where):
-    """The zero of eigenvalue ``branch`` (ascending) of D^-1 - G(E) in
-    (lo, hi), by Newton safeguarded with bisection; ``at_lo`` is
-    ``_secular_matrix`` at lo.  NoConvergence names ``where`` and the last
-    bracket."""
+    """The zero of eigenvalue ``branch`` (ascending) of N(E) = G(E)^-1 - D
+    in (lo, hi), by Newton safeguarded with bisection; ``at_lo`` is
+    ``_secular_matrix`` at lo, and N' = G^-1 (-G') G^-1.  NoConvergence
+    names ``where`` and the last bracket."""
     e, (g, slope) = lo, at_lo
-    inverse = np.diag(1.0 / d)
     for _ in range(_SECULAR_STEPS):
-        vals, vecs = np.linalg.eigh(inverse - g)
-        f, x = vals[branch], vecs[:, branch]
-        if f == 0.0:
-            return e
+        inverse = np.linalg.inv(g)
+        vals, vecs = np.linalg.eigh(inverse - np.diag(d))
+        f, x = vals[branch], inverse @ vecs[:, branch]
         if f < 0.0:
             lo = e
         else:
@@ -392,12 +354,15 @@ def _secular_entries(h, t, margin):
     """(energy, sector) of every eigenvalue above t of a separable box.
 
     One ``eigh`` of Phi gives the eigenpairs of H0 = Phi (x) I + I (x) Phi;
-    per sector, ``_branches_above`` counts the roots of det(D^-1 - G(E))
-    above t, and each is found on its branch, bracketed by
+    per sector, ``_branches_above`` counts the roots of det N(E) above t,
+    and each is found on its branch, bracketed by
     [t, 2 max lam + max D + margin] (the top of H0 plus that of mu V bounds
-    every eigenvalue).  Newton from t climbs a rank-one branch 1/D - G(E),
-    concave and increasing, monotonically to its root; a step that leaves
-    the bracket bisects it instead.
+    every eigenvalue).  G(E) sums B B^T / (E - pole) with positive weights,
+    so G^-1 is a parallel sum of terms linear in E and N is operator-concave
+    (Anderson & Duffin, J. Math. Anal. Appl. 1969): Newton from t climbs its
+    lowest branch monotonically to the root, and on N's nearly linear
+    branches it takes few steps.  A step that leaves the bracket bisects it
+    instead.
     """
     idx = np.arange(2 * h.L + 1)
     lam, u = np.linalg.eigh(h.phi_row[np.abs(idx[:, None] - idx[None, :])])
@@ -408,8 +373,6 @@ def _secular_entries(h, t, margin):
     entries = []
     for sector in SECTORS:
         y, d = _sector_potential(h, sector, u)
-        if d.size == 0:
-            continue
         at_t = _secular_matrix(y, poles, t)
         hi = 2.0 * lam[-1] + np.max(d) + margin
         where = (f"in the {sector} sector of the L = {h.L} box at (a, b, mu)"
@@ -427,11 +390,12 @@ def eigen_pairs(h, k, above=None):
     go to Lanczos from a seeded start vector, so repeated runs agree to the
     bit.  Only eigenvalues are returned: sectors come from blocks.
 
-    With a cut ``above = t``, a Lanczos-size block held as a CSR matrix is
-    asked for no more than its exact number of eigenvalues above t
-    (``_count_above``), so Lanczos converges no eigenvalue below the cut; a
-    returned value at or below t then raises NoConvergence.  Matvec blocks
-    ignore the cut: they have no matrix to factor.
+    With a cut ``above = t``, a Lanczos-size block of a table box (a CSR
+    matrix) is asked for no more than its exact number of eigenvalues above
+    t (``_count_above``), so Lanczos converges no eigenvalue below the cut;
+    a returned value at or below t then raises NoConvergence.  The matvec
+    blocks of a separable box ignore the cut: they have no matrix to factor,
+    and ``sector_count_above`` does not diagonalize them.
     """
     dim = h.dimension
     op = h.operator()
@@ -489,21 +453,23 @@ def sector_count_above(h, e_max, margin, k=None):
     sector holds no more eigenvalues above it than mu V has positive
     eigenvalues there: at most 1 in os, oa and ea, 2 in es.
 
-    A separable box (``phi_row`` set, built with R = None) forms no block:
-    each sector's eigenvalues above t are the roots of its secular equation
-    of size 1, or 2 in es (``_secular_entries``), counted by inertia and
-    each found by Newton on its branch.  ValueError when t is not above the
-    free box's top eigenvalue; NoConvergence when a root is not resolved.
+    Both box forms count a sector's eigenvalues above t as n_-(N(t)), the
+    negative inertia of N(E) = G(E)^-1 - D (``_branches_above``).  A
+    separable box (``phi_row`` set, built with R = None) forms no block:
+    each counted root is found by Newton on its branch of N, a secular
+    equation of size 1, or 2 in es (``_secular_entries``).  ValueError when
+    t is not above the free box's top eigenvalue; NoConvergence when a root
+    is not resolved.
 
-    A table box keeps its sector blocks.  On a rank-one sector mu V is the
-    1x1 matrix mu b, so where mu b <= 0 the block holds none and is not
-    diagonalized; otherwise it is asked for its largest eigenvalue.  The es
-    block is asked for at most 2 above t: a Lanczos-size block counts them
-    first by inertia and converges only those (``eigen_pairs``), while a
-    dense block is asked for 2.  The rank-one blocks skip the
-    inertia count: a factorization per block measured slower on the
-    (1, 3, 1) boxes at L = 30, 45, 60, where each of them holds its bound
-    state.
+    A table box (built with R) keeps its sector blocks.  On a rank-one
+    sector mu V is the 1x1 matrix mu b, so where mu b <= 0 the block holds
+    none and is not diagonalized; otherwise it is asked for its largest
+    eigenvalue.  The es block is asked for at most 2 above t: a
+    Lanczos-size block counts them first (``_count_above``) and converges
+    only those (``eigen_pairs``), while a dense block is asked for 2.  The
+    rank-one blocks skip the count: a factorization per block measured
+    slower on the (1, 3, 1) boxes at L = 30, 45, 60, where each of them
+    holds its bound state.
 
     Either way the count is exact.  ``k`` is ignored; it is accepted so that
     callers still passing it keep working.
@@ -553,12 +519,13 @@ def extrapolate(l_values, values):
             return v3, max(abs(d1), abs(d2))
         if d2 == d1:
             raise FitFailure("degenerate differences in the L sequence")
-        rho = d2 / d1 if d1 != 0 else 0.0
+        # a step after a flat one (d1 = 0) is no geometric tail
+        rho = d2 / d1 if d1 != 0 else np.inf
         if not 0.0 <= rho < 1.0:
             raise FitFailure(
                 f"sequence is not exponentially converging (rho = {rho:g})")
         limit = v3 - d2 * d2 / (d2 - d1)
-        return limit, abs(limit - v3) * rho
+        return limit, abs((limit - v3) * rho)
 
     limit, err = aitken(*values[-3:])
     if len(values) >= 4:

@@ -11,6 +11,7 @@ from lattice_spectra.determinant import find_eigenvalue_rank_one
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         PiecewisePhi, SteppedPhiA)
 from lattice_spectra.errors import FitFailure, NoConvergence
+from test_dispersion import diagonal_hop_table
 
 
 def test_separable_coefficients_laplacian(lap):
@@ -77,12 +78,11 @@ def test_operator_matches_dense(lap):
 NEXT_NEAREST = ExponentialHopping(table=(
     (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
     (1, 1, -0.05), (-1, -1, -0.05), (1, -1, -0.05), (-1, 1, -0.05)))
-# model, R, and the box sizes with a hopping table (so sparse blocks): all,
-# or for stepped those whose box sees at most 8 of its long-range axis
-# hoppings; the larger ones keep the matvec
-BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None, 6),
-                "next-nearest-t2-0.1": (NEXT_NEAREST, 2, 6),
-                "stepped-0.5": (SteppedPhiA(a_param=0.5), None, 4)}
+# model and R: a hopping table (sparse blocks) with R, the separable profile
+# (matvec blocks) without
+BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None),
+                "next-nearest-t2-0.1": (NEXT_NEAREST, 2),
+                "stepped-0.5": (SteppedPhiA(a_param=0.5), None)}
 
 
 @pytest.mark.parametrize("name", BLOCK_MODELS)
@@ -90,9 +90,12 @@ BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None, 6),
 @given(L=st.integers(3, 6), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
        mu=st.floats(0.2, 4.0))
 def test_sector_blocks_match_reference(name, L, a, b, mu):
-    model, R, max_sparse_l = BLOCK_MODELS[name]
+    model, R = BLOCK_MODELS[name]
     h = lo.build(model, L, R=R, a=a, b=b, mu=mu)
-    assert (h.hopping is not None) == (L <= max_sparse_l)
+    assert (h.hopping is not None) == (R is not None)
+    assert (h.phi_row is not None) == (R is None)
+    if R is None:
+        assert h.tail_bound == 0.0
     ref = _kron_reference(h)
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
@@ -100,17 +103,6 @@ def test_sector_blocks_match_reference(name, L, a, b, mu):
         assert scipy.sparse.issparse(op) == (h.hopping is not None)
         q = blk.basis.toarray()
         assert np.max(np.abs(op @ np.eye(blk.dimension) - q.T @ ref @ q)) < 1e-13
-
-
-def test_laplacian_becomes_an_axis_table(lap):
-    h = lo.build(lap, 9)
-    assert sorted(h.hopping) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
-    assert h.hopping[(0, 0)] == pytest.approx(2.0, abs=1e-14)
-    assert h.tail_bound == pytest.approx(
-        4 * np.sum(np.abs(h.phi_row[2:])), rel=1e-12, abs=0.0)
-    assert h.tail_bound < 1e-13
-    stepped = lo.build(SteppedPhiA(a_param=0.5), 9)
-    assert stepped.hopping is None and stepped.tail_bound == 0.0
 
 
 def _spy_lanczos(monkeypatch):
@@ -194,23 +186,29 @@ def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
         lo.sector_count_above(h, 4.0, 1e-3)
 
 
+LAPLACIAN, DIAGONAL_HOP = DiscreteLaplacian(), diagonal_hop_table(0.1)
+
+
 @settings(max_examples=8, deadline=None)
-@given(L=st.sampled_from((28, 30)),
+@given(model=st.sampled_from((LAPLACIAN, DIAGONAL_HOP)),
+       L=st.sampled_from((28, 30)),
        a=st.one_of(st.just(0.0), st.floats(-3.0, 6.0)),
        b=st.one_of(st.just(0.0), st.floats(-3.0, 6.0)),
        mu=st.one_of(st.just(0.0), st.floats(0.2, 3.0)))
-# es holds 0, 1 and 2 bound states; then a = 0, b = 0 and mu = 0
-@example(L=28, a=-1.0, b=-1.0, mu=2.0)
-@example(L=28, a=1.0, b=3.0, mu=1.0)
-@example(L=28, a=3.0, b=3.0, mu=1.0)
-@example(L=30, a=0.0, b=3.0, mu=1.0)
-@example(L=28, a=5.0, b=0.0, mu=1.0)
-@example(L=30, a=1.0, b=1.0, mu=0.0)
-def test_lanczos_blocks_match_dense_eigvalsh(L, a, b, mu):
-    # every block of this table box is larger than DENSE_LIMIT, so es takes
-    # the inertia count and the others Lanczos for their rank
-    cutoff = 4.0 + 1e-3
-    h = lo.build(DiscreteLaplacian(), L, R=1, a=a, b=b, mu=mu)
+# es holds 0, 1 and 2 bound states; then a = 0, b = 0 and mu = 0; then 2 on
+# the diagonal-hop table, whose H0 is not a Kronecker sum
+@example(model=LAPLACIAN, L=28, a=-1.0, b=-1.0, mu=2.0)
+@example(model=LAPLACIAN, L=28, a=1.0, b=3.0, mu=1.0)
+@example(model=LAPLACIAN, L=28, a=3.0, b=3.0, mu=1.0)
+@example(model=LAPLACIAN, L=30, a=0.0, b=3.0, mu=1.0)
+@example(model=LAPLACIAN, L=28, a=5.0, b=0.0, mu=1.0)
+@example(model=LAPLACIAN, L=30, a=1.0, b=1.0, mu=0.0)
+@example(model=DIAGONAL_HOP, L=28, a=3.0, b=3.0, mu=1.0)
+def test_lanczos_blocks_match_dense_eigvalsh(model, L, a, b, mu):
+    # every block of these table boxes is larger than DENSE_LIMIT, so es
+    # takes the inertia count and the others Lanczos for their rank
+    cutoff = float(model.e_max) + 1e-3
+    h = lo.build(model, L, R=1, a=a, b=b, mu=mu)
     want = {}
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
@@ -218,7 +216,7 @@ def test_lanczos_blocks_match_dense_eigvalsh(L, a, b, mu):
         full = np.linalg.eigvalsh(blk.operator().toarray())
         assume(np.min(np.abs(full - cutoff)) > 1e-8)
         want[s] = np.sort(full[full > cutoff])
-    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    sc = lo.sector_count_above(h, float(model.e_max), 1e-3)
     for s in ("os", "oa", "ea", "es"):
         got = np.sort([v for v, t in sc.entries if t == s])
         assert getattr(sc, s) == got.size == want[s].size
@@ -258,7 +256,7 @@ def test_secular_counts_match_dense_sector_blocks(name, L, a, b, mu):
 @pytest.mark.parametrize("model, L", ((DiscreteLaplacian(), 45),
                                       (SteppedPhiA(a_param=0.5), 20)))
 def test_separable_boxes_call_no_eigensolver(monkeypatch, model, L):
-    # Lanczos-size sparse blocks on the Laplacian, matvec blocks on stepped
+    # the reference top_eigenvalues runs Lanczos on matvec blocks on both
     h = lo.build(model, L, a=1.0, b=3.0, mu=1.0)
     t = float(model.e_max) + 5e-3
     want = [v for v in lo.top_eigenvalues(h, 6) if v > t]
@@ -274,8 +272,8 @@ def test_separable_boxes_call_no_eigensolver(monkeypatch, model, L):
 
 
 def test_secular_es_root_with_a_negative_coupling(lap):
-    # D = mu diag(a, b) has one negative entry at (-1, 2, 2.5), so es's one
-    # root above t lies on branch 1 of D^-1 - G(E), not branch 0
+    # D = mu diag(a, b) has one negative entry at (-1, 2, 2.5); es's one
+    # root above t lies on branch 0 of N(E) = G(E)^-1 - D
     h = lo.build(lap, 20, a=-1.0, b=2.0, mu=2.5)
     blk = lo.build(lap, 20, R=1, a=-1.0, b=2.0, mu=2.5).sector_block("es")
     full = np.linalg.eigvalsh(blk.operator().toarray())
@@ -386,6 +384,10 @@ def test_extrapolate_constant_sequence():
     limit, err = lo.extrapolate((1, 2, 3), (2.0, 2.0, 2.0))
     assert limit == 2.0
     assert err == 0.0
+    # a sequence that lands on its limit: rho = 0, and the error is +0.0
+    limit, err = lo.extrapolate((1, 2, 3), (2.0, 1.0, 1.0))
+    assert limit == 1.0
+    assert err == 0.0 and not np.signbit(err)
 
 
 def test_extrapolate_four_points_error_estimate():
@@ -400,6 +402,10 @@ def test_extrapolate_failures():
         lo.extrapolate((1, 2, 3), (1.0, 2.0, 4.0))   # growing differences
     with pytest.raises(FitFailure):
         lo.extrapolate((1, 2, 3), (1.0, 2.0, 1.5))   # alternating
+    with pytest.raises(FitFailure):
+        lo.extrapolate((1, 2, 3), (1.0, 1.0, 1.5))   # a step after a flat one
+    with pytest.raises(FitFailure):
+        lo.extrapolate((1, 2, 3, 4), (0.5, 1.0, 1.0, 1.5))
     with pytest.raises(ValueError):
         lo.extrapolate((1, 2), (1.0, 2.0))
     with pytest.raises(ValueError):
