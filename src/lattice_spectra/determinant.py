@@ -230,7 +230,7 @@ def _find(model, sector, a, b, mu, spec):
 
         def fields(values):   # multiplicity, c1, c2, residual
             parts = _es_parts(a, b, mu, *values)
-            pairs = _coefficient_pairs(parts)
+            pairs = _coefficient_pairs(parts, a, b, mu)
             c1, c2 = (None, None) if len(pairs) == 2 else map(float, pairs[0])
             return len(pairs), c1, c2, abs(parts.combined)
     else:
@@ -275,14 +275,17 @@ def eigenfunction_es(model, record, a, b, spec=None):
     record, from delta_es at the record's alpha, exp(log_alpha); the finder
     reads its own parts.
     """
-    return _coefficient_pairs(delta_es(model, a, b, record.mu, spec=spec,
-                                       alpha=math.exp(record.log_alpha)))
+    parts = delta_es(model, a, b, record.mu, spec=spec, alpha=math.exp(record.log_alpha))
+    return _coefficient_pairs(parts, a, b, record.mu)
 
 
-def _coefficient_pairs(parts):
+def _coefficient_pairs(parts, a, b, mu):
+    """(c1, c2) with c1 Delta1 = a mu Delta3 c2 and c2 Delta2 = b mu Delta3 c1
+    at an es root: the longer of (a mu Delta3, Delta1) and (Delta2, b mu Delta3)."""
     d1, d2, d3 = parts.delta1, parts.delta2, parts.delta3
     if abs(d3) >= ZERO_TOL:
-        return [(d1, d3)]
+        return [max(((a * mu * d3, d1), (d2, b * mu * d3)),
+                    key=lambda v: v[0] ** 2 + v[1] ** 2)]
     if abs(d1) >= ZERO_TOL:
         return [(0.0, 1.0)]
     if abs(d2) >= ZERO_TOL:

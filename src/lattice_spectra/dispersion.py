@@ -3,10 +3,11 @@
 Four model kinds are provided; each satisfies (or is validated against) the
 standing hypotheses: real, even, swap-symmetric, with a unique non-degenerate
 maximum at pi_vec = (pi, pi).  All downstream quadrature leans on exact
-structure exposed here:
+structure exposed here, on the three separable kinds read off the profile's
+cosine pieces (``_CosinePieces``):
 
-  * ``e_max`` is stored analytically per kind, so the spectral offset
-    alpha = z - e_max is never computed by cancellation-prone subtraction;
+  * ``e_max`` is exact per kind, so the spectral offset alpha = z - e_max
+    is never computed by cancellation-prone subtraction;
   * ``hessian_at_max()`` is the kind's closed-form Hessian at pi_vec.
     morse_data takes both as given and checks the maximum by comparison:
     no node of a scan may exceed e_max;
@@ -44,29 +45,74 @@ def wrap_torus(t):
 # model kinds
 # ---------------------------------------------------------------------------
 
+class _CosinePieces:
+    """A separable kind e(p) = g(p1) + g(p2) with g(t) = sum_m c_m cos(m t)
+    for |t| in (the previous hi, hi] on each piece (hi, ((m, c_m), ...)) of
+    ``pieces``.  All else is read off it: e_max = 2 g(pi), the Hessian
+    g''(pi) I, the stable deficit from g(pi) - g(pi + u) = sum_m c_m (-1)^m
+    2 sin^2(m u / 2) on the last piece, the kinks +-hi (grid_n 1024, analytic
+    radius 0.9 times the last width) and phi_pieces() (lo, hi, terms)."""
+
+    def values(self, p1, p2):
+        if len(self.pieces) > 1:
+            return self._profile(p1) + self._profile(p2)
+        (_, terms), = self.pieces   # a trigonometric polynomial: no wrap, and
+        out = 2.0 * sum(c for m, c in terms if m == 0)   # its constant first
+        for t in (np.asarray(p, dtype=float)[()] for p in (p1, p2)):
+            for m, c in terms:
+                if m:
+                    out = out + c * np.cos(t if m == 1 else m * t)
+        return out
+
+    def _profile(self, t):
+        if np.ndim(t) == 0:   # the e_min polish: |wrap_torus(t)| in floats
+            t = abs((float(t) + PI) % (2 * PI) - PI)   # (% is np.mod), one piece
+            return _cosine_sum(next((c for hi, c in self.pieces if t <= hi), ()), t)
+        t = np.abs(wrap_torus(t))
+        return np.select([t <= hi for hi, _ in self.pieces],
+                         [_cosine_sum(terms, t) for _, terms in self.pieces])
+
+    def deficit(self, u1, u2):
+        drops = [c * (-1) ** m * 2.0 * np.sin(u * (m / 2)) ** 2
+                 for u in (u1, u2) for m, c in self.pieces[-1][1] if m]
+        return sum(drops[1:], drops[0])
+
+    @property
+    def e_max(self):
+        return 2.0 * sum(c * (-1) ** m for m, c in self.pieces[-1][1])
+
+    def hessian_at_max(self):
+        return np.diag(2 * [-sum(c * (-1) ** m * m * m for m, c in self.pieces[-1][1])])
+
+    @property
+    def breakpoints(self):
+        kinks = tuple(hi for hi, _ in self.pieces[:-1])
+        return tuple(-k for k in reversed(kinks)) + kinks if kinks else None
+
+    @property
+    def grid_n_default(self):
+        return 1024 if self.pieces[1:] else 256
+
+    @property
+    def analytic_radius(self):
+        return 0.9 * (PI - self.pieces[-2][0]) if self.pieces[1:] else np.inf
+
+    def phi_pieces(self):
+        his = [hi for hi, _ in self.pieces]
+        return tuple(zip([0.0] + his[:-1], his, (t for _, t in self.pieces)))
+
+
+def _cosine_sum(terms, t):
+    """sum_m c_m cos(m t) over the terms ((m, c_m), ...), in table order."""
+    return sum((c * np.cos(t if m == 1 else m * t) if m else c for m, c in terms), 0.0)
+
+
 @dataclass(frozen=True)
-class DiscreteLaplacian:
+class DiscreteLaplacian(_CosinePieces):
     """e(p) = 2 - cos p1 - cos p2 (negative discrete Laplacian symbol)."""
 
     kind = "laplacian"
-    e_max = 4.0
-    analytic_radius = np.inf
-    grid_n_default = 256
-    breakpoints = None  # smooth on the whole torus
-
-    def values(self, p1, p2):
-        return 2.0 - np.cos(p1) - np.cos(p2)
-
-    def deficit(self, u1, u2):
-        # 4 - e(pi+u) = (1 - cos u1) + (1 - cos u2)
-        return 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2
-
-    def hessian_at_max(self):
-        return np.array([[-1.0, 0.0], [0.0, -1.0]])
-
-    def phi_pieces(self):
-        # separable profile g with e(p) = g(p1) + g(p2), pieces on [0, pi]
-        return ((0.0, PI, lambda t: 1.0 - np.cos(t)),)
+    pieces = ((PI, ((0, 1.0), (1, -1.0))),)
 
 
 @dataclass(frozen=True)
@@ -129,54 +175,29 @@ class ExponentialHopping:
 
 
 @dataclass(frozen=True)
-class PiecewisePhi:
+class PiecewisePhi(_CosinePieces):
     """Separable kinked profile: e = phi(p1) + phi(p2),
     phi(t) = -cos t - cos(eps) for |t| > pi - eps, else 0, with eps in (0,1)."""
 
     eps: float
 
     kind = "piecewise_phi"
-    grid_n_default = 1024
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
 
     @property
-    def e_max(self):
-        return 2.0 * (1.0 - np.cos(self.eps))
+    def pieces(self):
+        return ((PI - self.eps, ()), (PI, ((0, -np.cos(self.eps)), (1, -1.0))))
 
     @property
-    def analytic_radius(self):
+    def analytic_radius(self):   # pi - (pi - eps) misses eps in the last bits
         return 0.9 * self.eps
-
-    @property
-    def breakpoints(self):
-        return (-(PI - self.eps), PI - self.eps)
-
-    def phi(self, t):
-        t = wrap_torus(t)
-        return np.where(np.abs(t) > PI - self.eps, -np.cos(t) - np.cos(self.eps), 0.0)
-
-    def values(self, p1, p2):
-        return self.phi(p1) + self.phi(p2)
-
-    def deficit(self, u1, u2):
-        # valid on the analytic patch |u_i| < eps:
-        # phi_max - phi(pi+u) = 1 - cos u
-        return 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2
-
-    def hessian_at_max(self):
-        return np.array([[-1.0, 0.0], [0.0, -1.0]])
-
-    def phi_pieces(self):
-        eps = self.eps
-        return ((0.0, PI - eps, lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-                (PI - eps, PI, lambda t: -np.cos(t) - np.cos(eps)))
 
 
 @dataclass(frozen=True)
-class SteppedPhiA:
+class SteppedPhiA(_CosinePieces):
     """One-parameter kinked family used for the multiplicity-two construction.
 
     phi_A(t) = A cos t on |t| <= pi/2, 0 on pi/2 < |t| <= 3pi/4, cos 2t on
@@ -191,35 +212,14 @@ class SteppedPhiA:
     a_param: float
 
     kind = "stepped_phi"
-    e_max = 1.0
-    grid_n_default = 1024
-    analytic_radius = 0.9 * (PI / 4)
-    breakpoints = (-3 * PI / 4, -PI / 2, PI / 2, 3 * PI / 4)
 
     def __post_init__(self):
         if not 0.0 <= self.a_param <= 1.0:
             raise ValueError("A must lie in [0, 1]")
 
-    def phi(self, t):
-        t = np.abs(wrap_torus(t))
-        return np.where(t <= PI / 2, self.a_param * np.cos(t),
-                        np.where(t <= 3 * PI / 4, 0.0, np.cos(2 * t)))
-
-    def values(self, p1, p2):
-        return 0.5 * (self.phi(p1) + self.phi(p2))
-
-    def deficit(self, u1, u2):
-        # valid for |u_i| < pi/4: 1 - cos 2u = 2 sin^2 u, halved per axis
-        return np.sin(u1) ** 2 + np.sin(u2) ** 2
-
-    def hessian_at_max(self):
-        return np.array([[-2.0, 0.0], [0.0, -2.0]])
-
-    def phi_pieces(self):
-        a = self.a_param
-        return ((0.0, PI / 2, lambda t: 0.5 * a * np.cos(t)),
-                (PI / 2, 3 * PI / 4, lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-                (3 * PI / 4, PI, lambda t: 0.5 * np.cos(2 * t)))
+    @property
+    def pieces(self):   # g = phi_A / 2
+        return ((PI / 2, ((1, 0.5 * self.a_param),)), (3 * PI / 4, ()), (PI, ((2, 0.5),)))
 
 
 # ---------------------------------------------------------------------------

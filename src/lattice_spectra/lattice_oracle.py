@@ -9,9 +9,9 @@ A box holds its free operator H0 in one of two forms, both built without
 the torus quadrature:
 
   * a separable kind e(p) = g(p1) + g(p2) (``build`` with R = None) as the
-    1-D profile coefficients c_0..c_2L of g (scipy.integrate.quad): H0 =
-    Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|, applied
-    as Phi X + X Phi, with no hopping the box can see left out;
+    1-D profile coefficients c_0..c_2L of g (closed form, cosine pieces):
+    H0 = Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|,
+    applied as Phi X + X Phi, with no hopping the box can see left out;
   * any kind (``build`` with R) as its FFT hopping table, a sparse sum of
     shifts.
 
@@ -38,7 +38,6 @@ the cut, from one sparse LU of t - H0, and asks Lanczos for just that many.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -207,21 +206,20 @@ def _sector_basis(L, sector):
 
 
 def _phi_coefficients(model, n_max):
-    """1-D Fourier cosine coefficients of the separable profile g."""
+    """c_n = (1/pi) int_0^pi g(t) cos(n t) dt, n <= n_max, of the separable
+    profile g in closed form: on a piece (lo, hi) of width w about mid, a
+    term c_m cos(m t) gives c_m/2 (S(n - m) + S(n + m)) with S(k) =
+    int_lo^hi cos(k t) dt = w cos(k mid) sinc(k w / 2pi) (numpy's sinc)."""
     pieces = model.phi_pieces()
     if pieces is None:
         raise ValueError(f"model kind {model.kind!r} is not separable")
-    c = np.zeros(n_max + 1)
-    for lo, hi, fn in pieces:
-        if hi <= lo:
-            continue
-        val, _ = scipy.integrate.quad(fn, lo, hi, limit=400)
-        c[0] += val / PI
-        for n in range(1, n_max + 1):
-            val, _ = scipy.integrate.quad(fn, lo, hi, weight="cos", wvar=n,
-                                          limit=400)
-            c[n] += val / PI
-    return c
+    n, c = np.arange(n_max + 1), np.zeros(n_max + 1)
+    for lo, hi, terms in pieces:
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        for m, coef in terms:
+            for k in (n - m, n + m):
+                c += 0.5 * coef * width * np.cos(k * mid) * np.sinc(k * width / (2 * PI))
+    return c / PI
 
 
 def build(model, L, R=None, a=1.0, b=1.0, mu=0.0):

@@ -97,10 +97,8 @@ class QuadratureSpec:
 
 
 def default_spec(model, **overrides):
-    grid_n = getattr(model, "grid_n_default", 256)
-    radius = getattr(model, "analytic_radius", np.inf)
-    delta = 0.5 if not np.isfinite(radius) else min(0.5, 0.8 * radius)
-    base = QuadratureSpec(grid_n=grid_n, patch_radius=delta)
+    base = QuadratureSpec(grid_n=model.grid_n_default,
+                          patch_radius=min(0.5, 0.8 * model.analytic_radius))
     return replace(base, **overrides) if overrides else base
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -243,6 +244,34 @@ def test_es_records_ordered_and_coefficients(lap):
         c1, c2 = pairs[0]
         assert abs(c1) + abs(c2) > 0
         assert (r.c1, r.c2) == (pytest.approx(c1), pytest.approx(c2))
+
+
+# c2/c1 of the box's es kernel vector c = G_L^-1 x, x spanning the kernel of
+# N(E_L) on the L = 30 Laplacian box: independent of the torus quadrature
+BOX_ES_RATIOS = {(1.0, 3.0, 1.0): (-8.18616693557789,),
+                 (1.0, 1.0, 3.0): (-1.17169621784798, 0.70206376298293)}
+
+
+@pytest.mark.parametrize("a, b, mu", [(1.0, 3.0, 1.0), (1.0, 1.0, 3.0),
+                                      (-0.5, 0.5, 0.21875)])
+def test_es_coefficients_solve_the_eigenvalue_equation(lap, a, b, mu):
+    # Psi = (c1 + c2 (cos p1 + cos p2))/(E - e) is an eigenfunction iff
+    # M c = 0, M = [[Delta1, -a mu Delta3], [-b mu Delta3, Delta2]].  At a
+    # root resolved to |det M|, a row of adj(M) of norm at least
+    # |M|_F / sqrt 2 leaves |M c| <= sqrt 2 |det M| |c| / |M|_F
+    recs = find_eigenvalues_es(lap, a, b, mu)
+    for rec in recs:
+        parts = delta_es(lap, a, b, mu, alpha=math.exp(rec.log_alpha))
+        d1, d2, d3 = parts.delta1, parts.delta2, parts.delta3
+        m = np.array([[d1, -a * mu * d3], [-b * mu * d3, d2]])
+        c = np.array([rec.c1, rec.c2])
+        size = np.linalg.norm(m)
+        assert np.linalg.norm(m @ c) <= (
+            1e-12 * size + math.sqrt(2) * abs(parts.combined) / size
+        ) * np.linalg.norm(c)
+    if (a, b, mu) in BOX_ES_RATIOS:
+        assert tuple(rec.c2 / rec.c1 for rec in recs) == pytest.approx(
+            BOX_ES_RATIOS[a, b, mu], rel=1e-6)
 
 
 def test_eigenfunction_es_at_the_record_alpha(lap):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import scipy.integrate
+from hypothesis import example, given, settings, strategies as st
 
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         MorseData, PiecewisePhi, SteppedPhiA,
@@ -10,6 +10,8 @@ from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         model_to_spec, morse_data,
                                         validate_hypothesis, wrap_torus)
 from lattice_spectra.errors import CutoffTooSmall, DomainError, NonMaxAtPi
+from lattice_spectra.lattice_oracle import _phi_coefficients
+from lattice_spectra.torus_quad import QuadratureSpec, default_spec
 from test_torus_quad import next_nearest_hopping
 
 
@@ -69,6 +71,10 @@ def test_laplacian_values(lap):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
 def test_deficit_matches_values(model):
+    _check_deficit(model)
+
+
+def _check_deficit(model):
     rng = np.random.default_rng(11)
     r = min(0.2, 0.5 * getattr(model, "analytic_radius", np.inf))
     u1 = rng.uniform(-r, r, 64)
@@ -173,6 +179,48 @@ def test_cold_morse_data_stops_refining_at_the_noise(model, monkeypatch):
     assert len(calls) <= 170
 
 
+def _frozen_closed_forms(model):
+    """(breakpoints, grid_n_default, analytic_radius, e_max, Hessian
+    diagonal, deficit) as each separable kind stated them by hand before its
+    profile became one table of cosine pieces."""
+    if isinstance(model, DiscreteLaplacian):
+        return (None, 256, np.inf, 4.0, -1.0,
+                lambda u1, u2: 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2)
+    if isinstance(model, PiecewisePhi):
+        eps = model.eps
+        return ((-(PI - eps), PI - eps), 1024, 0.9 * eps,
+                2.0 * (1.0 - np.cos(eps)), -1.0,
+                lambda u1, u2: 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2)
+    return ((-3 * PI / 4, -PI / 2, PI / 2, 3 * PI / 4), 1024, 0.9 * (PI / 4),
+            1.0, -2.0, lambda u1, u2: np.sin(u1) ** 2 + np.sin(u2) ** 2)
+
+
+@settings(max_examples=30)
+@given(st.one_of(
+    st.floats(0.05, 0.95, exclude_min=True, exclude_max=True).map(
+        lambda eps: PiecewisePhi(eps=eps)),
+    st.floats(0.0, 0.99).map(lambda a: SteppedPhiA(a_param=a))))
+@example(DiscreteLaplacian())
+def test_separable_kinds_read_off_their_pieces(model):
+    # the ALL_MODELS checks on drawn profiles, and the attributes read off
+    # the table bitwise equal to the hand-written closed forms they replace
+    _check_deficit(model)
+    assert np.max(np.abs(_richardson_hessian(model) - model.hessian_at_max())) < 1e-8
+    assert model.values(PI, PI) == model.e_max
+    rep = validate_hypothesis(model)
+    assert rep.passed, rep.failures
+
+    kinks, grid_n, radius, e_max, curvature, deficit = _frozen_closed_forms(model)
+    assert model.breakpoints == kinks
+    assert default_spec(model) == QuadratureSpec(
+        grid_n=grid_n, patch_radius=min(0.5, 0.8 * radius))
+    assert model.e_max == e_max
+    assert model.hessian_at_max().tobytes() == np.array(
+        [[curvature, 0.0], [0.0, curvature]]).tobytes()
+    u1, u2 = np.random.default_rng(5).uniform(-0.04, 0.04, (2, 256))
+    assert model.deficit(u1, u2).tobytes() == deficit(u1, u2).tobytes()
+
+
 LAP_MORSE = MorseData(e_max=4.0, e_min=0.0, maximizer=(PI, PI),
                       hessian=((-1.0, 0.0), (0.0, -1.0)), j_psi0=2.0,
                       j0=0.15915494309189535)
@@ -265,15 +313,14 @@ def test_separable_hopping_structure():
     for (x1, x2), v in table.items():
         if x1 != 0 and x2 != 0:
             assert abs(v) < 1e-10
-    # axis values match the 1-D profile coefficients from independent
-    # quadrature, up to FFT aliasing (coefficients of the kinked profile
-    # decay like 1/n^2, so the N = 256 transform is accurate to ~1e-5)
-    model = PiecewisePhi(eps=0.5)
+    # axis values match the 1-D profile coefficients of the box oracle (in
+    # turn checked against quadrature of values), up to FFT aliasing
+    # (coefficients of the kinked profile decay like 1/n^2, so the N = 256
+    # transform is accurate to ~1e-5)
+    ref = _phi_coefficients(PiecewisePhi(eps=0.5), 3)
     for n in (1, 2, 3):
-        ref = sum(scipy.integrate.quad(fn, lo, hi, weight="cos", wvar=n)[0]
-                  for lo, hi, fn in model.phi_pieces()) / PI
-        assert table.get((n, 0), 0.0) == pytest.approx(ref, abs=1e-5)
-        assert table.get((0, n), 0.0) == pytest.approx(ref, abs=1e-5)
+        assert table.get((n, 0), 0.0) == pytest.approx(ref[n], abs=1e-5)
+        assert table.get((0, n), 0.0) == pytest.approx(ref[n], abs=1e-5)
 
 
 def test_cutoff_too_small():

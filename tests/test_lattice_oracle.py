@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.sparse
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -19,6 +20,21 @@ def test_separable_coefficients_laplacian(lap):
     assert h.phi_row[0] == pytest.approx(1.0, abs=1e-12)
     assert h.phi_row[1] == pytest.approx(-0.5, abs=1e-12)
     assert np.max(np.abs(h.phi_row[2:])) < 1e-12
+
+
+@pytest.mark.parametrize("model", [DiscreteLaplacian(), PiecewisePhi(eps=0.5),
+                                   SteppedPhiA(a_param=0.5)],
+                         ids=("laplacian", "piecewise-0.5", "stepped-0.5"))
+def test_phi_coefficients_match_quadrature_of_values(model):
+    # an independent reference: adaptive quadrature of g(t) cos(n t), with
+    # g(t) = e(t, t)/2 read from values and the kinks as break points, for
+    # every n <= 160 at once (quad_vec, the vector form of quad)
+    n = np.arange(161)
+    kinks = [k for k in (model.breakpoints or ()) if k > 0] or None
+    ref, _ = scipy.integrate.quad_vec(
+        lambda t: model.values(t, t) / 2 * np.cos(n * t), 0.0, np.pi,
+        points=kinks, epsabs=1e-15, epsrel=0.0, norm="max", limit=10000)
+    assert np.max(np.abs(lo._phi_coefficients(model, 160) - ref / np.pi)) < 1e-14
 
 
 def test_separable_and_sparse_paths_agree(lap):
