@@ -40,6 +40,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text):
+    """The type of every float option: nan and +-inf are usage errors."""
+    try:
+        if np.isfinite(x := float(text)):
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def _parse_model(text):
     if text == "laplacian":
         return DiscreteLaplacian()
@@ -243,7 +253,7 @@ def _add_common(p, formats=("json", "csv"), quadrature=True):
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="write to file (default stdout)")
     if quadrature:
-        p.add_argument("--tol-radial", type=float, default=None,
+        p.add_argument("--tol-radial", type=_finite_float, default=None,
                        dest="tol_radial",
                        help="acceptance tolerance of the near-field estimate")
         p.add_argument("--grid-n", type=int, default=None, dest="grid_n",
@@ -262,66 +272,66 @@ def build_parser():
 
     p = sub.add_parser("thresholds", help="sector constants and thresholds")
     _add_common(p, formats=("csv", "json"))
-    p.add_argument("-a", type=float, default=None)
-    p.add_argument("-b", type=float, default=None)
+    p.add_argument("-a", type=_finite_float, default=None)
+    p.add_argument("-b", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("solve", help="all eigenvalues above the band")
     _add_common(p, formats=("json",))
-    p.add_argument("-a", type=float, required=True)
-    p.add_argument("-b", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("-a", type=_finite_float, required=True)
+    p.add_argument("-b", type=_finite_float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("curve", help="eigenvalue curve E(mu) in one sector")
     _add_common(p)
     p.add_argument("--sector", choices=sectors.SECTORS, required=True)
-    p.add_argument("-a", type=float, default=1.0)
-    p.add_argument("-b", type=float, default=1.0)
-    p.add_argument("--mu-min", type=float, required=True, dest="mu_min")
-    p.add_argument("--mu-max", type=float, required=True, dest="mu_max")
+    p.add_argument("-a", type=_finite_float, default=1.0)
+    p.add_argument("-b", type=_finite_float, default=1.0)
+    p.add_argument("--mu-min", type=_finite_float, required=True, dest="mu_min")
+    p.add_argument("--mu-max", type=_finite_float, required=True, dest="mu_max")
     p.add_argument("-n", type=int, default=50)
     p.add_argument("--branch", type=int, default=1)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("phase-diagram", help="counts over an (a, b) grid")
     _add_common(p)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--a-min", type=float, required=True, dest="a_min")
-    p.add_argument("--a-max", type=float, required=True, dest="a_max")
+    p.add_argument("--mu", type=_finite_float, required=True)
+    p.add_argument("--a-min", type=_finite_float, required=True, dest="a_min")
+    p.add_argument("--a-max", type=_finite_float, required=True, dest="a_max")
     p.add_argument("--a-n", type=int, default=9, dest="a_n")
-    p.add_argument("--b-min", type=float, required=True, dest="b_min")
-    p.add_argument("--b-max", type=float, required=True, dest="b_max")
+    p.add_argument("--b-min", type=_finite_float, required=True, dest="b_min")
+    p.add_argument("--b-max", type=_finite_float, required=True, dest="b_max")
     p.add_argument("--b-n", type=int, default=9, dest="b_n")
     p.set_defaults(func=_cmd_phase_diagram)
 
     p = sub.add_parser("asymptotics", help="near-threshold rate fits")
     _add_common(p)
     p.add_argument("--sector", choices=sectors.SECTORS, required=True)
-    p.add_argument("-a", type=float, default=1.0)
-    p.add_argument("-b", type=float, default=1.0)
+    p.add_argument("-a", type=_finite_float, default=1.0)
+    p.add_argument("-b", type=_finite_float, default=1.0)
     p.add_argument("--branch", choices=("exponential", "threshold"),
                    default="exponential")
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("oracle", help="finite-box diagonalization cross-check")
     _add_common(p, quadrature=False)
-    p.add_argument("-a", type=float, required=True)
-    p.add_argument("-b", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("-a", type=_finite_float, required=True)
+    p.add_argument("-b", type=_finite_float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
     p.add_argument("--L", required=True,
                    help="comma-separated box half-widths, e.g. 20,30,40")
     p.add_argument("--R", type=int, default=None,
                    help="hopping cutoff (omit for the separable fast path)")
-    p.add_argument("--margin", type=float, default=1e-3)
+    p.add_argument("--margin", type=_finite_float, default=1e-3)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("multiplicity", help="multiplicity-two construction")
-    p.add_argument("--z0", type=float, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--z0", type=_finite_float, required=True)
+    p.add_argument("--mu", type=_finite_float, default=1.0)
     p.add_argument("--scan", action="store_true",
                    help="scan for the smallest zero of G before bracketing")
-    p.add_argument("--scan-step", type=float, default=1e-3, dest="scan_step")
+    p.add_argument("--scan-step", type=_finite_float, default=1e-3, dest="scan_step")
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_multiplicity)
@@ -329,8 +339,8 @@ def build_parser():
     p = sub.add_parser("resonance", help="threshold resonance dichotomy probe")
     _add_common(p)
     p.add_argument("--sector", choices=sectors.SECTORS, required=True)
-    p.add_argument("-a", type=float, default=1.0)
-    p.add_argument("-b", type=float, default=1.0)
+    p.add_argument("-a", type=_finite_float, default=1.0)
+    p.add_argument("-b", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_resonance)
 
     return parser

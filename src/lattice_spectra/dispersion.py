@@ -3,8 +3,8 @@
 Four model kinds are provided; each satisfies (or is validated against) the
 standing hypotheses: real, even, swap-symmetric, with a unique non-degenerate
 maximum at pi_vec = (pi, pi).  All downstream quadrature leans on exact
-structure exposed here, on the three separable kinds read off the profile's
-cosine pieces (``_CosinePieces``):
+structure exposed here, read by one formula for every kind off the cosine
+terms of e near pi_vec (``_CosineTerms``):
 
   * ``e_max`` is exact per kind, so the spectral offset alpha = z - e_max
     is never computed by cancellation-prone subtraction;
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateHessian, NonMaxAtPi
+from .errors import CutoffTooSmall, DegenerateHessian, NonMaxAtPi
 
 PI = np.pi
 PI_VEC = (np.pi, np.pi)
@@ -45,13 +45,36 @@ def wrap_torus(t):
 # model kinds
 # ---------------------------------------------------------------------------
 
-class _CosinePieces:
+class _CosineTerms:
+    """Maximum data at pi_vec of a kind whose e near pi_vec is sum v cos(x1 p1
+    + x2 p2) over the terms (x1, x2, v) of ``_terms``: with a term's value w =
+    v (-1)^(x1 + x2) at pi_vec, e_max = sum w, the Hessian -sum w x x^T and
+    the stable deficit e_max - e(pi_vec + u) = sum w 2 sin^2(x.u / 2)."""
+
+    def _at_max(self):
+        return [((x1, x2), v * (-1) ** (x1 + x2)) for x1, x2, v in self._terms]
+
+    @property
+    def e_max(self):
+        return sum(w for _, w in self._at_max())
+
+    def hessian_at_max(self):   # 0.0 - keeps a vanishing entry at +0.0
+        return np.array([[0.0 - sum(w * (x[i] * x[j]) for x, w in self._at_max())
+                          for j in (0, 1)] for i in (0, 1)])
+
+    def deficit(self, u1, u2):   # a term on one axis takes that axis's u alone
+        drops = [w * 2.0 * np.sin(u1 * (x1 / 2) if not x2 else u2 * (x2 / 2) if not x1
+                                  else (x1 * u1 + x2 * u2) / 2) ** 2
+                 for (x1, x2), w in self._at_max() if x1 or x2]
+        return sum(drops[1:], drops[0])
+
+
+class _CosinePieces(_CosineTerms):
     """A separable kind e(p) = g(p1) + g(p2) with g(t) = sum_m c_m cos(m t)
     for |t| in (the previous hi, hi] on each piece (hi, ((m, c_m), ...)) of
-    ``pieces``.  All else is read off it: e_max = 2 g(pi), the Hessian
-    g''(pi) I, the stable deficit from g(pi) - g(pi + u) = sum_m c_m (-1)^m
-    2 sin^2(m u / 2) on the last piece, the kinks +-hi (grid_n 1024, analytic
-    radius 0.9 times the last width) and phi_pieces() (lo, hi, terms)."""
+    ``pieces``.  All else is read off it: the maximum data from the last
+    piece as the terms (0, 0, 2 c_0), (m, 0, c_m), (0, m, c_m), the kinks
+    +-hi and phi_pieces() (lo, hi, terms)."""
 
     def values(self, p1, p2):
         if len(self.pieces) > 1:
@@ -72,30 +95,15 @@ class _CosinePieces:
         return np.select([t <= hi for hi, _ in self.pieces],
                          [_cosine_sum(terms, t) for _, terms in self.pieces])
 
-    def deficit(self, u1, u2):
-        drops = [c * (-1) ** m * 2.0 * np.sin(u * (m / 2)) ** 2
-                 for u in (u1, u2) for m, c in self.pieces[-1][1] if m]
-        return sum(drops[1:], drops[0])
-
     @property
-    def e_max(self):
-        return 2.0 * sum(c * (-1) ** m for m, c in self.pieces[-1][1])
-
-    def hessian_at_max(self):
-        return np.diag(2 * [-sum(c * (-1) ** m * m * m for m, c in self.pieces[-1][1])])
+    def _terms(self):   # g(p1) + g(p2) on the last piece
+        return [t for m, c in self.pieces[-1][1]
+                for t in (((m, 0, c), (0, m, c)) if m else ((0, 0, 2.0 * c),))]
 
     @property
     def breakpoints(self):
         kinks = tuple(hi for hi, _ in self.pieces[:-1])
         return tuple(-k for k in reversed(kinks)) + kinks if kinks else None
-
-    @property
-    def grid_n_default(self):
-        return 1024 if self.pieces[1:] else 256
-
-    @property
-    def analytic_radius(self):
-        return 0.9 * (PI - self.pieces[-2][0]) if self.pieces[1:] else np.inf
 
     def phi_pieces(self):
         his = [hi for hi, _ in self.pieces]
@@ -116,7 +124,7 @@ class DiscreteLaplacian(_CosinePieces):
 
 
 @dataclass(frozen=True)
-class ExponentialHopping:
+class ExponentialHopping(_CosineTerms):
     """Finite hopping table: e(p) = sum_x ehat(x) exp(i p.x).
 
     ``table`` is a tuple of (x1, x2, value) covering every nonzero entry,
@@ -128,7 +136,6 @@ class ExponentialHopping:
 
     kind = "hopping"
     breakpoints = None
-    grid_n_default = 256
 
     def __post_init__(self):
         entries = {(int(x1), int(x2)): float(v) for x1, x2, v in self.table}
@@ -138,13 +145,7 @@ class ExponentialHopping:
             if entries.get((-x1, -x2)) != v:
                 raise ValueError("hopping table must satisfy ehat(x) = ehat(-x)")
 
-    @property
-    def e_max(self):
-        return sum(v * (-1) ** (x1 + x2) for x1, x2, v in self.table)
-
-    @property
-    def analytic_radius(self):
-        return np.inf  # trigonometric polynomial
+    _terms = property(lambda self: self.table)
 
     def values(self, p1, p2):
         p1 = np.asarray(p1, dtype=float)
@@ -153,22 +154,6 @@ class ExponentialHopping:
         for x1, x2, v in self.table:
             out += v * np.cos(x1 * p1 + x2 * p2)
         return out
-
-    def deficit(self, u1, u2):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        out = np.zeros(np.broadcast(u1, u2).shape)
-        for x1, x2, v in self.table:
-            sgn = (-1) ** (x1 + x2)
-            out += v * sgn * 2.0 * np.sin((x1 * u1 + x2 * u2) / 2) ** 2
-        return out
-
-    def hessian_at_max(self):
-        h = np.zeros((2, 2))
-        for x1, x2, v in self.table:
-            sgn = (-1) ** (x1 + x2)
-            h -= v * sgn * np.array([[x1 * x1, x1 * x2], [x1 * x2, x2 * x2]], dtype=float)
-        return h
 
     def phi_pieces(self):
         return None
@@ -190,10 +175,6 @@ class PiecewisePhi(_CosinePieces):
     @property
     def pieces(self):
         return ((PI - self.eps, ()), (PI, ((0, -np.cos(self.eps)), (1, -1.0))))
-
-    @property
-    def analytic_radius(self):   # pi - (pi - eps) misses eps in the last bits
-        return 0.9 * self.eps
 
 
 @dataclass(frozen=True)
@@ -309,8 +290,6 @@ def fourier_coefficients(model, cutoff, tol=None):
     The tail estimate is the l1 mass on the first shell outside the table;
     CutoffTooSmall is raised when it exceeds ``tol``.
     """
-    from .errors import CutoffTooSmall
-
     R = int(cutoff)
     if R < 1:
         raise ValueError("cutoff must be >= 1")
@@ -398,18 +377,21 @@ def is_even_per_coordinate(model):
 # ---------------------------------------------------------------------------
 
 def model_from_spec(spec):
-    """Build a model from {"kind": ..., "params": {...}}."""
-    kind = spec.get("kind")
-    params = spec.get("params", {}) or {}
-    if kind == "laplacian":
-        return DiscreteLaplacian()
-    if kind == "hopping":
-        table = tuple((int(x1), int(x2), float(v)) for x1, x2, v in params["table"])
-        return ExponentialHopping(table=table)
-    if kind == "piecewise_phi":
-        return PiecewisePhi(eps=float(params["eps"]))
-    if kind == "stepped_phi":
-        return SteppedPhiA(a_param=float(params["A"]))
+    """Build a model from {"kind": ..., "params": {...}}; ValueError names a bad spec."""
+    try:
+        kind = spec.get("kind")
+        params = spec.get("params", {}) or {}
+        if kind == "laplacian":
+            return DiscreteLaplacian()
+        if kind == "hopping":
+            table = tuple((int(x1), int(x2), float(v)) for x1, x2, v in params["table"])
+            return ExponentialHopping(table=table)
+        if kind == "piecewise_phi":
+            return PiecewisePhi(eps=float(params["eps"]))
+        if kind == "stepped_phi":
+            return SteppedPhiA(a_param=float(params["A"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad model spec {spec!r}: {type(exc).__name__}: {exc}") from exc
     raise ValueError(f"unknown model kind: {kind!r}")
 
 

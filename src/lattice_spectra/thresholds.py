@@ -20,6 +20,7 @@ graded panel edges.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,6 +100,8 @@ class CouplingThresholds:
 
 
 def _check_couplings(a, b):
+    if not math.isfinite(b) or a is not None and not math.isfinite(a):
+        raise ValueError("couplings a, b must be finite")
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero reals")
 
@@ -143,8 +146,8 @@ def sector_count(model, sector, a, b, mu, spec=None):
     and equal thresholds (gamma_os = gamma_oa) differ in their last digits.
     """
     _check_couplings(a, b)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be positive" if mu <= 0 else "mu must be finite")
     mu0 = _mu0(gammas(model, spec=spec), sector, a, b)
     above = mu0 is not NO_THRESHOLD and mu > mu0 * (1 + AT_THRESHOLD_REL)
     if sector != "es":

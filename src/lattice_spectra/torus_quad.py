@@ -97,8 +97,12 @@ class QuadratureSpec:
 
 
 def default_spec(model, **overrides):
-    base = QuadratureSpec(grid_n=model.grid_n_default,
-                          patch_radius=min(0.5, 0.8 * model.analytic_radius))
+    """QuadratureSpec() on a kind without kinks; on a kinked one 1024 far
+    points per axis and the patch radius min(0.5, 0.8 (0.9 d)): 0.9 d, d the
+    distance from pi to the nearest kink, bounds where e is analytic."""
+    kinks = model.breakpoints
+    base = QuadratureSpec() if kinks is None else QuadratureSpec(
+        grid_n=1024, patch_radius=min(0.5, 0.8 * (0.9 * min(PI - abs(k) for k in kinks))))
     return replace(base, **overrides) if overrides else base
 
 

@@ -13,6 +13,16 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def loads(text):
+    # strict JSON: json.dumps writes a non-finite float as NaN or Infinity,
+    # which no JSON parser need accept
+    return json.loads(text, parse_constant=_reject)
+
+
 def test_thresholds_csv(capsys):
     code, out, err = run(capsys, "thresholds", "--model", "laplacian")
     assert code == 0
@@ -25,7 +35,7 @@ def test_thresholds_json_with_couplings(capsys):
     code, out, err = run(capsys, "thresholds", "--format", "json",
                          "-a", "1", "-b", "1")
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert data["mu0"]["es"] == pytest.approx(2.5, rel=1e-6)
     assert data["threshold_solutions"]["os"] == "resonance"
     assert data["metadata"]["tolerances"]["radial"] == 1e-10
@@ -34,7 +44,7 @@ def test_thresholds_json_with_couplings(capsys):
 def test_solve_json(capsys):
     code, out, err = run(capsys, "solve", "-a", "1", "-b", "3", "--mu", "1")
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert data["total_count"] == 4
     assert data["sector_counts"] == {"os": 1, "oa": 1, "ea": 1, "es": 1}
     assert len(data["records"]) == 4
@@ -81,15 +91,15 @@ def test_unknown_model_exit_3(capsys):
 def test_validate_ok(capsys):
     code, out, err = run(capsys, "validate", "--model", "stepped:0.5")
     assert code == 0
-    assert json.loads(out)["passed"] is True
+    assert loads(out)["passed"] is True
 
 
 def test_validate_failure_exit_1(capsys):
     # A = 1 stepped profile has a non-unique maximum
     code, out, err = run(capsys, "validate", "--model", "stepped:1.0")
     assert code == 1
-    assert json.loads(out)["passed"] is False
-    assert "not unique" in json.loads(out)["failures"][0]
+    assert loads(out)["passed"] is False
+    assert "not unique" in loads(out)["failures"][0]
 
 
 def test_validate_stepped_near_one_exit_0(capsys):
@@ -97,7 +107,7 @@ def test_validate_stepped_near_one_exit_0(capsys):
     # origin's lower local maximum A comes to it
     code, out, err = run(capsys, "validate", "--model", "stepped:0.997")
     assert code == 0, out
-    assert json.loads(out)["passed"] is True
+    assert loads(out)["passed"] is True
 
 
 def assert_deterministic(tmp_path, command):
@@ -106,6 +116,7 @@ def assert_deterministic(tmp_path, command):
         code = cli.main(command + ["--output", str(f)])
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
+    loads(f1.read_text())
 
 
 def test_determinism(tmp_path, capsys):
@@ -148,7 +159,7 @@ def test_phase_diagram_csv(capsys):
 def test_multiplicity_json(capsys):
     code, out, err = run(capsys, "multiplicity", "--z0", "1.5")
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert data["A0"] == pytest.approx(0.6862262237980128, abs=1e-6)
     assert max(data["verification"]) < 1e-8
 
@@ -172,7 +183,7 @@ def test_oracle_json(capsys):
     code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
                          "--L", "10,12,14")
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert [b["L"] for b in data["boxes"]] == [10, 12, 14]
     assert all(b["total"] == 4 for b in data["boxes"])
     assert len(data["extrapolated"]) == 4
@@ -198,7 +209,7 @@ def test_oracle_diagonalizes_each_box_once(capsys, monkeypatch):
 def test_resonance_json(capsys):
     code, out, err = run(capsys, "resonance", "--sector", "ea")
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert data["classification"] == "convergent"
 
 
@@ -206,7 +217,7 @@ def test_tol_override_in_metadata(capsys):
     code, out, err = run(capsys, "solve", "-a", "1", "-b", "3", "--mu", "1",
                          "--tol-radial", "1e-8")
     assert code == 0
-    metadata = json.loads(out)["metadata"]
+    metadata = loads(out)["metadata"]
     assert metadata["tolerances"]["radial"] == 1e-8
     assert "threads" not in metadata
 
@@ -221,7 +232,7 @@ def test_phase_diagram_has_no_threads_option(capsys):
     assert exc.value.code == 3
     code, out, err = run(capsys, *PHASE_ARGV, "--mu", "3")
     assert code == 0
-    assert "threads" not in json.loads(out)["metadata"]
+    assert "threads" not in loads(out)["metadata"]
 
 
 def test_phase_diagram_nonpositive_mu_exit_3(capsys):
@@ -231,6 +242,39 @@ def test_phase_diagram_nonpositive_mu_exit_3(capsys):
     assert err == "config error: mu must be positive\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "-a", "1", "-b", "inf", "--mu", "1"),
+    ("solve", "-a", "nan", "-b", "1", "--mu", "1"),
+    ("multiplicity", "--z0", "1.5", "--mu", "nan"),
+    (*PHASE_ARGV, "--mu", "nan"),
+    ("oracle", "-a", "1", "-b", "3", "--mu", "1", "--L", "10",
+     "--margin", "inf"),
+], ids=["solve-b-inf", "solve-a-nan", "multiplicity-mu-nan",
+        "phase-diagram-mu-nan", "oracle-margin-inf"])
+def test_non_finite_number_exit_3(capsys, argv):
+    # argparse's float takes "nan" and "inf"; every float option is finite
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert out == ""
+    assert "not a finite number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "piecewise_phi"}',
+    '{"kind": "stepped_phi", "params": {"A": null}}',
+    '[1, 2]',
+], ids=["missing-key", "null-number", "not-an-object"])
+def test_malformed_model_spec_exit_3(capsys, tmp_path, spec):
+    path = tmp_path / "model.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("config error: bad model spec") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("a,b,es", [("-1", "-1", None), ("-1", "1", 0.0)])
 def test_thresholds_json_es_without_a_threshold(capsys, a, b, es):
     # a, b < 0: no es root at any mu (null); a b < 0 <= a + 4b: a root at
@@ -238,7 +282,7 @@ def test_thresholds_json_es_without_a_threshold(capsys, a, b, es):
     code, out, err = run(capsys, "thresholds", "--format", "json",
                          "-a", a, "-b", b)
     assert code == 0
-    assert json.loads(out)["mu0"]["es"] == es
+    assert loads(out)["mu0"]["es"] == es
 
 
 def test_es_asymptotics_without_a_threshold_exit_1(capsys):
@@ -265,7 +309,7 @@ def test_quadrature_options_only_where_integrals_run(capsys):
     code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
                          "--L", "10")
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     # the oracle diagonalizes boxes: no quadrature settings to report
     assert data["metadata"] == {"model": {"kind": "laplacian", "params": {}}}
     assert list(data["boxes"][0]) == ["L", "total", "counts", "entries"]
@@ -310,7 +354,7 @@ def test_csv_carries_the_json_numbers(capsys, command):
     argv, header, rows_of = CSV_CASES[command]
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0
-    expected = rows_of(json.loads(out))
+    expected = rows_of(loads(out))
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 0
     head, *rows = list(csv.reader(io.StringIO(out)))
@@ -363,7 +407,7 @@ def test_json_key_order(capsys, command):
     argv, orders = KEY_ORDER_CASES[command]
     code, out, err = run(capsys, *argv)
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     for path, keys in orders.items():
         node = data
         for step in path:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         MorseData, PiecewisePhi, SteppedPhiA,
@@ -74,9 +74,14 @@ def test_deficit_matches_values(model):
     _check_deficit(model)
 
 
+def _kink_distance(model):
+    # the distance from pi to the nearest kink: e is analytic inside it
+    return min((PI - abs(k) for k in model.breakpoints or ()), default=np.inf)
+
+
 def _check_deficit(model):
     rng = np.random.default_rng(11)
-    r = min(0.2, 0.5 * getattr(model, "analytic_radius", np.inf))
+    r = min(0.2, 0.5 * _kink_distance(model))
     u1 = rng.uniform(-r, r, 64)
     u2 = rng.uniform(-r, r, 64)
     direct = model.e_max - model.values(wrap_torus(PI + u1), wrap_torus(PI + u2))
@@ -180,15 +185,16 @@ def test_cold_morse_data_stops_refining_at_the_noise(model, monkeypatch):
 
 
 def _frozen_closed_forms(model):
-    """(breakpoints, grid_n_default, analytic_radius, e_max, Hessian
+    """(breakpoints, far grid points, analytic radius, e_max, Hessian
     diagonal, deficit) as each separable kind stated them by hand before its
-    profile became one table of cosine pieces."""
+    profile became one table of cosine pieces; the radius is 0.9 times the
+    distance from pi to the kink pi - eps, which misses eps in the last bits."""
     if isinstance(model, DiscreteLaplacian):
         return (None, 256, np.inf, 4.0, -1.0,
                 lambda u1, u2: 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2)
     if isinstance(model, PiecewisePhi):
         eps = model.eps
-        return ((-(PI - eps), PI - eps), 1024, 0.9 * eps,
+        return ((-(PI - eps), PI - eps), 1024, 0.9 * (PI - (PI - eps)),
                 2.0 * (1.0 - np.cos(eps)), -1.0,
                 lambda u1, u2: 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2)
     return ((-3 * PI / 4, -PI / 2, PI / 2, 3 * PI / 4), 1024, 0.9 * (PI / 4),
@@ -219,6 +225,30 @@ def test_separable_kinds_read_off_their_pieces(model):
         [[curvature, 0.0], [0.0, curvature]]).tobytes()
     u1, u2 = np.random.default_rng(5).uniform(-0.04, 0.04, (2, 256))
     assert model.deficit(u1, u2).tobytes() == deficit(u1, u2).tobytes()
+
+
+def hopping_table(t, d1, d2, s):
+    # even and swap-symmetric: the constant 2, nearest hopping t, the
+    # diagonals +-(1, 1) and +-(1, -1) with weights d1 and d2, and the axis
+    # terms +-(2, 0), +-(0, 2) with weight s
+    table = [(0, 0, 2.0)]
+    for x1, x2, v in ((1, 0, t), (1, 1, d1), (1, -1, d2), (2, 0, s)):
+        for y1, y2 in ((x1, x2), (x2, x1)):
+            table += [(y1, y2, v), (-y1, -y2, v)]
+    return ExponentialHopping(table=tuple(table))
+
+
+@settings(max_examples=15)
+@given(st.floats(-1.0, -0.1), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+       st.floats(-0.05, 0.05))
+def test_hopping_tables_share_the_cosine_term_formulas(t, d1, d2, s):
+    # the maximum data of 2-D terms, beyond the two fixed diagonal tables
+    model = hopping_table(t, d1, d2, s)
+    assume(validate_hypothesis(model).passed)
+    assert model.values(PI, PI) == model.e_max
+    _check_deficit(model)
+    assert np.max(np.abs(_richardson_hessian(model) - model.hessian_at_max())) < 1e-8
+    assert default_spec(model) == QuadratureSpec()
 
 
 LAP_MORSE = MorseData(e_max=4.0, e_min=0.0, maximizer=(PI, PI),

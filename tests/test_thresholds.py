@@ -116,6 +116,20 @@ def test_zero_coupling_rejected(lap):
         spectrum.predicted_sector_counts(lap, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b, mu", [(1.0, np.inf, 1.0), (np.nan, 1.0, 1.0),
+                                      (1.0, 1.0, np.nan), (1.0, 3.0, np.inf),
+                                      (-np.inf, 1.0, 1.0)])
+def test_non_finite_coupling_rejected(lap, a, b, mu):
+    # nan passes every comparison with 0 and inf divides to 0 or nan: the
+    # count table takes finite numbers only
+    for sector in sectors.SECTORS:
+        with pytest.raises(ValueError, match="finite"):
+            thresholds.sector_count(lap, sector, a, b, mu)
+    if np.isfinite(mu):
+        with pytest.raises(ValueError, match="finite"):
+            coupling_thresholds(lap, a, b)
+
+
 def test_gammas_rejects_unequal_odd_constants_on_an_even_model(lap,
                                                                  monkeypatch):
     # the Laplacian is even per coordinate, so gamma_os = gamma_oa; an oa
