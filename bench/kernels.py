@@ -83,7 +83,7 @@ ORACLE_LS, ORACLE_COUPLING, ORACLE_MARGIN = (30, 45, 60), (1.0, 3.0, 1.0), 5e-3
 MULT2_Z0, MULT2_L, MULT2_MARGIN = 1.5, 80, 1e-2
 ORACLE_REPEATS = 7
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
-COLD_MODELS = ("stepped:0.5", "piecewise:0.5")
+COLD_MODELS = ("stepped:0.5", "piecewise:0.5", "next-nearest:0.1")
 COUNTERS = ("integrals", "fills", "far_passes")
 # torus_quad function -> (counter, its increment per call)
 COUNTED = {"_near_values": ("integrals", lambda args: len(args[2])),
@@ -128,6 +128,11 @@ def _model(dispersion, name):
         return dispersion.DiscreteLaplacian()
     if kind == "stepped":
         return dispersion.SteppedPhiA(a_param=float(param))
+    if kind == "next-nearest":   # perfbench's table: nearest -1/2, diagonals -t2/2
+        t2 = float(param)
+        return dispersion.ExponentialHopping(table=(
+            (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
+            (1, 1, -t2 / 2), (-1, -1, -t2 / 2), (1, -1, -t2 / 2), (-1, 1, -t2 / 2)))
     return dispersion.PiecewisePhi(eps=float(param))
 
 

@@ -4,7 +4,8 @@ Four model kinds are provided; each satisfies (or is validated against) the
 standing hypotheses: real, even, swap-symmetric, with a unique non-degenerate
 maximum at pi_vec = (pi, pi).  All downstream quadrature leans on exact
 structure exposed here, read by one formula for every kind off the cosine
-terms of e near pi_vec (``_CosineTerms``):
+terms of e near pi_vec (``_CosineTerms``), which also give e itself where
+the kind has no kink, and its symmetries exactly:
 
   * ``e_max`` is exact per kind, so the spectral offset alpha = z - e_max
     is never computed by cancellation-prone subtraction;
@@ -17,7 +18,7 @@ terms of e near pi_vec (``_CosineTerms``):
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -29,8 +30,6 @@ PI_VEC = (np.pi, np.pi)
 
 DROP_BELOW = 1e-14        # fourier_coefficients drops smaller coefficients
 VALIDATION_GRID_N = 400   # validate_hypothesis grid points per axis
-EVEN_CHECK_POINTS = 256   # is_even_per_coordinate: random points, and the
-EVEN_CHECK_TOL = 1e-9     # relative tolerance of e(p1, p2) = e(-p1, p2)
 MAX_SCAN_TOL = 1e-12      # morse_data: relative excess of a scan node over e_max
 
 
@@ -46,10 +45,19 @@ def wrap_torus(t):
 # ---------------------------------------------------------------------------
 
 class _CosineTerms:
-    """Maximum data at pi_vec of a kind whose e near pi_vec is sum v cos(x1 p1
-    + x2 p2) over the terms (x1, x2, v) of ``_terms``: with a term's value w =
-    v (-1)^(x1 + x2) at pi_vec, e_max = sum w, the Hessian -sum w x x^T and
-    the stable deficit e_max - e(pi_vec + u) = sum w 2 sin^2(x.u / 2)."""
+    """A kind whose e near pi_vec is sum v cos(x1 p1 + x2 p2) over the terms
+    (x1, x2, v) of ``_terms``.  values(p1, p2) is that sum in table order,
+    a term on one axis taken on that axis's p alone.  With a term's value w
+    = v (-1)^(x1 + x2) at pi_vec, e_max = sum w, the Hessian -sum w x x^T
+    and the stable deficit e_max - e(pi_vec + u) = sum w 2 sin^2(x.u / 2)."""
+
+    def values(self, p1, p2):
+        p1, p2 = np.asarray(p1, dtype=float)[()], np.asarray(p2, dtype=float)[()]
+        out = sum((v * (_cos(x1, p1) if not x2 else _cos(x2, p2) if not x1
+                        else np.cos(x1 * p1 + x2 * p2)) if x1 or x2 else v
+                   for x1, x2, v in self._terms), 0.0)
+        shape = p1.shape if p1.shape == p2.shape else np.broadcast(p1, p2).shape
+        return out if getattr(out, "shape", None) == shape else out + np.zeros(shape)
 
     def _at_max(self):
         return [((x1, x2), v * (-1) ** (x1 + x2)) for x1, x2, v in self._terms]
@@ -69,23 +77,35 @@ class _CosineTerms:
         return sum(drops[1:], drops[0])
 
 
+def _cos(m, t):   # cos(m t), with no copy of t at m = 1
+    return np.cos(t if m == 1 else m * t)
+
+
+def _invariant(model, image):
+    """Whether e(p) = e(image(p)), image a signed swap of the coordinates,
+    read exactly off the terms: the coefficient of cos(x.p), each offset x
+    merged with -x, equals that of the image of x."""
+    def merged(f):
+        out = {}
+        for x1, x2, v in model._terms:
+            key = max(f(x1, x2), f(-x1, -x2))
+            out[key] = out.get(key, 0.0) + v
+        return {x: v for x, v in out.items() if v}
+
+    return merged(lambda *x: x) == merged(image)
+
+
 class _CosinePieces(_CosineTerms):
     """A separable kind e(p) = g(p1) + g(p2) with g(t) = sum_m c_m cos(m t)
     for |t| in (the previous hi, hi] on each piece (hi, ((m, c_m), ...)) of
-    ``pieces``.  All else is read off it: the maximum data from the last
-    piece as the terms (0, 0, 2 c_0), (m, 0, c_m), (0, m, c_m), the kinks
-    +-hi and phi_pieces() (lo, hi, terms)."""
+    ``pieces``, the first from 0.  All else is read off it: the terms as
+    (0, 0, 2 c_0), (m, 0, c_m), (0, m, c_m) on the last piece, and the
+    kinks +-hi; a kinked profile takes its values piece by piece."""
 
     def values(self, p1, p2):
         if len(self.pieces) > 1:
             return self._profile(p1) + self._profile(p2)
-        (_, terms), = self.pieces   # a trigonometric polynomial: no wrap, and
-        out = 2.0 * sum(c for m, c in terms if m == 0)   # its constant first
-        for t in (np.asarray(p, dtype=float)[()] for p in (p1, p2)):
-            for m, c in terms:
-                if m:
-                    out = out + c * np.cos(t if m == 1 else m * t)
-        return out
+        return _CosineTerms.values(self, p1, p2)
 
     def _profile(self, t):
         if np.ndim(t) == 0:   # the e_min polish: |wrap_torus(t)| in floats
@@ -95,7 +115,7 @@ class _CosinePieces(_CosineTerms):
         return np.select([t <= hi for hi, _ in self.pieces],
                          [_cosine_sum(terms, t) for _, terms in self.pieces])
 
-    @property
+    @cached_property
     def _terms(self):   # g(p1) + g(p2) on the last piece
         return [t for m, c in self.pieces[-1][1]
                 for t in (((m, 0, c), (0, m, c)) if m else ((0, 0, 2.0 * c),))]
@@ -105,14 +125,10 @@ class _CosinePieces(_CosineTerms):
         kinks = tuple(hi for hi, _ in self.pieces[:-1])
         return tuple(-k for k in reversed(kinks)) + kinks if kinks else None
 
-    def phi_pieces(self):
-        his = [hi for hi, _ in self.pieces]
-        return tuple(zip([0.0] + his[:-1], his, (t for _, t in self.pieces)))
-
 
 def _cosine_sum(terms, t):
     """sum_m c_m cos(m t) over the terms ((m, c_m), ...), in table order."""
-    return sum((c * np.cos(t if m == 1 else m * t) if m else c for m, c in terms), 0.0)
+    return sum((c * _cos(m, t) if m else c for m, c in terms), 0.0)
 
 
 @dataclass(frozen=True)
@@ -128,8 +144,8 @@ class ExponentialHopping(_CosineTerms):
     """Finite hopping table: e(p) = sum_x ehat(x) exp(i p.x).
 
     ``table`` is a tuple of (x1, x2, value) covering every nonzero entry,
-    including both members of each +-x pair; values must be real with
-    ehat(x) = ehat(-x), which makes e real.
+    including both members of each +-x pair, once each: integer offsets and
+    finite real values with ehat(x) = ehat(-x), which makes e real.
     """
 
     table: tuple
@@ -138,25 +154,23 @@ class ExponentialHopping(_CosineTerms):
     breakpoints = None
 
     def __post_init__(self):
-        entries = {(int(x1), int(x2)): float(v) for x1, x2, v in self.table}
-        object.__setattr__(self, "table",
-                           tuple(sorted((x1, x2, v) for (x1, x2), v in entries.items())))
+        entries = {}
+        for x1, x2, v in self.table:
+            x, v = (x1, x2), float(v)
+            problem = ("offsets must be integers" if x1 % 1 or x2 % 1 else
+                       "values must be finite" if not np.isfinite(v) else
+                       "offsets must not repeat" if x in entries else None)
+            if problem:
+                raise ValueError(f"hopping table entry {(x1, x2, v)}: {problem}")
+            entries[x] = v
+        object.__setattr__(self, "table", tuple(
+            sorted((int(x1), int(x2), v) for (x1, x2), v in entries.items())))
         for (x1, x2), v in entries.items():
             if entries.get((-x1, -x2)) != v:
-                raise ValueError("hopping table must satisfy ehat(x) = ehat(-x)")
+                raise ValueError(f"hopping table entry {(x1, x2, v)}: "
+                                 "must satisfy ehat(x) = ehat(-x)")
 
     _terms = property(lambda self: self.table)
-
-    def values(self, p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        out = np.zeros(np.broadcast(p1, p2).shape)
-        for x1, x2, v in self.table:
-            out += v * np.cos(x1 * p1 + x2 * p2)
-        return out
-
-    def phi_pieces(self):
-        return None
 
 
 @dataclass(frozen=True)
@@ -301,20 +315,11 @@ def fourier_coefficients(model, cutoff, tol=None):
         c = coef[x1 % N, x2 % N] * (-1) ** (x1 + x2)
         return float(np.real(c))
 
-    entries = []
-    for x1 in range(-R, R + 1):
-        for x2 in range(-R, R + 1):
-            v = ehat(x1, x2)
-            if abs(v) > DROP_BELOW:
-                entries.append(((x1, x2), v))
-
-    shell = R + 1
-    tail = 0.0
-    for x1 in range(-shell, shell + 1):
-        for x2 in range(-shell, shell + 1):
-            if max(abs(x1), abs(x2)) == shell:
-                tail += abs(ehat(x1, x2))
-
+    inner, outer = range(-R, R + 1), range(-R - 1, R + 2)
+    entries = [((x1, x2), v) for x1 in inner for x2 in inner
+               if abs(v := ehat(x1, x2)) > DROP_BELOW]
+    tail = sum(abs(ehat(x1, x2)) for x1 in outer for x2 in outer
+               if max(abs(x1), abs(x2)) == R + 1)
     if tol is not None and tail > tol:
         raise CutoffTooSmall(f"l1 tail {tail:g} beyond |x|_inf = {R} exceeds {tol:g}")
     return HoppingTable(entries=tuple(sorted(entries)), cutoff=R, tail=tail)
@@ -327,18 +332,14 @@ class ValidationReport:
 
 
 def validate_hypothesis(model):
-    """Grid checks of evenness and swap symmetry; morse_data's checks of the
-    maximum at pi_vec and its Hessian; a polish of the best grid node off
-    the square |p - pi_vec|_inf <= 0.5 for a second maximizer."""
+    """Swap symmetry read exactly off the terms (every kind is even by
+    construction); morse_data's checks of the maximum at pi_vec and its
+    Hessian; a polish of the best node of the offset 400 x 400 grid off the
+    square |p - pi_vec|_inf <= 0.5 for a second maximizer."""
     failures = []
-    vals, grid = _grid_values(model, VALIDATION_GRID_N)
-
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
-    # p -> -p maps the offset grid onto itself reversed
-    if np.max(np.abs(vals - vals[::-1, ::-1])) > tol:
-        failures.append("evenness: e(p) != e(-p)")
-    if np.max(np.abs(vals - vals.T)) > tol:
+    if not _invariant(model, lambda x1, x2: (x2, x1)):
         failures.append("swap symmetry: e(p1,p2) != e(p2,p1)")
+    vals, grid = _grid_values(model, VALIDATION_GRID_N)
 
     try:
         md = morse_data(model)
@@ -363,13 +364,8 @@ def validate_hypothesis(model):
 
 
 def is_even_per_coordinate(model):
-    """True when e(p1, p2) = e(-p1, p2) pointwise (not just jointly even)."""
-    rng = np.random.default_rng(7)
-    p1 = rng.uniform(-PI, PI, EVEN_CHECK_POINTS)
-    p2 = rng.uniform(-PI, PI, EVEN_CHECK_POINTS)
-    diff = np.max(np.abs(model.values(p1, p2) - model.values(-p1, p2)))
-    return bool(diff <= EVEN_CHECK_TOL
-                * max(1.0, float(np.max(np.abs(model.values(p1, p2))))))
+    """True when e(p1, p2) = e(-p1, p2), read exactly off the terms."""
+    return _invariant(model, lambda x1, x2: (-x1, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +380,7 @@ def model_from_spec(spec):
         if kind == "laplacian":
             return DiscreteLaplacian()
         if kind == "hopping":
-            table = tuple((int(x1), int(x2), float(v)) for x1, x2, v in params["table"])
-            return ExponentialHopping(table=table)
+            return ExponentialHopping(table=tuple(map(tuple, params["table"])))
         if kind == "piecewise_phi":
             return PiecewisePhi(eps=float(params["eps"]))
         if kind == "stepped_phi":

@@ -261,18 +261,35 @@ def test_non_finite_number_exit_3(capsys, argv):
     assert "not a finite number" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("spec", [
-    '{"kind": "piecewise_phi"}',
-    '{"kind": "stepped_phi", "params": {"A": null}}',
-    '[1, 2]',
-], ids=["missing-key", "null-number", "not-an-object"])
-def test_malformed_model_spec_exit_3(capsys, tmp_path, spec):
+_LAP_TABLE = ('{"kind": "hopping", "params": {"table": [[0, 0, 2.0], [1, 0, -0.5], '
+              '[-1, 0, -0.5], [0, 1, -0.5], [0, -1, -0.5]]}}')
+
+
+@pytest.mark.parametrize("spec, why", [
+    ('{"kind": "piecewise_phi"}', "KeyError"),
+    ('{"kind": "stepped_phi", "params": {"A": null}}', "TypeError"),
+    ('[1, 2]', "AttributeError"),
+    # a hopping table is checked when it is built: before, the first passed
+    # as the Laplacian, the second printed "passed": true with non-JSON
+    # Infinity, the third failed as asymmetric, the fourth kept -0.25
+    (_LAP_TABLE.replace("[1, 0, -0.5], [-1, 0, -0.5]",
+                        "[1.5, 0, -0.5], [-1.5, 0, -0.5]"), "offsets must be integers"),
+    (_LAP_TABLE.replace("[0, 0, 2.0]", "[0, 0, Infinity]"), "values must be finite"),
+    (_LAP_TABLE.replace("[1, 0, -0.5], [-1, 0, -0.5]", "[1, 0, NaN], [-1, 0, NaN]"),
+     "values must be finite"),
+    (_LAP_TABLE.replace("[1, 0, -0.5], [-1, 0, -0.5]",
+                        "[1, 0, -0.5], [-1, 0, -0.5], [1, 0, -0.25], [-1, 0, -0.25]"),
+     "offsets must not repeat"),
+], ids=["missing-key", "null-number", "not-an-object", "half-offset",
+        "infinite-value", "nan-value", "repeated-offset"])
+def test_malformed_model_spec_exit_3(capsys, tmp_path, spec, why):
     path = tmp_path / "model.json"
     path.write_text(spec)
     code, out, err = run(capsys, "validate", "--model", str(path))
     assert code == 3
     assert out == ""
     assert err.startswith("config error: bad model spec") and "Traceback" not in err
+    assert why in err
 
 
 @pytest.mark.parametrize("a,b,es", [("-1", "-1", None), ("-1", "1", 0.0)])

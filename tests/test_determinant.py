@@ -53,6 +53,22 @@ def test_rank_one_below_threshold(lap):
         find_eigenvalue_rank_one(lap, "os", 0.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: delta_es(m, np.nan, 1.0, 1.0, alpha=1.0),
+    lambda m: delta_es(m, 1.0, -np.inf, 1.0, alpha=1.0),
+    lambda m: delta_es(m, 1.0, 1.0, np.nan, alpha=1.0),
+    lambda m: delta_rank_one(m, "os", np.inf, 1.0, alpha=1.0),
+    lambda m: delta_rank_one(m, "os", 1.0, np.inf, alpha=1.0),
+    lambda m: multiplicity_check(m, np.nan, 1.0, 1.0, 5.0),
+    lambda m: multiplicity_check(m, 1.0, 1.0, np.inf, 5.0)],
+    ids=("es-a-nan", "es-b-inf", "es-mu-nan", "os-b-inf", "os-mu-inf",
+         "multiplicity-a-nan", "multiplicity-mu-inf"))
+def test_determinant_helpers_reject_non_finite_couplings(lap, call):
+    # as sector_count does, rather than return NaN parts, -inf or False
+    with pytest.raises(ValueError, match="must be finite"):
+        call(lap)
+
+
 def test_rank_one_monotone_in_mu(lap):
     e1 = find_eigenvalue_rank_one(lap, "os", 1.0, 2.0).energy
     e2 = find_eigenvalue_rank_one(lap, "os", 1.0, 2.5).energy

@@ -227,24 +227,62 @@ def test_separable_kinds_read_off_their_pieces(model):
     assert model.deficit(u1, u2).tobytes() == deficit(u1, u2).tobytes()
 
 
-def hopping_table(t, d1, d2, s):
-    # even and swap-symmetric: the constant 2, nearest hopping t, the
-    # diagonals +-(1, 1) and +-(1, -1) with weights d1 and d2, and the axis
-    # terms +-(2, 0), +-(0, 2) with weight s
+def hopping_table(t, d1, d2, s, skew=0.0):
+    # the constant 2, nearest hopping t, the diagonals +-(1, 1) and +-(1, -1)
+    # with weights d1 and d2 (even per coordinate iff d1 = d2), and the axis
+    # terms +-(2, 0), +-(0, 2) with weights s and s + skew (swap-symmetric
+    # iff skew = 0); each offset once
     table = [(0, 0, 2.0)]
-    for x1, x2, v in ((1, 0, t), (1, 1, d1), (1, -1, d2), (2, 0, s)):
-        for y1, y2 in ((x1, x2), (x2, x1)):
-            table += [(y1, y2, v), (-y1, -y2, v)]
+    for x1, x2, v in ((1, 0, t), (0, 1, t), (1, 1, d1), (1, -1, d2),
+                      (2, 0, s), (0, 2, s + skew)):
+        table += [(x1, x2, v), (-x1, -x2, v)]
     return ExponentialHopping(table=tuple(table))
 
 
-@settings(max_examples=15)
+def _direct_values(model, p1, p2):
+    # e = sum ehat(x) cos(x.p) over the whole table, on the full grid
+    return sum(v * np.cos(x1 * p1 + x2 * p2) for x1, x2, v in model.table)
+
+
+def _sampled_even(values):
+    # is_even_per_coordinate as it sampled e: 256 seeded points, relative 1e-9
+    rng = np.random.default_rng(7)
+    p1 = rng.uniform(-PI, PI, 256)
+    p2 = rng.uniform(-PI, PI, 256)
+    diff = np.max(np.abs(values(p1, p2) - values(-p1, p2)))
+    return bool(diff <= 1e-9 * max(1.0, float(np.max(np.abs(values(p1, p2))))))
+
+
+def _grid_swap_fails(values):
+    # validate_hypothesis's swap check as it compared e on its 400^2 grid
+    grid = -PI + (np.arange(400) + 0.5) * (2 * PI / 400)
+    vals = values(grid[:, None], grid[None, :])
+    return bool(np.max(np.abs(vals - vals.T)) > 1e-9 * max(1.0, np.max(np.abs(vals))))
+
+
+def _apart(a, b):
+    # equal, or apart by more than the sampled checks' tolerance: the exact
+    # answers differ from them only inside it
+    return a == b or abs(a - b) > 1e-6
+
+
+@settings(max_examples=20)
 @given(st.floats(-1.0, -0.1), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
-       st.floats(-0.05, 0.05))
-def test_hopping_tables_share_the_cosine_term_formulas(t, d1, d2, s):
-    # the maximum data of 2-D terms, beyond the two fixed diagonal tables
-    model = hopping_table(t, d1, d2, s)
-    assume(validate_hypothesis(model).passed)
+       st.floats(-0.05, 0.05), st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+@example(-0.5, 0.05, 0.05, 0.01, 0.0)
+@example(-0.5, 0.05, 0.05, 0.01, 0.02)
+def test_hopping_tables_share_the_cosine_term_formulas(t, d1, d2, s, skew):
+    # values, the symmetries and the maximum data of 2-D terms, beyond the
+    # two fixed diagonal tables
+    assume(_apart(d1, d2) and _apart(s, s + skew))
+    model = hopping_table(t, d1, d2, s, skew)
+    p1, p2 = np.random.default_rng(9).uniform(-PI, PI, (2, 1000))
+    assert np.max(np.abs(model.values(p1, p2) - _direct_values(model, p1, p2))) < 1e-14
+    direct = lambda q1, q2: _direct_values(model, q1, q2)
+    assert is_even_per_coordinate(model) == _sampled_even(direct) == (d1 == d2)
+    rep = validate_hypothesis(model)
+    assert (SWAP in rep.failures) == _grid_swap_fails(direct) == (s + skew != s)
+    assume(rep.passed)
     assert model.values(PI, PI) == model.e_max
     _check_deficit(model)
     assert np.max(np.abs(_richardson_hessian(model) - model.hessian_at_max())) < 1e-8
@@ -258,6 +296,7 @@ STEPPED_MORSE = MorseData(e_max=1.0, e_min=0.0, maximizer=(PI, PI),
                           hessian=((-2.0, 0.0), (0.0, -2.0)), j_psi0=1.0,
                           j0=0.07957747154594767)
 NOT_UNIQUE = "maximum: not unique (second maximizer away from (pi, pi))"
+SWAP = "swap symmetry: e(p1,p2) != e(p2,p1)"
 ABOVE_PI = "maximum: e exceeds e(pi, pi) away from (pi, pi)"
 
 
@@ -305,8 +344,45 @@ def test_stepped_near_one_has_its_maximum_at_pi(a_param):
 
 
 def test_hopping_table_requires_symmetry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ehat\(x\) = ehat\(-x\)"):
         ExponentialHopping(table=((1, 0, -0.5), (0, 0, 2.0)))
+
+
+@pytest.mark.parametrize("table, problem", [
+    (((0, 0, 2.0), (1.5, 0, -0.5), (-1.5, 0, -0.5)), "offsets must be integers"),
+    (((0, 0, 2.0), (np.nan, 0, -0.5)), "offsets must be integers"),
+    (((0, 0, np.inf), (1, 0, -0.5), (-1, 0, -0.5)), "values must be finite"),
+    (((0, 0, 2.0), (1, 0, np.nan), (-1, 0, np.nan)), "values must be finite"),
+    (((0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (1, 0, -0.25), (-1, 0, -0.25)),
+     "offsets must not repeat"),
+    (((0, 0, 2.0), (1.0, 0, -0.5), (1, 0, -0.5), (-1, 0, -0.5)),
+     "offsets must not repeat")],
+    ids=("half-offset", "nan-offset", "inf-value", "nan-value", "repeat",
+         "repeat-as-float"))
+def test_hopping_table_checks_each_entry(table, problem):
+    # each was accepted before (or rejected as asymmetric): int() truncated
+    # 1.5, infinity passed, NaN failed ehat(x) = ehat(-x), and a repeated
+    # offset kept its last entry
+    with pytest.raises(ValueError, match=r"hopping table entry \(.*\): " + problem):
+        ExponentialHopping(table=table)
+
+
+def test_hopping_table_offsets_may_be_integral_floats():
+    model = ExponentialHopping(table=(
+        (0.0, 0, 2.0), (1.0, 0, -0.5), (-1.0, 0.0, -0.5), (0, 1, -0.5), (0, -1, -0.5)))
+    assert model.table == laplacian_table().table
+    assert all(type(x) is int for x1, x2, _ in model.table for x in (x1, x2))
+
+
+@pytest.mark.parametrize("off", [0.1, 1e-12])
+def test_validate_detects_swap_asymmetry(off):
+    # ehat(1, 0) != ehat(0, 1); read off the terms exactly, so an asymmetry
+    # far inside the old grid check's 1e-9 fails too
+    model = ExponentialHopping(table=(
+        (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5 + off),
+        (0, -1, -0.5 + off)))
+    assert validate_hypothesis(model).failures == (SWAP,)
+    assert _grid_swap_fails(model.values) == (off > 1e-9)
 
 
 def test_non_max_at_pi_rejected():
@@ -371,10 +447,15 @@ def test_validate_detects_non_unique_max():
     assert rep.failures == (NOT_UNIQUE,)
 
 
-def test_is_even_per_coordinate(lap):
-    assert is_even_per_coordinate(lap)
+def test_is_even_per_coordinate():
+    # read off the terms, as the sampled check saw it
     skew = ExponentialHopping(table=((0, 0, 1.0), (1, 1, -0.5), (-1, -1, -0.5)))
-    assert not is_even_per_coordinate(skew)
+    for model, even in [*((m, True) for m in ALL_MODELS),
+                        (SteppedPhiA(a_param=1.0), True),
+                        (next_nearest_hopping(0.1), True),
+                        (diagonal_hop_table(0.1), False),
+                        (diagonal_hop_table(0.3), False), (skew, False)]:
+        assert is_even_per_coordinate(model) == _sampled_even(model.values) == even
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
