@@ -82,25 +82,18 @@ def delta_rank_one(model, sector, b, mu, *, alpha, spec=None):
     at z = e_max + alpha."""
     if sector not in sectors.RANK_ONE_SECTORS:
         raise ValueError(f"not a rank-one sector: {sector}")
-    _check_couplings(None, b)
-    _check_mu(mu)
+    _check_inputs(None, b, mu, alpha)
     if mu == 0:
         return 1.0
-    if alpha <= 0:
-        raise BelowThreshold("z must exceed the band top e_max")
     w_sq = sectors.RANK_ONE_WEIGHTS_SQ[sector]
     integral = integrate_resolvent(model, w_sq, k=1, spec=spec, alpha=alpha).value
     return 1.0 - b * mu * integral / FOUR_PI_SQ
 
 
-def _check_mu(mu):
+def _check_inputs(a, b, mu, alpha):   # a is None in a rank-one sector
+    _check_couplings(a, b)
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-
-
-def _check_es(a, b, mu, alpha):
-    _check_couplings(a, b)
-    _check_mu(mu)
     if alpha <= 0:
         raise BelowThreshold("z must exceed the band top e_max")
 
@@ -116,7 +109,7 @@ def _es_parts(a, b, mu, i1, i2, i3):
 
 def delta_es(model, a, b, mu, *, alpha, spec=None):
     """All components of the rank-two determinant at z = e_max + alpha."""
-    _check_es(a, b, mu, alpha)
+    _check_inputs(a, b, mu, alpha)
     return _es_parts(a, b, mu, *(r.value for r in _integrate(
         model, sectors.ES_WEIGHTS, alpha, 1, spec)))
 
@@ -303,7 +296,7 @@ def multiplicity_check(model, a, b, mu, z0, spec=None):
     combination.  One kernel call at z0 gives both: with J the k = 2 sums,
     Delta1' = a mu J1/4pi^2, Delta2' = b mu J2/4pi^2, Delta3' = -J3/4pi^2."""
     alpha0 = z0 - float(model.e_max)
-    _check_es(a, b, mu, alpha0)
+    _check_inputs(a, b, mu, alpha0)
     results, (j1, j2, j3) = _integrate(model, sectors.ES_WEIGHTS, alpha0, 1,
                                        spec, slopes=True)
     parts = _es_parts(a, b, mu, *(r.value for r in results))

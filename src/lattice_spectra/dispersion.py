@@ -85,14 +85,10 @@ def _invariant(model, image):
     """Whether e(p) = e(image(p)), image a signed swap of the coordinates,
     read exactly off the terms: the coefficient of cos(x.p), each offset x
     merged with -x, equals that of the image of x."""
-    def merged(f):
-        out = {}
-        for x1, x2, v in model._terms:
-            key = max(f(x1, x2), f(-x1, -x2))
-            out[key] = out.get(key, 0.0) + v
-        return {x: v for x, v in out.items() if v}
-
-    return merged(lambda *x: x) == merged(image)
+    merged, canon = {}, lambda x1, x2: max((x1, x2), (-x1, -x2))
+    for x1, x2, v in model._terms:
+        merged[canon(x1, x2)] = merged.get(canon(x1, x2), 0.0) + v
+    return all(v == merged.get(canon(*image(*x)), 0.0) for x, v in merged.items())
 
 
 class _CosinePieces(_CosineTerms):
@@ -315,11 +311,20 @@ def fourier_coefficients(model, cutoff, tol=None):
         c = coef[x1 % N, x2 % N] * (-1) ** (x1 + x2)
         return float(np.real(c))
 
-    inner, outer = range(-R, R + 1), range(-R - 1, R + 2)
-    entries = [((x1, x2), v) for x1 in inner for x2 in inner
-               if abs(v := ehat(x1, x2)) > DROP_BELOW]
-    tail = sum(abs(ehat(x1, x2)) for x1 in outer for x2 in outer
-               if max(abs(x1), abs(x2)) == R + 1)
+    entries = []
+    for x1 in range(-R, R + 1):
+        for x2 in range(-R, R + 1):
+            v = ehat(x1, x2)
+            if abs(v) > DROP_BELOW:
+                entries.append(((x1, x2), v))
+
+    shell = R + 1
+    tail = 0.0
+    for x1 in range(-shell, shell + 1):
+        for x2 in range(-shell, shell + 1):
+            if max(abs(x1), abs(x2)) == shell:
+                tail += abs(ehat(x1, x2))
+
     if tol is not None and tail > tol:
         raise CutoffTooSmall(f"l1 tail {tail:g} beyond |x|_inf = {R} exceeds {tol:g}")
     return HoppingTable(entries=tuple(sorted(entries)), cutoff=R, tail=tail)

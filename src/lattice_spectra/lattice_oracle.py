@@ -207,11 +207,10 @@ def _sector_basis(L, sector):
 
 def _phi_coefficients(model, n_max):
     """c_n = (1/pi) int_0^pi g(t) cos(n t) dt, n <= n_max, of the separable
-    profile g in closed form, read off the model's ``pieces`` (hi, terms),
-    each from the previous piece's hi (the first from 0): on a piece (lo,
-    hi) of width w about mid, a term c_m cos(m t) gives c_m/2 (S(n - m) +
-    S(n + m)) with S(k) = int_lo^hi cos(k t) dt = w cos(k mid) sinc(k w /
-    2pi) (numpy's sinc)."""
+    profile g in closed form: on a piece (hi, terms) of ``pieces``, from lo
+    = the previous hi (or 0), of width w about mid, a term c_m cos(m t)
+    gives c_m/2 (S(n - m) + S(n + m)) with S(k) = int_lo^hi cos(k t) dt =
+    w cos(k mid) sinc(k w / 2pi) (numpy's sinc)."""
     if not hasattr(model, "pieces"):
         raise ValueError(f"model kind {model.kind!r} is not separable")
     n, c, lo = np.arange(n_max + 1), np.zeros(n_max + 1), 0.0
