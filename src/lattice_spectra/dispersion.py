@@ -4,8 +4,8 @@ Four model kinds are provided; each satisfies (or is validated against) the
 standing hypotheses: real, even, swap-symmetric, with a unique non-degenerate
 maximum at pi_vec = (pi, pi).  All downstream quadrature leans on exact
 structure exposed here, read by one formula for every kind off the cosine
-terms of e near pi_vec (``_CosineTerms``), which also give e itself where
-the kind has no kink, and its symmetries exactly:
+terms of e near pi_vec (``_CosineTerms``), which give e itself where the
+kind has no kink and its symmetries exactly (``_invariant``).  Per kind:
 
   * ``e_max`` is exact per kind, so the spectral offset alpha = z - e_max
     is never computed by cancellation-prone subtraction;
@@ -101,7 +101,7 @@ class _CosinePieces(_CosineTerms):
     def values(self, p1, p2):
         if len(self.pieces) > 1:
             return self._profile(p1) + self._profile(p2)
-        return _CosineTerms.values(self, p1, p2)
+        return super().values(p1, p2)
 
     def _profile(self, t):
         if np.ndim(t) == 0:   # the e_min polish: |wrap_torus(t)| in floats
@@ -111,7 +111,7 @@ class _CosinePieces(_CosineTerms):
         return np.select([t <= hi for hi, _ in self.pieces],
                          [_cosine_sum(terms, t) for _, terms in self.pieces])
 
-    @cached_property
+    @cached_property   # values reads it on every call, the e_min polish's too
     def _terms(self):   # g(p1) + g(p2) on the last piece
         return [t for m, c in self.pieces[-1][1]
                 for t in (((m, 0, c), (0, m, c)) if m else ((0, 0, 2.0 * c),))]
