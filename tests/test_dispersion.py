@@ -276,9 +276,9 @@ def test_hopping_tables_share_the_cosine_term_formulas(t, d1, d2, s, skew):
     # two fixed diagonal tables
     assume(_apart(d1, d2) and _apart(s, s + skew))
     model = hopping_table(t, d1, d2, s, skew)
+    direct = lambda p1, p2: _direct_values(model, p1, p2)
     p1, p2 = np.random.default_rng(9).uniform(-PI, PI, (2, 1000))
-    assert np.max(np.abs(model.values(p1, p2) - _direct_values(model, p1, p2))) < 1e-14
-    direct = lambda q1, q2: _direct_values(model, q1, q2)
+    assert np.max(np.abs(model.values(p1, p2) - direct(p1, p2))) < 1e-14
     assert is_even_per_coordinate(model) == _sampled_even(direct) == (d1 == d2)
     rep = validate_hypothesis(model)
     assert (SWAP in rep.failures) == _grid_swap_fails(direct) == (s + skew != s)
