@@ -195,8 +195,7 @@ def _cmd_oracle(args):
     per_l = []
     rows = []
     for L in ls:
-        h = lattice_oracle.build(model, L, R=args.R, a=args.a, b=args.b,
-                                 mu=args.mu)
+        h = lattice_oracle.build(model, L, a=args.a, b=args.b, mu=args.mu)
         counts = lattice_oracle.sector_count_above(h, e_max, args.margin)
         per_l.append({
             "L": L, "total": counts.total,
@@ -321,8 +320,6 @@ def build_parser():
     p.add_argument("--mu", type=_finite_float, required=True)
     p.add_argument("--L", required=True,
                    help="comma-separated box half-widths, e.g. 20,30,40")
-    p.add_argument("--R", type=int, default=None,
-                   help="hopping cutoff (omit for the separable fast path)")
     p.add_argument("--margin", type=_finite_float, default=1e-3)
     p.set_defaults(func=_cmd_oracle)
 

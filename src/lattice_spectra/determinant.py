@@ -94,6 +94,8 @@ def _check_inputs(a, b, mu, alpha):   # a is None in a rank-one sector
     _check_couplings(a, b)
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
+    if not math.isfinite(alpha):   # alpha <= 0 is False for NaN
+        raise ValueError("alpha = z - e_max must be finite")
     if alpha <= 0:
         raise BelowThreshold("z must exceed the band top e_max")
 

@@ -5,15 +5,16 @@ five-point potential mu * (a at the origin, b at the four neighbors).  Bound
 states above the band decay exponentially, so box eigenvalues converge
 exponentially in L and an Aitken-type extrapolation recovers the limit.
 
-A box holds its free operator H0 in one of two forms, both built without
-the torus quadrature:
+A box holds its free operator H0 in one of two forms, each read off the
+model's own data without the torus quadrature (``build`` picks the form
+from the kind):
 
-  * a separable kind e(p) = g(p1) + g(p2) (``build`` with R = None) as the
-    1-D profile coefficients c_0..c_2L of g (closed form, cosine pieces):
+  * a separable kind e(p) = g(p1) + g(p2) (one with ``pieces``) as the 1-D
+    profile coefficients c_0..c_2L of g (closed form, cosine pieces):
     H0 = Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|,
     applied as Phi X + X Phi, with no hopping the box can see left out;
-  * any kind (``build`` with R) as its FFT hopping table, a sparse sum of
-    shifts.
+  * a hopping table as its entries ehat(x), a sparse sum of shifts held as
+    a CSR matrix: the exact compression of H0 to the box.
 
 Negation x -> -x and the coordinate swap preserve the box and V, so the
 operator splits into the four sectors os, oa, ea, es.  Each sector block
@@ -42,7 +43,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import FitFailure, NoConvergence
-from .dispersion import PI
+from .dispersion import PI, _invariant
 from .sectors import RANK_ONE_SECTORS, SECTORS
 
 # sector blocks of at most this dimension are formed densely for eigvalsh
@@ -50,8 +51,6 @@ from .sectors import RANK_ONE_SECTORS, SECTORS
 # a hopping table and as matvecs otherwise.  The L = 30 blocks have
 # dimension 900 to 961
 DENSE_LIMIT = 400
-
-TAIL_TOL = 1e-10  # largest l1 tail of an FFT hopping table (build with R)
 # a secular root is taken once a Newton step moves it by at most this
 # fraction of max(1, |E|); quadratic convergence leaves roundoff after it
 _SECULAR_TOL = 1e-14
@@ -72,9 +71,8 @@ class TruncatedHamiltonian:
     a: float
     b: float
     mu: float
-    hopping: dict | None        # (x1, x2) -> value within R; None: profile
+    hopping: dict | None        # (x1, x2) -> ehat(x) of a table; None: profile
     phi_row: np.ndarray | None  # c[0..2L] of the separable g; None: table
-    tail_bound: float           # l1 mass of the table beyond R; 0: profile
 
     @property
     def dimension(self):
@@ -89,24 +87,28 @@ class TruncatedHamiltonian:
             v[c + dx, c + dy] = self.b
         return self.mu * v
 
+    def _table_matrix(self):
+        """The box operator of a table box as a CSR matrix."""
+        n = 2 * self.L + 1
+        i, j = np.divmod(np.arange(n * n), n)
+        diag = np.arange(n * n)
+        rows, cols, vals = [diag], [diag], [self._potential_diag().ravel()]
+        for (x1, x2), val in self.hopping.items():
+            site = np.flatnonzero((i + x1 >= 0) & (i + x1 < n)
+                                  & (j + x2 >= 0) & (j + x2 < n))
+            rows.append(site)
+            cols.append(site + x1 * n + x2)
+            vals.append(np.full(site.size, val))
+        return scipy.sparse.csr_matrix(  # sums the diagonal duplicates
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n * n, n * n))
+
     def operator(self):
         """The box operator on row-major flattened (x1, x2) arrays."""
+        if self.hopping is not None:
+            return scipy.sparse.linalg.aslinearoperator(self._table_matrix())
         n = 2 * self.L + 1
         vdiag = self._potential_diag()
-        if self.hopping is not None:
-            i, j = np.divmod(np.arange(n * n), n)
-            diag = np.arange(n * n)
-            rows, cols, vals = [diag], [diag], [vdiag.ravel()]
-            for (x1, x2), val in self.hopping.items():
-                site = np.flatnonzero((i + x1 >= 0) & (i + x1 < n)
-                                      & (j + x2 >= 0) & (j + x2 < n))
-                rows.append(site)
-                cols.append(site + x1 * n + x2)
-                vals.append(np.full(site.size, val))
-            mat = scipy.sparse.csr_matrix(  # sums the diagonal duplicates
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n * n, n * n))
-            return scipy.sparse.linalg.aslinearoperator(mat)
         idx = np.arange(n)
         phi = self.phi_row[np.abs(idx[:, None] - idx[None, :])]
 
@@ -133,47 +135,16 @@ class SectorBlock:
         return self.basis.shape[1]
 
     def operator(self):
-        """Q^T H Q: a CSR matrix when the box operator has a hopping table,
-        otherwise a LinearOperator applying Q^T (H (Q y))."""
-        op, q = self.h.operator(), self.basis
+        """Q^T H Q: a CSR matrix formed from the box's own matrix on a table
+        box, otherwise a LinearOperator applying Q^T (H (Q y))."""
+        q = self.basis
         qt = q.T.tocsr()
         if self.h.hopping is not None:
-            reach = max(max(abs(x1), abs(x2)) for x1, x2 in self.h.hopping)
-            return (qt @ _comb_probe(op, self.h.L, reach) @ q).tocsr()
+            return (qt @ self.h._table_matrix() @ q).tocsr()
+        op = self.h.operator()
         return scipy.sparse.linalg.LinearOperator(
             (self.dimension, self.dimension),
             matvec=lambda y: qt @ op.matvec(q @ y), dtype=float)
-
-
-def _comb_probe(op, L, reach):
-    """A box operator of hopping range ``reach`` as a CSR matrix.
-
-    Curtis-Powell-Reid probing: the row of a site has nonzeros only within
-    ``reach`` of it (in each coordinate), and that window holds exactly one
-    site of each residue class mod m = 2 reach + 1.  So the m^2 products of
-    ``op`` with the periodic combs of the classes give every entry, using
-    nothing of ``op`` but its matvec.
-    """
-    n, m = 2 * L + 1, 2 * reach + 1
-    idx = np.arange(n)
-    # the coordinate of class c within reach of coordinate idx, and whether
-    # it lies in the box
-    near = [idx + (c - idx + reach) % m - reach for c in range(m)]
-    ok = [(x >= 0) & (x < n) for x in near]
-    in_class = [idx % m == c for c in range(m)]
-    rows, cols, vals = [], [], []
-    for c1 in range(m):
-        for c2 in range(m):
-            comb = np.outer(in_class[c1], in_class[c2]).astype(float).ravel()
-            site = np.flatnonzero(np.outer(ok[c1], ok[c2]))
-            rows.append(site)
-            cols.append((near[c1][:, None] * n + near[c2][None, :]).ravel()[site])
-            vals.append(op.matvec(comb)[site])
-    mat = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n))
-    mat.eliminate_zeros()
-    return mat
 
 
 def _sector_basis(L, sector):
@@ -211,8 +182,6 @@ def _phi_coefficients(model, n_max):
     = the previous hi (or 0), of width w about mid, a term c_m cos(m t)
     gives c_m/2 (S(n - m) + S(n + m)) with S(k) = int_lo^hi cos(k t) dt =
     w cos(k mid) sinc(k w / 2pi) (numpy's sinc)."""
-    if not hasattr(model, "pieces"):
-        raise ValueError(f"model kind {model.kind!r} is not separable")
     n, c, lo = np.arange(n_max + 1), np.zeros(n_max + 1), 0.0
     for hi, terms in model.pieces:
         width, mid = hi - lo, 0.5 * (lo + hi)
@@ -223,34 +192,25 @@ def _phi_coefficients(model, n_max):
     return c / PI
 
 
-def build(model, L, R=None, a=1.0, b=1.0, mu=0.0):
-    """Box truncation of the operator.
+def build(model, L, a=1.0, b=1.0, mu=0.0):
+    """Box truncation of the operator, its H0 read off the model's own data.
 
-    With R given, H0 is the hopping table of the FFT coefficients within R,
-    with an l1 tail bound (CutoffTooSmall when it exceeds TAIL_TOL); a table
-    that is not invariant under the coordinate swap is rejected.  With
-    R = None, H0 of a separable kind is its 1-D profile coefficients
-    c_0..c_2L, every one the box sees, so ``hopping`` is None and
-    ``tail_bound`` 0; a kind that is not separable raises ValueError.
+    A separable kind (one with ``pieces``) gives its 1-D profile
+    coefficients c_0..c_2L, every one the box sees (``phi_row``); a hopping
+    table gives its entries as they are (``hopping``), and ValueError when
+    it is not invariant under the coordinate swap, which the sector split
+    needs.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if R is None:
+    if hasattr(model, "pieces"):
         return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=None,
-                                    phi_row=_phi_coefficients(model, 2 * L),
-                                    tail_bound=0.0)
-    if not L >= R >= 1:
-        raise ValueError("need L >= R >= 1")
-    from .dispersion import fourier_coefficients
-    table = fourier_coefficients(model, R, tol=TAIL_TOL)
-    hopping = table.as_dict()
-    scale = max(abs(v) for v in hopping.values())
-    if any(abs(v - hopping.get((x2, x1), 0.0)) > 1e-12 * scale
-           for (x1, x2), v in hopping.items()):
+                                    phi_row=_phi_coefficients(model, 2 * L))
+    if not _invariant(model, lambda x1, x2: (x2, x1)):
         raise ValueError("hopping table must satisfy ehat(x1, x2) = "
                          "ehat(x2, x1): the sector split needs the swap")
-    return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=hopping,
-                                phi_row=None, tail_bound=table.tail)
+    return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, phi_row=None,
+                                hopping={(x1, x2): v for x1, x2, v in model.table})
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +414,13 @@ def sector_count_above(h, e_max, margin, k=None):
 
     Both box forms count a sector's eigenvalues above t as n_-(N(t)), the
     negative inertia of N(E) = G(E)^-1 - D (``_branches_above``).  A
-    separable box (``phi_row`` set, built with R = None) forms no block:
+    separable box (``phi_row`` set) forms no block:
     each counted root is found by Newton on its branch of N, a secular
     equation of size 1, or 2 in es (``_secular_entries``).  ValueError when
     t is not above the free box's top eigenvalue; NoConvergence when a root
     is not resolved.
 
-    A table box (built with R) keeps its sector blocks.  On a rank-one
+    A table box (``hopping`` set) keeps its sector blocks.  On a rank-one
     sector mu V is the 1x1 matrix mu b, so where mu b <= 0 the block holds
     none and is not diagonalized; otherwise it is asked for its largest
     eigenvalue.  The es block is asked for at most 2 above t: a

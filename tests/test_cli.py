@@ -130,9 +130,25 @@ def test_oracle_determinism(tmp_path, capsys):
 
 
 def test_oracle_table_box_determinism(tmp_path, capsys):
-    # the same states from the Lanczos-size sector blocks of a table box
+    # the same states from the Lanczos-size sector blocks of a table box,
+    # which the oracle reads off the hopping table of --model alone
+    spec = tmp_path / "table.json"
+    spec.write_text(_LAP_TABLE)
     assert_deterministic(tmp_path, ["oracle", "-a", "1", "-b", "3", "--mu", "1",
-                                    "--L", "20,22,24", "--R", "1"])
+                                    "--L", "20,22,24", "--model", str(spec)])
+
+
+def test_oracle_swap_asymmetric_table_exit_3(capsys, tmp_path):
+    # e(p) = 1 - cos p1: the sector split needs the coordinate swap
+    spec = tmp_path / "table.json"
+    spec.write_text('{"kind": "hopping", "params": {"table": '
+                    '[[0, 0, 1.0], [1, 0, -0.5], [-1, 0, -0.5]]}}')
+    code, out, err = run(capsys, "oracle", "-a", "1", "-b", "3", "--mu", "1",
+                         "--L", "10", "--model", str(spec))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "swap" in err
 
 
 def test_curve_csv(capsys):

@@ -60,11 +60,17 @@ def test_rank_one_below_threshold(lap):
     lambda m: delta_rank_one(m, "os", np.inf, 1.0, alpha=1.0),
     lambda m: delta_rank_one(m, "os", 1.0, np.inf, alpha=1.0),
     lambda m: multiplicity_check(m, np.nan, 1.0, 1.0, 5.0),
-    lambda m: multiplicity_check(m, 1.0, 1.0, np.inf, 5.0)],
+    lambda m: multiplicity_check(m, 1.0, 1.0, np.inf, 5.0),
+    lambda m: delta_es(m, 1.0, 1.0, 1.0, alpha=np.nan),
+    lambda m: delta_rank_one(m, "os", 1.0, 1.0, alpha=np.nan),
+    lambda m: multiplicity_check(m, 1.0, 1.0, 1.0, np.nan),
+    lambda m: multiplicity_check(m, 1.0, 1.0, 1.0, np.inf)],
     ids=("es-a-nan", "es-b-inf", "es-mu-nan", "os-b-inf", "os-mu-inf",
-         "multiplicity-a-nan", "multiplicity-mu-inf"))
+         "multiplicity-a-nan", "multiplicity-mu-inf", "es-alpha-nan",
+         "os-alpha-nan", "multiplicity-z0-nan", "multiplicity-z0-inf"))
 def test_determinant_helpers_reject_non_finite_couplings(lap, call):
-    # as sector_count does, rather than return NaN parts, -inf or False
+    # as sector_count does, rather than return NaN parts, -inf or False; a
+    # NaN alpha passed the alpha <= 0 check
     with pytest.raises(ValueError, match="must be finite"):
         call(lap)
 

@@ -10,9 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lattice_spectra import lattice_oracle as lo
 from lattice_spectra.determinant import find_eigenvalue_rank_one
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
-                                        PiecewisePhi, SteppedPhiA)
+                                        PiecewisePhi, SteppedPhiA,
+                                        validate_hypothesis)
 from lattice_spectra.errors import FitFailure, NoConvergence
-from test_dispersion import diagonal_hop_table
+from test_dispersion import diagonal_hop_table, hopping_table, laplacian_table
 
 
 def test_separable_coefficients_laplacian(lap):
@@ -38,29 +39,31 @@ def test_phi_coefficients_match_quadrature_of_values(model):
 
 
 def test_separable_and_sparse_paths_agree(lap):
+    # the profile box of the Laplacian and the table box of its hopping table
     h1 = lo.build(lap, 10, a=1.0, b=3.0, mu=1.0)
-    h2 = lo.build(lap, 10, R=1, a=1.0, b=3.0, mu=1.0)
+    h2 = lo.build(laplacian_table(), 10, a=1.0, b=3.0, mu=1.0)
+    assert h1.phi_row is not None and h2.hopping is not None
     v1 = lo.top_eigenvalues(h1, 5)
     v2 = lo.top_eigenvalues(h2, 5)
     assert np.max(np.abs(np.array(v1) - np.array(v2))) < 1e-12
 
 
-def _kron_reference(h):
+def _kron_reference(h, model):
     """Dense box matrix from the five-point potential and the untruncated
-    1-D profile, or the hopping table of a model without one."""
+    1-D profile, or the model's own hopping table."""
     n = 2 * h.L + 1
     v = np.zeros((n, n))
     v[h.L, h.L] = h.a
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         v[h.L + dx, h.L + dy] = h.b
     eye = np.eye(n)
-    if h.phi_row is not None:
+    if hasattr(model, "table"):
+        hop = sum(val * np.kron(np.eye(n, k=x1), np.eye(n, k=x2))
+                  for x1, x2, val in model.table)
+    else:
         idx = np.arange(n)
         phi = h.phi_row[np.abs(idx[:, None] - idx[None, :])]
         hop = np.kron(phi, eye) + np.kron(eye, phi)
-    else:
-        hop = sum(val * np.kron(np.eye(n, k=x1), np.eye(n, k=x2))
-                  for (x1, x2), val in h.hopping.items())
     return hop + np.diag(h.mu * v.ravel())
 
 
@@ -81,7 +84,7 @@ def _sector_traces(vecs, n):
 
 def test_operator_matches_dense(lap):
     h = lo.build(lap, 4, a=1.0, b=2.0, mu=1.5)
-    ref = _kron_reference(h)
+    ref = _kron_reference(h, lap)
     assert np.allclose(h.operator() @ np.eye(h.dimension), ref, atol=1e-12)
     blocks = [h.sector_block(s) for s in ("os", "oa", "ea", "es")]
     assert sum(blk.dimension for blk in blocks) == (2 * h.L + 1) ** 2
@@ -94,11 +97,10 @@ def test_operator_matches_dense(lap):
 NEXT_NEAREST = ExponentialHopping(table=(
     (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
     (1, 1, -0.05), (-1, -1, -0.05), (1, -1, -0.05), (-1, 1, -0.05)))
-# model and R: a hopping table (sparse blocks) with R, the separable profile
-# (matvec blocks) without
-BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None),
-                "next-nearest-t2-0.1": (NEXT_NEAREST, 2),
-                "stepped-0.5": (SteppedPhiA(a_param=0.5), None)}
+# a hopping table (sparse blocks) and separable profiles (matvec blocks)
+BLOCK_MODELS = {"laplacian": DiscreteLaplacian(),
+                "next-nearest-t2-0.1": NEXT_NEAREST,
+                "stepped-0.5": SteppedPhiA(a_param=0.5)}
 
 
 @pytest.mark.parametrize("name", BLOCK_MODELS)
@@ -106,17 +108,16 @@ BLOCK_MODELS = {"laplacian": (DiscreteLaplacian(), None),
 @given(L=st.integers(3, 6), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
        mu=st.floats(0.2, 4.0))
 def test_sector_blocks_match_reference(name, L, a, b, mu):
-    model, R = BLOCK_MODELS[name]
-    h = lo.build(model, L, R=R, a=a, b=b, mu=mu)
-    assert (h.hopping is not None) == (R is not None)
-    assert (h.phi_row is not None) == (R is None)
-    if R is None:
-        assert h.tail_bound == 0.0
-    ref = _kron_reference(h)
+    model = BLOCK_MODELS[name]
+    table = hasattr(model, "table")
+    h = lo.build(model, L, a=a, b=b, mu=mu)
+    assert (h.hopping is not None) == table
+    assert (h.phi_row is not None) == (not table)
+    ref = _kron_reference(h, model)
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
         op = blk.operator()
-        assert scipy.sparse.issparse(op) == (h.hopping is not None)
+        assert scipy.sparse.issparse(op) == table
         q = blk.basis.toarray()
         assert np.max(np.abs(op @ np.eye(blk.dimension) - q.T @ ref @ q)) < 1e-13
 
@@ -147,8 +148,8 @@ def _spy_lanczos(monkeypatch):
 
 
 @pytest.mark.parametrize("L", (8, 20))   # dense and Lanczos blocks
-def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
-    h = lo.build(lap, L, R=1, a=1.0, b=3.0, mu=1.0)
+def test_sector_count_asks_each_block_for_its_rank(monkeypatch, L):
+    h = lo.build(laplacian_table(), L, a=1.0, b=3.0, mu=1.0)
     asked, lanczos = _spy_lanczos(monkeypatch)
     sc = lo.sector_count_above(h, 4.0, 1e-3)
     # min-max bounds each block's count by its rank; the Lanczos-size blocks
@@ -166,10 +167,10 @@ def test_sector_count_asks_each_block_for_its_rank(lap, monkeypatch, L):
         assert np.max(np.abs(got - want), initial=0.0) < 1e-10
 
 
-def test_es_lanczos_work_stays_near_a_rank_one_block(lap, monkeypatch):
+def test_es_lanczos_work_stays_near_a_rank_one_block(monkeypatch):
     # es holds one bound state at (1, 3, 1): asked for 2, Lanczos converged
     # a continuum state near e_max in 633 products, against 41 for os
-    h = lo.build(lap, 45, R=1, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(laplacian_table(), 45, a=1.0, b=3.0, mu=1.0)
     _, lanczos = _spy_lanczos(monkeypatch)
     lo.sector_count_above(h, 4.0, 5e-3)
     assert lanczos["es"]["products"] <= 2 * lanczos["os"]["products"]
@@ -177,12 +178,12 @@ def test_es_lanczos_work_stays_near_a_rank_one_block(lap, monkeypatch):
 
 @pytest.mark.parametrize("a, b, mu, es", ((-1.0, -1.0, 2.0, ()),
                                           (2.0, -1.0, 2.0, (6.170865374533939,))))
-def test_rank_one_blocks_without_positive_mu_b_are_skipped(lap, monkeypatch,
-                                                           a, b, mu, es):
+def test_rank_one_blocks_without_positive_mu_b_are_skipped(monkeypatch, a, b,
+                                                           mu, es):
     # mu V is the 1x1 matrix mu b on a rank-one sector, so by min-max such a
     # block holds nothing above e_max when mu b <= 0; Lanczos spent 301
     # products per block converging a continuum state there at L = 45
-    h = lo.build(lap, 45, R=1, a=a, b=b, mu=mu)
+    h = lo.build(laplacian_table(), 45, a=a, b=b, mu=mu)
     asked, lanczos = _spy_lanczos(monkeypatch)
     sc = lo.sector_count_above(h, 4.0, 1e-3)
     assert asked == {"es": 2}
@@ -191,10 +192,10 @@ def test_rank_one_blocks_without_positive_mu_b_are_skipped(lap, monkeypatch,
     assert [v for v, _ in sc.entries] == pytest.approx(list(es), abs=1e-10)
 
 
-def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
+def test_lanczos_value_below_the_cut_raises(monkeypatch):
     # an es block whose inertia count is 1 must not drop a Lanczos value
     # below the cut; the rank-one blocks filter theirs
-    h = lo.build(lap, 20, R=1, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(laplacian_table(), 20, a=1.0, b=3.0, mu=1.0)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda op, k, **kwargs: np.full(k, 3.9))
     with pytest.raises(NoConvergence, match=r"t = 4\.001 in the es block of "
@@ -202,7 +203,7 @@ def test_lanczos_value_below_the_cut_raises(lap, monkeypatch):
         lo.sector_count_above(h, 4.0, 1e-3)
 
 
-LAPLACIAN, DIAGONAL_HOP = DiscreteLaplacian(), diagonal_hop_table(0.1)
+LAPLACIAN, DIAGONAL_HOP = laplacian_table(), diagonal_hop_table(0.1)
 
 
 @settings(max_examples=8, deadline=None)
@@ -224,7 +225,7 @@ def test_lanczos_blocks_match_dense_eigvalsh(model, L, a, b, mu):
     # every block of these table boxes is larger than DENSE_LIMIT, so es
     # takes the inertia count and the others Lanczos for their rank
     cutoff = float(model.e_max) + 1e-3
-    h = lo.build(model, L, R=1, a=a, b=b, mu=mu)
+    h = lo.build(model, L, a=a, b=b, mu=mu)
     want = {}
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
@@ -237,6 +238,49 @@ def test_lanczos_blocks_match_dense_eigvalsh(model, L, a, b, mu):
         got = np.sort([v for v, t in sc.entries if t == s])
         assert getattr(sc, s) == got.size == want[s].size
         assert np.max(np.abs(got - want[s]), initial=0.0) < 1e-10
+
+
+def _table_box_entries(table, L, a, b, mu, margin):
+    """{sector: ascending energies above e_max + margin} of a table box."""
+    model = ExponentialHopping(table=table)
+    sc = lo.sector_count_above(lo.build(model, L, a=a, b=b, mu=mu),
+                               float(model.e_max), margin)
+    return {s: sorted(v for v, t in sc.entries if t == s)
+            for s in ("os", "oa", "ea", "es")}
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.floats(-1.0, -0.1), d1=st.floats(-0.2, 0.2),
+       d2=st.floats(-0.2, 0.2), s=st.floats(-0.05, 0.05),
+       L=st.sampled_from((10, 24)), a=st.floats(-3.0, 6.0),
+       b=st.floats(-3.0, 6.0), mu=st.floats(0.2, 3.0))
+# d1 != d2: os and oa apart, so the reflection has something to exchange
+@example(t=-0.5, d1=0.1, d2=-0.1, s=0.01, L=24, a=1.0, b=3.0, mu=1.0)
+def test_table_box_relations(t, d1, d2, s, L, a, b, mu):
+    # three exact relations of H = H0 + mu V, each made on the table: it
+    # doubles with (ehat, mu), shifts with ehat(0, 0), and the reflection
+    # (x1, x2) -> (x1, -x2), which keeps V, conjugates the swap into the
+    # swap times negation, so it exchanges os and oa and keeps ea and es
+    model = hopping_table(t, d1, d2, s)
+    assume(validate_hypothesis(model).passed)
+    table, margin = model.table, 1e-3
+    base = _table_box_entries(table, L, a, b, mu, margin)
+    related = {
+        "doubled": (tuple((x1, x2, 2.0 * v) for x1, x2, v in table), 2.0,
+                    {sec: [2.0 * v for v in vals] for sec, vals in base.items()}),
+        "shifted": (tuple((x1, x2, v + 0.375 * (x1 == x2 == 0))
+                          for x1, x2, v in table), 1.0,
+                    {sec: [v + 0.375 for v in vals] for sec, vals in base.items()}),
+        "reflected": (tuple((x1, -x2, v) for x1, x2, v in table), 1.0,
+                      {**base, "os": base["oa"], "oa": base["os"]}),
+    }
+    for name, (image, scale, want) in related.items():
+        got = _table_box_entries(image, L, a, b, scale * mu, scale * margin)
+        assert {sec: len(v) for sec, v in got.items()} == {
+            sec: len(v) for sec, v in want.items()}, name
+        for sec in got:
+            assert np.max(np.abs(np.subtract(got[sec], want[sec])),
+                          initial=0.0) < 1e-12, (name, sec)
 
 
 SEPARABLE_MODELS = {"laplacian": DiscreteLaplacian(),
@@ -255,7 +299,7 @@ def test_secular_counts_match_dense_sector_blocks(name, L, a, b, mu):
     model = SEPARABLE_MODELS[name]
     cutoff = float(model.e_max) + 1e-3
     h = lo.build(model, L, a=a, b=b, mu=mu)
-    ref = _kron_reference(h)
+    ref = _kron_reference(h, model)
     want = {}
     for s in ("os", "oa", "ea", "es"):
         q = h.sector_block(s).basis.toarray()
@@ -291,7 +335,7 @@ def test_secular_es_root_with_a_negative_coupling(lap):
     # D = mu diag(a, b) has one negative entry at (-1, 2, 2.5); es's one
     # root above t lies on branch 0 of N(E) = G(E)^-1 - D
     h = lo.build(lap, 20, a=-1.0, b=2.0, mu=2.5)
-    blk = lo.build(lap, 20, R=1, a=-1.0, b=2.0, mu=2.5).sector_block("es")
+    blk = lo.build(laplacian_table(), 20, a=-1.0, b=2.0, mu=2.5).sector_block("es")
     full = np.linalg.eigvalsh(blk.operator().toarray())
     want = full[full > 4.0 + 1e-3]
     sc = lo.sector_count_above(h, 4.0, 1e-3)
@@ -329,7 +373,7 @@ def test_sector_counts_match_reference_projections(L, a, b, mu):
     lap = DiscreteLaplacian()
     cutoff = 4.0 + 1e-3
     h = lo.build(lap, L, a=a, b=b, mu=mu)
-    vals, vecs = np.linalg.eigh(_kron_reference(h))
+    vals, vecs = np.linalg.eigh(_kron_reference(h, lap))
     assume(np.min(np.abs(vals - cutoff)) > 1e-6)
     traces = _sector_traces(vecs[:, vals > cutoff], 2 * L + 1)
     sc = lo.sector_count_above(h, 4.0, 1e-3)
@@ -372,12 +416,6 @@ def test_margin_must_be_positive(lap):
 def test_build_validation(lap):
     with pytest.raises(ValueError):
         lo.build(lap, 0)
-    with pytest.raises(ValueError):
-        lo.build(lap, 4, R=5)
-    with pytest.raises(ValueError):
-        # non-separable table model has no separable fast path
-        model = ExponentialHopping(table=((0, 0, 2.0), (1, 1, -0.5), (-1, -1, -0.5)))
-        lo.build(model, 4)
 
 
 def test_build_rejects_swap_asymmetric_table():
@@ -385,7 +423,7 @@ def test_build_rejects_swap_asymmetric_table():
     # would give wrong counts
     model = ExponentialHopping(table=((0, 0, 1.0), (1, 0, -0.5), (-1, 0, -0.5)))
     with pytest.raises(ValueError, match="swap"):
-        lo.build(model, 6, R=1)
+        lo.build(model, 6)
 
 
 def test_extrapolate_geometric_exact():
