@@ -37,6 +37,7 @@ the cut, from one sparse LU of t - H0, and asks Lanczos for just that many.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -65,7 +66,7 @@ _SECTOR_CHARACTERS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)   # a table box keeps its matrix (_table_matrix)
 class TruncatedHamiltonian:
     L: int
     a: float
@@ -87,8 +88,10 @@ class TruncatedHamiltonian:
             v[c + dx, c + dy] = self.b
         return self.mu * v
 
+    @cached_property
     def _table_matrix(self):
-        """The box operator of a table box as a CSR matrix."""
+        """The box operator of a table box as a CSR matrix, built on first
+        use and kept: the four sector blocks and the operator share it."""
         n = 2 * self.L + 1
         i, j = np.divmod(np.arange(n * n), n)
         diag = np.arange(n * n)
@@ -106,7 +109,7 @@ class TruncatedHamiltonian:
     def operator(self):
         """The box operator on row-major flattened (x1, x2) arrays."""
         if self.hopping is not None:
-            return scipy.sparse.linalg.aslinearoperator(self._table_matrix())
+            return scipy.sparse.linalg.aslinearoperator(self._table_matrix)
         n = 2 * self.L + 1
         vdiag = self._potential_diag()
         idx = np.arange(n)
@@ -140,7 +143,7 @@ class SectorBlock:
         q = self.basis
         qt = q.T.tocsr()
         if self.h.hopping is not None:
-            return (qt @ self.h._table_matrix() @ q).tocsr()
+            return (qt @ self.h._table_matrix @ q).tocsr()
         op = self.h.operator()
         return scipy.sparse.linalg.LinearOperator(
             (self.dimension, self.dimension),

@@ -35,13 +35,20 @@ e_max - e supplied in a cancellation-free form by the model.
 
 The node sets, far and near, depend only on (grid_n, patch_radius,
 breakpoints), so every model with that key shares them, e.g. the whole
-SteppedPhiA(A) family that the multiplicity-two construction tunes.  Per
-model a set keeps only the deficit on its nodes, and per weight function v
-the product w * v of the rule's weights and v's values, in small bounded
-read-only maps, so clearing _far_grids drops every node array.  A far
-level forms no node coordinates: it evaluates the cutoff, the deficit and
-each v on the broadcast axes of its tensor grid and masks the result.  An
-integral at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over
+SteppedPhiA(A) family that the multiplicity-two construction tunes.  Each
+set holds one node per orbit of the group {1, inversion p -> -p, swap
+(p1, p2) -> (p2, p1), both}, which leaves every model's deficit invariant
+(models must be swap-symmetric; every kind is even): a sum over the torus
+is the sum over the representatives of w times v summed over the orbit,
+exact for every v (see _NodeSet).  That is about a quarter of the nodes:
+16,422 fine, 4,134 coarse and 11,144 near on the Laplacian, against
+65,204, 16,296 and 41,216 unfolded.  Per model a set keeps only the
+deficit on its representatives, and per weight function v the product
+w * v of the rule's weights and v's orbit sums, in small bounded read-only
+maps, so clearing _far_grids drops every node array.  A far level forms no
+node coordinates: it evaluates the cutoff, the deficit and each v on the
+broadcast axes of its tensor grid, folds v by slices and masks the result.
+An integral at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over
 cached arrays.
 
 The kernel _integrate takes a stack of weights at one (alpha, k), e.g. the
@@ -63,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import PI, wrap_torus
+from .dispersion import PI, _invariant, wrap_torus
 from .errors import BelowThreshold, NoConvergence, NotIntegrable
 
 FOUR_PI_SQ = 4 * PI ** 2
@@ -185,8 +192,19 @@ def _axis_nodes_gauss(edges, counts):
 
 class _NodeSet:
     """Quadrature weights w of a node set on the torus, which depend on
-    neither the model nor alpha.  A subclass says where its nodes lie: its
-    _values(v) is v on the nodes, in the order of w.
+    neither the model nor alpha, one node per orbit of the group {1,
+    inversion p -> -p, swap (p1, p2) -> (p2, p1), both}.  The deficit of
+    every model is invariant under that group, so a sum of w v /
+    (alpha + deficit)^k over the torus is the sum over the representatives
+    of w (v summed over the orbit) / (alpha + deficit)^k, whatever v
+    (Monkhorst & Pack, Phys. Rev. B 13, 5188 (1976)).  w is the weight of
+    the representative divided by the order of its stabilizer, 2 on the
+    orbits of two nodes (4 at the centre of an odd grid), so that every
+    orbit counts as the sum of its four images.  A subclass says where its
+    nodes lie: its _values(v) is v summed over the four images of each
+    representative, in the order of w (the near set adds a row of |v|
+    summed so), and its _deficit(model) the deficit on the
+    representatives.
 
     Two small maps ride on it, each written under the set's lock (two
     threads may compute the same entry; both get equal arrays).  Their
@@ -221,8 +239,12 @@ class _NodeSet:
         return hit
 
     def deficit(self, model):
-        return self._cached(self.deficits, model, self.DEFICITS_KEPT,
-                            lambda: self._deficit(model))
+        def compute():   # the fold needs the swap; inversion holds for every kind
+            if not _invariant(model, lambda x1, x2: (x2, x1)):
+                raise ValueError("e must satisfy e(p1, p2) = e(p2, p1): the torus "
+                                 "quadrature sums one node per orbit of the swap")
+            return self._deficit(model)
+        return self._cached(self.deficits, model, self.DEFICITS_KEPT, compute)
 
     def weighted(self, v):
         return self._cached(
@@ -232,86 +254,128 @@ class _NodeSet:
 
 class _FarLevel(_NodeSet):
     """One far-field node set: the axis nodes x of the tensor grid, the
-    mask of the grid nodes where 1 - chi > 0, and the weights w on the
-    masked nodes (the rule's weights times 1 - chi), in the grid's row-major
-    order.  The nodes themselves are never formed: the cutoff, the deficit
-    and every weight are evaluated on the broadcast axes x[:, None],
-    x[None, :] and then masked, so a function applied per coordinate costs
-    two axis evaluations.  Each entry is the float that the same expression
-    gives on the node (wrap_torus, hypot, chi_cutoff and the ufuncs act
-    elementwise)."""
+    mask of its representatives where 1 - chi > 0, and their weights w
+    (the rule's weights times 1 - chi, over the stabilizer's order), in
+    the grid's row-major order.  The axis is mirror-symmetric, so
+    inversion maps node (i, j) to (n-1-i, n-1-j) and the swap to (j, i).
+    The representatives lie in the top h = n // 2 rows: (i, j) with i <= j
+    left of the middle, and on or above the antidiagonal i + j = n - 1
+    right of it; an odd grid adds its middle column and its centre, the
+    one node of the middle row kept.  So the mask covers the top h rows,
+    h + 1 on an odd grid.
+
+    The nodes themselves are never formed: the cutoff and the deficit are
+    evaluated on the broadcast axes x[:rows, None], x[None, :] of the top
+    rows and masked, and every weight on the whole broadcast grid, which
+    _fold sums onto the representatives by slices, so a function applied
+    per coordinate costs two axis evaluations.  Each entry of the cutoff
+    and the deficit is the float that the same expression gives on the
+    node (wrap_torus, hypot, chi_cutoff and the ufuncs act elementwise)."""
 
     def __init__(self, x, w, delta):
+        # mirror-symmetric to rounding: node n-1-i at -x[i], with its weight
+        assert (np.allclose(x[::-1], -x, rtol=0.0, atol=1e-12)
+                and np.allclose(w[::-1], w, rtol=1e-12, atol=0.0)), "far axis not mirrored"
+        n = x.size
+        rows = n - n // 2
         d = wrap_torus(x - PI)
-        r = np.hypot(d[:, None], d[None, :])
-        weight = np.outer(w, w)
+        r = np.hypot(d[:rows, None], d[None, :])
+        weight = np.outer(w[:rows], w)
         inside = r < delta          # chi = 0, so 1 - chi = 1, elsewhere
         weight[inside] *= 1.0 - chi_cutoff(r[inside], delta)
+        i, j = np.ogrid[:rows, :n]
         self.x = x
-        self.mask = weight > 0
+        self.mask = np.where(j < n // 2, i <= j, i + j <= n - 1) & (weight > 0)
+        weight /= (1 + (i == j)) * (1 + (i + j == n - 1))   # the stabilizer's order
         super().__init__(weight[self.mask])
 
+    def _fold(self, grid):
+        """The sum of grid's entries over the four images of each
+        representative, on the mask: inversion by reversing the bottom
+        rows onto the top ones, then the swap by a transpose, left of the
+        middle column onto itself, right of it onto its reversal."""
+        n = grid.shape[0]
+        h = n // 2
+        top = np.empty(self.mask.shape)
+        fold = np.add(grid[:h], grid[n - h:][::-1, ::-1], out=top[:h])
+        left, right = fold[:, :h], fold[:, n - h:]
+        left[...] = left + left.T
+        right[...] = right + right[::-1, ::-1].T
+        if n % 2:   # the middle column's swap images lie in the middle row,
+            fold[:, h] += grid[h, :h] + grid[h, h + 1:][::-1]
+            top[h] = 4.0 * grid[h]   # whose centre is fixed by the group
+        return top[self.mask]
+
     def _values(self, v):
-        grid = np.broadcast_to(v(self.x[:, None], self.x[None, :]), self.mask.shape)
-        return grid[self.mask]
+        n = self.x.size
+        return self._fold(np.broadcast_to(v(self.x[:, None], self.x[None, :]), (n, n)))
 
     def _deficit(self, model):
         # direct subtraction is fine here: e_max - e is bounded below by the
         # deficit at delta/2 on the support of (1 - chi)
-        return float(model.e_max) - self._values(model.values)
+        top = self.x[:self.mask.shape[0], None], self.x[None, :]
+        return float(model.e_max) - np.broadcast_to(model.values(*top),
+                                                    self.mask.shape)[self.mask]
 
 
 class _NearSet(_NodeSet):
-    """The near-field rule on B_delta(pi_vec) (see the module docstring):
-    radial panel edges, offsets u1, u2 from pi_vec, their images p1, p2 on
-    the torus, and weights w, the radial weights times r chi(r) and the
-    angular step.
+    """The near-field rule on B_delta(pi_vec) (see the module docstring) on
+    the representatives of its orbits: radial panel edges, offsets u1, u2
+    from pi_vec, the four images (u1, u2), (-u1, -u2), (u2, u1),
+    (-u2, -u1) of each on the torus, p1 and p2 of shape (4, nodes), and
+    weights w, the radial weights times r chi(r) and the angular step, over
+    the stabilizer's order.
 
     Three parts (slices): the even and the odd angular nodes
     theta_j = 2 pi j / N_THETA of the rule, and the even angular nodes of
     the same panels at COARSE_ORDER.  The even nodes alone are the rule on
     N_THETA / 2 nodes, so odd minus even estimates the angular error of
-    that rule, and the coarse part the radial one.  The nodes include
-    theta = 0.  Were they offset by half a step, the subrule would sit a
-    quarter step off the axes, where it integrates exactly the
-    cos(N_THETA theta / 2) mode that the swap symmetry leaves at that
-    order; the difference would then read roundoff whatever the error.
+    that rule, and the coarse part the radial one.  The group maps j to
+    j + N_THETA / 2, N_THETA / 4 - j and 3 N_THETA / 4 - j, which keeps the
+    parity of j when 8 divides N_THETA, so each part is folded on its own:
+    its representatives are its j in [-N_THETA / 8, N_THETA / 8], whose ends
+    are fixed by the swap or by the swap and inversion, and each part's sum
+    is that of the unfolded part.  The nodes include theta = 0.  Were they
+    offset by half a step, the subrule would sit a quarter step off the
+    axes, where it integrates exactly the cos(N_THETA theta / 2) mode that
+    the swap symmetry leaves at that order; the difference would then read
+    roundoff whatever the error.
     """
 
     def __init__(self, delta):
+        assert N_THETA % 8 == 0, "the parts fold on their own when 8 | N_THETA"
         graded = math.ceil(math.log(delta / 2 / INNER_EDGE, GRADING))
         edges = np.concatenate(
             ([0.0], delta / 2 * float(GRADING) ** np.arange(-graded, 0),
              np.linspace(delta / 2, delta, RING_PANELS + 1)))
         step = 2 * PI / N_THETA
-        theta = np.arange(N_THETA) * step
+        quarter = np.arange(-(N_THETA // 8), N_THETA // 8 + 1)   # theta in [-pi/4, pi/4]
         u1, u2, w = [], [], []
-        for order, angles, h in ((GAUSS_ORDER, theta[::2], step),
-                                 (GAUSS_ORDER, theta[1::2], step),
-                                 (COARSE_ORDER, theta[::2], 2 * step)):
+        for order, parity, h in ((GAUSS_ORDER, 0, step), (GAUSS_ORDER, 1, step),
+                                 (COARSE_ORDER, 0, 2 * step)):
+            j = quarter[quarter % 2 == parity]
+            share = np.where(abs(j) == N_THETA // 8, 0.5, 1.0)
             r, wr = _panel_nodes(edges, order)
-            u1.append(np.outer(r, np.cos(angles)).ravel())
-            u2.append(np.outer(r, np.sin(angles)).ravel())
-            w.append(np.repeat(wr * r * chi_cutoff(r, delta) * h, len(angles)))
+            u1.append(np.outer(r, np.cos(j * step)).ravel())
+            u2.append(np.outer(r, np.sin(j * step)).ravel())
+            w.append(np.outer(wr * r * chi_cutoff(r, delta) * h, share).ravel())
         ends = np.cumsum([0] + [len(part) for part in w])
         self.edges = edges
         self.parts = tuple(map(slice, ends[:-1], ends[1:]))
         self.u1, self.u2 = np.concatenate(u1), np.concatenate(u2)
-        self.p1, self.p2 = wrap_torus(PI + self.u1), wrap_torus(PI + self.u2)
+        self.p1 = wrap_torus(PI + np.stack((self.u1, -self.u1, self.u2, -self.u2)))
+        self.p2 = wrap_torus(PI + np.stack((self.u2, -self.u2, self.u1, -self.u1)))
         super().__init__(np.concatenate(w))
 
     def _values(self, v):
-        return v(self.p1, self.p2)
+        """Two rows: v and |v|, each summed over the four images.  The
+        second, times w, integrates the modulus (a scale for the tolerance
+        decisions) from the same evaluation of v."""
+        images = np.broadcast_to(v(self.p1, self.p2), self.p1.shape)
+        return np.stack((images.sum(axis=0), np.abs(images).sum(axis=0)))
 
     def _deficit(self, model):
         return model.deficit(self.u1, self.u2)
-
-    def weighted_abs(self, v):
-        """|w v| on the fine part (the even and odd nodes), kept in vcache
-        next to w v."""
-        return self._cached(
-            self.vcache, (abs, v), self.VALUES_KEPT,
-            lambda: np.abs(self.weighted(v)[:self.parts[1].stop]))
 
 
 @lru_cache(maxsize=32)
@@ -324,16 +388,17 @@ def _far_grids(grid_n, patch_radius, breakpoints):
 
     Every model with the same (grid_n, patch_radius, breakpoints) shares
     the sets, e.g. the whole SteppedPhiA(A) family.  Memory per key: a far
-    level holds its axis, one float array w over the masked nodes and a
-    boolean mask over the grid, about 9.8 MB fine and 2.7 MB coarse at the
-    kinked default grid_n = 1024 (1.08M and 0.30M nodes), a sixteenth of
-    that on the 256 smooth grid; the near set holds five float arrays over
-    its 41k nodes (at delta = 0.5), 1.6 MB.  Each cached deficit or w * v
-    product adds one read-only float array of its set's node count (and on
-    the near set |w v| over its fine nodes), and a kernel call makes one
-    reciprocal row of that size per set, two with slopes, which every
-    weight of its stack reads by a dot product.  cache_clear drops all of
-    it."""
+    level holds its axis, one float array w over its representatives and a
+    boolean mask over the top half of the grid, about 2.7 MB fine and
+    0.77 MB coarse at the kinked default grid_n = 1024 (272k and 76k nodes,
+    of 1.08M and 0.30M unfolded), 0.17 and 0.04 MB on the 256 smooth grid
+    (16k and 4k nodes); the near set holds three float arrays over its 11k
+    representatives (at delta = 0.5) and two over their four images each,
+    1.0 MB.  Each cached deficit or w * v product adds one read-only float
+    array of its set's node count (on the near set two rows, w v and w |v|),
+    and a kernel call makes one reciprocal row of that size per set, two
+    with slopes, which every weight of its stack reads by a dot product.
+    cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
     else:
@@ -382,18 +447,18 @@ def _near_values(near, model, vs, alpha, k, slopes=False):
     integral of its modulus (a scale for relative-tolerance decisions), and
     the two error estimates of the rule (see _NearSet).  Each is a dot
     product with the call's reciprocal row r; the denominator is positive,
-    so the modulus integral is the dot of the cached |w v| with r.  With
+    so the modulus integral is the dot of the cached w |v| with r.  With
     slopes (k = 1), (rows, slopes), slopes the sums of
     w v / (alpha + deficit)^2 over the fine nodes (the even and odd parts)."""
     fine = slice(0, near.parts[1].stop)
-    wvs = [(near.weighted(v), near.weighted_abs(v)) for v in vs]
+    wvs = [near.weighted(v) for v in vs]   # rows w v and w |v|
     rows = _reciprocals(near, model, alpha, k, slopes)
     r = rows[0]
     out = []
     for wv, abs_wv in wvs:
         even, odd, coarse = (float(np.dot(wv[part], r[part]))
                              for part in near.parts)
-        out.append((even + odd, float(np.dot(abs_wv, r[fine])),
+        out.append((even + odd, float(np.dot(abs_wv[fine], r[fine])),
                     abs(2 * even - coarse), abs(odd - even)))
     if not slopes:
         return out
@@ -409,11 +474,11 @@ def _outside_balls(model, v, window, spec=None):
     spec = spec or default_spec(model)
     fine, _, near = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
     stop = near.parts[1].stop
-    wv = near.weighted(v)[:stop]
     q = _reciprocals(near, model, 0.0, 2)[0, :stop]
-    np.multiply(wv, q, out=q)
-    # both angular halves on the same radial nodes: (half, panel, node, angle)
-    panels = q.reshape(2, len(near.edges) - 1, GAUSS_ORDER, -1).sum(axis=(0, 2, 3))
+    np.multiply(near.weighted(v)[0, :stop], q, out=q)
+    # each angular part on its own radial nodes: (panel, node, angle)
+    panels = sum(q[part].reshape(len(near.edges) - 1, GAUSS_ORDER, -1).sum(axis=(1, 2))
+                 for part in near.parts[:2])
     outside = (_far_values(fine, model, (v,), 0.0, 2)[0]
                + np.cumsum(panels[::-1])[::-1])  # outside each inner edge
     r = near.edges[:-1]

@@ -151,6 +151,20 @@ def test_oracle_swap_asymmetric_table_exit_3(capsys, tmp_path):
     assert "swap" in err
 
 
+def test_solve_swap_asymmetric_table_exit_3(capsys, tmp_path):
+    # e(p) = 2 - cos p1 - 0.5 cos p2: the torus quadrature folds every node
+    # set over the coordinate swap, so solve rejects it as the oracle does
+    spec = tmp_path / "table.json"
+    spec.write_text('{"kind": "hopping", "params": {"table": [[0, 0, 2.0], '
+                    '[1, 0, -0.5], [-1, 0, -0.5], [0, 1, -0.25], [0, -1, -0.25]]}}')
+    code, out, err = run(capsys, "solve", "-a", "1", "-b", "3", "--mu", "1",
+                         "--model", str(spec))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "swap" in err
+
+
 def test_curve_csv(capsys):
     code, out, err = run(capsys, "curve", "--sector", "ea", "-b", "1",
                          "--mu-min", "2.0", "--mu-max", "2.2", "-n", "3",

@@ -1,4 +1,5 @@
 import ast
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,25 @@ def test_build_rejects_swap_asymmetric_table():
     model = ExponentialHopping(table=((0, 0, 1.0), (1, 0, -0.5), (-1, 0, -0.5)))
     with pytest.raises(ValueError, match="swap"):
         lo.build(model, 6)
+
+
+def test_table_box_builds_its_matrix_once(monkeypatch):
+    # the four sector blocks of a table box share the box's CSR matrix
+    built = []
+    build = lo.TruncatedHamiltonian._table_matrix.func
+
+    def counted(h):
+        built.append(h)
+        return build(h)
+
+    matrix = functools.cached_property(counted)
+    matrix.__set_name__(lo.TruncatedHamiltonian, "_table_matrix")
+    monkeypatch.setattr(lo.TruncatedHamiltonian, "_table_matrix", matrix)
+    model = diagonal_hop_table(0.1)
+    h = lo.build(model, 12, a=1.0, b=3.0, mu=1.0)
+    counts = lo.sector_count_above(h, float(model.e_max), 5e-3)
+    assert counts.total > 0
+    assert built == [h]
 
 
 def test_extrapolate_geometric_exact():

@@ -111,6 +111,15 @@ def test_resolvent_below_threshold(lap):
         integrate_resolvent(lap, sectors.es_one, alpha=0.0)
 
 
+def test_resolvent_rejects_a_swap_asymmetric_model():
+    # e = 2 - cos p1 - 0.5 cos p2 is even but not swap-symmetric: the node
+    # sets hold one node per orbit of the swap, so no integral is formed
+    model = ExponentialHopping(table=((0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5),
+                                      (0, 1, -0.25), (0, -1, -0.25)))
+    with pytest.raises(ValueError, match="swap"):
+        integrate_resolvent(model, sectors.es_one, alpha=1.0)
+
+
 def test_resolvent_monotone_in_alpha(lap):
     vals = [integrate_resolvent(lap, sectors.w_os_sq, alpha=a).value
             for a in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)]
@@ -357,19 +366,55 @@ def test_far_field_estimate_sees_the_kinks():
 
 
 def _level_nodes(level):
-    # the masked nodes p1, p2 of a far level, which keeps only its axis and
-    # mask
-    p1, p2 = np.meshgrid(level.x, level.x, indexing="ij")
+    # the representatives p1, p2 of a far level, which keeps only its axis
+    # and the mask of its representatives over the top rows of its grid
+    p1, p2 = np.meshgrid(level.x[:level.mask.shape[0]], level.x, indexing="ij")
     return p1[level.mask], p2[level.mask]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_far_deficit_broadcast_is_bitwise_nodewise(model):
     # the deficit is evaluated on the broadcast axes of the node set; it
-    # must be the very floats of e_max - e on its masked nodes
+    # must be the very floats of e_max - e on its representatives
     for level in _node_sets(model)[:2]:
         nodewise = float(model.e_max) - model.values(*_level_nodes(level))
         assert level.deficit(model).tobytes() == nodewise.tobytes()
+
+
+def _unfolded_far(x, w, delta):
+    # the far level's rule on the whole tensor grid, as it was before the
+    # fold: its masked nodes p1, p2, their weights, and the grid's mask
+    p1, p2 = np.meshgrid(x, x, indexing="ij")
+    r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
+    weight = np.outer(w, w) * (1.0 - torus_quad.chi_cutoff(r, delta))
+    mask = weight > 0
+    return p1[mask], p2[mask], weight[mask], mask
+
+
+def _unfolded_near(delta):
+    # the near rule on every angular node, as it was before the fold: per
+    # part (even, odd, coarse) the offsets u1, u2 and the weights
+    step = 2 * PI / torus_quad.N_THETA
+    theta = np.arange(torus_quad.N_THETA) * step
+    edges = torus_quad._NearSet(delta).edges
+    parts = []
+    for order, angles, h in ((torus_quad.GAUSS_ORDER, theta[::2], step),
+                             (torus_quad.GAUSS_ORDER, theta[1::2], step),
+                             (torus_quad.COARSE_ORDER, theta[::2], 2 * step)):
+        r, wr = torus_quad._panel_nodes(edges, order)
+        parts.append((np.outer(r, np.cos(angles)).ravel(),
+                      np.outer(r, np.sin(angles)).ravel(),
+                      np.repeat(wr * r * torus_quad.chi_cutoff(r, delta) * h,
+                                len(angles))))
+    return parts
+
+
+def _orbit_ids(n):
+    # each node of the n x n grid labelled by the least flat index in its
+    # orbit under inversion (i, j) -> (n-1-i, n-1-j) and the swap
+    i, j = np.divmod(np.arange(n * n), n)
+    return np.minimum.reduce([i * n + j, (n - 1 - i) * n + (n - 1 - j),
+                              j * n + i, (n - 1 - j) * n + (n - 1 - i)]).reshape(n, n)
 
 
 # the half-angle product forms that the odd weights and w_ea once took
@@ -403,7 +448,7 @@ PRODUCT_FORMS = {
 SECTOR_WEIGHTS = tuple(PRODUCT_FORMS)
 
 
-def _far_levels_with_axes(model):
+def _far_levels_with_axes(model, spec=None):
     # fresh far levels of the model's key, each with the axis nodes and
     # weights (x, w) and the patch radius that _far_grids passed to it
     calls = []
@@ -413,7 +458,7 @@ def _far_levels_with_axes(model):
             calls.append((x, w, delta))
             super().__init__(x, w, delta)
 
-    spec = default_spec(model)
+    spec = spec or default_spec(model)
     with mock.patch.object(torus_quad, "_FarLevel", Recorded):
         levels = torus_quad._far_grids.__wrapped__(
             spec.grid_n, spec.patch_radius, model.breakpoints)[:2]
@@ -422,23 +467,36 @@ def _far_levels_with_axes(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_far_level_axis_build_is_bitwise_the_grid_build(model):
-    # the cutoff, the deficit and the weights are evaluated on the broadcast
-    # axes and then masked; each must be the very floats that the whole
-    # tensor grid gives on the masked nodes
+    # the cutoff and the weights are evaluated on the broadcast axes and then
+    # masked: the level keeps one node of every orbit of the unfolded rule's
+    # masked nodes, at the very weight that the whole tensor grid gives
+    # there over the stabilizer's order, and each folded weight is the sum
+    # over the orbit's four images of the very floats of v on the nodes,
+    # within the rounding of that sum
     for level, (x, w, delta) in _far_levels_with_axes(model):
+        n = x.size
         p1, p2 = np.meshgrid(x, x, indexing="ij")
         r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
         weight = np.outer(w, w) * (1.0 - torus_quad.chi_cutoff(r, delta))
-        mask = weight > 0
+        rows = level.mask.shape[0]
+        orbits = _orbit_ids(n)
         assert level.x is x
-        assert level.mask.tobytes() == mask.tobytes()
-        assert level.w.tobytes() == weight[mask].tobytes()
-        p1, p2 = p1[mask], p2[mask]
+        assert rows == n - n // 2
+        assert np.array_equal(np.sort(orbits[:rows][level.mask]),
+                              np.unique(orbits[weight > 0]))
+        i, j = np.ogrid[:rows, :n]
+        order = (1 + (i == j)) * (1 + (i + j == n - 1))
+        assert level.w.tobytes() == (weight[:rows] / order)[level.mask].tobytes()
+        flips = [(slice(None), slice(None)), (slice(None, None, -1),) * 2]
         for v in (*SECTOR_WEIGHTS, sectors.w_os, sectors.w_oa, sectors.w_ea,
                   sectors.es_plus, *PRODUCT_FORMS.values()):
-            nodewise = np.broadcast_to(v(p1, p2), p1.shape)
-            assert level._values(v).tobytes() == nodewise.tobytes()
-            assert level.weighted(v).tobytes() == (level.w * nodewise).tobytes()
+            grid = np.broadcast_to(v(p1, p2), p1.shape)
+            terms = [g[flip][:rows][level.mask] for g in (grid, grid.T)
+                     for flip in flips]
+            folded = level._values(v)
+            assert np.all(np.abs(folded - sum(terms))
+                          <= FEW_EPS * sum(np.abs(t) for t in terms))
+            assert level.weighted(v).tobytes() == (level.w * folded).tobytes()
 
 
 FEW_EPS = 4 * np.finfo(float).eps
@@ -487,26 +545,92 @@ def test_integrals_agree_with_the_product_form_weights(model):
 DOT_EPS = 1e3 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_far_value_matches_the_plain_sum(model):
-    # each far sum lies within DOT_EPS sum |w v| / (alpha + d)^k of the
-    # plain expression, and a stack of weights, which shares the reciprocal
-    # row, gives each sum to the bit of its one-weight call
-    vs = (sectors.w_os_sq, sectors.es_cos_sum, sectors.es_one)
-    for level in _node_sets(model)[:2]:
-        deficit = level.deficit(model)
-        nodes = _level_nodes(level)
+def _assert_far_sums_are_the_unfolded_sums(model, spec, vs):
+    # each far sum lies within DOT_EPS sum |w v| / (alpha + d)^k of the plain
+    # sum over the unfolded rule's nodes, and a stack of weights, which
+    # shares the reciprocal row, gives each sum to the bit of its one-weight
+    # call
+    for level, (x, w, delta) in _far_levels_with_axes(model, spec):
+        p1, p2, weight, _ = _unfolded_far(x, w, delta)
+        deficit = float(model.e_max) - model.values(p1, p2)
+        vvs = [np.broadcast_to(np.asarray(v(p1, p2), dtype=float), p1.shape) for v in vs]
         for k in (1, 2):
             for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
                 stacked = torus_quad._far_values(level, model, vs, alpha, k)
-                for v, got in zip(vs, stacked):
-                    vv = np.asarray(v(*nodes), dtype=float)
-                    terms = level.w * vv / (alpha + deficit) ** k
+                for v, vv, got in zip(vs, vvs, stacked):
+                    terms = weight * vv / (alpha + deficit) ** k
                     plain = float(np.sum(terms))
                     alone, = torus_quad._far_values(level, model, (v,), alpha, k)
                     assert got.hex() == alone.hex(), (v.__name__, k, alpha)
                     assert abs(got - plain) <= DOT_EPS * np.sum(np.abs(terms)), (
                         v.__name__, k, alpha)
+
+
+def cos_p1_sin_p2(p1, p2):
+    # invariant under neither inversion nor the swap
+    return np.cos(p1) + 0.3 * np.sin(p2)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_far_value_matches_the_plain_sum(model):
+    _assert_far_sums_are_the_unfolded_sums(
+        model, default_spec(model), (sectors.w_os_sq, sectors.es_cos_sum, sectors.es_one))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_folded_sums_of_a_non_invariant_weight_are_the_unfolded_sums(model):
+    # the fold is exact for every v once the deficit is invariant: on the far
+    # levels and on each part of the near set
+    vs = (sectors.w_os, cos_p1_sin_p2)
+    _assert_far_sums_are_the_unfolded_sums(model, default_spec(model), vs)
+    delta = default_spec(model).patch_radius
+    near = _node_sets(model)[2]
+    for k in (1, 2):
+        for alpha in (1e-13, 1e-6, 1.0):
+            r = torus_quad._reciprocals(near, model, alpha, k)[0]
+            for v in vs:
+                wv = near.weighted(v)[0]
+                for part, (u1, u2, w) in zip(near.parts, _unfolded_near(delta)):
+                    p1, p2 = wrap_torus(PI + u1), wrap_torus(PI + u2)
+                    terms = w * v(p1, p2) / (alpha + model.deficit(u1, u2)) ** k
+                    got = float(np.dot(wv[part], r[part]))
+                    assert abs(got - np.sum(terms)) <= DOT_EPS * np.sum(np.abs(terms)), (
+                        v.__name__, k, alpha)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_odd_coarse_level_gives_the_unfolded_integral(model):
+    # grid_n = 34 gives a coarse level of 17 points per axis on the smooth
+    # kinds: its middle row and column and its centre fold on themselves
+    spec = default_spec(model, grid_n=34)
+    levels = list(_far_levels_with_axes(model, spec))
+    if model.breakpoints is None:
+        assert levels[1][0].x.size == 17
+    _assert_far_sums_are_the_unfolded_sums(
+        model, spec, (sectors.w_os_sq, sectors.es_one, cos_p1_sin_p2))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_outside_balls_are_the_unfolded_sums(model):
+    # the resonance probe's radii are the near rule's graded edges, and its
+    # values the unfolded rule's sums outside each of them
+    spec = default_spec(model)
+    v = sectors.w_os_sq
+    window = (1e-9, 1.0)
+    rs, values = torus_quad._outside_balls(model, v, window, spec)
+    (_, (x, w, delta)), _ = _far_levels_with_axes(model, spec)
+    p1, p2, weight, _ = _unfolded_far(x, w, delta)
+    far = np.sum(weight * v(p1, p2) / (float(model.e_max) - model.values(p1, p2)) ** 2)
+    edges = torus_quad._NearSet(delta).edges
+    panels = 0.0
+    for u1, u2, wu in _unfolded_near(delta)[:2]:
+        q = wu * v(wrap_torus(PI + u1), wrap_torus(PI + u2)) / model.deficit(u1, u2) ** 2
+        panels = panels + q.reshape(len(edges) - 1, -1).sum(axis=1)
+    outside = far + np.cumsum(panels[::-1])[::-1]
+    r = edges[:-1]
+    keep = (window[0] <= r) & (r <= delta / 2)
+    assert rs.tobytes() == r[keep][::-1].tobytes()
+    np.testing.assert_allclose(values, outside[keep][::-1], rtol=1e-13, atol=0.0)
 
 
 def test_far_caches_are_read_only_and_kept_by_sums(lap):
