@@ -45,6 +45,10 @@ A record holds:
     timed over ORACLE_REPEATS runs of forming its four sector blocks and
     of sector_count_above (a package whose build still takes a hopping
     cutoff R builds them with R = 1);
+  * import: seconds of `import lattice_spectra, lattice_spectra.cli` in
+    each of IMPORT_REPEATS fresh interpreters (numpy's import included),
+    their median, and the scipy modules that import leaves loaded: their
+    number and the subpackages (scipy.optimize, ...) they belong to;
   * the git revision and src tree hash of DIR, the machine's core count,
     the lines of DIR/lattice_spectra/*.py and the number of names that
     lattice_spectra/__init__.py re-exports.
@@ -87,6 +91,7 @@ SWEEP_SEED, SWEEP_CYCLES = 1, 2
 ORACLE_LS, ORACLE_COUPLING, ORACLE_MARGIN = (30, 45, 60), (1.0, 3.0, 1.0), 5e-3
 MULT2_Z0, MULT2_L, MULT2_MARGIN = 1.5, 80, 1e-2
 ORACLE_REPEATS = 7
+IMPORT_REPEATS = 7            # fresh interpreters timing the package import
 TABLE_MODEL, TABLE_LS = "diagonal-hop:0.1", (40, 60)
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
 COLD_MODELS = ("stepped:0.5", "piecewise:0.5", "next-nearest:0.1")
@@ -116,6 +121,27 @@ def _git(src, *args):
                               capture_output=True, text=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+IMPORT_TIMER = """import json, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import lattice_spectra, lattice_spectra.cli
+seconds = time.perf_counter() - start
+print(json.dumps([seconds, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+
+
+def _import_row(src):
+    """The import's seconds in fresh interpreters and the scipy it loads."""
+    runs = [json.loads(subprocess.run(
+                [sys.executable, "-c", IMPORT_TIMER, str(src)], check=True,
+                capture_output=True, text=True).stdout)
+            for _ in range(IMPORT_REPEATS)]
+    times, scipy = [t for t, _ in runs], runs[-1][1]
+    return {"median_s": statistics.median(times), "runs_s": times,
+            "scipy_modules": len(scipy),
+            "scipy_packages": sorted({".".join(m.split(".")[:2]) for m in scipy})}
 
 
 def _surface(package):
@@ -302,6 +328,7 @@ def _table_rows(lo, dispersion):
 
 
 def measure(src):
+    import_row = _import_row(src)
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -460,7 +487,7 @@ def measure(src):
             "src_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
             "cpu_count": os.cpu_count(),
             "src_lines": src_lines, "reexports": reexports,
-            "far_sum_ms": far, "wrap_torus_us": wrap,
+            "import": import_row, "far_sum_ms": far, "wrap_torus_us": wrap,
             "integral_ms": integral, "cold": cold, "probe_ms": probe,
             "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,

@@ -15,13 +15,16 @@ kind has no kink and its symmetries exactly (``_invariant``).  Per kind:
   * ``deficit(u1, u2)`` evaluates e_max - e(pi_vec + u) in a numerically
     stable form (half-angle identities), accurate in *relative* terms down to
     |u| ~ 1e-8 where the naive difference loses every digit.
+
+The two local searches, for e_min and for a second maximizer, are one
+small Nelder-Mead in numpy (``_nelder_mead``) that takes scipy's steps and
+returns its floats, so the module, like the package, imports no scipy.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .errors import CutoffTooSmall, DegenerateHessian, NonMaxAtPi
 
@@ -31,6 +34,8 @@ PI_VEC = (np.pi, np.pi)
 DROP_BELOW = 1e-14        # fourier_coefficients drops smaller coefficients
 VALIDATION_GRID_N = 400   # validate_hypothesis grid points per axis
 MAX_SCAN_TOL = 1e-12      # morse_data: relative excess of a scan node over e_max
+POLISH_XATOL, POLISH_FATOL = 1e-12, 1e-14   # _nelder_mead's stopping tolerances
+POLISH_MAXFEV = 400       # _nelder_mead's evaluation budget
 
 
 def wrap_torus(t):
@@ -246,6 +251,80 @@ def _check_not_above(e_max, e, p):
                          f"e(pi, pi) = {e_max:.17g}")
 
 
+class _Exhausted(Exception):
+    """_nelder_mead spent its evaluation budget."""
+
+
+def _nelder_mead(f, x0):
+    """(min f, its argument) over the plane by the Nelder-Mead simplex from
+    x0, step for step scipy.optimize.minimize(method="Nelder-Mead") with
+    xatol = POLISH_XATOL, fatol = POLISH_FATOL and scipy's default budget
+    of POLISH_MAXFEV evaluations, so it returns the same floats: reflection,
+    expansion, contraction and shrink coefficients 1, 2, 1/2, 1/2; the
+    initial simplex x0 and x0 with one coordinate times 1.05 (0.00025 where
+    it is 0); the vertices reordered by np.argsort twice at the start and
+    once after every step; a stop once every vertex lies within xatol of
+    the best per coordinate and its value within fatol, or when the budget
+    runs out, mid-step if so."""
+    calls = [0]
+
+    def fx(x):
+        if calls[0] >= POLISH_MAXFEV:
+            raise _Exhausted
+        calls[0] += 1
+        return f(x)
+
+    sim = np.array([x0, x0, x0], dtype=float)
+    for k in (0, 1):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
+    fsim = np.array([fx(x) for x in sim])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if calls[0] >= POLISH_MAXFEV or (
+                np.abs(sim[1:] - sim[0]).max() <= POLISH_XATOL
+                and np.abs(fsim[1:] - fsim[0]).max() <= POLISH_FATOL):
+            return fsim.min(), sim[0]
+        try:
+            _simplex_step(sim, fsim, fx)
+        except _Exhausted:
+            pass
+
+
+def _simplex_step(sim, fsim, fx):
+    """One Nelder-Mead step in place on the sorted vertices sim and their
+    values fsim: the worst vertex moves along the line through the
+    centroid xbar of the other two, or the simplex shrinks to the best."""
+    xbar = (sim[0] + sim[1]) / 2
+    xr = 2 * xbar - sim[2]
+    fxr = fx(xr)
+    if fxr < fsim[0]:
+        xe = 3 * xbar - 2 * sim[2]
+        fxe = fx(xe)
+        sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        return
+    if fxr < fsim[1]:
+        sim[2], fsim[2] = xr, fxr
+        return
+    if fxr < fsim[2]:   # outside contraction
+        xc = 1.5 * xbar - 0.5 * sim[2]
+        fxc = fx(xc)
+        if fxc <= fxr:
+            sim[2], fsim[2] = xc, fxc
+            return
+    else:               # inside contraction
+        xcc = 0.5 * xbar + 0.5 * sim[2]
+        fxcc = fx(xcc)
+        if fxcc < fsim[2]:
+            sim[2], fsim[2] = xcc, fxcc
+            return
+    for j in (1, 2):
+        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+        fsim[j] = fx(sim[j])
+
+
 @lru_cache(maxsize=64)
 def morse_data(model):
     """Maximum data at pi_vec and the minimum of e (cached per model).
@@ -253,7 +332,9 @@ def morse_data(model):
     e_max and the Hessian are the kind's closed forms.  The maximum at
     pi_vec is checked by comparison: NonMaxAtPi when a node of the offset
     512 x 512 scan (which never holds pi_vec) exceeds e_max by more than
-    MAX_SCAN_TOL max(1, |e_max|).  The same scan seeds the polish of e_min.
+    MAX_SCAN_TOL max(1, |e_max|).  The same scan's lowest node seeds the
+    polish of e_min, a Nelder-Mead search (``_nelder_mead``, numpy alone)
+    whose value is taken when it is below that node's.
     """
     e_max = float(model.e_max)
     vals, grid = _grid_values(model, 512)
@@ -269,10 +350,9 @@ def morse_data(model):
 
     # minimum: the scan's best node plus local polish
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    res = scipy.optimize.minimize(
-        lambda p: float(model.values(p[0], p[1])), np.array([grid[i], grid[j]]),
-        method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14})
-    e_min = float(min(res.fun, vals[i, j]))
+    fun, _ = _nelder_mead(lambda p: float(model.values(p[0], p[1])),
+                          (grid[i], grid[j]))
+    e_min = float(min(fun, vals[i, j]))
 
     j_psi0 = 2.0 / np.sqrt(det)
     return MorseData(e_max=e_max, e_min=e_min, maximizer=PI_VEC,
@@ -340,7 +420,9 @@ def validate_hypothesis(model):
     """Swap symmetry read exactly off the terms (every kind is even by
     construction); morse_data's checks of the maximum at pi_vec and its
     Hessian; a polish of the best node of the offset 400 x 400 grid off the
-    square |p - pi_vec|_inf <= 0.5 for a second maximizer."""
+    square |p - pi_vec|_inf <= 0.5 for a second maximizer, by
+    ``_nelder_mead`` on -e, run only when that node comes within 1e-3
+    (e_max - e_min) of e_max."""
     failures = []
     if not _invariant(model, lambda x1, x2: (x2, x1)):
         failures.append("swap symmetry: e(p1,p2) != e(p2,p1)")
@@ -353,12 +435,10 @@ def validate_hypothesis(model):
         i, j = np.unravel_index(np.argmax(outside), outside.shape)
         if md.e_max - outside[i, j] < 1e-3 * (md.e_max - md.e_min):
             # candidate competing maximum; polish it before judging
-            res = scipy.optimize.minimize(
-                lambda p: -float(model.values(p[0], p[1])),
-                np.array([grid[i], grid[j]]), method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14})
-            _check_not_above(md.e_max, -res.fun, res.x)
-            if -res.fun >= md.e_max - 1e-9:
+            fun, x = _nelder_mead(lambda p: -float(model.values(p[0], p[1])),
+                                  (grid[i], grid[j]))
+            _check_not_above(md.e_max, -fun, x)
+            if -fun >= md.e_max - 1e-9:
                 failures.append("maximum: not unique (second maximizer away from (pi, pi))")
     except NonMaxAtPi:
         failures.append("maximum: e exceeds e(pi, pi) away from (pi, pi)")

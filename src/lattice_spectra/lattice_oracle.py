@@ -31,17 +31,21 @@ Birman-Schwinger matrix; N increases with E, so each of its negative
 eigenvalues at t crosses zero once above t, at an eigenvalue of H.  A
 separable box finds each such root by Newton on its branch of N, from one
 ``eigh`` of the (2L + 1) x (2L + 1) matrix Phi: a secular equation of size
-1 or 2 (Golub, SIAM Rev. 15, 318 (1973)).  A table box keeps its CSR
-sector blocks and Lanczos; an es block first counts its eigenvalues above
-the cut, from one sparse LU of t - H0, and asks Lanczos for just that many.
+1 or 2 (Golub, SIAM Rev. 15, 318 (1973)), whose eigenpairs each Newton
+step takes in closed form.  A table box keeps its CSR sector blocks and
+Lanczos; an es block first counts its eigenvalues above the cut, from one
+sparse LU of t - H0, and asks Lanczos for just that many.
+
+Only the table-box and Lanczos paths use scipy (scipy.sparse and
+scipy.sparse.linalg), and each function there imports it when it runs, so
+that importing the package, or counting a separable box, loads no scipy.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import FitFailure, NoConvergence
 from .dispersion import PI, _invariant
@@ -92,6 +96,7 @@ class TruncatedHamiltonian:
     def _table_matrix(self):
         """The box operator of a table box as a CSR matrix, built on first
         use and kept: the four sector blocks and the operator share it."""
+        import scipy.sparse
         n = 2 * self.L + 1
         i, j = np.divmod(np.arange(n * n), n)
         diag = np.arange(n * n)
@@ -108,6 +113,7 @@ class TruncatedHamiltonian:
 
     def operator(self):
         """The box operator on row-major flattened (x1, x2) arrays."""
+        import scipy.sparse.linalg
         if self.hopping is not None:
             return scipy.sparse.linalg.aslinearoperator(self._table_matrix)
         n = 2 * self.L + 1
@@ -131,7 +137,7 @@ class SectorBlock:
     """The box operator restricted to one symmetry sector, Q^T H Q."""
     h: TruncatedHamiltonian
     sector: str
-    basis: scipy.sparse.csr_matrix  # Q: orthonormal columns in the box
+    basis: "scipy.sparse.csr_matrix"  # Q: orthonormal columns in the box
 
     @property
     def dimension(self):
@@ -140,6 +146,7 @@ class SectorBlock:
     def operator(self):
         """Q^T H Q: a CSR matrix formed from the box's own matrix on a table
         box, otherwise a LinearOperator applying Q^T (H (Q y))."""
+        import scipy.sparse.linalg
         q = self.basis
         qt = q.T.tocsr()
         if self.h.hopping is not None:
@@ -160,6 +167,7 @@ def _sector_basis(L, sector):
     cancel unless the stabilizer's characters are trivial, so those orbits
     enter only the sectors their stabilizer allows.
     """
+    import scipy.sparse
     cn, cs = _SECTOR_CHARACTERS[sector]
     n = 2 * L + 1
     i, j = np.divmod(np.arange(n * n), n)
@@ -248,6 +256,7 @@ def _count_above(blk, mat, t):
     G = S^-1[J, J] with S = t - H0 (``_branches_above``): one sparse LU of S
     and |J| solves.
     """
+    import scipy.sparse.linalg
     q = blk.basis
     w = (q.T @ scipy.sparse.diags(blk.h._potential_diag().ravel()) @ q).diagonal()
     j = np.flatnonzero(w)
@@ -289,16 +298,44 @@ def _sector_potential(h, sector, u):
     return np.array(vectors), np.array(d, dtype=float)
 
 
+def _symmetric_eigenpair(p, q, r, branch):
+    """Eigenvalue ``branch`` (ascending) of the symmetric [[p, q], [q, r]]
+    and its unit eigenvector, in closed form: the matrix is m I + h R with
+    m = (p + r)/2, h = hypot((p - r)/2, q) and R the reflection whose +1
+    eigenvector is (cos theta, sin theta), theta = atan2(q, (p - r)/2) / 2,
+    so its eigenpairs are m - h with (-sin theta, cos theta) and m + h with
+    (cos theta, sin theta)."""
+    mean, half = 0.5 * (p + r), 0.5 * (p - r)
+    h, theta = math.hypot(half, q), 0.5 * math.atan2(q, half)
+    c, s = math.cos(theta), math.sin(theta)
+    return (mean + h, (c, s)) if branch else (mean - h, (-s, c))
+
+
+def _branch_value(g, d, branch):
+    """(f, x): eigenvalue ``branch`` (ascending) of N = G^-1 - D for a 1x1
+    or 2x2 G, and x = G^-1 v with v its unit eigenvector, with G^-1 by
+    cofactors and the eigenpair by ``_symmetric_eigenpair`` on the lower
+    triangle of N, the one eigh reads."""
+    if len(d) == 1:
+        inverse = 1.0 / g[0, 0]
+        return inverse - d[0], np.array([inverse])
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    inverse = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    f, v = _symmetric_eigenpair(inverse[0, 0] - d[0], inverse[1, 0],
+                                inverse[1, 1] - d[1], branch)
+    return f, inverse @ v
+
+
 def _branch_root(y, poles, d, branch, lo, hi, at_lo, where):
     """The zero of eigenvalue ``branch`` (ascending) of N(E) = G(E)^-1 - D
     in (lo, hi), by Newton safeguarded with bisection; ``at_lo`` is
-    ``_secular_matrix`` at lo, and N' = G^-1 (-G') G^-1.  NoConvergence
-    names ``where`` and the last bracket."""
+    ``_secular_matrix`` at lo, and N' = G^-1 (-G') G^-1, so the slope of a
+    branch with unit eigenvector v is x^T (-G') x, x = G^-1 v
+    (``_branch_value``).  NoConvergence names ``where`` and the last
+    bracket."""
     e, (g, slope) = lo, at_lo
     for _ in range(_SECULAR_STEPS):
-        inverse = np.linalg.inv(g)
-        vals, vecs = np.linalg.eigh(inverse - np.diag(d))
-        f, x = vals[branch], inverse @ vecs[:, branch]
+        f, x = _branch_value(g, d, branch)
         if f < 0.0:
             lo = e
         else:
@@ -359,6 +396,7 @@ def eigen_pairs(h, k, above=None):
     blocks of a separable box ignore the cut: they have no matrix to factor,
     and ``sector_count_above`` does not diagonalize them.
     """
+    import scipy.sparse.linalg
     dim = h.dimension
     op = h.operator()
     if dim <= DENSE_LIMIT:

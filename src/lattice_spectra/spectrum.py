@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import sectors
 from .determinant import find_eigenvalue_rank_one, find_eigenvalues_es
@@ -227,6 +226,7 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
     off-diagonal determinant component, and a0, b0 are chosen to zero the two
     diagonal components at the same z0.
     """
+    import scipy.optimize
     if z0 <= 1.0:
         raise DomainError("z0 must exceed the family band top e_max = 1")
     if mu <= 0:

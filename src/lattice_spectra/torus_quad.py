@@ -33,9 +33,11 @@ take it like any other integrand.
 Denominators are evaluated as alpha + (e_max - e), with the deficit
 e_max - e supplied in a cancellation-free form by the model.
 
-The node sets, far and near, depend only on (grid_n, patch_radius,
-breakpoints), so every model with that key shares them, e.g. the whole
-SteppedPhiA(A) family that the multiplicity-two construction tunes.  Each
+The far node sets depend only on (grid_n, patch_radius, breakpoints), so
+every model with that key shares them, e.g. the whole SteppedPhiA(A) family
+that the multiplicity-two construction tunes; the near set depends on the
+patch radius alone, so every key of one radius shares it, e.g. the
+Laplacian's (256, 0.5, None) and stepped:0.5's (1024, 0.5, kinks).  Each
 set holds one node per orbit of the group {1, inversion p -> -p, swap
 (p1, p2) -> (p2, p1), both}, which leaves every model's deficit invariant
 (models must be swap-symmetric; every kind is even): a sum over the torus
@@ -65,6 +67,7 @@ alpha-derivative that steers the determinant's Newton search.
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -387,17 +390,19 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     otherwise sit on the 2-panel floor, and the estimate read roundoff.
 
     Every model with the same (grid_n, patch_radius, breakpoints) shares
-    the sets, e.g. the whole SteppedPhiA(A) family.  Memory per key: a far
+    the sets, e.g. the whole SteppedPhiA(A) family, and every key with the
+    same patch_radius the near set (``_near_set``).  Memory per key: a far
     level holds its axis, one float array w over its representatives and a
     boolean mask over the top half of the grid, about 2.7 MB fine and
     0.77 MB coarse at the kinked default grid_n = 1024 (272k and 76k nodes,
     of 1.08M and 0.30M unfolded), 0.17 and 0.04 MB on the 256 smooth grid
     (16k and 4k nodes); the near set holds three float arrays over its 11k
     representatives (at delta = 0.5) and two over their four images each,
-    1.0 MB.  Each cached deficit or w * v product adds one read-only float
-    array of its set's node count (on the near set two rows, w v and w |v|),
-    and a kernel call makes one reciprocal row of that size per set, two
-    with slopes, which every weight of its stack reads by a dot product.
+    1.0 MB, once per patch radius.  Each cached deficit or w * v product
+    adds one read-only float array of its set's node count (on the near set
+    two rows, w v and w |v|), and a kernel call makes one reciprocal row of
+    that size per set, two with slopes, which every weight of its stack
+    reads by a dot product.
     cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
@@ -408,7 +413,22 @@ def _far_grids(grid_n, patch_radius, breakpoints):
                   for c, f in zip(_panel_counts(edges, grid_n // 2), fine)]
         axes = (_axis_nodes_gauss(edges, fine), _axis_nodes_gauss(edges, coarse))
     return (*(_FarLevel(x, w, patch_radius) for x, w in axes),
-            _NearSet(patch_radius))
+            _near_set(patch_radius))
+
+
+_NEAR_SETS = weakref.WeakValueDictionary()   # patch radius -> its _NearSet
+_NEAR_LOCK = threading.Lock()
+
+
+def _near_set(patch_radius):
+    """The one _NearSet of a patch radius, built under a lock when no
+    _far_grids key holds it: the map keeps it only while a key does, so
+    _far_grids.cache_clear still drops it."""
+    with _NEAR_LOCK:
+        near = _NEAR_SETS.get(patch_radius)
+        if near is None:
+            near = _NEAR_SETS[patch_radius] = _NearSet(patch_radius)
+    return near
 
 
 def _reciprocals(nodes, model, alpha, k, slopes=False):

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
                                         MorseData, PiecewisePhi, SteppedPhiA,
-                                        PI, ValidationReport,
+                                        PI, ValidationReport, _nelder_mead,
                                         fourier_coefficients,
                                         is_even_per_coordinate, model_from_spec,
                                         model_to_spec, morse_data,
@@ -330,6 +330,53 @@ def test_morse_data_and_validation_are_frozen(model, want, failures):
     assert md == want
     assert validate_hypothesis(model) == ValidationReport(
         passed=not failures, failures=failures)
+
+
+def _assert_polish_is_scipy_nelder_mead(f, x0):
+    # the numpy polish against the scipy call it replaced, to the bit
+    import scipy.optimize
+    res = scipy.optimize.minimize(f, np.array(x0), method="Nelder-Mead",
+                                  options={"xatol": 1e-12, "fatol": 1e-14})
+    fun, x = _nelder_mead(f, x0)
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    assert x.tobytes() == res.x.tobytes()
+
+
+FROZEN_MODELS = (DiscreteLaplacian(), laplacian_table(), diagonal_hop_table(),
+                 SteppedPhiA(a_param=0.5), SteppedPhiA(a_param=0.97),
+                 SteppedPhiA(a_param=1.0), PiecewisePhi(eps=0.5),
+                 flipped_laplacian())
+
+
+@pytest.mark.parametrize("model", FROZEN_MODELS,
+                         ids=("laplacian", "laplacian-table", "diagonal-hop",
+                              "stepped-0.5", "stepped-0.97", "stepped-1",
+                              "piecewise-0.5", "flipped"))
+@pytest.mark.parametrize("sign", (1.0, -1.0), ids=("min", "max"))
+def test_polish_is_scipy_nelder_mead_on_the_frozen_models(model, sign):
+    # the polishes of morse_data (sign 1) and validate_hypothesis (sign -1)
+    # from a zero coordinate, a point near pi_vec and seeded starts
+    f = lambda p: sign * float(model.values(p[0], p[1]))
+    starts = [(0.0, 0.0), (0.0, -2.0), (PI - 0.01, PI)]
+    starts += [tuple(x) for x in np.random.default_rng(3).uniform(-PI, PI, (3, 2))]
+    for x0 in starts:
+        _assert_polish_is_scipy_nelder_mead(f, x0)
+
+
+@settings(max_examples=20)
+@given(st.floats(-1.0, -0.1), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+       st.floats(-0.05, 0.05), st.floats(-PI, PI), st.floats(-PI, PI),
+       st.sampled_from((1.0, -1.0)))
+def test_polish_is_scipy_nelder_mead_on_hopping_tables(t, d1, d2, s, x1, x2, sign):
+    model = hopping_table(t, d1, d2, s)
+    _assert_polish_is_scipy_nelder_mead(
+        lambda p: sign * float(model.values(p[0], p[1])), (x1, x2))
+
+
+def test_polish_spends_its_budget_like_scipy():
+    # a linear objective never meets fatol: both stop at 400 evaluations,
+    # mid-step, with the same simplex
+    _assert_polish_is_scipy_nelder_mead(lambda p: float(p[0] + 0.3 * p[1]), (0.5, 0.5))
 
 
 @pytest.mark.parametrize("a_param", [0.997, 0.999, 0.99995])

@@ -332,6 +332,28 @@ def test_separable_boxes_call_no_eigensolver(monkeypatch, model, L):
     assert [v for v, _ in sc.entries] == pytest.approx(want, abs=1e-12)
 
 
+def test_symmetric_eigenpair_matches_eigh():
+    # the closed form that steers each secular Newton step, against LAPACK
+    # on seeded random symmetric 2x2 matrices with entries of mixed scales,
+    # and on the degenerate and diagonal ones
+    rng = np.random.default_rng(11)
+    mats = rng.normal(size=(2000, 3)) * rng.choice([1e-3, 1.0, 1e3], (2000, 3))
+    mats = np.vstack((mats, [[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [-1.0, 0.0, 2.0],
+                             [0.0, 1.0, 0.0], [1.0, -1e-300, 1.0]]))
+    for p, q, r in mats:
+        vals, vecs = np.linalg.eigh([[p, q], [q, r]])
+        scale = np.abs(vals).max()
+        for branch in (0, 1):
+            f, v = lo._symmetric_eigenpair(p, q, r, branch)
+            assert abs(f - vals[branch]) <= 1e-14 * scale
+            # a unit eigenvector is fixed up to its sign, and to roundoff
+            # over the relative gap between the eigenvalues
+            off = min(np.abs(np.subtract(v, vecs[:, branch])).max(),
+                      np.abs(np.add(v, vecs[:, branch])).max())
+            assert off * (vals[1] - vals[0]) <= 1e-14 * scale
+            assert np.hypot(*v) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_secular_es_root_with_a_negative_coupling(lap):
     # D = mu diag(a, b) has one negative entry at (-1, 2, 2.5); es's one
     # root above t lies on branch 0 of N(E) = G(E)^-1 - D

@@ -1,5 +1,7 @@
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -182,6 +184,33 @@ def test_cache_clear_drops_the_near_arrays(lap):
     torus_quad._far_grids.cache_clear()
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_keys_of_one_patch_radius_share_the_near_set(lap, fresh_grids):
+    # the Laplacian's (256, 0.5, None) and stepped:0.5's (1024, 0.5, kinks)
+    # hold one near set; cache_clear drops it, and the next key builds anew
+    stepped = SteppedPhiA(a_param=0.5)
+    near = _node_sets(lap)[2]
+    assert _node_sets(stepped)[2] is near
+    ref = weakref.ref(near)
+    del near
+    torus_quad._far_grids.cache_clear()
+    gc.collect()
+    assert ref() is None
+    assert _node_sets(stepped)[2] is _node_sets(lap)[2]
+
+
+def test_threads_asking_for_a_near_set_get_one(fresh_grids):
+    # more threads than cores, switching often: each gets the one set built
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(torus_quad._near_set, 0.3) for _ in range(8)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(near is got[0] for near in got)
 
 
 @settings(max_examples=20)
