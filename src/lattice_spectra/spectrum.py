@@ -8,6 +8,7 @@ reads each cell's count off that table and searches no root.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +16,13 @@ import numpy as np
 from . import sectors
 from .determinant import find_eigenvalue_rank_one, find_eigenvalues_es
 from .dispersion import SteppedPhiA, is_even_per_coordinate
-from .errors import (DomainError, NotEvenPerCoordinate, SignChangeAbsent,
-                     ZeroCoupling)
+from .errors import (DomainError, NoConvergence, NotEvenPerCoordinate,
+                     SignChangeAbsent, ZeroCoupling)
 from .thresholds import coupling_thresholds, gammas, sector_count
 from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
 
 TRIPLE_OFFSET_REL = 0.1   # triple_emergence_check's offset from mu0
+BRENT_MAXITER = 100       # steps of _brentq, scipy.optimize.brentq's default
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,51 @@ def _g_of_a(a_param, z0, spec):
                                k=1, spec=spec, alpha=z0 - 1.0).value
 
 
+def _brentq(f, xa, xb, xtol, rtol):
+    """A root of f in [xa, xb], where f(xa) and f(xb) are of opposite signs
+    or one is zero, by Brent's method (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4) with the steps of scipy's brentq.c:
+    inverse quadratic or secant steps inside the bracket [xcur, xblk] while
+    they shrink it fast enough, bisection otherwise, until half the bracket
+    is below (xtol + rtol |xcur|) / 2.  It returns scipy.optimize.brentq's
+    float and evaluates f at the same points."""
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):   # xcur holds the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoConvergence(f"no root in [{xa:g}, {xb:g}] after {BRENT_MAXITER} steps")
+
+
 def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3):
     """Find A0 with G_{z0}(A0) = 0 in the stepped family, then the couplings
     (a0, b0) that make z0 a multiplicity-two eigenvalue at coupling mu.
@@ -226,7 +273,9 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
     off-diagonal determinant component, and a0, b0 are chosen to zero the two
     diagonal components at the same z0.
     """
-    import scipy.optimize
+    for name, value in (("z0", z0), ("mu", mu)):
+        if not math.isfinite(value):   # z0 <= 1.0 and mu <= 0 are False for NaN
+            raise ValueError(f"{name} must be finite")
     if z0 <= 1.0:
         raise DomainError("z0 must exceed the family band top e_max = 1")
     if mu <= 0:
@@ -253,7 +302,7 @@ def multiplicity_two_construct(z0, mu=1.0, spec=None, scan=False, scan_step=1e-3
         lo, hi = brackets[0]  # smallest root
     else:
         lo, hi = 0.0, 1.0
-    a0_param = scipy.optimize.brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    a0_param = _brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
     g_res = g(a0_param)
 
     # one stacked call at z0; the verification is delta_es's arithmetic

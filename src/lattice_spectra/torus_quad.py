@@ -9,8 +9,12 @@ maximum.  The domain is split by a smooth radial cutoff chi supported on the
 ball B_delta(pi_vec):
 
   * far field, weight (1 - chi): periodic offset trapezoid (spectrally
-    accurate for analytic kinds) or a composite Gauss rule with panel edges
-    on the kink lines for the piecewise kinds;
+    accurate for analytic kinds) or, for the piecewise kinds, a composite
+    Gauss rule with panel edges on the kink lines and at +-(pi - delta),
+    dense only on the two segments within delta of +-pi, where 1 - chi
+    falls, and FAR_SPARSE times sparser on the others, where the integrand
+    is analytic (the bump, not the kinks, limits the far rule: Trefethen &
+    Weideman, SIAM Rev. 2014, sec. 4);
   * near field, weight chi: polar coordinates about pi_vec, on one rule
     for every alpha.  Radial Gauss panels graded by the ratio GRADING
     toward r = 0, from an inner edge below INNER_EDGE up to delta/2,
@@ -37,7 +41,7 @@ The far node sets depend only on (grid_n, patch_radius, breakpoints), so
 every model with that key shares them, e.g. the whole SteppedPhiA(A) family
 that the multiplicity-two construction tunes; the near set depends on the
 patch radius alone, so every key of one radius shares it, e.g. the
-Laplacian's (256, 0.5, None) and stepped:0.5's (1024, 0.5, kinks).  Each
+Laplacian's (256, 0.5, None) and stepped:0.5's (2048, 0.5, kinks).  Each
 set holds one node per orbit of the group {1, inversion p -> -p, swap
 (p1, p2) -> (p2, p1), both}, which leaves every model's deficit invariant
 (models must be swap-symmetric; every kind is even): a sum over the torus
@@ -85,6 +89,7 @@ GRADING = 4           # ratio of consecutive graded radial panel edges
 INNER_EDGE = 1e-12    # bound on the innermost graded edge
 RING_PANELS = 8       # uniform radial panels on [delta/2, delta]
 FAR_GAUSS_ORDER = 12  # Gauss points per far-field panel on a kinked model
+FAR_SPARSE = 16       # its panel density within delta of +-pi over that elsewhere
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,8 @@ class QuadratureSpec:
     module constants N_THETA through RING_PANELS, read when _far_grids
     builds a node set."""
 
-    grid_n: int = 256          # far-field points per axis
+    grid_n: int = 256          # far points per 2 pi: per axis, or on a kinked
+                               # kind within patch_radius of +-pi
     patch_radius: float = 0.5  # radius delta of the near patch
     radial_tol: float = 1e-10  # relative acceptance of the near-field estimate
 
@@ -107,12 +113,14 @@ class QuadratureSpec:
 
 
 def default_spec(model, **overrides):
-    """QuadratureSpec() on a kind without kinks; on a kinked one 1024 far
-    points per axis and the patch radius min(0.5, 0.8 (0.9 d)): 0.9 d, d the
-    distance from pi to the nearest kink, bounds where e is analytic."""
+    """QuadratureSpec() on a kind without kinks; on a kinked one 2048 far
+    points per 2 pi within the patch radius of +-pi (1/FAR_SPARSE of that
+    elsewhere) and the patch radius min(0.5, 0.8 (0.9 d)): 0.9 d, d the
+    distance from pi to the nearest kink, bounds where e is analytic, so
+    every kink lies farther than the patch radius from pi."""
     kinks = model.breakpoints
     base = QuadratureSpec() if kinks is None else QuadratureSpec(
-        grid_n=1024, patch_radius=min(0.5, 0.8 * (0.9 * min(PI - abs(k) for k in kinks))))
+        grid_n=2048, patch_radius=min(0.5, 0.8 * (0.9 * min(PI - abs(k) for k in kinks))))
     return replace(base, **overrides) if overrides else base
 
 
@@ -177,11 +185,16 @@ def _panel_nodes(edges, order):
             (half[:, None] * wg[None, :]).ravel())
 
 
-def _panel_counts(edges, n_target):
-    """Gauss panels per segment between consecutive kinks for about
-    n_target nodes on [-pi, pi], at least 2 per segment."""
-    return [max(2, int(math.ceil((hi - lo) / (2 * PI) * n_target / FAR_GAUSS_ORDER)))
-            for lo, hi in zip(edges[:-1], edges[1:])]
+def _panel_counts(edges, n_dense, delta):
+    """Gauss panels per segment between consecutive edges: about n_dense
+    points per 2 pi on the two segments within delta of +-pi, where the
+    cutoff 1 - chi falls, and 1/FAR_SPARSE of that on every other segment,
+    where the far integrand is analytic; at least 2 per segment."""
+    def count(lo, hi):
+        dense = lo >= PI - delta or hi <= -(PI - delta)
+        n = n_dense if dense else n_dense / FAR_SPARSE
+        return max(2, int(math.ceil((hi - lo) / (2 * PI) * n / FAR_GAUSS_ORDER)))
+    return [count(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _axis_nodes_gauss(edges, counts):
@@ -385,18 +398,22 @@ class _NearSet(_NodeSet):
 def _far_grids(grid_n, patch_radius, breakpoints):
     """The node sets for one key: the (fine, coarse) far-field levels, whose
     difference estimates the error of the coarse one, and the near-field
-    set of the patch.  On a kinked model the coarse level takes fewer
-    panels than the fine one on every segment: at small grid_n both would
-    otherwise sit on the 2-panel floor, and the estimate read roundoff.
+    set of the patch.  On a kinked model the axis is graded: its segments
+    run between the kinks, +-pi and +-(pi - patch_radius), the two within
+    patch_radius of +-pi take grid_n points per 2 pi and every other
+    grid_n / FAR_SPARSE (_panel_counts); the coarse level takes half that
+    and fewer panels than the fine one on every segment: at small grid_n
+    both would otherwise sit on the 2-panel floor, and the estimate read
+    roundoff.
 
     Every model with the same (grid_n, patch_radius, breakpoints) shares
     the sets, e.g. the whole SteppedPhiA(A) family, and every key with the
     same patch_radius the near set (``_near_set``).  Memory per key: a far
     level holds its axis, one float array w over its representatives and a
-    boolean mask over the top half of the grid, about 2.7 MB fine and
-    0.77 MB coarse at the kinked default grid_n = 1024 (272k and 76k nodes,
-    of 1.08M and 0.30M unfolded), 0.17 and 0.04 MB on the 256 smooth grid
-    (16k and 4k nodes); the near set holds three float arrays over its 11k
+    boolean mask over the top half of the grid, about 0.59 MB fine and
+    0.15 MB coarse at the kinked default grid_n = 2048 on stepped:0.5 (58k
+    and 15k nodes, of 254k and 64k unfolded), 0.17 and 0.04 MB on the 256
+    smooth grid (16k and 4k nodes); the near set holds three float arrays over its 11k
     representatives (at delta = 0.5) and two over their four images each,
     1.0 MB, once per patch radius.  Each cached deficit or w * v product
     adds one read-only float array of its set's node count (on the near set
@@ -407,10 +424,11 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
     else:
-        edges = sorted(set([-PI, PI] + [float(b) for b in breakpoints]))
-        fine = _panel_counts(edges, grid_n)
-        coarse = [min(c, f - 1)
-                  for c, f in zip(_panel_counts(edges, grid_n // 2), fine)]
+        edges = sorted(set([-PI, -(PI - patch_radius), PI - patch_radius, PI]
+                           + [float(b) for b in breakpoints]))
+        fine = _panel_counts(edges, grid_n, patch_radius)
+        coarse = [min(c, f - 1) for c, f in
+                  zip(_panel_counts(edges, grid_n // 2, patch_radius), fine)]
         axes = (_axis_nodes_gauss(edges, fine), _axis_nodes_gauss(edges, coarse))
     return (*(_FarLevel(x, w, patch_radius) for x, w in axes),
             _near_set(patch_radius))
@@ -531,6 +549,8 @@ def integrate_resolvent(model, v, k=1, spec=None, *, alpha):
     alpha is passed directly: forming it as z - e_max would lose its digits
     near threshold.
     """
+    if not math.isfinite(alpha):   # alpha <= 0 is False for NaN
+        raise ValueError("alpha = z - e_max must be finite")
     if alpha <= 0:
         raise BelowThreshold(f"z = e_max + {alpha:g} is not above the band top")
     return _integrate(model, (v,), alpha, k, spec)[0]

@@ -194,10 +194,10 @@ def _frozen_closed_forms(model):
                 lambda u1, u2: 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2)
     if isinstance(model, PiecewisePhi):
         eps = model.eps
-        return ((-(PI - eps), PI - eps), 1024, 0.9 * (PI - (PI - eps)),
+        return ((-(PI - eps), PI - eps), 2048, 0.9 * (PI - (PI - eps)),
                 2.0 * (1.0 - np.cos(eps)), -1.0,
                 lambda u1, u2: 2.0 * np.sin(u1 / 2) ** 2 + 2.0 * np.sin(u2 / 2) ** 2)
-    return ((-3 * PI / 4, -PI / 2, PI / 2, 3 * PI / 4), 1024, 0.9 * (PI / 4),
+    return ((-3 * PI / 4, -PI / 2, PI / 2, 3 * PI / 4), 2048, 0.9 * (PI / 4),
             1.0, -2.0, lambda u1, u2: np.sin(u1) ** 2 + np.sin(u2) ** 2)
 
 

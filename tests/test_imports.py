@@ -1,6 +1,5 @@
 """The package loads numpy and no scipy module; scipy loads only on the
-paths that use it: table boxes, Lanczos and the multiplicity-two
-construction.  Each check runs in a fresh interpreter, because this test
+paths that use it: table boxes and Lanczos.  Each check runs in a fresh interpreter, because this test
 process has scipy loaded already."""
 
 import json
@@ -55,8 +54,8 @@ print(json.dumps([after_import, scipy_loaded()]))
 
 
 def test_table_box_and_construction_load_scipy_on_demand():
-    # a table box's CSR blocks and Lanczos, and the construction's brentq,
-    # import scipy where they run and give what they give in-process
+    # a table box's CSR blocks and Lanczos import scipy where they run, the
+    # construction's Brent loop none, and both give what they give in-process
     table = diagonal_hop_table()
     fresh = _run(f"""
 model = dispersion.ExponentialHopping(table={table.table!r})
@@ -71,6 +70,6 @@ print(json.dumps([sc.entries, box_loaded, c.A0, c.a0, c.b0, c.g_residual,
                                float(table.e_max), 5e-3)
     assert [tuple(e) for e in entries] == [tuple(e) for e in sc.entries]
     assert "scipy.sparse.linalg" in box_loaded and "scipy.optimize" not in box_loaded
-    assert "scipy.optimize" in loaded
+    assert "scipy.optimize" not in loaded
     _assert_frozen_construction(SimpleNamespace(
         A0=a0_param, a0=a0, b0=b0, g_residual=g_res, verification=verification))

@@ -1,3 +1,5 @@
+import functools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,8 +8,8 @@ import pytest
 
 from lattice_spectra import sectors, spectrum, thresholds, torus_quad
 from lattice_spectra.dispersion import PI, PiecewisePhi, SteppedPhiA
-from lattice_spectra.errors import (DomainError, NotEvenPerCoordinate,
-                                    ZeroCoupling)
+from lattice_spectra.errors import (DomainError, NoConvergence,
+                                    NotEvenPerCoordinate, ZeroCoupling)
 from lattice_spectra.thresholds import coupling_thresholds
 from lattice_spectra.torus_quad import _far_grids, default_spec
 
@@ -236,6 +238,47 @@ def test_multiplicity_two_scan_keeps_both_ends():
                                                   scan_step=0.6)
     plain = spectrum.multiplicity_two_construct(1.5, mu=1.0)
     assert scanned.A0 == pytest.approx(plain.A0, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0), (math.cos, 0.0, 3.0),
+    (lambda x: math.exp(x) - 2, -1.0, 2.0), (lambda x: math.atan(1e3 * (x - 0.123)), -2.0, 5.0),
+    (lambda x: (x - 0.7) ** 5, 0.0, 1.0), (lambda x: -1.0 if x < 0.4 else 1.0, 0.0, 1.0),
+    (lambda x: x, 0.0, 1.0)])
+@pytest.mark.parametrize("xtol, rtol", [(1e-13, 8.9e-16), (1e-3, 1e-6)])
+def test_brent_loop_is_scipy_brentq(f, lo, hi, xtol, rtol):
+    # the same root, evaluated at the same points, or the same failure
+    # (the quintic at xtol 1e-13 spends the 100 steps)
+    import scipy.optimize
+
+    def run(solver):
+        points = []
+        try:
+            root = solver(lambda x: points.append(x) or f(x), lo, hi, xtol=xtol, rtol=rtol)
+        except (RuntimeError, NoConvergence):
+            root = None
+        return root, points
+
+    assert run(spectrum._brentq) == run(scipy.optimize.brentq)
+
+
+def test_brent_loop_is_scipy_brentq_on_the_construction():
+    import scipy.optimize
+    g = functools.cache(lambda A: spectrum._g_of_a(A, 1.5, None))
+    root = spectrum._brentq(g, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+    assert root == scipy.optimize.brentq(g, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("z0, mu", [(math.nan, 1.0), (math.inf, 1.0),
+                                    (1.5, math.nan), (1.5, math.inf)])
+def test_multiplicity_two_rejects_non_finite_inputs(monkeypatch, z0, mu):
+    # nan passed z0 <= 1 and mu <= 0; mu = inf gave zero couplings
+    def fail(*args, **kwargs):
+        raise AssertionError("an integral ran before the inputs were checked")
+
+    monkeypatch.setattr(torus_quad, "_integrate", fail)
+    with pytest.raises(ValueError, match="must be finite"):
+        spectrum.multiplicity_two_construct(z0, mu=mu)
 
 
 def test_multiplicity_two_invalid_z0():

@@ -113,6 +113,13 @@ def test_resolvent_below_threshold(lap):
         integrate_resolvent(lap, sectors.es_one, alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_resolvent_rejects_a_non_finite_alpha(lap, alpha):
+    # nan passed alpha <= 0 and returned nan; inf returned 0
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_resolvent(lap, sectors.es_one, alpha=alpha)
+
+
 def test_resolvent_rejects_a_swap_asymmetric_model():
     # e = 2 - cos p1 - 0.5 cos p2 is even but not swap-symmetric: the node
     # sets hold one node per orbit of the swap, so no integral is formed
@@ -187,7 +194,7 @@ def test_cache_clear_drops_the_near_arrays(lap):
 
 
 def test_keys_of_one_patch_radius_share_the_near_set(lap, fresh_grids):
-    # the Laplacian's (256, 0.5, None) and stepped:0.5's (1024, 0.5, kinks)
+    # the Laplacian's (256, 0.5, None) and stepped:0.5's (2048, 0.5, kinks)
     # hold one near set; cache_clear drops it, and the next key builds anew
     stepped = SteppedPhiA(a_param=0.5)
     near = _node_sets(lap)[2]
@@ -392,6 +399,70 @@ def test_far_field_estimate_sees_the_kinks():
 
     res = far(64)
     assert res.error_estimate >= abs(res.value - far(2048).value)
+
+
+# the seven weights whose integrals src/ forms: the determinants' and the
+# es threshold data's es_plus_sq
+SECTOR_WEIGHTS = DETERMINANT_WEIGHTS + (sectors.es_plus_sq,)
+KINKED_MODELS = (SteppedPhiA(a_param=0.5), PiecewisePhi(eps=0.5),
+                 SteppedPhiA(a_param=0.9))
+
+
+@pytest.mark.parametrize("model", KINKED_MODELS, ids=repr)
+def test_graded_far_rule_matches_a_doubled_rule(model):
+    # the graded far axis against the same rule at twice its dense panel
+    # density: every sector weight within 1e-11 and within its own estimate
+    spec = default_spec(model)
+    finer = default_spec(model, grid_n=2 * spec.grid_n)
+    for alpha in (0.0, 1e-6, 1.0, 20.0):
+        for k in (1, 2):
+            vs = [v for v in SECTOR_WEIGHTS
+                  if alpha > 0 or torus_quad._vanishing_order(v) > 2 * k - 1.5]
+            got = torus_quad._integrate(model, vs, alpha, k, spec)
+            ref = torus_quad._integrate(model, vs, alpha, k, finer)
+            for v, res, exact in zip(vs, got, ref):
+                err = abs(res.value - exact.value)
+                assert err <= 1e-11 * abs(exact.value), (v.__name__, alpha, k)
+                assert err <= res.error_estimate, (v.__name__, alpha, k)
+
+
+def _panel_edges(level):
+    # the Gauss panels of a far axis, FAR_GAUSS_ORDER nodes each, read back
+    # from its first and last nodes: (lower edges, upper edges)
+    xg, _ = torus_quad._gauss_legendre(torus_quad.FAR_GAUSS_ORDER)
+    panels = level.x.reshape(-1, torus_quad.FAR_GAUSS_ORDER)
+    half = (panels[:, -1] - panels[:, 0]) / (xg[-1] - xg[0])
+    mid = (panels[:, -1] + panels[:, 0]) / 2
+    return mid - half, mid + half
+
+
+@pytest.mark.parametrize("model", KINKED_MODELS[:2], ids=repr)
+def test_graded_far_axis_is_dense_only_within_the_patch_radius(model):
+    # panel edges at +-(pi - delta) and at every kink, mirror-symmetric; the
+    # fine panels within delta of +-pi hold grid_n points per 2 pi, and the
+    # widest elsewhere is about FAR_SPARSE times as wide
+    spec = default_spec(model)
+    delta = spec.patch_radius
+    fine, coarse, _ = _node_sets(model)
+    for level in (fine, coarse):
+        assert np.allclose(level.x[::-1], -level.x, rtol=0.0, atol=1e-12)
+        lo, hi = _panel_edges(level)
+        assert np.allclose(lo[1:], hi[:-1], rtol=0.0, atol=1e-12)
+        for edge in (-PI, -(PI - delta), *model.breakpoints, PI - delta):
+            assert np.min(np.abs(lo - edge)) < 1e-12
+    lo, hi = _panel_edges(fine)
+    width = hi - lo
+    dense = (lo >= PI - delta - 1e-12) | (hi <= -(PI - delta) + 1e-12)
+    assert np.max(width[dense]) <= 2 * PI * torus_quad.FAR_GAUSS_ORDER / spec.grid_n
+    assert np.max(width[~dense]) > torus_quad.FAR_SPARSE / 2 * np.max(width[dense])
+
+
+def test_far_levels_hold_their_node_counts(lap):
+    # the graded kinked axis cut stepped:0.5's fine level from 271,508
+    # nodes; the Laplacian's trapezoid levels are untouched
+    fine, coarse, _ = _node_sets(SteppedPhiA(a_param=0.5))
+    assert fine.w.size <= 60_000 and coarse.w.size < fine.w.size
+    assert [level.w.size for level in _node_sets(lap)[:2]] == [16_422, 4_134]
 
 
 def _level_nodes(level):
