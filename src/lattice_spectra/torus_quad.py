@@ -89,7 +89,7 @@ GRADING = 4           # ratio of consecutive graded radial panel edges
 INNER_EDGE = 1e-12    # bound on the innermost graded edge
 RING_PANELS = 8       # uniform radial panels on [delta/2, delta]
 FAR_GAUSS_ORDER = 12  # Gauss points per far-field panel on a kinked model
-FAR_SPARSE = 16       # its panel density within delta of +-pi over that elsewhere
+FAR_SPARSE = 16       # its panel density within delta of +-pi over elsewhere
 
 
 @dataclass(frozen=True)
@@ -413,9 +413,9 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     boolean mask over the top half of the grid, about 0.59 MB fine and
     0.15 MB coarse at the kinked default grid_n = 2048 on stepped:0.5 (58k
     and 15k nodes, of 254k and 64k unfolded), 0.17 and 0.04 MB on the 256
-    smooth grid (16k and 4k nodes); the near set holds three float arrays over its 11k
-    representatives (at delta = 0.5) and two over their four images each,
-    1.0 MB, once per patch radius.  Each cached deficit or w * v product
+    smooth grid (16k and 4k nodes); the near set holds three float arrays
+    over its 11k representatives (at delta = 0.5) and two over their four
+    images each, 1.0 MB, once per patch radius.  Each cached deficit or w * v product
     adds one read-only float array of its set's node count (on the near set
     two rows, w v and w |v|), and a kernel call makes one reciprocal row of
     that size per set, two with slopes, which every weight of its stack

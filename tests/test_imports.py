@@ -1,6 +1,6 @@
 """The package loads numpy and no scipy module; scipy loads only on the
-paths that use it: table boxes and Lanczos.  Each check runs in a fresh interpreter, because this test
-process has scipy loaded already."""
+paths that use it: table boxes and Lanczos.  Each check runs in a fresh
+interpreter, because this test process has scipy loaded already."""
 
 import json
 import os
