@@ -41,10 +41,11 @@ A record holds:
     z0 = 1.5; seconds over ORACLE_REPEATS runs, the box builds' seconds,
     the roots, and the resolvent evaluations G(E) of the secular equation
     per root (null where the package has no secular path); and the
-    (1, 3, 1) boxes of the t = 0.1 diagonal-hop table at TABLE_LS, each
-    timed over ORACLE_REPEATS runs of forming its four sector blocks and
-    of sector_count_above (a package whose build still takes a hopping
-    cutoff R builds them with R = 1);
+    (1, 3, 1) boxes of each table of TABLE_MODELS (the t = 0.1 diagonal-hop
+    table and the Laplacian's own five entries) at TABLE_LS, each timed
+    over ORACLE_REPEATS runs of forming its four sector blocks and of
+    sector_count_above (a package whose build still takes a hopping cutoff
+    R builds them with R = 1);
   * import: seconds of `import lattice_spectra, lattice_spectra.cli` in
     each of IMPORT_REPEATS fresh interpreters (numpy's import included),
     their median, and the scipy modules that import leaves loaded: their
@@ -92,7 +93,7 @@ ORACLE_LS, ORACLE_COUPLING, ORACLE_MARGIN = (30, 45, 60), (1.0, 3.0, 1.0), 5e-3
 MULT2_Z0, MULT2_L, MULT2_MARGIN = 1.5, 80, 1e-2
 ORACLE_REPEATS = 7
 IMPORT_REPEATS = 7            # fresh interpreters timing the package import
-TABLE_MODEL, TABLE_LS = "diagonal-hop:0.1", (40, 60)
+TABLE_MODELS, TABLE_LS = ("diagonal-hop:0.1", "laplacian-table"), (40, 60)
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
 COLD_MODELS = ("stepped:0.5", "piecewise:0.5", "next-nearest:0.1")
 COUNTERS = ("integrals", "fills", "far_passes")
@@ -160,16 +161,16 @@ def _model(dispersion, name):
         return dispersion.DiscreteLaplacian()
     if kind == "stepped":
         return dispersion.SteppedPhiA(a_param=float(param))
+    nearest = ((0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5))
+    if kind == "laplacian-table":   # the Laplacian's own five entries
+        return dispersion.ExponentialHopping(table=nearest)
     if kind == "diagonal-hop":   # the Laplacian plus ehat(+-(1, 1)) = t
         t = float(param)
-        return dispersion.ExponentialHopping(table=(
-            (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
-            (1, 1, t), (-1, -1, t)))
+        return dispersion.ExponentialHopping(table=nearest + ((1, 1, t), (-1, -1, t)))
     if kind == "next-nearest":   # perfbench's table: nearest -1/2, diagonals -t2/2
-        t2 = float(param)
-        return dispersion.ExponentialHopping(table=(
-            (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
-            (1, 1, -t2 / 2), (-1, -1, -t2 / 2), (1, -1, -t2 / 2), (-1, 1, -t2 / 2)))
+        d = -float(param) / 2
+        return dispersion.ExponentialHopping(table=nearest + (
+            (1, 1, d), (-1, -1, d), (1, -1, d), (-1, 1, d)))
     return dispersion.PiecewisePhi(eps=float(param))
 
 
@@ -302,28 +303,29 @@ def _oracle_rows(lattice_oracle, spectrum, dispersion):
 
 def _table_rows(lo, dispersion):
     """The sector blocks and the count of the table boxes at TABLE_LS."""
-    model = _model(dispersion, TABLE_MODEL)
     cutoff = {"R": 1} if "R" in inspect.signature(lo.build).parameters else {}
     a, b, mu = ORACLE_COUPLING
     rows = {}
-    for L in TABLE_LS:
-        h = lo.build(model, L, a=a, b=b, mu=mu, **cutoff)
+    for name in TABLE_MODELS:
+        model = _model(dispersion, name)
+        for L in TABLE_LS:
+            h = lo.build(model, L, a=a, b=b, mu=mu, **cutoff)
 
-        def blocks():
-            return [h.sector_block(s).operator() for s in ("os", "oa", "ea", "es")]
+            def blocks():
+                return [h.sector_block(s).operator() for s in ("os", "oa", "ea", "es")]
 
-        def count():
-            return lo.sector_count_above(h, float(model.e_max), ORACLE_MARGIN)
+            def count():
+                return lo.sector_count_above(h, float(model.e_max), ORACLE_MARGIN)
 
-        blocks()                                # warm numpy and scipy
-        roots = count().total
-        block_runs = _run_times(blocks, ORACLE_REPEATS)
-        count_runs = _run_times(count, ORACLE_REPEATS)
-        rows[f"table {TABLE_MODEL} L={L} {ORACLE_COUPLING}"] = {
-            "blocks_median_s": statistics.median(block_runs),
-            "blocks_runs_s": block_runs,
-            "count_median_s": statistics.median(count_runs),
-            "count_runs_s": count_runs, "roots": roots}
+            blocks()                            # warm numpy and scipy
+            roots = count().total
+            block_runs = _run_times(blocks, ORACLE_REPEATS)
+            count_runs = _run_times(count, ORACLE_REPEATS)
+            rows[f"table {name} L={L} {ORACLE_COUPLING}"] = {
+                "blocks_median_s": statistics.median(block_runs),
+                "blocks_runs_s": block_runs,
+                "count_median_s": statistics.median(count_runs),
+                "count_runs_s": count_runs, "roots": roots}
     return rows
 
 

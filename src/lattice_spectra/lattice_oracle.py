@@ -5,16 +5,14 @@ five-point potential mu * (a at the origin, b at the four neighbors).  Bound
 states above the band decay exponentially, so box eigenvalues converge
 exponentially in L and an Aitken-type extrapolation recovers the limit.
 
-A box holds its free operator H0 in one of two forms, each read off the
-model's own data without the torus quadrature (``build`` picks the form
-from the kind):
-
-  * a separable kind e(p) = g(p1) + g(p2) (one with ``pieces``) as the 1-D
-    profile coefficients c_0..c_2L of g (closed form, cosine pieces):
-    H0 = Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|,
-    applied as Phi X + X Phi, with no hopping the box can see left out;
-  * a hopping table as its entries ehat(x), a sparse sum of shifts held as
-    a CSR matrix: the exact compression of H0 to the box.
+A box holds its free operator H0 as hopping entries ehat(x), read off the
+model's own data without the torus quadrature: a table's entries, or the
+axis entries ehat(+-n, 0) = ehat(0, +-n) = c_n, ehat(0, 0) = 2 c_0 of a
+separable kind's 1-D profile coefficients c_0..c_2L (closed form, cosine
+pieces).  Its operator is the CSR matrix of this sum of shifts, the exact
+compression of H0 to the box.  When every nonzero entry lies on an axis,
+H0 = Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|
+(``phi_row``), whichever kind the entries came from.
 
 Negation x -> -x and the coordinate swap preserve the box and V, so the
 operator splits into the four sectors os, oa, ea, es.  Each sector block
@@ -23,22 +21,22 @@ eigenvalues.  The box restriction of H0 has no eigenvalue above e_max, so by
 min-max a block holds no more eigenvalues above it than mu V has positive
 eigenvalues in its sector: 1 in os, oa and ea, 2 in es.
 
-Both forms count the same way.  On a sector, mu V is D = mu b (mu diag(a,
+Every box counts the same way.  On a sector, mu V is D = mu b (mu diag(a,
 b) in es) on the potential's one or two sector vectors Y.  For t above the
 free box's spectrum the sector holds n_-(N(t)) eigenvalues above t, where
 N(E) = G(E)^-1 - D with G(E) = Y^T (E - H0)^-1 Y is the box's
 Birman-Schwinger matrix; N increases with E, so each of its negative
 eigenvalues at t crosses zero once above t, at an eigenvalue of H.  A
-separable box finds each such root by Newton on its branch of N, from one
-``eigh`` of the (2L + 1) x (2L + 1) matrix Phi: a secular equation of size
-1 or 2 (Golub, SIAM Rev. 15, 318 (1973)), whose eigenpairs each Newton
-step takes in closed form.  A table box keeps its CSR sector blocks and
-Lanczos; an es block first counts its eigenvalues above the cut, from one
-sparse LU of t - H0, and asks Lanczos for just that many.
+Kronecker-sum box finds each such root by Newton on its branch of N, from
+one ``eigh`` of the (2L + 1) x (2L + 1) matrix Phi: a secular equation of
+size 1 or 2 (Golub, SIAM Rev. 15, 318 (1973)), whose eigenpairs each
+Newton step takes in closed form.  Any other box keeps its CSR sector
+blocks and Lanczos; an es block first counts its eigenvalues above the
+cut, from one sparse LU of t - H0, and asks Lanczos for just that many.
 
-Only the table-box and Lanczos paths use scipy (scipy.sparse and
-scipy.sparse.linalg), and each function there imports it when it runs, so
-that importing the package, or counting a separable box, loads no scipy.
+Only the CSR matrix and Lanczos use scipy (scipy.sparse and .linalg), each
+function importing it when it runs, so that importing the package, building
+a box, or counting a Kronecker-sum box loads no scipy.
 """
 
 import math
@@ -52,9 +50,8 @@ from .dispersion import PI, _invariant
 from .sectors import RANK_ONE_SECTORS, SECTORS
 
 # sector blocks of at most this dimension are formed densely for eigvalsh
-# (eigsh needs k < dim - 1); larger ones go to Lanczos, as CSR matrices for
-# a hopping table and as matvecs otherwise.  The L = 30 blocks have
-# dimension 900 to 961
+# (eigsh needs k < dim - 1); larger ones go to Lanczos.  The L = 30 blocks
+# have dimension 900 to 961
 DENSE_LIMIT = 400
 # a secular root is taken once a Newton step moves it by at most this
 # fraction of max(1, |E|); quadratic convergence leaves roundoff after it
@@ -70,14 +67,13 @@ _SECTOR_CHARACTERS = {
 }
 
 
-@dataclass(frozen=True)   # a table box keeps its matrix (_table_matrix)
+@dataclass(frozen=True)   # keeps its matrix (_table_matrix) once built
 class TruncatedHamiltonian:
     L: int
     a: float
     b: float
     mu: float
-    hopping: dict | None        # (x1, x2) -> ehat(x) of a table; None: profile
-    phi_row: np.ndarray | None  # c[0..2L] of the separable g; None: table
+    hopping: dict   # (x1, x2) -> ehat(x)
 
     @property
     def dimension(self):
@@ -93,9 +89,21 @@ class TruncatedHamiltonian:
         return self.mu * v
 
     @cached_property
+    def phi_row(self):
+        """c[0..2L] of the Toeplitz row Phi when H0 = Phi (x) I + I (x) Phi,
+        that is when every nonzero entry lies on an axis (c_0 = ehat(0, 0)/2,
+        c_n = ehat(n, 0)); None otherwise."""
+        hop = self.hopping
+        if any(v for (x1, x2), v in hop.items() if x1 and x2):
+            return None
+        row = np.array([hop.get((n, 0), 0.0) for n in range(2 * self.L + 1)])
+        row[0] /= 2.0
+        return row
+
+    @cached_property
     def _table_matrix(self):
-        """The box operator of a table box as a CSR matrix, built on first
-        use and kept: the four sector blocks and the operator share it."""
+        """The box operator as a CSR matrix, built on first use and kept:
+        the four sector blocks and the operator share it."""
         import scipy.sparse
         n = 2 * self.L + 1
         i, j = np.divmod(np.arange(n * n), n)
@@ -114,19 +122,7 @@ class TruncatedHamiltonian:
     def operator(self):
         """The box operator on row-major flattened (x1, x2) arrays."""
         import scipy.sparse.linalg
-        if self.hopping is not None:
-            return scipy.sparse.linalg.aslinearoperator(self._table_matrix)
-        n = 2 * self.L + 1
-        vdiag = self._potential_diag()
-        idx = np.arange(n)
-        phi = self.phi_row[np.abs(idx[:, None] - idx[None, :])]
-
-        def matvec(x):
-            m = x.reshape(n, n)
-            return (phi @ m + m @ phi + vdiag * m).ravel()
-
-        return scipy.sparse.linalg.LinearOperator(
-            (n * n, n * n), matvec=matvec, dtype=float)
+        return scipy.sparse.linalg.aslinearoperator(self._table_matrix)
 
     def sector_block(self, sector):
         return SectorBlock(self, sector, _sector_basis(self.L, sector))
@@ -144,17 +140,9 @@ class SectorBlock:
         return self.basis.shape[1]
 
     def operator(self):
-        """Q^T H Q: a CSR matrix formed from the box's own matrix on a table
-        box, otherwise a LinearOperator applying Q^T (H (Q y))."""
-        import scipy.sparse.linalg
+        """Q^T H Q as a CSR matrix, formed from the box's own matrix."""
         q = self.basis
-        qt = q.T.tocsr()
-        if self.h.hopping is not None:
-            return (qt @ self.h._table_matrix @ q).tocsr()
-        op = self.h.operator()
-        return scipy.sparse.linalg.LinearOperator(
-            (self.dimension, self.dimension),
-            matvec=lambda y: qt @ op.matvec(q @ y), dtype=float)
+        return (q.T.tocsr() @ self.h._table_matrix @ q).tocsr()
 
 
 def _sector_basis(L, sector):
@@ -206,22 +194,31 @@ def _phi_coefficients(model, n_max):
 def build(model, L, a=1.0, b=1.0, mu=0.0):
     """Box truncation of the operator, its H0 read off the model's own data.
 
-    A separable kind (one with ``pieces``) gives its 1-D profile
-    coefficients c_0..c_2L, every one the box sees (``phi_row``); a hopping
-    table gives its entries as they are (``hopping``), and ValueError when
-    it is not invariant under the coordinate swap, which the sector split
-    needs.
+    A hopping table gives its entries as they are, and ValueError when it
+    is not invariant under the coordinate swap, which the sector split
+    needs.  A separable kind (one with ``pieces``) gives the axis entries of
+    its 1-D profile coefficients c_0..c_2L, every one the box sees:
+    ehat(0, 0) = 2 c_0 and ehat(+-n, 0) = ehat(0, +-n) = c_n, so
+    ``phi_row`` reads the row back bitwise.  ValueError also for an L that
+    is not an integer >= 1 and for a non-finite a, b or mu.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError(f"L must be an integer >= 1, got {L!r}")
+    if not all(map(math.isfinite, (a, b, mu))):
+        raise ValueError(f"(a, b, mu) = ({a!r}, {b!r}, {mu!r}) must be finite")
     if hasattr(model, "pieces"):
-        return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=None,
-                                    phi_row=_phi_coefficients(model, 2 * L))
-    if not _invariant(model, lambda x1, x2: (x2, x1)):
+        c = _phi_coefficients(model, 2 * L)
+        tail, zeros = c[1:].tolist(), [0] * (2 * L)
+        hopping = {(0, 0): 2.0 * float(c[0])}
+        for shifts in (range(1, 2 * L + 1), range(-1, -2 * L - 1, -1)):
+            hopping.update(zip(zip(shifts, zeros), tail))
+            hopping.update(zip(zip(zeros, shifts), tail))
+    elif not _invariant(model, lambda x1, x2: (x2, x1)):
         raise ValueError("hopping table must satisfy ehat(x1, x2) = "
                          "ehat(x2, x1): the sector split needs the swap")
-    return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, phi_row=None,
-                                hopping={(x1, x2): v for x1, x2, v in model.table})
+    else:
+        hopping = {(x1, x2): v for x1, x2, v in model.table}
+    return TruncatedHamiltonian(L=int(L), a=a, b=b, mu=mu, hopping=hopping)
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +382,21 @@ def _secular_entries(h, t, margin):
 def eigen_pairs(h, k, above=None):
     """The k largest eigenvalues (descending) of a sector block ``h``.
 
-    Blocks up to DENSE_LIMIT are formed as op @ I for eigvalsh; larger ones
+    Blocks up to DENSE_LIMIT are formed densely for eigvalsh; larger ones
     go to Lanczos from a seeded start vector, so repeated runs agree to the
     bit.  Only eigenvalues are returned: sectors come from blocks.
 
-    With a cut ``above = t``, a Lanczos-size block of a table box (a CSR
-    matrix) is asked for no more than its exact number of eigenvalues above
-    t (``_count_above``), so Lanczos converges no eigenvalue below the cut;
-    a returned value at or below t then raises NoConvergence.  The matvec
-    blocks of a separable box ignore the cut: they have no matrix to factor,
-    and ``sector_count_above`` does not diagonalize them.
+    With a cut ``above = t``, a Lanczos-size block is asked for no more
+    than its exact number of eigenvalues above t (``_count_above``), so
+    Lanczos converges no eigenvalue below the cut; a returned value at or
+    below t then raises NoConvergence.
     """
     import scipy.sparse.linalg
     dim = h.dimension
     op = h.operator()
     if dim <= DENSE_LIMIT:
-        return np.linalg.eigvalsh(op @ np.eye(dim))[::-1][:k]
-    counted = above is not None and scipy.sparse.issparse(op)
-    if counted:
+        return np.linalg.eigvalsh(op.toarray())[::-1][:k]
+    if above is not None:
         k = min(k, _count_above(h, op, above))
         if k == 0:
             return np.empty(0)
@@ -414,7 +408,7 @@ def eigen_pairs(h, k, above=None):
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos failed to converge: {exc}") from exc
     vals = np.sort(vals)[::-1]
-    if counted and vals[-1] <= above:
+    if above is not None and vals[-1] <= above:
         box = h.h
         raise NoConvergence(
             f"Lanczos returned {vals[-1]!r} <= t = {above!r} in the "
@@ -453,29 +447,30 @@ def sector_count_above(h, e_max, margin, k=None):
     sector holds no more eigenvalues above it than mu V has positive
     eigenvalues there: at most 1 in os, oa and ea, 2 in es.
 
-    Both box forms count a sector's eigenvalues above t as n_-(N(t)), the
+    Every box counts a sector's eigenvalues above t as n_-(N(t)), the
     negative inertia of N(E) = G(E)^-1 - D (``_branches_above``).  A
-    separable box (``phi_row`` set) forms no block:
-    each counted root is found by Newton on its branch of N, a secular
-    equation of size 1, or 2 in es (``_secular_entries``).  ValueError when
-    t is not above the free box's top eigenvalue; NoConvergence when a root
-    is not resolved.
+    Kronecker-sum box (``phi_row`` not None: every nonzero hopping entry on
+    an axis, as on every separable kind) forms no block: each counted root
+    is found by Newton on its branch of N, a secular equation of size 1, or
+    2 in es (``_secular_entries``).  ValueError when t is not above the free
+    box's top eigenvalue; NoConvergence when a root is not resolved.
 
-    A table box (``hopping`` set) keeps its sector blocks.  On a rank-one
-    sector mu V is the 1x1 matrix mu b, so where mu b <= 0 the block holds
-    none and is not diagonalized; otherwise it is asked for its largest
-    eigenvalue.  The es block is asked for at most 2 above t: a
-    Lanczos-size block counts them first (``_count_above``) and converges
-    only those (``eigen_pairs``), while a dense block is asked for 2.  The
-    rank-one blocks skip the count: a factorization per block measured
-    slower on the (1, 3, 1) boxes at L = 30, 45, 60, where each of them
-    holds its bound state.
+    Any other box keeps its sector blocks.  On a rank-one sector mu V is
+    the 1x1 matrix mu b, so where mu b <= 0 the block holds none and is not
+    diagonalized; otherwise it is asked for its largest eigenvalue.  The es
+    block is asked for at most 2 above t: a Lanczos-size block counts them
+    first (``_count_above``) and converges only those (``eigen_pairs``),
+    while a dense block is asked for 2.  The rank-one blocks skip the
+    count: a factorization per block measured slower on the (1, 3, 1)
+    boxes at L = 30, 45, 60, where each of them holds its bound state.
 
-    Either way the count is exact.  ``k`` is ignored; it is accepted so that
+    Either way the count is exact.  ValueError for a non-finite e_max or
+    margin, or a margin <= 0.  ``k`` is ignored; it is accepted so that
     callers still passing it keep working.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not (math.isfinite(e_max) and math.isfinite(margin) and margin > 0):
+        raise ValueError(f"e_max = {e_max!r} must be finite and margin = "
+                         f"{margin!r} finite and positive")
     t = e_max + margin
 
     def block_values(s):

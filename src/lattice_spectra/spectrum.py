@@ -130,6 +130,8 @@ def eigenvalue_curve(model, sector, a, b, mu_grid, spec=None, branch=1):
     For the rank-two sector, ``branch`` selects the record by descending
     energy (1 = largest).
     """
+    if sector not in sectors.SECTORS:
+        raise ValueError(f"unknown sector {sector!r}")
     mu_grid = [float(m) for m in mu_grid]
     if any(m2 <= m1 for m1, m2 in zip(mu_grid, mu_grid[1:])):
         raise ValueError("mu grid must be strictly increasing")

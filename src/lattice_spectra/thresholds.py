@@ -215,6 +215,8 @@ def resonance_integrability_probe(model, sector, a=1.0, b=1.0, spec=None):
     fit flags the resonance (log-divergent) case, vanishing Cauchy
     differences over the annuli inside r = 1e-3 the square-integrable case.
     """
+    if sector not in sectors.SECTORS:
+        raise ValueError(f"unknown sector {sector!r}")
     if sector in sectors.RANK_ONE_SECTORS:
         if b <= 0:
             raise ZeroCoupling("probe requires b > 0 in the rank-one sectors")

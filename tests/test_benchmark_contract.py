@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from lattice_spectra import spectrum
-from test_dispersion import laplacian_table
+from test_lattice_oracle import NEXT_NEAREST
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -80,12 +80,14 @@ def test_traced_box_counts_match_untraced():
     modules = {layer: importlib.import_module(f"{tracing.PACKAGE}.{layer}")
                for layer in tracing.LAYER_API}
     oracle = modules["lattice_oracle"]
-    h = oracle.build(laplacian_table(), 20, a=1.0, b=3.0, mu=1.0)  # Lanczos
-    plain = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
+    # off-axis hopping, so the box takes its sector blocks and Lanczos
+    h = oracle.build(NEXT_NEAREST, 20, a=1.0, b=3.0, mu=1.0)
+    e_max = float(NEXT_NEAREST.e_max)
+    plain = oracle.sector_count_above(h, e_max, 5e-3, k=10)
     tracer = tracing.Tracer(modules)
     tracer.install()
     try:
-        traced = oracle.sector_count_above(h, 4.0, 5e-3, k=10)
+        traced = oracle.sector_count_above(h, e_max, 5e-3, k=10)
     finally:
         tracer.uninstall()
     for s in ("os", "oa", "ea", "es"):
@@ -94,7 +96,7 @@ def test_traced_box_counts_match_untraced():
         assert (sorted(v for v, t in traced.entries if t == s)
                 == pytest.approx(sorted(v for v, t in plain.entries if t == s),
                                  abs=1e-12))
-    # the sparse blocks are formed from the box's own matrix, not from the
-    # traced operator, so their eigensolves count no matvecs
+    # the blocks are formed from the box's own matrix, not from the traced
+    # operator, so their eigensolves count no matvecs
     spans = [s for s in tracer.spans if s.name == "lattice_oracle.eigen_pairs"]
     assert len(spans) == 4

@@ -345,8 +345,10 @@ def test_unresolvable_root_names_its_state(lap):
     assert match, message
     last, lo, hi = (float(x) for x in match.groups())
     assert last == lo == ALPHA_FLOOR < hi
-    # hi lies between the two roots, where Delta is negative
-    assert delta_es(lap, 1.0, 1.0, mu, alpha=hi).combined < 0
+    # Delta is negative strictly between the two roots, and hi is the outer
+    # root itself, where Delta reads +-1e-16 as the BLAS thread count varies
+    assert delta_es(lap, 1.0, 1.0, mu, alpha=math.sqrt(lo * hi)).combined < 0
+    assert abs(delta_es(lap, 1.0, 1.0, mu, alpha=hi).combined) < 1e-14
 
 
 def test_record_as_dict(lap):

@@ -98,10 +98,24 @@ def test_operator_matches_dense(lap):
 NEXT_NEAREST = ExponentialHopping(table=(
     (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
     (1, 1, -0.05), (-1, -1, -0.05), (1, -1, -0.05), (-1, 1, -0.05)))
-# a hopping table (sparse blocks) and separable profiles (matvec blocks)
+# a table with off-axis hopping and two separable profiles
 BLOCK_MODELS = {"laplacian": DiscreteLaplacian(),
                 "next-nearest-t2-0.1": NEXT_NEAREST,
                 "stepped-0.5": SteppedPhiA(a_param=0.5)}
+
+
+@pytest.mark.parametrize("model", [DiscreteLaplacian(), laplacian_table(),
+                                   NEXT_NEAREST, SteppedPhiA(a_param=0.5)],
+                         ids=("laplacian", "laplacian-table", "next-nearest",
+                              "stepped-0.5"))
+def test_every_operator_is_csr_backed(model):
+    # one operator path: the box operator is the box's own CSR matrix,
+    # whichever kind the hopping entries came from
+    h = lo.build(model, 4, a=1.0, b=2.0, mu=1.5)
+    op = h.operator()
+    assert op.A is h._table_matrix and op.A.format == "csr"
+    ref = _kron_reference(h, model)
+    assert np.max(np.abs(op @ np.eye(h.dimension) - ref)) < 1e-13
 
 
 @pytest.mark.parametrize("name", BLOCK_MODELS)
@@ -110,15 +124,13 @@ BLOCK_MODELS = {"laplacian": DiscreteLaplacian(),
        mu=st.floats(0.2, 4.0))
 def test_sector_blocks_match_reference(name, L, a, b, mu):
     model = BLOCK_MODELS[name]
-    table = hasattr(model, "table")
     h = lo.build(model, L, a=a, b=b, mu=mu)
-    assert (h.hopping is not None) == table
-    assert (h.phi_row is not None) == (not table)
+    assert (h.phi_row is not None) == (not hasattr(model, "table"))
     ref = _kron_reference(h, model)
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
         op = blk.operator()
-        assert scipy.sparse.issparse(op) == table
+        assert op.format == "csr"
         q = blk.basis.toarray()
         assert np.max(np.abs(op @ np.eye(blk.dimension) - q.T @ ref @ q)) < 1e-13
 
@@ -148,11 +160,16 @@ def _spy_lanczos(monkeypatch):
     return asked, lanczos
 
 
+# the spies run on a table with off-axis hopping: an axis-only one takes the
+# secular path and forms no block
+E_MAX_NN = float(NEXT_NEAREST.e_max)
+
+
 @pytest.mark.parametrize("L", (8, 20))   # dense and Lanczos blocks
 def test_sector_count_asks_each_block_for_its_rank(monkeypatch, L):
-    h = lo.build(laplacian_table(), L, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(NEXT_NEAREST, L, a=1.0, b=3.0, mu=1.0)
     asked, lanczos = _spy_lanczos(monkeypatch)
-    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    sc = lo.sector_count_above(h, E_MAX_NN, 1e-3)
     # min-max bounds each block's count by its rank; the Lanczos-size blocks
     # (all but ea at L = 20) are asked for exactly their count, which for
     # es is its inertia count
@@ -162,31 +179,32 @@ def test_sector_count_asks_each_block_for_its_rank(monkeypatch, L):
     for s in ("os", "oa", "ea", "es"):
         blk = h.sector_block(s)
         full = np.linalg.eigvalsh(blk.operator() @ np.eye(blk.dimension))
-        want = np.sort(full[full > 4.0 + 1e-3])
+        want = np.sort(full[full > E_MAX_NN + 1e-3])
         got = np.sort([v for v, t in sc.entries if t == s])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) < 1e-10
 
 
 def test_es_lanczos_work_stays_near_a_rank_one_block(monkeypatch):
-    # es holds one bound state at (1, 3, 1): asked for 2, Lanczos converged
-    # a continuum state near e_max in 633 products, against 41 for os
-    h = lo.build(laplacian_table(), 45, a=1.0, b=3.0, mu=1.0)
+    # es holds one bound state at (1, 3, 1): asked for 2 without the cut,
+    # Lanczos converged a continuum state near e_max in 707 products,
+    # against 41 for os
+    h = lo.build(NEXT_NEAREST, 45, a=1.0, b=3.0, mu=1.0)
     _, lanczos = _spy_lanczos(monkeypatch)
-    lo.sector_count_above(h, 4.0, 5e-3)
+    lo.sector_count_above(h, E_MAX_NN, 5e-3)
     assert lanczos["es"]["products"] <= 2 * lanczos["os"]["products"]
 
 
 @pytest.mark.parametrize("a, b, mu, es", ((-1.0, -1.0, 2.0, ()),
-                                          (2.0, -1.0, 2.0, (6.170865374533939,))))
+                                          (2.0, -1.0, 2.0, (6.162178264876797,))))
 def test_rank_one_blocks_without_positive_mu_b_are_skipped(monkeypatch, a, b,
                                                            mu, es):
     # mu V is the 1x1 matrix mu b on a rank-one sector, so by min-max such a
     # block holds nothing above e_max when mu b <= 0; Lanczos spent 301
     # products per block converging a continuum state there at L = 45
-    h = lo.build(laplacian_table(), 45, a=a, b=b, mu=mu)
+    h = lo.build(NEXT_NEAREST, 45, a=a, b=b, mu=mu)
     asked, lanczos = _spy_lanczos(monkeypatch)
-    sc = lo.sector_count_above(h, 4.0, 1e-3)
+    sc = lo.sector_count_above(h, E_MAX_NN, 1e-3)
     assert asked == {"es": 2}
     assert set(lanczos) == ({"es"} if es else set())
     assert (sc.os, sc.oa, sc.ea, sc.es, sc.total) == (0, 0, 0, len(es), len(es))
@@ -196,31 +214,32 @@ def test_rank_one_blocks_without_positive_mu_b_are_skipped(monkeypatch, a, b,
 def test_lanczos_value_below_the_cut_raises(monkeypatch):
     # an es block whose inertia count is 1 must not drop a Lanczos value
     # below the cut; the rank-one blocks filter theirs
-    h = lo.build(laplacian_table(), 20, a=1.0, b=3.0, mu=1.0)
+    h = lo.build(NEXT_NEAREST, 20, a=1.0, b=3.0, mu=1.0)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda op, k, **kwargs: np.full(k, 3.9))
-    with pytest.raises(NoConvergence, match=r"t = 4\.001 in the es block of "
+                        lambda op, k, **kwargs: np.full(k, 3.7))
+    with pytest.raises(NoConvergence, match=r"t = 3\.801 in the es block of "
                        r"the L = 20 box at \(a, b, mu\) = \(1\.0, 3\.0, 1\.0\)"):
-        lo.sector_count_above(h, 4.0, 1e-3)
+        lo.sector_count_above(h, E_MAX_NN, 1e-3)
 
 
-LAPLACIAN, DIAGONAL_HOP = laplacian_table(), diagonal_hop_table(0.1)
+DIAGONAL_HOP = diagonal_hop_table(0.1)
 
 
 @settings(max_examples=8, deadline=None)
-@given(model=st.sampled_from((LAPLACIAN, DIAGONAL_HOP)),
+@given(model=st.sampled_from((NEXT_NEAREST, DIAGONAL_HOP)),
        L=st.sampled_from((28, 30)),
        a=st.one_of(st.just(0.0), st.floats(-3.0, 6.0)),
        b=st.one_of(st.just(0.0), st.floats(-3.0, 6.0)),
        mu=st.one_of(st.just(0.0), st.floats(0.2, 3.0)))
 # es holds 0, 1 and 2 bound states; then a = 0, b = 0 and mu = 0; then 2 on
-# the diagonal-hop table, whose H0 is not a Kronecker sum
-@example(model=LAPLACIAN, L=28, a=-1.0, b=-1.0, mu=2.0)
-@example(model=LAPLACIAN, L=28, a=1.0, b=3.0, mu=1.0)
-@example(model=LAPLACIAN, L=28, a=3.0, b=3.0, mu=1.0)
-@example(model=LAPLACIAN, L=30, a=0.0, b=3.0, mu=1.0)
-@example(model=LAPLACIAN, L=28, a=5.0, b=0.0, mu=1.0)
-@example(model=LAPLACIAN, L=30, a=1.0, b=1.0, mu=0.0)
+# the diagonal-hop table, which is not even per coordinate; neither H0 is a
+# Kronecker sum, so neither box takes the secular path
+@example(model=NEXT_NEAREST, L=28, a=-1.0, b=-1.0, mu=2.0)
+@example(model=NEXT_NEAREST, L=28, a=1.0, b=3.0, mu=1.0)
+@example(model=NEXT_NEAREST, L=28, a=3.0, b=3.0, mu=1.0)
+@example(model=NEXT_NEAREST, L=30, a=0.0, b=3.0, mu=1.0)
+@example(model=NEXT_NEAREST, L=28, a=5.0, b=0.0, mu=1.0)
+@example(model=NEXT_NEAREST, L=30, a=1.0, b=1.0, mu=0.0)
 @example(model=DIAGONAL_HOP, L=28, a=3.0, b=3.0, mu=1.0)
 def test_lanczos_blocks_match_dense_eigvalsh(model, L, a, b, mu):
     # every block of these table boxes is larger than DENSE_LIMIT, so es
@@ -317,19 +336,67 @@ def test_secular_counts_match_dense_sector_blocks(name, L, a, b, mu):
 @pytest.mark.parametrize("model, L", ((DiscreteLaplacian(), 45),
                                       (SteppedPhiA(a_param=0.5), 20)))
 def test_separable_boxes_call_no_eigensolver(monkeypatch, model, L):
-    # the reference top_eigenvalues runs Lanczos on matvec blocks on both
+    # the reference top_eigenvalues runs Lanczos on the CSR blocks of both
     h = lo.build(model, L, a=1.0, b=3.0, mu=1.0)
     t = float(model.e_max) + 5e-3
     want = [v for v in lo.top_eigenvalues(h, 6) if v > t]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("separable boxes are solved without eigsh")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
-    monkeypatch.setattr(lo, "eigen_pairs", forbidden)
+    _forbid_eigensolvers(monkeypatch)
     sc = lo.sector_count_above(h, float(model.e_max), 5e-3)
     assert sc.total == len(want) >= 4
     assert [v for v, _ in sc.entries] == pytest.approx(want, abs=1e-12)
+
+
+def _forbid_eigensolvers(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Kronecker-sum box is solved without eigsh")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
+    monkeypatch.setattr(lo, "eigen_pairs", forbidden)
+
+
+@pytest.mark.parametrize("L", (30, 45))
+def test_laplacian_profile_and_table_boxes_take_the_secular_path(monkeypatch,
+                                                                  lap, L):
+    # the profile's axis entries and the table's five entries give the same
+    # Toeplitz row up to the profile's rounding-level tail
+    _forbid_eigensolvers(monkeypatch)
+    h1 = lo.build(lap, L, a=1.0, b=3.0, mu=1.0)
+    h2 = lo.build(laplacian_table(), L, a=1.0, b=3.0, mu=1.0)
+    assert np.max(np.abs(h1.phi_row - h2.phi_row)) < 1e-15
+    sc1 = lo.sector_count_above(h1, 4.0, 5e-3)
+    sc2 = lo.sector_count_above(h2, 4.0, 5e-3)
+    assert (sc1.os, sc1.oa, sc1.ea, sc1.es) == (sc2.os, sc2.oa, sc2.ea, sc2.es) \
+        == (1, 1, 1, 1)
+    for (v1, s1), (v2, s2) in zip(sc1.entries, sc2.entries):
+        assert s1 == s2 and abs(v1 - v2) < 1e-13
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.floats(-1.0, -0.1), s=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+       L=st.integers(3, 6), a=_COUPLING, b=_COUPLING,
+       mu=st.one_of(st.just(0.0), st.floats(0.2, 4.0)))
+def test_axis_only_tables_take_the_secular_path(t, s, L, a, b, mu):
+    # hopping_table(t, 0, 0, s) lists its diagonals with the value 0.0: only
+    # an entry with a nonzero value off the axes needs the sector blocks
+    model = hopping_table(t, 0.0, 0.0, s)
+    assume(validate_hypothesis(model).passed)
+    cutoff = float(model.e_max) + 1e-3
+    h = lo.build(model, L, a=a, b=b, mu=mu)
+    assert h.phi_row is not None
+    ref = _kron_reference(h, model)
+    want = {}
+    for sec in ("os", "oa", "ea", "es"):
+        q = h.sector_block(sec).basis.toarray()
+        full = np.linalg.eigvalsh(q.T @ ref @ q)
+        assume(np.min(np.abs(full - cutoff)) > 1e-8)
+        want[sec] = np.sort(full[full > cutoff])
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_eigensolvers(patch)
+        sc = lo.sector_count_above(h, float(model.e_max), 1e-3)
+    for sec in ("os", "oa", "ea", "es"):
+        got = np.sort([v for v, u in sc.entries if u == sec])
+        assert getattr(sc, sec) == got.size == want[sec].size
+        assert np.max(np.abs(got - want[sec]), initial=0.0) < 1e-10
 
 
 def test_symmetric_eigenpair_matches_eigh():
@@ -439,6 +506,38 @@ def test_margin_must_be_positive(lap):
 def test_build_validation(lap):
     with pytest.raises(ValueError):
         lo.build(lap, 0)
+
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"L": 2.5}, "L must be an integer >= 1, got 2.5"),
+    ({"L": NAN}, "L must be an integer >= 1, got nan"),
+    ({"L": 10.0}, "L must be an integer >= 1, got 10.0"),
+    ({"L": 10, "a": NAN}, r"\(a, b, mu\) = \(nan, 1.0, 0.0\) must be finite"),
+    ({"L": 10, "b": -INF}, r"\(a, b, mu\) = \(1.0, -inf, 0.0\) must be finite"),
+    ({"L": 10, "mu": INF}, r"\(a, b, mu\) = \(1.0, 1.0, inf\) must be finite"),
+    ({"L": 10, "mu": NAN}, r"\(a, b, mu\) = \(1.0, 1.0, nan\) must be finite"),
+], ids=("L-2.5", "L-nan", "L-float", "a-nan", "b-inf", "mu-inf", "mu-nan"))
+def test_build_rejects_bad_inputs(lap, kwargs, match):
+    # they once leaked numpy's errors, or gave boxes whose eigenvalues were
+    # inf or whose secular solve failed to converge
+    with pytest.raises(ValueError, match=match):
+        lo.build(lap, **kwargs)
+
+
+@pytest.mark.parametrize("e_max, margin", [(4.0, NAN), (4.0, INF), (NAN, 5e-3),
+                                           (INF, 5e-3)])
+def test_sector_count_rejects_non_finite_inputs(lap, e_max, margin):
+    # a NaN once counted 0 eigenvalues and an infinite margin leaked
+    # LinAlgError; zero couplings stay legal
+    h = lo.build(lap, np.int64(6), a=0.0, b=0.0, mu=0.0)
+    assert lo.sector_count_above(h, 4.0, 5e-3).total == 0
+    with pytest.raises(ValueError, match=f"e_max = {e_max!r} must be finite "
+                                         f"and margin = {margin!r} finite"):
+        lo.sector_count_above(h, e_max, margin)
 
 
 def test_build_rejects_swap_asymmetric_table():

@@ -161,6 +161,18 @@ def test_eigenvalue_curve_rejects_branch_below_one(lap, monkeypatch, branch):
                                   branch=branch)
 
 
+
+def test_eigenvalue_curve_rejects_an_unknown_sector(lap, monkeypatch):
+    # an unknown name once fell through to the es search and came back as
+    # the es curve under that label
+    def fail(*args, **kwargs):
+        raise AssertionError("root search ran before the sector was checked")
+
+    monkeypatch.setattr(spectrum, "find_eigenvalues_es", fail)
+    monkeypatch.setattr(spectrum, "find_eigenvalue_rank_one", fail)
+    with pytest.raises(ValueError, match="unknown sector 'bogus'"):
+        spectrum.eigenvalue_curve(lap, "bogus", 1.0, 1.0, [1.0, 2.0, 3.0])
+
 def test_triple_emergence(lap):
     rep = spectrum.triple_emergence_check(lap, 1.0)
     assert rep.a == pytest.approx(2 * PI - 4, rel=1e-6)

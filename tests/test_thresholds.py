@@ -309,6 +309,18 @@ def test_probe_requires_positive_b(lap):
         resonance_integrability_probe(lap, "os", b=-1.0)
 
 
+
+def test_probe_rejects_an_unknown_sector(lap, monkeypatch):
+    # an unknown name once took the es branch: NotIntegrable off the es
+    # eigenfunction line, an es report under that label on it
+    def fail(*args, **kwargs):
+        raise AssertionError("the probe ran before the sector was checked")
+
+    monkeypatch.setattr(thresholds, "classify_threshold_solutions", fail)
+    monkeypatch.setattr(thresholds, "_outside_balls", fail)
+    with pytest.raises(ValueError, match="unknown sector 'bogus'"):
+        resonance_integrability_probe(lap, "bogus")
+
 def test_constants_csv(capsys):
     assert cli.main(["thresholds", "--model", "laplacian"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
