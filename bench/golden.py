@@ -16,12 +16,19 @@ writes to OUT.json:
   * the entries (energy, sector) of perfbench's two oracle boxes: the
     Laplacian (1, 3, 1) boxes at L = 30, 45, 60 (margin 5e-3) and the
     criterion-9 box at L = 80 (margin 1e-2) of the multiplicity-two
-    construction at z0 = 1.5.
+    construction at z0 = 1.5;
+  * the dispersion records: morse_data (floats as float.hex; the error's
+    name where it raises) and validate_hypothesis of each model of
+    DISPERSION_MODELS, of the flat-valley hopping table FLAT_VALLEY and of
+    DISPERSION_DRAWS random hopping tables from SEED (hopping_table).
 
 The second form compares two such files and prints the triples and boxes
 whose sector counts differ, the largest relative |dE| and |d log_alpha|
-over the records, the records whose c1, c2 or other fields changed, and
-the largest |dE| over the box entries.  It exits 1 when any count differs.
+over the records, the records whose c1, c2 or other fields changed, the
+largest |dE| over the box entries, the largest |de_min| / (e_max - e_min)
+over the dispersion records, and each dispersion record whose e_max,
+Hessian, j_psi0, j0 or verdict (the error raised, and the validation
+report) changed.  It exits 1 when any count or verdict differs.
 """
 
 import argparse
@@ -41,6 +48,14 @@ FIXED = (("laplacian", 1.0, 3.0, 1.0), ("laplacian", 1.0, 1.0, 3.0),
 RANDOM_PER_MODEL = 50
 ORACLE_LS, ORACLE_COUPLING, ORACLE_MARGIN = (30, 45, 60), (1.0, 3.0, 1.0), 5e-3
 MULT2_Z0, MULT2_L, MULT2_MARGIN = 1.5, 80, 1e-2
+DISPERSION_MODELS = ("laplacian", "stepped:0.5", "stepped:0.97", "stepped:1",
+                     "piecewise:0.5", "diagonal-hop:0.1", "diagonal-hop:0.3",
+                     "next-nearest:0.1")
+# (t, d1, d2, s) of a table whose minimum lies in a flat valley
+FLAT_VALLEY = (-0.15825177370521115, 0.16077777602209758, 0.08597652139224571,
+               0.017561934288788966)
+DISPERSION_DRAWS = 50
+MORSE_FIELDS = ("e_max", "hessian", "j_psi0", "j0")
 
 
 def _model(dispersion, name):
@@ -49,10 +64,37 @@ def _model(dispersion, name):
         return dispersion.DiscreteLaplacian()
     if kind == "stepped":
         return dispersion.SteppedPhiA(a_param=float(param))
-    t = float(param)   # the Laplacian plus ehat(+-(1, 1)) = t
-    return dispersion.ExponentialHopping(table=(
-        (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
-        (1, 1, t), (-1, -1, t)))
+    if kind == "piecewise":
+        return dispersion.PiecewisePhi(eps=float(param))
+    if kind == "table":   # hopping_table(t, d1, d2, s)
+        return hopping_table(dispersion, *map(float, param.split(",")))
+    nearest = ((0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5))
+    t = float(param)
+    if kind == "next-nearest":   # perfbench's table: diagonals -t/2
+        return dispersion.ExponentialHopping(table=nearest + (
+            (1, 1, -t / 2), (-1, -1, -t / 2), (1, -1, -t / 2), (-1, 1, -t / 2)))
+    # the Laplacian plus ehat(+-(1, 1)) = t
+    return dispersion.ExponentialHopping(table=nearest + ((1, 1, t), (-1, -1, t)))
+
+
+def hopping_table(dispersion, t, d1, d2, s):
+    """The constant 2, nearest hopping t, the diagonals +-(1, 1) and
+    +-(1, -1) with weights d1 and d2, and the axis terms +-(2, 0), +-(0, 2)
+    with weight s."""
+    table = [(0, 0, 2.0)]
+    for x1, x2, v in ((1, 0, t), (0, 1, t), (1, 1, d1), (1, -1, d2),
+                      (2, 0, s), (0, 2, s)):
+        table += [(x1, x2, v), (-x1, -x2, v)]
+    return dispersion.ExponentialHopping(table=tuple(table))
+
+
+def dispersion_models():
+    rng = np.random.default_rng(SEED)
+    draws = [(rng.uniform(-1.0, -0.1), *rng.uniform(-0.2, 0.2, 2),
+              rng.uniform(-0.05, 0.05)) for _ in range(DISPERSION_DRAWS)]
+    return DISPERSION_MODELS + tuple(
+        "table:" + ",".join(repr(float(x)) for x in params)
+        for params in (FLAT_VALLEY, *draws))
 
 
 def triples():
@@ -104,7 +146,23 @@ def record(src):
     boxes.append(box(f"criterion-9 z0={MULT2_Z0} L={MULT2_L}",
                      lo.build(dispersion.SteppedPhiA(a_param=c.A0), MULT2_L,
                               a=c.a0, b=c.b0, mu=1.0), 1.0, MULT2_MARGIN))
-    return {"solves": solves, "boxes": boxes}
+
+    maxima = []
+    for name in dispersion_models():
+        model = _model(dispersion, name)
+        entry = {"model": name}
+        try:
+            md = dispersion.morse_data(model)
+        except LatticeSpectraError as exc:
+            entry["error"] = type(exc).__name__
+        else:
+            entry.update(e_max=_hex(md.e_max), e_min=_hex(md.e_min),
+                         hessian=[_hex(x) for row in md.hessian for x in row],
+                         j_psi0=_hex(md.j_psi0), j0=_hex(md.j0))
+        report = dispersion.validate_hypothesis(model)
+        entry.update(passed=report.passed, failures=list(report.failures))
+        maxima.append(entry)
+    return {"solves": solves, "boxes": boxes, "dispersion": maxima}
 
 
 def _counts(records):
@@ -116,7 +174,7 @@ def _counts(records):
 
 def diff(old, new):
     """Report lines comparing two golden records, and whether every count
-    agrees."""
+    and verdict agrees."""
     lines, same_counts = [], True
     worst_e = worst_log = 0.0
     coefficients = moved = others = 0
@@ -160,6 +218,24 @@ def diff(old, new):
         worst_box = max([worst_box] + [
             abs(float.fromhex(eo) - float.fromhex(en))
             for (eo, _), (en, _) in zip(o["entries"], n["entries"])])
+    worst_min, same_verdicts = 0.0, True
+    for o, n in zip(old["dispersion"], new["dispersion"], strict=True):
+        if o["model"] != n["model"]:
+            raise ValueError(f"the files list different models at {o['model']}")
+        verdict = ("error", "passed", "failures")
+        if any(o.get(key) != n.get(key) for key in verdict):
+            same_verdicts = False
+            lines.append(f"{o['model']}: verdict " + ", ".join(
+                f"{key} {o.get(key)} -> {n.get(key)}" for key in verdict
+                if o.get(key) != n.get(key)))
+        if "error" in o or "error" in n:
+            continue
+        for key in MORSE_FIELDS:
+            if o[key] != n[key]:
+                lines.append(f"{o['model']}: {key} {o[key]} -> {n[key]}")
+        e_max, e_min = float.fromhex(n["e_max"]), float.fromhex(n["e_min"])
+        worst_min = max(worst_min, abs(e_min - float.fromhex(o["e_min"]))
+                        / (e_max - e_min))
     lines += [f"triples: {len(old['solves'])}, boxes: {len(old['boxes'])}, "
               f"counts {'equal' if same_counts else 'DIFFER'}",
               f"largest relative |dE| of a record: {worst_e:.3g}",
@@ -167,8 +243,11 @@ def diff(old, new):
               f"records whose energy or log_alpha moved: {moved}",
               f"records with changed c1/c2: {coefficients}",
               f"records with a changed sector, multiplicity or residual: {others}",
-              f"largest |dE| of a box entry: {worst_box:.3g}"]
-    return lines, same_counts
+              f"largest |dE| of a box entry: {worst_box:.3g}",
+              f"dispersion records: {len(old['dispersion'])}, verdicts "
+              f"{'equal' if same_verdicts else 'DIFFER'}",
+              f"largest |de_min| / (e_max - e_min): {worst_min:.3g}"]
+    return lines, same_counts and same_verdicts
 
 
 def _pair(r):
@@ -183,9 +262,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.diff:
         old, new = (json.loads(path.read_text()) for path in args.diff)
-        lines, same_counts = diff(old, new)
+        lines, same = diff(old, new)
         print("\n".join(lines))
-        return 0 if same_counts else 1
+        return 0 if same else 1
     if args.out is None:
         parser.error("give OUT.json, or --diff OLD.json NEW.json")
     args.out.write_text(json.dumps(record(args.src.resolve()), indent=1) + "\n")

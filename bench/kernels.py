@@ -23,8 +23,10 @@ A record holds:
     on it; and for each model of COLD_MODELS, on each of its far levels
     the node count, ms per level build, per deficit fill and per fill of
     each of the seven sector weights, then a cold gammas (seconds and
-    counts) and a cold dispersion.morse_data (seconds over MORSE_REPEATS
-    runs, and its calls of the model's values);
+    counts); and for the Laplacian and each model of COLD_MODELS a cold
+    dispersion.morse_data and a cold validate_hypothesis, morse_data's
+    cache cleared before each (seconds over MORSE_REPEATS runs, and the
+    calls of the model's values in one run);
   * probe_ms: ms per thresholds.resonance_integrability_probe in the os
     and ea sectors on the Laplacian and stepped:0.5, cold (every node set
     cleared first) and warm (after a first probe);
@@ -61,8 +63,8 @@ level's reciprocal row).  They are counted on the private kernels of
 torus_quad.
 
 Times are medians over REPEATS runs (MORSE_REPEATS for the cold
-morse_data rows, whose 10-20 ms spread widely over 3), with every run
-listed.  BLAS and OpenMP
+morse_data and validate_hypothesis rows, whose 10-20 ms spread widely over
+3), with every run listed.  BLAS and OpenMP
 are pinned to one thread, as in perfbench/run.py.
 """
 
@@ -83,7 +85,7 @@ from pathlib import Path            # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3                   # runs of each solve and grid
-MORSE_REPEATS = 15            # runs of each cold morse_data
+MORSE_REPEATS = 15            # runs of each cold morse_data and validation
 KERNEL_REPEATS = 7            # batches of each kernel timing
 PHASE_GRID = (-2.0, -1.0, 1.0, 2.0, 3.0)
 PHASE_MU = 2.0
@@ -176,8 +178,8 @@ def _model(dispersion, name):
 
 def _cold_row(model, timed_with_count):
     """The cold path of one model: its far levels' build, the deficit and
-    weight fills on them, a cold gammas and a cold morse_data."""
-    from lattice_spectra import dispersion, sectors, thresholds, torus_quad
+    weight fills on them, a cold gammas, and the cold dispersion checks."""
+    from lattice_spectra import sectors, thresholds, torus_quad
 
     spec = torus_quad.default_spec(model)
     key = (spec.grid_n, spec.patch_radius, model.breakpoints)
@@ -220,6 +222,18 @@ def _cold_row(model, timed_with_count):
         thresholds.gammas.cache_clear()
         return thresholds.gammas(model)
 
+    row = {"levels": levels, "gammas": timed_with_count(cold_gammas),
+           **_cold_dispersion(model)}
+    torus_quad._far_grids.cache_clear()
+    return row
+
+
+def _cold_dispersion(model):
+    """A cold dispersion.morse_data and a cold validate_hypothesis, each
+    run with morse_data's cache cleared: seconds over MORSE_REPEATS runs,
+    and the calls of the model's values in one run."""
+    from lattice_spectra import dispersion
+
     calls = []
     values = type(model).values
 
@@ -227,20 +241,21 @@ def _cold_row(model, timed_with_count):
         calls.append(None)
         return values(self, *args)
 
-    def cold_morse():
-        dispersion.morse_data.cache_clear()
-        calls.clear()
-        type(model).values = counted
-        try:
-            return dispersion.morse_data(model)
-        finally:
-            type(model).values = values
+    rows = {}
+    for name in ("morse_data", "validate_hypothesis"):
+        def cold(check=getattr(dispersion, name)):
+            dispersion.morse_data.cache_clear()
+            calls.clear()
+            type(model).values = counted
+            try:
+                return check(model)
+            finally:
+                type(model).values = values
 
-    morse = _run_times(cold_morse, MORSE_REPEATS)
-    torus_quad._far_grids.cache_clear()
-    return {"levels": levels, "gammas": timed_with_count(cold_gammas),
-            "morse_data": {"median_s": statistics.median(morse),
-                           "runs_s": morse, "values_calls": len(calls)}}
+        runs = _run_times(cold, MORSE_REPEATS)
+        rows[name] = {"median_s": statistics.median(runs), "runs_s": runs,
+                      "values_calls": len(calls)}
+    return rows
 
 
 def _oracle_rows(lattice_oracle, spectrum, dispersion):
@@ -437,6 +452,7 @@ def measure(src):
         return [near.weighted(v) for v in gamma_weights]
 
     cold["near_set_build_ms"] = 1e3 * _per_call(near_build, 10)
+    cold["dispersion laplacian"] = _cold_dispersion(lap)
     for name in COLD_MODELS:
         cold[name] = _cold_row(_model(dispersion, name), timed_with_count)
 

@@ -17,8 +17,8 @@ kind has no kink and its symmetries exactly (``_invariant``).  Per kind:
     |u| ~ 1e-8 where the naive difference loses every digit.
 
 The two local searches, for e_min and for a second maximizer, are one
-small Nelder-Mead in numpy (``_nelder_mead``) that takes scipy's steps and
-returns its floats, so the module, like the package, imports no scipy.
+compass search (``_refine``) on the broadcasting ``values``, so the
+module, like the package, imports no scipy.
 """
 
 from dataclasses import dataclass
@@ -34,8 +34,8 @@ PI_VEC = (np.pi, np.pi)
 DROP_BELOW = 1e-14        # fourier_coefficients drops smaller coefficients
 VALIDATION_GRID_N = 400   # validate_hypothesis grid points per axis
 MAX_SCAN_TOL = 1e-12      # morse_data: relative excess of a scan node over e_max
-POLISH_XATOL, POLISH_FATOL = 1e-12, 1e-14   # _nelder_mead's stopping tolerances
-POLISH_MAXFEV = 400       # _nelder_mead's evaluation budget
+REFINE_TOL = 1e-13        # _refine stops once its stencil's half-width is this small
+REFINE_CALLS = 200        # _refine's budget of stencils
 
 
 def wrap_torus(t):
@@ -109,14 +109,11 @@ class _CosinePieces(_CosineTerms):
         return super().values(p1, p2)
 
     def _profile(self, t):
-        if np.ndim(t) == 0:   # the e_min polish: |wrap_torus(t)| in floats
-            t = abs((float(t) + PI) % (2 * PI) - PI)   # (% is np.mod), one piece
-            return _cosine_sum(next((c for hi, c in self.pieces if t <= hi), ()), t)
         t = np.abs(wrap_torus(t))
         return np.select([t <= hi for hi, _ in self.pieces],
                          [_cosine_sum(terms, t) for _, terms in self.pieces])
 
-    @cached_property   # values reads it on every call, the e_min polish's too
+    @cached_property   # values reads it on every call, each polish stencil's too
     def _terms(self):   # g(p1) + g(p2) on the last piece
         return [t for m, c in self.pieces[-1][1]
                 for t in (((m, 0, c), (0, m, c)) if m else ((0, 0, 2.0 * c),))]
@@ -251,78 +248,29 @@ def _check_not_above(e_max, e, p):
                          f"e(pi, pi) = {e_max:.17g}")
 
 
-class _Exhausted(Exception):
-    """_nelder_mead spent its evaluation budget."""
+_STENCIL = np.linspace(-1.0, 1.0, 9)
 
 
-def _nelder_mead(f, x0):
-    """(min f, its argument) over the plane by the Nelder-Mead simplex from
-    x0, step for step scipy.optimize.minimize(method="Nelder-Mead") with
-    xatol = POLISH_XATOL, fatol = POLISH_FATOL and scipy's default budget
-    of POLISH_MAXFEV evaluations, so it returns the same floats: reflection,
-    expansion, contraction and shrink coefficients 1, 2, 1/2, 1/2; the
-    initial simplex x0 and x0 with one coordinate times 1.05 (0.00025 where
-    it is 0); the vertices reordered by np.argsort twice at the start and
-    once after every step; a stop once every vertex lies within xatol of
-    the best per coordinate and its value within fatol, or when the budget
-    runs out, mid-step if so."""
-    calls = [0]
-
-    def fx(x):
-        if calls[0] >= POLISH_MAXFEV:
-            raise _Exhausted
-        calls[0] += 1
-        return f(x)
-
-    sim = np.array([x0, x0, x0], dtype=float)
-    for k in (0, 1):
-        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
-    fsim = np.array([fx(x) for x in sim])
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
-    while True:
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        if calls[0] >= POLISH_MAXFEV or (
-                np.abs(sim[1:] - sim[0]).max() <= POLISH_XATOL
-                and np.abs(fsim[1:] - fsim[0]).max() <= POLISH_FATOL):
-            return fsim.min(), sim[0]
-        try:
-            _simplex_step(sim, fsim, fx)
-        except _Exhausted:
-            pass
-
-
-def _simplex_step(sim, fsim, fx):
-    """One Nelder-Mead step in place on the sorted vertices sim and their
-    values fsim: the worst vertex moves along the line through the
-    centroid xbar of the other two, or the simplex shrinks to the best."""
-    xbar = (sim[0] + sim[1]) / 2
-    xr = 2 * xbar - sim[2]
-    fxr = fx(xr)
-    if fxr < fsim[0]:
-        xe = 3 * xbar - 2 * sim[2]
-        fxe = fx(xe)
-        sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        return
-    if fxr < fsim[1]:
-        sim[2], fsim[2] = xr, fxr
-        return
-    if fxr < fsim[2]:   # outside contraction
-        xc = 1.5 * xbar - 0.5 * sim[2]
-        fxc = fx(xc)
-        if fxc <= fxr:
-            sim[2], fsim[2] = xc, fxc
-            return
-    else:               # inside contraction
-        xcc = 0.5 * xbar + 0.5 * sim[2]
-        fxcc = fx(xcc)
-        if fxcc < fsim[2]:
-            sim[2], fsim[2] = xcc, fxcc
-            return
-    for j in (1, 2):
-        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-        fsim[j] = fx(sim[j])
+def _refine(f, x0, step):
+    """(min f, its argument) near x0 by a compass search (Hooke & Jeeves,
+    J. ACM 8, 212 (1961); Torczon, SIAM J. Optim. 7, 1 (1997)): f, which
+    takes broadcast coordinate arrays, on the 9 x 9 stencil spanning
+    +-step around the best point so far; a move to a strictly lower node
+    keeps step, else step shrinks by 4, until it is at most REFINE_TOL or
+    REFINE_CALLS stencils are spent."""
+    x, fx = np.array(x0, dtype=float), None
+    for _ in range(REFINE_CALLS):
+        if step <= REFINE_TOL:
+            break
+        p1, p2 = x[0] + step * _STENCIL[:, None], x[1] + step * _STENCIL[None, :]
+        vals = f(p1, p2)
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        fx = vals[4, 4]
+        if vals[i, j] < fx:
+            x, fx = np.array([p1[i, 0], p2[0, j]]), vals[i, j]
+        else:
+            step /= 4
+    return float(fx), x
 
 
 @lru_cache(maxsize=64)
@@ -332,9 +280,11 @@ def morse_data(model):
     e_max and the Hessian are the kind's closed forms.  The maximum at
     pi_vec is checked by comparison: NonMaxAtPi when a node of the offset
     512 x 512 scan (which never holds pi_vec) exceeds e_max by more than
-    MAX_SCAN_TOL max(1, |e_max|).  The same scan's lowest node seeds the
-    polish of e_min, a Nelder-Mead search (``_nelder_mead``, numpy alone)
-    whose value is taken when it is below that node's.
+    MAX_SCAN_TOL max(1, |e_max|).  DegenerateHessian when |det H| is
+    below 1e-10 max|H_ij|^2, a bound that scales with e.  The same scan's
+    lowest node seeds the polish of e_min, a compass search (``_refine``)
+    from a stencil as wide as the scan's step, whose value is taken when it
+    is below that node's.
     """
     e_max = float(model.e_max)
     vals, grid = _grid_values(model, 512)
@@ -343,15 +293,14 @@ def morse_data(model):
 
     hessian = model.hessian_at_max()
     det = float(np.linalg.det(hessian))
-    if abs(det) < 1e-10:
+    if abs(det) < 1e-10 * np.max(np.abs(hessian)) ** 2:
         raise DegenerateHessian(f"det(hessian) = {det:g} at the maximizer")
     if np.max(np.linalg.eigvalsh(hessian)) >= 0:
         raise DegenerateHessian("hessian at the maximizer is not negative definite")
 
     # minimum: the scan's best node plus local polish
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    fun, _ = _nelder_mead(lambda p: float(model.values(p[0], p[1])),
-                          (grid[i], grid[j]))
+    fun, _ = _refine(model.values, (grid[i], grid[j]), 2 * PI / 512)
     e_min = float(min(fun, vals[i, j]))
 
     j_psi0 = 2.0 / np.sqrt(det)
@@ -420,9 +369,10 @@ def validate_hypothesis(model):
     """Swap symmetry read exactly off the terms (every kind is even by
     construction); morse_data's checks of the maximum at pi_vec and its
     Hessian; a polish of the best node of the offset 400 x 400 grid off the
-    square |p - pi_vec|_inf <= 0.5 for a second maximizer, by
-    ``_nelder_mead`` on -e, run only when that node comes within 1e-3
-    (e_max - e_min) of e_max."""
+    square |p - pi_vec|_inf <= 0.5 for a second maximizer, by ``_refine``
+    on -e from a stencil as wide as the grid's step, run only when that
+    node comes within 1e-3 (e_max - e_min) of e_max; the maximum is not
+    unique when the polished value comes within 1e-9 (e_max - e_min)."""
     failures = []
     if not _invariant(model, lambda x1, x2: (x2, x1)):
         failures.append("swap symmetry: e(p1,p2) != e(p2,p1)")
@@ -435,10 +385,10 @@ def validate_hypothesis(model):
         i, j = np.unravel_index(np.argmax(outside), outside.shape)
         if md.e_max - outside[i, j] < 1e-3 * (md.e_max - md.e_min):
             # candidate competing maximum; polish it before judging
-            fun, x = _nelder_mead(lambda p: -float(model.values(p[0], p[1])),
-                                  (grid[i], grid[j]))
+            fun, x = _refine(lambda p1, p2: -model.values(p1, p2),
+                             (grid[i], grid[j]), 2 * PI / VALIDATION_GRID_N)
             _check_not_above(md.e_max, -fun, x)
-            if -fun >= md.e_max - 1e-9:
+            if -fun >= md.e_max - 1e-9 * (md.e_max - md.e_min):
                 failures.append("maximum: not unique (second maximizer away from (pi, pi))")
     except NonMaxAtPi:
         failures.append("maximum: e exceeds e(pi, pi) away from (pi, pi)")

@@ -9,8 +9,9 @@ A box holds its free operator H0 as hopping entries ehat(x), read off the
 model's own data without the torus quadrature: a table's entries, or the
 axis entries ehat(+-n, 0) = ehat(0, +-n) = c_n, ehat(0, 0) = 2 c_0 of a
 separable kind's 1-D profile coefficients c_0..c_2L (closed form, cosine
-pieces).  Its operator is the CSR matrix of this sum of shifts, the exact
-compression of H0 to the box.  When every nonzero entry lies on an axis,
+pieces).  Its operator is the CSR matrix of this sum of shifts, the
+compression of H0 to the box less the entries of size at most 16 eps
+times the largest.  When every nonzero entry lies on an axis,
 H0 = Phi (x) I + I (x) Phi with the Toeplitz matrix Phi = c_|i-j|
 (``phi_row``), whichever kind the entries came from.
 
@@ -103,13 +104,20 @@ class TruncatedHamiltonian:
     @cached_property
     def _table_matrix(self):
         """The box operator as a CSR matrix, built on first use and kept:
-        the four sector blocks and the operator share it."""
+        the four sector blocks and the operator share it.  It skips the
+        entries of size at most 16 eps times the largest, such as a smooth
+        profile's rounding-level tail, which would fill every row; hopping
+        and phi_row keep them."""
         import scipy.sparse
         n = 2 * self.L + 1
         i, j = np.divmod(np.arange(n * n), n)
         diag = np.arange(n * n)
         rows, cols, vals = [diag], [diag], [self._potential_diag().ravel()]
+        floor = 16 * np.finfo(float).eps * max(map(abs, self.hopping.values()),
+                                               default=0.0)
         for (x1, x2), val in self.hopping.items():
+            if abs(val) <= floor:
+                continue
             site = np.flatnonzero((i + x1 >= 0) & (i + x1 < n)
                                   & (j + x2 >= 0) & (j + x2 < n))
             rows.append(site)

@@ -215,8 +215,8 @@ class _NodeSet:
     of w (v summed over the orbit) / (alpha + deficit)^k, whatever v
     (Monkhorst & Pack, Phys. Rev. B 13, 5188 (1976)).  w is the weight of
     the representative divided by the order of its stabilizer, 2 on the
-    orbits of two nodes (4 at the centre of an odd grid), so that every
-    orbit counts as the sum of its four images.  A subclass says where its
+    orbits of two nodes, so that every orbit counts as the sum of its four
+    images.  A subclass says where its
     nodes lie: its _values(v) is v summed over the four images of each
     representative, in the order of w (the near set adds a row of |v|
     summed so), and its _deficit(model) the deficit on the
@@ -272,13 +272,12 @@ class _FarLevel(_NodeSet):
     """One far-field node set: the axis nodes x of the tensor grid, the
     mask of its representatives where 1 - chi > 0, and their weights w
     (the rule's weights times 1 - chi, over the stabilizer's order), in
-    the grid's row-major order.  The axis is mirror-symmetric, so
-    inversion maps node (i, j) to (n-1-i, n-1-j) and the swap to (j, i).
-    The representatives lie in the top h = n // 2 rows: (i, j) with i <= j
-    left of the middle, and on or above the antidiagonal i + j = n - 1
-    right of it; an odd grid adds its middle column and its centre, the
-    one node of the middle row kept.  So the mask covers the top h rows,
-    h + 1 on an odd grid.
+    the grid's row-major order.  The axis is mirror-symmetric with an even
+    number n of nodes, so inversion maps node (i, j) to (n-1-i, n-1-j) and
+    the swap to (j, i), and inversion fixes no node.  The representatives
+    lie in the top h = n / 2 rows: (i, j) with i <= j left of the middle,
+    and on or above the antidiagonal i + j = n - 1 right of it.  So the
+    mask covers the top h rows.
 
     The nodes themselves are never formed: the cutoff and the deficit are
     evaluated on the broadcast axes x[:rows, None], x[None, :] of the top
@@ -293,7 +292,8 @@ class _FarLevel(_NodeSet):
         assert (np.allclose(x[::-1], -x, rtol=0.0, atol=1e-12)
                 and np.allclose(w[::-1], w, rtol=1e-12, atol=0.0)), "far axis not mirrored"
         n = x.size
-        rows = n - n // 2
+        assert n % 2 == 0, "far axis of odd length"
+        rows = n // 2
         d = wrap_torus(x - PI)
         r = np.hypot(d[:rows, None], d[None, :])
         weight = np.outer(w[:rows], w)
@@ -310,17 +310,12 @@ class _FarLevel(_NodeSet):
         representative, on the mask: inversion by reversing the bottom
         rows onto the top ones, then the swap by a transpose, left of the
         middle column onto itself, right of it onto its reversal."""
-        n = grid.shape[0]
-        h = n // 2
-        top = np.empty(self.mask.shape)
-        fold = np.add(grid[:h], grid[n - h:][::-1, ::-1], out=top[:h])
-        left, right = fold[:, :h], fold[:, n - h:]
+        h = grid.shape[0] // 2
+        fold = np.add(grid[:h], grid[h:][::-1, ::-1])
+        left, right = fold[:, :h], fold[:, h:]
         left[...] = left + left.T
         right[...] = right + right[::-1, ::-1].T
-        if n % 2:   # the middle column's swap images lie in the middle row,
-            fold[:, h] += grid[h, :h] + grid[h, h + 1:][::-1]
-            top[h] = 4.0 * grid[h]   # whose centre is fixed by the group
-        return top[self.mask]
+        return fold[self.mask]
 
     def _values(self, v):
         n = self.x.size
@@ -398,7 +393,9 @@ class _NearSet(_NodeSet):
 def _far_grids(grid_n, patch_radius, breakpoints):
     """The node sets for one key: the (fine, coarse) far-field levels, whose
     difference estimates the error of the coarse one, and the near-field
-    set of the patch.  On a kinked model the axis is graded: its segments
+    set of the patch.  Every level has an even number of points per axis:
+    on a smooth model the trapezoid axes take grid_n and 2 (grid_n // 4)
+    points.  On a kinked model the axis is graded: its segments
     run between the kinks, +-pi and +-(pi - patch_radius), the two within
     patch_radius of +-pi take grid_n points per 2 pi and every other
     grid_n / FAR_SPARSE (_panel_counts); the coarse level takes half that
@@ -422,7 +419,7 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     reads by a dot product.
     cache_clear drops all of it."""
     if breakpoints is None:
-        axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(grid_n // 2))
+        axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(2 * (grid_n // 4)))
     else:
         edges = sorted(set([-PI, -(PI - patch_radius), PI - patch_radius, PI]
                            + [float(b) for b in breakpoints]))

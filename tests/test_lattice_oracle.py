@@ -49,6 +49,16 @@ def test_separable_and_sparse_paths_agree(lap):
     assert np.max(np.abs(np.array(v1) - np.array(v2))) < 1e-12
 
 
+def test_profile_matrix_drops_the_rounding_tail(lap):
+    # the Laplacian profile's rounding-level axis entries stay out of its
+    # CSR matrix, which then holds the five-point stencil of its table
+    h1 = lo.build(lap, 45, a=1.0, b=3.0, mu=1.0)
+    h2 = lo.build(laplacian_table(), 45, a=1.0, b=3.0, mu=1.0)
+    assert h1._table_matrix.nnz == h2._table_matrix.nnz
+    v1, v2 = lo.top_eigenvalues(h1, 6), lo.top_eigenvalues(h2, 6)
+    assert np.max(np.abs(np.array(v1) - np.array(v2))) < 1e-12
+
+
 def _kron_reference(h, model):
     """Dense box matrix from the five-point potential and the untruncated
     1-D profile, or the model's own hopping table."""

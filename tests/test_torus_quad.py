@@ -699,13 +699,13 @@ def test_folded_sums_of_a_non_invariant_weight_are_the_unfolded_sums(model):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_odd_coarse_level_gives_the_unfolded_integral(model):
-    # grid_n = 34 gives a coarse level of 17 points per axis on the smooth
-    # kinds: its middle row and column and its centre fold on themselves
+def test_grid_n_34_levels_give_the_unfolded_integral(model):
+    # grid_n = 34 is 2 mod 4: the smooth kinds' coarse level takes 16
+    # points per axis, not 17, so every level folds without a middle row
     spec = default_spec(model, grid_n=34)
     levels = list(_far_levels_with_axes(model, spec))
     if model.breakpoints is None:
-        assert levels[1][0].x.size == 17
+        assert [level.x.size for level, _ in levels] == [34, 16]
     _assert_far_sums_are_the_unfolded_sums(
         model, spec, (sectors.w_os_sq, sectors.es_one, cos_p1_sin_p2))
 
