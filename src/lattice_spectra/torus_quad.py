@@ -216,11 +216,10 @@ class _NodeSet:
     (Monkhorst & Pack, Phys. Rev. B 13, 5188 (1976)).  w is the weight of
     the representative divided by the order of its stabilizer, 2 on the
     orbits of two nodes, so that every orbit counts as the sum of its four
-    images.  A subclass says where its
-    nodes lie: its _values(v) is v summed over the four images of each
-    representative, in the order of w (the near set adds a row of |v|
-    summed so), and its _deficit(model) the deficit on the
-    representatives.
+    images.  A subclass says where its nodes lie: its _values(v) is v
+    summed over the four images of each representative, in the order of w
+    (the near set adds a row of |v| summed so), and its _deficit(model)
+    the deficit on the representatives.
 
     Two small maps ride on it, each written under the set's lock (two
     threads may compute the same entry; both get equal arrays).  Their
