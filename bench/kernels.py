@@ -8,6 +8,10 @@ record under NAME (default: "change") in OUT.json, keeping any other records
 there, so that one file holds a parent checkout and a change side by side.
 A record holds:
 
+  * nodes: per model of NODE_MODELS (one per kind, and the t = 0.1
+    diagonal-hop table, which is not even per coordinate) the node counts
+    of its fine and coarse far levels and of its near set, and the order
+    of the symmetry group they fold onto (4 where the package names none);
   * far_sum_ms: ms per one-weight far-field sum (torus_quad._far_values)
     of w_os_sq on the fine and coarse levels of the Laplacian and
     stepped:0.5, at k = 1 and 2, with the levels' node counts;
@@ -98,6 +102,7 @@ IMPORT_REPEATS = 7            # fresh interpreters timing the package import
 TABLE_MODELS, TABLE_LS = ("diagonal-hop:0.1", "laplacian-table"), (40, 60)
 ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
 COLD_MODELS = ("stepped:0.5", "piecewise:0.5", "next-nearest:0.1")
+NODE_MODELS = ("laplacian", *COLD_MODELS, "diagonal-hop:0.1")
 COUNTERS = ("integrals", "fills", "far_passes")
 # torus_quad function -> (counter, its increment per call)
 COUNTED = {"_near_values": ("integrals", lambda args: len(args[2])),
@@ -176,26 +181,34 @@ def _model(dispersion, name):
     return dispersion.PiecewisePhi(eps=float(param))
 
 
+def _node_sets(torus_quad, model):
+    """The model's (fine, coarse, near) node sets at its default spec: by
+    torus_quad._node_sets, which keys them by the model's symmetry group,
+    or on a package without it by (grid_n, patch_radius, breakpoints)."""
+    spec = torus_quad.default_spec(model)
+    if hasattr(torus_quad, "_node_sets"):
+        return torus_quad._node_sets(model, spec)
+    return torus_quad._far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
+
+
 def _cold_row(model, timed_with_count):
     """The cold path of one model: its far levels' build, the deficit and
     weight fills on them, a cold gammas, and the cold dispersion checks."""
     from lattice_spectra import sectors, thresholds, torus_quad
 
-    spec = torus_quad.default_spec(model)
-    key = (spec.grid_n, spec.patch_radius, model.breakpoints)
-    axes = []                       # the (x, w, delta) of each far level
+    axes = []                       # the arguments of each far level
 
     class Recorded(torus_quad._FarLevel):
         def __init__(self, *args):
             axes.append(args)
             super().__init__(*args)
 
-    real = torus_quad._FarLevel
-    torus_quad._FarLevel = Recorded
+    real, cached = torus_quad._FarLevel, torus_quad._far_grids
+    torus_quad._FarLevel, torus_quad._far_grids = Recorded, cached.__wrapped__
     try:
-        torus_quad._far_grids.__wrapped__(*key)
+        _node_sets(torus_quad, model)
     finally:
-        torus_quad._FarLevel = real
+        torus_quad._FarLevel, torus_quad._far_grids = real, cached
 
     weights = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
                sectors.es_plus_sq, *sectors.ES_WEIGHTS)
@@ -398,11 +411,17 @@ def measure(src):
                        seconds_per_root=row["median_s"] / n)
         return row
 
+    node_counts = {}
+    for name in NODE_MODELS:
+        sets = _node_sets(torus_quad, _model(dispersion, name))
+        node_counts[name] = {**{set_name: int(node_set.w.size) for set_name, node_set
+                          in zip(("fine", "coarse", "near"), sets)},
+                       "order": getattr(sets[0], "order", 4)}
+    torus_quad._far_grids.cache_clear()
+
     far = {}
     for name, model in models.items():
-        spec = torus_quad.default_spec(model)
-        levels = torus_quad._far_grids(spec.grid_n, spec.patch_radius,
-                                       model.breakpoints)
+        levels = _node_sets(torus_quad, model)
         for level_name, level in zip(("fine", "coarse"), levels):
             for k in (1, 2):
                 def far_sum():
@@ -446,8 +465,11 @@ def measure(src):
     gamma_weights = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
                      sectors.es_plus_sq)
 
+    lap_near = _node_sets(torus_quad, lap)[2]   # a package with groups takes its order
+    near_args = (0.5, lap_near.order) if hasattr(lap_near, "order") else (0.5,)
+
     def near_build():
-        near = torus_quad._NearSet(0.5)
+        near = torus_quad._NearSet(*near_args)
         near.deficit(lap)
         return [near.weighted(v) for v in gamma_weights]
 
@@ -505,7 +527,7 @@ def measure(src):
             "src_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
             "cpu_count": os.cpu_count(),
             "src_lines": src_lines, "reexports": reexports,
-            "import": import_row, "far_sum_ms": far, "wrap_torus_us": wrap,
+            "import": import_row, "nodes": node_counts, "far_sum_ms": far, "wrap_torus_us": wrap,
             "integral_ms": integral, "cold": cold, "probe_ms": probe,
             "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,

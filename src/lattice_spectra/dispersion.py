@@ -33,7 +33,7 @@ PI_VEC = (np.pi, np.pi)
 
 DROP_BELOW = 1e-14        # fourier_coefficients drops smaller coefficients
 VALIDATION_GRID_N = 400   # validate_hypothesis grid points per axis
-MAX_SCAN_TOL = 1e-12      # morse_data: relative excess of a scan node over e_max
+MAX_SCAN_TOL = 1e-12      # excess of a scan node over e_max, relative to e_max - e_min
 REFINE_TOL = 1e-13        # _refine stops once its stencil's half-width is this small
 REFINE_CALLS = 200        # _refine's budget of stencils
 
@@ -240,10 +240,10 @@ def _grid_values(model, n):
     return model.values(grid[:, None], grid[None, :]), grid
 
 
-def _check_not_above(e_max, e, p):
+def _check_not_above(e_max, e_min, e, p):
     """NonMaxAtPi when e = e(p) exceeds e_max by more than
-    MAX_SCAN_TOL max(1, |e_max|)."""
-    if e > e_max + MAX_SCAN_TOL * max(1.0, abs(e_max)):
+    MAX_SCAN_TOL (e_max - e_min), a bound that scales with e."""
+    if e > e_max + MAX_SCAN_TOL * (e_max - e_min):
         raise NonMaxAtPi(f"e({p[0]:.6g}, {p[1]:.6g}) = {e:.17g} exceeds "
                          f"e(pi, pi) = {e_max:.17g}")
 
@@ -280,16 +280,17 @@ def morse_data(model):
     e_max and the Hessian are the kind's closed forms.  The maximum at
     pi_vec is checked by comparison: NonMaxAtPi when a node of the offset
     512 x 512 scan (which never holds pi_vec) exceeds e_max by more than
-    MAX_SCAN_TOL max(1, |e_max|).  DegenerateHessian when |det H| is
-    below 1e-10 max|H_ij|^2, a bound that scales with e.  The same scan's
-    lowest node seeds the polish of e_min, a compass search (``_refine``)
-    from a stencil as wide as the scan's step, whose value is taken when it
-    is below that node's.
+    MAX_SCAN_TOL (e_max - e_min), e_min the scan's lowest node.
+    DegenerateHessian when |det H| is below 1e-10 max|H_ij|^2; both bounds
+    scale with e.  The same scan's lowest node seeds the polish of e_min, a
+    compass search (``_refine``) from a stencil as wide as the scan's step,
+    whose value is taken when it is below that node's.
     """
     e_max = float(model.e_max)
     vals, grid = _grid_values(model, 512)
+    lo = np.unravel_index(np.argmin(vals), vals.shape)   # the scan's lowest node
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    _check_not_above(e_max, vals[i, j], (grid[i], grid[j]))
+    _check_not_above(e_max, vals[lo], vals[i, j], (grid[i], grid[j]))
 
     hessian = model.hessian_at_max()
     det = float(np.linalg.det(hessian))
@@ -298,10 +299,9 @@ def morse_data(model):
     if np.max(np.linalg.eigvalsh(hessian)) >= 0:
         raise DegenerateHessian("hessian at the maximizer is not negative definite")
 
-    # minimum: the scan's best node plus local polish
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    fun, _ = _refine(model.values, (grid[i], grid[j]), 2 * PI / 512)
-    e_min = float(min(fun, vals[i, j]))
+    # minimum: the scan's lowest node plus local polish
+    fun, _ = _refine(model.values, (grid[lo[0]], grid[lo[1]]), 2 * PI / 512)
+    e_min = float(min(fun, vals[lo]))
 
     j_psi0 = 2.0 / np.sqrt(det)
     return MorseData(e_max=e_max, e_min=e_min, maximizer=PI_VEC,
@@ -387,7 +387,7 @@ def validate_hypothesis(model):
             # candidate competing maximum; polish it before judging
             fun, x = _refine(lambda p1, p2: -model.values(p1, p2),
                              (grid[i], grid[j]), 2 * PI / VALIDATION_GRID_N)
-            _check_not_above(md.e_max, -fun, x)
+            _check_not_above(md.e_max, md.e_min, -fun, x)
             if -fun >= md.e_max - 1e-9 * (md.e_max - md.e_min):
                 failures.append("maximum: not unique (second maximizer away from (pi, pi))")
     except NonMaxAtPi:
@@ -398,8 +398,10 @@ def validate_hypothesis(model):
     return ValidationReport(passed=not failures, failures=tuple(failures))
 
 
+@lru_cache(maxsize=64)
 def is_even_per_coordinate(model):
-    """True when e(p1, p2) = e(-p1, p2), read exactly off the terms."""
+    """True when e(p1, p2) = e(-p1, p2), read exactly off the terms (cached
+    per model: every torus integral asks, to pick its node sets)."""
     return _invariant(model, lambda x1, x2: (-x1, x2))
 
 

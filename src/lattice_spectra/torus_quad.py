@@ -37,23 +37,28 @@ take it like any other integrand.
 Denominators are evaluated as alpha + (e_max - e), with the deficit
 e_max - e supplied in a cancellation-free form by the model.
 
-The far node sets depend only on (grid_n, patch_radius, breakpoints), so
-every model with that key shares them, e.g. the whole SteppedPhiA(A) family
-that the multiplicity-two construction tunes; the near set depends on the
-patch radius alone, so every key of one radius shares it, e.g. the
-Laplacian's (256, 0.5, None) and stepped:0.5's (2048, 0.5, kinks).  Each
-set holds one node per orbit of the group {1, inversion p -> -p, swap
-(p1, p2) -> (p2, p1), both}, which leaves every model's deficit invariant
-(models must be swap-symmetric; every kind is even): a sum over the torus
-is the sum over the representatives of w times v summed over the orbit,
-exact for every v (see _NodeSet).  That is about a quarter of the nodes:
-16,422 fine, 4,134 coarse and 11,144 near on the Laplacian, against
-65,204, 16,296 and 41,216 unfolded.  Per model a set keeps only the
-deficit on its representatives, and per weight function v the product
-w * v of the rule's weights and v's orbit sums, in small bounded read-only
-maps, so clearing _far_grids drops every node array.  A far level forms no
-node coordinates: it evaluates the cutoff, the deficit and each v on the
-broadcast axes of its tensor grid, folds v by slices and masks the result.
+Each set holds one node per orbit of a symmetry group of the model's
+deficit, picked from the model (_node_sets): the square's group D4 of the
+eight signed swaps (+-p1, +-p2), (+-p2, +-p1) when e is even per coordinate,
+as every separable kind and the next-nearest table are, else the order-4
+group {1, inversion p -> -p, swap (p1, p2) -> (p2, p1), both} (models
+must be swap-symmetric; every kind is even under inversion).  A sum over
+the torus is the sum over the representatives of w times v summed over the
+orbit, exact for every v (see _NodeSet).  That is about an eighth of the
+nodes under D4: 8,211 fine, 2,067 coarse and 5,992 near on the Laplacian,
+against 65,204, 16,296 and 41,216 unfolded, and twice that under the
+order-4 group, e.g. on the t = 0.1 diagonal-hop table.  The far node sets depend only on
+(grid_n, patch_radius, breakpoints, group order), so every model with that
+key shares them, e.g. the whole SteppedPhiA(A) family that the
+multiplicity-two construction tunes; the near set depends on the patch
+radius and the group alone, so every key of one radius and group shares it,
+e.g. the Laplacian's (256, 0.5, None, 8) and stepped:0.5's
+(2048, 0.5, kinks, 8).  Per model a set keeps only the deficit on its
+representatives, and per weight function v the product w * v of the rule's
+weights and v's orbit sums, in small bounded read-only maps, so clearing
+_far_grids drops every node array.  A far level forms no node coordinates:
+it evaluates the cutoff, the deficit and each v on the broadcast axes of
+its tensor grid, folds v by slices and masks the result.
 An integral at any alpha >= 0 is then sum(w v / (alpha + deficit)^k) over
 cached arrays.
 
@@ -77,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import PI, _invariant, wrap_torus
+from .dispersion import PI, _invariant, is_even_per_coordinate, wrap_torus
 from .errors import BelowThreshold, NoConvergence, NotIntegrable
 
 FOUR_PI_SQ = 4 * PI ** 2
@@ -208,18 +213,20 @@ def _axis_nodes_gauss(edges, counts):
 
 class _NodeSet:
     """Quadrature weights w of a node set on the torus, which depend on
-    neither the model nor alpha, one node per orbit of the group {1,
-    inversion p -> -p, swap (p1, p2) -> (p2, p1), both}.  The deficit of
-    every model is invariant under that group, so a sum of w v /
-    (alpha + deficit)^k over the torus is the sum over the representatives
-    of w (v summed over the orbit) / (alpha + deficit)^k, whatever v
-    (Monkhorst & Pack, Phys. Rev. B 13, 5188 (1976)).  w is the weight of
-    the representative divided by the order of its stabilizer, 2 on the
-    orbits of two nodes, so that every orbit counts as the sum of its four
-    images.  A subclass says where its nodes lie: its _values(v) is v
-    summed over the four images of each representative, in the order of w
-    (the near set adds a row of |v| summed so), and its _deficit(model)
-    the deficit on the representatives.
+    neither the model nor alpha, one node per orbit of a symmetry group of
+    the deficit, named by its order: 4, the group {1, inversion p -> -p,
+    swap (p1, p2) -> (p2, p1), both} of every swap-symmetric model, or 8,
+    the square's group D4 of the signed swaps (+-p1, +-p2), (+-p2, +-p1)
+    of a model also even per coordinate.  The deficit is invariant under
+    the group, so a sum of w v / (alpha + deficit)^k over the torus is the
+    sum over the representatives of w (v summed over the orbit) /
+    (alpha + deficit)^k, whatever v (Monkhorst & Pack, Phys. Rev. B 13,
+    5188 (1976)).  w is the weight of the representative divided by the
+    order of its stabilizer, 2 on the orbits of half the group's order, so
+    that every orbit counts as the sum of all its images.  A subclass says where its nodes
+    lie: its _values(v) is v summed over the group's images of each
+    representative, in the order of w (the near set adds a row of |v|
+    summed so), and its _deficit(model) the deficit on the representatives.
 
     Two small maps ride on it, each written under the set's lock (two
     threads may compute the same entry; both get equal arrays).  Their
@@ -235,8 +242,9 @@ class _NodeSet:
     DEFICITS_KEPT = 4
     VALUES_KEPT = 64
 
-    def __init__(self, w):
+    def __init__(self, w, order):
         self.w = w
+        self.order = order
         self.deficits = {}
         self.vcache = {}
         self._lock = threading.Lock()
@@ -254,10 +262,13 @@ class _NodeSet:
         return hit
 
     def deficit(self, model):
-        def compute():   # the fold needs the swap; inversion holds for every kind
+        def compute():   # the fold needs the group; inversion holds for every kind
             if not _invariant(model, lambda x1, x2: (x2, x1)):
                 raise ValueError("e must satisfy e(p1, p2) = e(p2, p1): the torus "
                                  "quadrature sums one node per orbit of the swap")
+            if self.order == 8 and not is_even_per_coordinate(model):
+                raise ValueError("e must satisfy e(p1, p2) = e(-p1, p2): this node "
+                                 "set sums one node per orbit of the square's group")
             return self._deficit(model)
         return self._cached(self.deficits, model, self.DEFICITS_KEPT, compute)
 
@@ -272,45 +283,63 @@ class _FarLevel(_NodeSet):
     mask of its representatives where 1 - chi > 0, and their weights w
     (the rule's weights times 1 - chi, over the stabilizer's order), in
     the grid's row-major order.  The axis is mirror-symmetric with an even
-    number n of nodes, so inversion maps node (i, j) to (n-1-i, n-1-j) and
-    the swap to (j, i), and inversion fixes no node.  The representatives
-    lie in the top h = n / 2 rows: (i, j) with i <= j left of the middle,
-    and on or above the antidiagonal i + j = n - 1 right of it.  So the
-    mask covers the top h rows.
+    number n of nodes, so the mirror p1 -> -p1 maps node (i, j) to
+    (n-1-i, j), inversion to (n-1-i, n-1-j), the swap to (j, i), and no
+    mirror fixes a node.  With h = n / 2, the representatives are, under
+    the order-8 group, (i, j) with i <= j in the top-left h x h block,
+    stabilized by the swap on the diagonal; under the order-4 group, (i, j)
+    in the top h rows with i <= j left of the middle, and on or above the
+    antidiagonal i + j = n - 1 right of it.  So the mask covers the
+    top-left block or the top h rows.
 
     The nodes themselves are never formed: the cutoff and the deficit are
-    evaluated on the broadcast axes x[:rows, None], x[None, :] of the top
-    rows and masked, and every weight on the whole broadcast grid, which
-    _fold sums onto the representatives by slices, so a function applied
-    per coordinate costs two axis evaluations.  Each entry of the cutoff
-    and the deficit is the float that the same expression gives on the
-    node (wrap_torus, hypot, chi_cutoff and the ufuncs act elementwise)."""
+    evaluated on the broadcast axes x[:h, None], x[None, :cols] of the
+    mask's block and masked, and every weight on the whole broadcast grid,
+    which _fold sums onto the representatives by slices, so a function
+    applied per coordinate costs two axis evaluations.  Each entry of the
+    cutoff and the deficit is the float that the same expression gives on
+    the node (wrap_torus, hypot, chi_cutoff and the ufuncs act
+    elementwise)."""
 
-    def __init__(self, x, w, delta):
+    def __init__(self, x, w, delta, order):
         # mirror-symmetric to rounding: node n-1-i at -x[i], with its weight
         assert (np.allclose(x[::-1], -x, rtol=0.0, atol=1e-12)
                 and np.allclose(w[::-1], w, rtol=1e-12, atol=0.0)), "far axis not mirrored"
         n = x.size
         assert n % 2 == 0, "far axis of odd length"
         rows = n // 2
+        cols = rows if order == 8 else n
         d = wrap_torus(x - PI)
-        r = np.hypot(d[:rows, None], d[None, :])
-        weight = np.outer(w[:rows], w)
+        r = np.hypot(d[:rows, None], d[None, :cols])
+        weight = np.outer(w[:rows], w[:cols])
         inside = r < delta          # chi = 0, so 1 - chi = 1, elsewhere
         weight[inside] *= 1.0 - chi_cutoff(r[inside], delta)
-        i, j = np.ogrid[:rows, :n]
+        i, j = np.ogrid[:rows, :cols]
+        if order == 8:
+            reps, stabilizer = i <= j, 1 + (i == j)
+        else:
+            reps = np.where(j < rows, i <= j, i + j <= n - 1)
+            stabilizer = (1 + (i == j)) * (1 + (i + j == n - 1))
         self.x = x
-        self.mask = np.where(j < n // 2, i <= j, i + j <= n - 1) & (weight > 0)
-        weight /= (1 + (i == j)) * (1 + (i + j == n - 1))   # the stabilizer's order
-        super().__init__(weight[self.mask])
+        self.mask = reps & (weight > 0)
+        weight /= stabilizer
+        super().__init__(weight[self.mask], order)
 
     def _fold(self, grid):
-        """The sum of grid's entries over the four images of each
-        representative, on the mask: inversion by reversing the bottom
-        rows onto the top ones, then the swap by a transpose, left of the
-        middle column onto itself, right of it onto its reversal."""
+        """The sum of grid's entries over the group's images of each
+        representative, on the mask.  Order 8: the mirror p1 -> -p1 by
+        reversing the bottom rows onto the top ones, the mirror p2 -> -p2
+        by reversing the right columns onto the left ones, then the swap by
+        a transpose.  Order 4: inversion by reversing the bottom rows onto
+        the top ones in both axes, then the swap by a transpose, left of
+        the middle column onto itself, right of it onto its reversal."""
         h = grid.shape[0] // 2
-        fold = np.add(grid[:h], grid[h:][::-1, ::-1])
+        top, bottom = grid[:h], grid[h:][::-1]
+        if self.order == 8:
+            rows = top + bottom
+            fold = rows[:, :h] + rows[:, h:][:, ::-1]
+            return (fold + fold.T)[self.mask]
+        fold = np.add(top, bottom[:, ::-1])
         left, right = fold[:, :h], fold[:, h:]
         left[...] = left + left.T
         right[...] = right + right[::-1, ::-1].T
@@ -323,16 +352,17 @@ class _FarLevel(_NodeSet):
     def _deficit(self, model):
         # direct subtraction is fine here: e_max - e is bounded below by the
         # deficit at delta/2 on the support of (1 - chi)
-        top = self.x[:self.mask.shape[0], None], self.x[None, :]
-        return float(model.e_max) - np.broadcast_to(model.values(*top),
-                                                    self.mask.shape)[self.mask]
+        rows, cols = self.mask.shape
+        values = model.values(self.x[:rows, None], self.x[None, :cols])
+        return float(model.e_max) - np.broadcast_to(values, self.mask.shape)[self.mask]
 
 
 class _NearSet(_NodeSet):
     """The near-field rule on B_delta(pi_vec) (see the module docstring) on
     the representatives of its orbits: radial panel edges, offsets u1, u2
-    from pi_vec, the four images (u1, u2), (-u1, -u2), (u2, u1),
-    (-u2, -u1) of each on the torus, p1 and p2 of shape (4, nodes), and
+    from pi_vec, the group's images of each on the torus, (u1, u2),
+    (-u1, -u2), (u2, u1), (-u2, -u1) and, under the order-8 group, the
+    same with one sign flipped, p1 and p2 of shape (order, nodes), and
     weights w, the radial weights times r chi(r) and the angular step, over
     the stabilizer's order.
 
@@ -341,44 +371,50 @@ class _NearSet(_NodeSet):
     the same panels at COARSE_ORDER.  The even nodes alone are the rule on
     N_THETA / 2 nodes, so odd minus even estimates the angular error of
     that rule, and the coarse part the radial one.  The group maps j to
-    j + N_THETA / 2, N_THETA / 4 - j and 3 N_THETA / 4 - j, which keeps the
-    parity of j when 8 divides N_THETA, so each part is folded on its own:
-    its representatives are its j in [-N_THETA / 8, N_THETA / 8], whose ends
-    are fixed by the swap or by the swap and inversion, and each part's sum
-    is that of the unfolded part.  The nodes include theta = 0.  Were they
-    offset by half a step, the subrule would sit a quarter step off the
-    axes, where it integrates exactly the cos(N_THETA theta / 2) mode that
-    the swap symmetry leaves at that order; the difference would then read
+    -j, j + N_THETA / 2 and N_THETA / 4 - j and their products, which keep
+    the parity of j when 8 divides N_THETA, so each part is folded on its
+    own: its representatives are its j in [0, N_THETA / 8] under the
+    order-8 group, whose ends are fixed by a mirror or by the swap, and in
+    [-N_THETA / 8, N_THETA / 8] under the order-4 group, whose ends are
+    fixed by the swap or by the swap and inversion; each part's sum is that
+    of the unfolded part.  The nodes include theta = 0.  Were they offset
+    by half a step, the subrule would sit a quarter step off the axes,
+    where it integrates exactly the cos(N_THETA theta / 2) mode that the
+    swap symmetry leaves at that order; the difference would then read
     roundoff whatever the error.
     """
 
-    def __init__(self, delta):
+    def __init__(self, delta, order):
         assert N_THETA % 8 == 0, "the parts fold on their own when 8 | N_THETA"
         graded = math.ceil(math.log(delta / 2 / INNER_EDGE, GRADING))
         edges = np.concatenate(
             ([0.0], delta / 2 * float(GRADING) ** np.arange(-graded, 0),
              np.linspace(delta / 2, delta, RING_PANELS + 1)))
         step = 2 * PI / N_THETA
-        quarter = np.arange(-(N_THETA // 8), N_THETA // 8 + 1)   # theta in [-pi/4, pi/4]
+        eighth = N_THETA // 8       # theta in [0, pi/4] or [-pi/4, pi/4]
+        js = np.arange(0 if order == 8 else -eighth, eighth + 1)
+        share = np.where((js == js[0]) | (js == js[-1]), 0.5, 1.0)   # the fixed ends
         u1, u2, w = [], [], []
-        for order, parity, h in ((GAUSS_ORDER, 0, step), (GAUSS_ORDER, 1, step),
+        for gauss, parity, h in ((GAUSS_ORDER, 0, step), (GAUSS_ORDER, 1, step),
                                  (COARSE_ORDER, 0, 2 * step)):
-            j = quarter[quarter % 2 == parity]
-            share = np.where(abs(j) == N_THETA // 8, 0.5, 1.0)
-            r, wr = _panel_nodes(edges, order)
-            u1.append(np.outer(r, np.cos(j * step)).ravel())
-            u2.append(np.outer(r, np.sin(j * step)).ravel())
-            w.append(np.outer(wr * r * chi_cutoff(r, delta) * h, share).ravel())
+            j = js % 2 == parity
+            r, wr = _panel_nodes(edges, gauss)
+            u1.append(np.outer(r, np.cos(js[j] * step)).ravel())
+            u2.append(np.outer(r, np.sin(js[j] * step)).ravel())
+            w.append(np.outer(wr * r * chi_cutoff(r, delta) * h, share[j]).ravel())
         ends = np.cumsum([0] + [len(part) for part in w])
         self.edges = edges
         self.parts = tuple(map(slice, ends[:-1], ends[1:]))
-        self.u1, self.u2 = np.concatenate(u1), np.concatenate(u2)
-        self.p1 = wrap_torus(PI + np.stack((self.u1, -self.u1, self.u2, -self.u2)))
-        self.p2 = wrap_torus(PI + np.stack((self.u2, -self.u2, self.u1, -self.u1)))
-        super().__init__(np.concatenate(w))
+        u1, u2 = np.concatenate(u1), np.concatenate(u2)
+        self.u1, self.u2 = u1, u2
+        images = [(u1, u2), (-u1, -u2), (u2, u1), (-u2, -u1)]
+        if order == 8:
+            images += [(-u1, u2), (u1, -u2), (-u2, u1), (u2, -u1)]
+        self.p1, self.p2 = (wrap_torus(PI + np.stack(axis)) for axis in zip(*images))
+        super().__init__(np.concatenate(w), order)
 
     def _values(self, v):
-        """Two rows: v and |v|, each summed over the four images.  The
+        """Two rows: v and |v|, each summed over the group's images.  The
         second, times w, integrates the modulus (a scale for the tolerance
         decisions) from the same evaluation of v."""
         images = np.broadcast_to(v(self.p1, self.p2), self.p1.shape)
@@ -388,9 +424,17 @@ class _NearSet(_NodeSet):
         return model.deficit(self.u1, self.u2)
 
 
+def _node_sets(model, spec):
+    """The (fine, coarse, near) node sets of the model under spec, folded
+    onto its group: order 8 when e is even per coordinate, else order 4."""
+    return _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints,
+                      8 if is_even_per_coordinate(model) else 4)
+
+
 @lru_cache(maxsize=32)
-def _far_grids(grid_n, patch_radius, breakpoints):
-    """The node sets for one key: the (fine, coarse) far-field levels, whose
+def _far_grids(grid_n, patch_radius, breakpoints, order):
+    """The node sets for one key, folded onto the orbits of the group of
+    that order (see _NodeSet): the (fine, coarse) far-field levels, whose
     difference estimates the error of the coarse one, and the near-field
     set of the patch.  Every level has an even number of points per axis:
     on a smooth model the trapezoid axes take grid_n and 2 (grid_n // 4)
@@ -402,20 +446,21 @@ def _far_grids(grid_n, patch_radius, breakpoints):
     both would otherwise sit on the 2-panel floor, and the estimate read
     roundoff.
 
-    Every model with the same (grid_n, patch_radius, breakpoints) shares
-    the sets, e.g. the whole SteppedPhiA(A) family, and every key with the
-    same patch_radius the near set (``_near_set``).  Memory per key: a far
+    Every model with the same key shares the sets, e.g. the whole
+    SteppedPhiA(A) family, and every key with the same patch_radius and
+    order the near set (``_near_set``).  Memory per key of order 8: a far
     level holds its axis, one float array w over its representatives and a
-    boolean mask over the top half of the grid, about 0.59 MB fine and
-    0.15 MB coarse at the kinked default grid_n = 2048 on stepped:0.5 (58k
-    and 15k nodes, of 254k and 64k unfolded), 0.17 and 0.04 MB on the 256
-    smooth grid (16k and 4k nodes); the near set holds three float arrays
-    over its 11k representatives (at delta = 0.5) and two over their four
-    images each, 1.0 MB, once per patch radius.  Each cached deficit or w * v product
-    adds one read-only float array of its set's node count (on the near set
-    two rows, w v and w |v|), and a kernel call makes one reciprocal row of
-    that size per set, two with slopes, which every weight of its stack
-    reads by a dot product.
+    boolean mask over the top-left quarter of the grid, about 0.30 MB fine
+    and 0.08 MB coarse at the kinked default grid_n = 2048 on stepped:0.5
+    (29k and 7k nodes, of 254k and 64k unfolded), 0.08 and 0.02 MB on the
+    256 smooth grid (8k and 2k nodes); the near set holds three float
+    arrays over its 6k representatives (at delta = 0.5) and two over their
+    eight images each, 0.9 MB, once per patch radius.  Order 4 keeps about
+    twice the nodes, and its masks cover the top half of the grid.  Each
+    cached deficit or w * v product adds one read-only float array of its
+    set's node count (on the near set two rows, w v and w |v|), and a
+    kernel call makes one reciprocal row of that size per set, two with
+    slopes, which every weight of its stack reads by a dot product.
     cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(2 * (grid_n // 4)))
@@ -426,22 +471,22 @@ def _far_grids(grid_n, patch_radius, breakpoints):
         coarse = [min(c, f - 1) for c, f in
                   zip(_panel_counts(edges, grid_n // 2, patch_radius), fine)]
         axes = (_axis_nodes_gauss(edges, fine), _axis_nodes_gauss(edges, coarse))
-    return (*(_FarLevel(x, w, patch_radius) for x, w in axes),
-            _near_set(patch_radius))
+    return (*(_FarLevel(x, w, patch_radius, order) for x, w in axes),
+            _near_set(patch_radius, order))
 
 
-_NEAR_SETS = weakref.WeakValueDictionary()   # patch radius -> its _NearSet
+_NEAR_SETS = weakref.WeakValueDictionary()   # (patch radius, order) -> its _NearSet
 _NEAR_LOCK = threading.Lock()
 
 
-def _near_set(patch_radius):
-    """The one _NearSet of a patch radius, built under a lock when no
-    _far_grids key holds it: the map keeps it only while a key does, so
-    _far_grids.cache_clear still drops it."""
+def _near_set(patch_radius, order):
+    """The one _NearSet of a patch radius and group order, built under a
+    lock when no _far_grids key holds it: the map keeps it only while a key
+    does, so _far_grids.cache_clear still drops it."""
     with _NEAR_LOCK:
-        near = _NEAR_SETS.get(patch_radius)
+        near = _NEAR_SETS.get((patch_radius, order))
         if near is None:
-            near = _NEAR_SETS[patch_radius] = _NearSet(patch_radius)
+            near = _NEAR_SETS[patch_radius, order] = _NearSet(patch_radius, order)
     return near
 
 
@@ -506,7 +551,7 @@ def _outside_balls(model, v, window, spec=None):
     the near rule's fine nodes outside r.  Inside delta/2, chi = 1, so each
     sum covers whole panels at their full weight."""
     spec = spec or default_spec(model)
-    fine, _, near = _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints)
+    fine, _, near = _node_sets(model, spec)
     stop = near.parts[1].stop
     q = _reciprocals(near, model, 0.0, 2)[0, :stop]
     np.multiply(near.weighted(v)[0, :stop], q, out=q)
@@ -583,8 +628,7 @@ def _integrate(model, vs, alpha, k, spec=None, slopes=False):
                 f"threshold integral with k = {k} needs v vanishing to order "
                 f"{2 * k - 1} at (pi, pi); it vanishes to order {order:.2g}")
     spec = spec or default_spec(model)
-    fine, coarse, near = _far_grids(spec.grid_n, spec.patch_radius,
-                                    model.breakpoints)
+    fine, coarse, near = _node_sets(model, spec)
     fars = _far_values(fine, model, vs, alpha, k, slopes)
     nears = _near_values(near, model, vs, alpha, k, slopes)
     if slopes:

@@ -13,7 +13,7 @@ from lattice_spectra.dispersion import (DiscreteLaplacian, ExponentialHopping,
 from lattice_spectra.errors import CutoffTooSmall, DomainError, NonMaxAtPi
 from lattice_spectra.lattice_oracle import _phi_coefficients
 from lattice_spectra.torus_quad import QuadratureSpec, default_spec
-from test_torus_quad import next_nearest_hopping
+from test_torus_quad import diagonal_hop_table, hopping_table, next_nearest_hopping
 
 
 def laplacian_table():
@@ -125,14 +125,6 @@ def test_morse_data_stepped():
     assert md.j_psi0 == pytest.approx(1.0, rel=1e-7)
 
 
-def diagonal_hop_table(t=0.1):
-    # the Laplacian plus ehat(+-(1, 1)) = t: swap-symmetric, not even per
-    # coordinate, with a non-diagonal Hessian at (pi, pi)
-    return ExponentialHopping(table=(
-        (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
-        (1, 1, t), (-1, -1, t)))
-
-
 def flipped_laplacian():
     # e(p) = 2 + cos p1 + cos p2 peaks at the origin, not at (pi, pi)
     return ExponentialHopping(table=(
@@ -226,18 +218,6 @@ def test_separable_kinds_read_off_their_pieces(model):
         [[curvature, 0.0], [0.0, curvature]]).tobytes()
     u1, u2 = np.random.default_rng(5).uniform(-0.04, 0.04, (2, 256))
     assert model.deficit(u1, u2).tobytes() == deficit(u1, u2).tobytes()
-
-
-def hopping_table(t, d1, d2, s, skew=0.0):
-    # the constant 2, nearest hopping t, the diagonals +-(1, 1) and +-(1, -1)
-    # with weights d1 and d2 (even per coordinate iff d1 = d2), and the axis
-    # terms +-(2, 0), +-(0, 2) with weights s and s + skew (swap-symmetric
-    # iff skew = 0); each offset once
-    table = [(0, 0, 2.0)]
-    for x1, x2, v in ((1, 0, t), (0, 1, t), (1, 1, d1), (1, -1, d2),
-                      (2, 0, s), (0, 2, s + skew)):
-        table += [(x1, x2, v), (-x1, -x2, v)]
-    return ExponentialHopping(table=tuple(table))
 
 
 def _direct_values(model, p1, p2):
@@ -401,6 +381,18 @@ def test_validation_is_scale_invariant(c):
     assert validate_hypothesis(_scaled(second_max_table(1e-4), c)).passed
     assert validate_hypothesis(_scaled(diagonal_hop_table(-0.25), c)).failures == (
         "hessian: degenerate at (pi, pi)",)
+
+
+@pytest.mark.parametrize("c", (1e-10, 1.0))
+def test_scan_excess_is_judged_on_the_scale_of_e(c):
+    # cos 2p1 + cos 2p2 + 1e-4 (cos p1 + cos p2) peaks at the origin, 4e-4
+    # above e(pi, pi).  Scaled by 1e-10 the excess is 4e-14, which a bound
+    # of 1e-12 max(1, |e_max|) forgave: morse_data passed, and the
+    # validation read the origin as a second maximizer
+    model = _scaled(second_max_table(-1e-4), c)
+    with pytest.raises(NonMaxAtPi):
+        morse_data(model)
+    assert validate_hypothesis(model).failures == (ABOVE_PI,)
 
 
 @pytest.mark.parametrize("a_param", [0.997, 0.999, 0.99995])

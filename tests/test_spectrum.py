@@ -11,7 +11,7 @@ from lattice_spectra.dispersion import PI, PiecewisePhi, SteppedPhiA
 from lattice_spectra.errors import (DomainError, NoConvergence,
                                     NotEvenPerCoordinate, ZeroCoupling)
 from lattice_spectra.thresholds import coupling_thresholds
-from lattice_spectra.torus_quad import _far_grids, default_spec
+from lattice_spectra.torus_quad import _far_grids, _node_sets, default_spec
 
 
 def test_solve_reference_config(lap):
@@ -101,11 +101,9 @@ def test_shared_far_caches_under_threads(lap):
 
     def cached_arrays():
         # every array of the far levels' and the near set's maps, by key
-        spec = default_spec(lap)
         return [{key: array for cache in (node_set.deficits, node_set.vcache)
                  for key, array in cache.items()}
-                for node_set in _far_grids(spec.grid_n, spec.patch_radius,
-                                           lap.breakpoints)]
+                for node_set in _node_sets(lap, default_spec(lap))]
 
     _far_grids.cache_clear()
     serial = [run(c) for c in cases]
@@ -238,8 +236,7 @@ def test_multiplicity_two_construct_builds_one_far_node_set():
     _assert_frozen_construction(res)
     # about 15 models passed through it; each level kept a bounded few
     model = SteppedPhiA(a_param=res.A0)
-    spec = default_spec(model)
-    for level in _far_grids(spec.grid_n, spec.patch_radius, model.breakpoints):
+    for level in _node_sets(model, default_spec(model)):
         assert 0 < len(level.deficits) <= level.DEFICITS_KEPT
     assert _far_grids.cache_info().misses == 1
 

@@ -274,7 +274,7 @@ def test_probe_radii_are_graded_near_rule_edges(model, delta):
     spec = (torus_quad.default_spec(model) if delta is None
             else torus_quad.default_spec(model, patch_radius=delta))
     delta = spec.patch_radius
-    near = torus_quad._far_grids(spec.grid_n, delta, model.breakpoints)[2]
+    near = torus_quad._node_sets(model, spec)[2]
     rep = resonance_integrability_probe(model, "os", spec=spec)
     graded = {float(r) for r in near.edges if 0 < r <= delta / 2}
     lo, hi = PROBE_WINDOW

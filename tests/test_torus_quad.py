@@ -6,15 +6,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import laplacian_exact
 from lattice_spectra import sectors, torus_quad
 from lattice_spectra.dispersion import (PI, DiscreteLaplacian,
                                         ExponentialHopping, PiecewisePhi,
-                                        SteppedPhiA, wrap_torus)
+                                        SteppedPhiA, validate_hypothesis,
+                                        wrap_torus)
 from lattice_spectra.errors import BelowThreshold, NoConvergence, NotIntegrable
+from lattice_spectra.thresholds import gammas
 from lattice_spectra.torus_quad import (FOUR_PI_SQ, QuadratureSpec,
                                         default_spec, integrate_resolvent,
                                         integrate_smooth, integrate_threshold)
@@ -29,9 +31,33 @@ def next_nearest_hopping(t2):
     return ExponentialHopping(table=tuple(table))
 
 
+def diagonal_hop_table(t=0.1):
+    # the Laplacian plus ehat(+-(1, 1)) = t: swap-symmetric, not even per
+    # coordinate, with a non-diagonal Hessian at (pi, pi)
+    return ExponentialHopping(table=(
+        (0, 0, 2.0), (1, 0, -0.5), (-1, 0, -0.5), (0, 1, -0.5), (0, -1, -0.5),
+        (1, 1, t), (-1, -1, t)))
+
+
+def hopping_table(t, d1, d2, s, skew=0.0):
+    # the constant 2, nearest hopping t, the diagonals +-(1, 1) and +-(1, -1)
+    # with weights d1 and d2 (even per coordinate iff d1 = d2), and the axis
+    # terms +-(2, 0), +-(0, 2) with weights s and s + skew (swap-symmetric
+    # iff skew = 0); each offset once
+    table = [(0, 0, 2.0)]
+    for x1, x2, v in ((1, 0, t), (0, 1, t), (1, 1, d1), (1, -1, d2),
+                      (2, 0, s), (0, 2, s + skew)):
+        table += [(x1, x2, v), (-x1, -x2, v)]
+    return ExponentialHopping(table=tuple(table))
+
+
+# the first four are even per coordinate and fold onto the square's eight
+# symmetries; the diagonal-hop table is swap-symmetric only, and keeps the
+# order-4 group's node sets tested
 MODELS = (DiscreteLaplacian(), SteppedPhiA(a_param=0.5), PiecewisePhi(eps=0.5),
-          next_nearest_hopping(0.1))
-MODEL_IDS = ("laplacian", "stepped-0.5", "piecewise-0.5", "hopping-t2-0.1")
+          next_nearest_hopping(0.1), diagonal_hop_table())
+MODEL_IDS = ("laplacian", "stepped-0.5", "piecewise-0.5", "hopping-t2-0.1",
+             "diagonal-hop-0.1")
 
 # the weights whose resolvent integrals enter the sector determinants
 DETERMINANT_WEIGHTS = (sectors.w_os_sq, sectors.w_oa_sq, sectors.w_ea_sq,
@@ -145,9 +171,12 @@ def fresh_grids():
 
 
 def _node_sets(model):
-    spec = default_spec(model)
-    return torus_quad._far_grids(spec.grid_n, spec.patch_radius,
-                                 model.breakpoints)
+    return torus_quad._node_sets(model, default_spec(model))
+
+
+def _order(model):
+    # the order of the group whose orbits the model's node sets hold
+    return _node_sets(model)[2].order
 
 
 def _cached_arrays(node_set):
@@ -213,7 +242,7 @@ def test_threads_asking_for_a_near_set_get_one(fresh_grids):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(torus_quad._near_set, 0.3) for _ in range(8)]
+            futures = [pool.submit(torus_quad._near_set, 0.3, 8) for _ in range(8)]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -236,7 +265,7 @@ def test_near_field_matches_finer_rule(model, v, log_alpha):
     with mock.patch.multiple(torus_quad, GRADING=2,
                              RING_PANELS=2 * torus_quad.RING_PANELS,
                              N_THETA=2 * torus_quad.N_THETA):
-        finer = torus_quad._NearSet(default_spec(model).patch_radius)
+        finer = torus_quad._NearSet(default_spec(model).patch_radius, near.order)
     assert finer.w.size > 2 * near.w.size
     far, = torus_quad._far_values(fine, model, (v,), alpha, 1)
     (reference, *_), = torus_quad._near_values(finer, model, (v,), alpha, 1)
@@ -245,7 +274,7 @@ def test_near_field_matches_finer_rule(model, v, log_alpha):
 
 def _near_rule(model, n_theta, v, alpha):
     with mock.patch.object(torus_quad, "N_THETA", n_theta):
-        near = torus_quad._NearSet(default_spec(model).patch_radius)
+        near = torus_quad._NearSet(default_spec(model).patch_radius, _order(model))
     return torus_quad._near_values(near, model, (v,), alpha, 1)[0]
 
 
@@ -459,16 +488,35 @@ def test_graded_far_axis_is_dense_only_within_the_patch_radius(model):
 
 def test_far_levels_hold_their_node_counts(lap):
     # the graded kinked axis cut stepped:0.5's fine level from 271,508
-    # nodes; the Laplacian's trapezoid levels are untouched
+    # nodes; the square's group halves the order-4 group's node sets, which
+    # the diagonal-hop table keeps
     fine, coarse, _ = _node_sets(SteppedPhiA(a_param=0.5))
-    assert fine.w.size <= 60_000 and coarse.w.size < fine.w.size
-    assert [level.w.size for level in _node_sets(lap)[:2]] == [16_422, 4_134]
+    assert fine.w.size <= 30_000 and coarse.w.size < fine.w.size
+    assert [s.w.size for s in _node_sets(lap)] == [8_211, 2_067, 5_992]
+    assert [s.w.size for s in _node_sets(diagonal_hop_table())] == [16_422, 4_134, 11_144]
+
+
+@pytest.mark.parametrize("model, order", zip(MODELS, (8, 8, 8, 8, 4)), ids=MODEL_IDS)
+def test_node_sets_fold_onto_the_models_group(model, order):
+    # the square's eight symmetries exactly when e is even per coordinate,
+    # else the order-4 group {1, inversion, swap, both}
+    assert [node_set.order for node_set in _node_sets(model)] == [order] * 3
+
+
+def test_a_square_set_refuses_a_model_not_even_per_coordinate(lap):
+    # the diagonal-hop table is swap-symmetric, so the order-4 sets take it;
+    # the square's group would fold e(p1, p2) onto e(-p1, p2), a different value
+    spec = default_spec(lap)
+    for node_set in torus_quad._far_grids(spec.grid_n, spec.patch_radius, None, 8):
+        with pytest.raises(ValueError, match="square's group"):
+            node_set.deficit(diagonal_hop_table())
 
 
 def _level_nodes(level):
     # the representatives p1, p2 of a far level, which keeps only its axis
-    # and the mask of its representatives over the top rows of its grid
-    p1, p2 = np.meshgrid(level.x[:level.mask.shape[0]], level.x, indexing="ij")
+    # and the mask of its representatives over a block of its grid
+    rows, cols = level.mask.shape
+    p1, p2 = np.meshgrid(level.x[:rows], level.x[:cols], indexing="ij")
     return p1[level.mask], p2[level.mask]
 
 
@@ -491,12 +539,11 @@ def _unfolded_far(x, w, delta):
     return p1[mask], p2[mask], weight[mask], mask
 
 
-def _unfolded_near(delta):
+def _unfolded_near(edges, delta):
     # the near rule on every angular node, as it was before the fold: per
     # part (even, odd, coarse) the offsets u1, u2 and the weights
     step = 2 * PI / torus_quad.N_THETA
     theta = np.arange(torus_quad.N_THETA) * step
-    edges = torus_quad._NearSet(delta).edges
     parts = []
     for order, angles, h in ((torus_quad.GAUSS_ORDER, theta[::2], step),
                              (torus_quad.GAUSS_ORDER, theta[1::2], step),
@@ -509,12 +556,16 @@ def _unfolded_near(delta):
     return parts
 
 
-def _orbit_ids(n):
+def _orbit_ids(n, order):
     # each node of the n x n grid labelled by the least flat index in its
-    # orbit under inversion (i, j) -> (n-1-i, n-1-j) and the swap
+    # orbit under the group: inversion (i, j) -> (n-1-i, n-1-j) and the
+    # swap, and under the order-8 group also the mirror (i, j) -> (n-1-i, j)
     i, j = np.divmod(np.arange(n * n), n)
-    return np.minimum.reduce([i * n + j, (n - 1 - i) * n + (n - 1 - j),
-                              j * n + i, (n - 1 - j) * n + (n - 1 - i)]).reshape(n, n)
+    signs = ((i, j), (n - 1 - i, n - 1 - j))
+    if order == 8:
+        signs += ((n - 1 - i, j), (i, n - 1 - j))
+    return np.minimum.reduce([a * n + b for x, y in signs
+                              for a, b in ((x, y), (y, x))]).reshape(n, n)
 
 
 # the half-angle product forms that the odd weights and w_ea once took
@@ -550,18 +601,19 @@ SECTOR_WEIGHTS = tuple(PRODUCT_FORMS)
 
 def _far_levels_with_axes(model, spec=None):
     # fresh far levels of the model's key, each with the axis nodes and
-    # weights (x, w) and the patch radius that _far_grids passed to it
+    # weights (x, w) and the patch radius that _far_grids passed to it; the
+    # key is _node_sets', group order included
     calls = []
 
     class Recorded(torus_quad._FarLevel):
-        def __init__(self, x, w, delta):
+        def __init__(self, x, w, delta, order):
             calls.append((x, w, delta))
-            super().__init__(x, w, delta)
+            super().__init__(x, w, delta, order)
 
     spec = spec or default_spec(model)
-    with mock.patch.object(torus_quad, "_FarLevel", Recorded):
-        levels = torus_quad._far_grids.__wrapped__(
-            spec.grid_n, spec.patch_radius, model.breakpoints)[:2]
+    with mock.patch.object(torus_quad, "_FarLevel", Recorded), \
+            mock.patch.object(torus_quad, "_far_grids", torus_quad._far_grids.__wrapped__):
+        levels = torus_quad._node_sets(model, spec)[:2]
     return zip(levels, calls)
 
 
@@ -571,27 +623,33 @@ def test_far_level_axis_build_is_bitwise_the_grid_build(model):
     # masked: the level keeps one node of every orbit of the unfolded rule's
     # masked nodes, at the very weight that the whole tensor grid gives
     # there over the stabilizer's order, and each folded weight is the sum
-    # over the orbit's four images of the very floats of v on the nodes,
-    # within the rounding of that sum
+    # over the orbit's images under the model's group of the very floats of
+    # v on the nodes, within the rounding of that sum
     for level, (x, w, delta) in _far_levels_with_axes(model):
         n = x.size
         p1, p2 = np.meshgrid(x, x, indexing="ij")
         r = np.hypot(wrap_torus(p1 - PI), wrap_torus(p2 - PI))
         weight = np.outer(w, w) * (1.0 - torus_quad.chi_cutoff(r, delta))
-        rows = level.mask.shape[0]
-        orbits = _orbit_ids(n)
+        rows, cols = level.mask.shape
+        orbits = _orbit_ids(n, level.order)
         assert level.x is x
-        assert rows == n - n // 2
-        assert np.array_equal(np.sort(orbits[:rows][level.mask]),
+        assert (rows, cols) == (n // 2, n // 2 if level.order == 8 else n)
+        assert np.array_equal(np.sort(orbits[:rows, :cols][level.mask]),
                               np.unique(orbits[weight > 0]))
-        i, j = np.ogrid[:rows, :n]
-        order = (1 + (i == j)) * (1 + (i + j == n - 1))
-        assert level.w.tobytes() == (weight[:rows] / order)[level.mask].tobytes()
-        flips = [(slice(None), slice(None)), (slice(None, None, -1),) * 2]
+        i, j = np.ogrid[:rows, :cols]
+        stabilizer = 1 + (i == j)
+        if level.order == 4:
+            stabilizer = stabilizer * (1 + (i + j == n - 1))
+        block = weight[:rows, :cols]
+        assert level.w.tobytes() == (block / stabilizer)[level.mask].tobytes()
+        keep, back = slice(None), slice(None, None, -1)
+        flips = [(keep, keep), (back, back)]
+        if level.order == 8:
+            flips += [(back, keep), (keep, back)]
         for v in (*SECTOR_WEIGHTS, sectors.w_os, sectors.w_oa, sectors.w_ea,
                   sectors.es_plus, *PRODUCT_FORMS.values()):
             grid = np.broadcast_to(v(p1, p2), p1.shape)
-            terms = [g[flip][:rows][level.mask] for g in (grid, grid.T)
+            terms = [g[flip][:rows, :cols][level.mask] for g in (grid, grid.T)
                      for flip in flips]
             folded = level._values(v)
             assert np.all(np.abs(folded - sum(terms))
@@ -645,7 +703,10 @@ def test_integrals_agree_with_the_product_form_weights(model):
 DOT_EPS = 1e3 * np.finfo(float).eps
 
 
-def _assert_far_sums_are_the_unfolded_sums(model, spec, vs):
+FAR_ALPHAS = (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0)
+
+
+def _assert_far_sums_are_the_unfolded_sums(model, spec, vs, alphas=FAR_ALPHAS):
     # each far sum lies within DOT_EPS sum |w v| / (alpha + d)^k of the plain
     # sum over the unfolded rule's nodes, and a stack of weights, which
     # shares the reciprocal row, gives each sum to the bit of its one-weight
@@ -655,7 +716,7 @@ def _assert_far_sums_are_the_unfolded_sums(model, spec, vs):
         deficit = float(model.e_max) - model.values(p1, p2)
         vvs = [np.broadcast_to(np.asarray(v(p1, p2), dtype=float), p1.shape) for v in vs]
         for k in (1, 2):
-            for alpha in (0.0, 1e-13, 1e-9, 1e-3, 1.0, 20.0):
+            for alpha in alphas:
                 stacked = torus_quad._far_values(level, model, vs, alpha, k)
                 for v, vv, got in zip(vs, vvs, stacked):
                     terms = weight * vv / (alpha + deficit) ** k
@@ -683,19 +744,48 @@ def test_folded_sums_of_a_non_invariant_weight_are_the_unfolded_sums(model):
     # levels and on each part of the near set
     vs = (sectors.w_os, cos_p1_sin_p2)
     _assert_far_sums_are_the_unfolded_sums(model, default_spec(model), vs)
+    _assert_near_sums_are_the_unfolded_sums(model, vs, (1e-13, 1e-6, 1.0))
+
+
+def _assert_near_sums_are_the_unfolded_sums(model, vs, alphas):
+    # each part's folded sum within DOT_EPS sum |terms| of the plain sum over
+    # the part's every angular node
     delta = default_spec(model).patch_radius
     near = _node_sets(model)[2]
     for k in (1, 2):
-        for alpha in (1e-13, 1e-6, 1.0):
+        for alpha in alphas:
             r = torus_quad._reciprocals(near, model, alpha, k)[0]
             for v in vs:
                 wv = near.weighted(v)[0]
-                for part, (u1, u2, w) in zip(near.parts, _unfolded_near(delta)):
+                for part, (u1, u2, w) in zip(near.parts, _unfolded_near(near.edges, delta)):
                     p1, p2 = wrap_torus(PI + u1), wrap_torus(PI + u2)
                     terms = w * v(p1, p2) / (alpha + model.deficit(u1, u2)) ** k
                     got = float(np.dot(wv[part], r[part]))
                     assert abs(got - np.sum(terms)) <= DOT_EPS * np.sum(np.abs(terms)), (
                         v.__name__, k, alpha)
+
+
+@settings(max_examples=8, deadline=None)
+@given(t=st.floats(-1.0, -0.1), d1=st.floats(-0.2, 0.2), d2=st.floats(-0.2, 0.2),
+       s=st.floats(-0.05, 0.05), even=st.booleans())
+@example(t=-0.5, d1=0.05, d2=0.05, s=0.01, even=True)
+@example(t=-0.5, d1=0.05, d2=-0.03, s=0.01, even=False)
+def test_folded_sums_are_the_unfolded_sums_on_hopping_tables(t, d1, d2, s, even):
+    # a table even per coordinate (d1 = d2) folds onto the square's group,
+    # any other onto the order-4 group; on either, each sector weight's far
+    # and near sums are the plain sums over the unfolded rule.  The square's
+    # mirror p2 -> -p2 maps w_os onto w_oa, so on an even table their
+    # threshold integrals, and gamma_os and gamma_oa, agree to rounding
+    d2 = d1 if even else d2
+    model = hopping_table(t, d1, d2, s)
+    assume(validate_hypothesis(model).passed)
+    assert _order(model) == (8 if d1 == d2 else 4)
+    _assert_far_sums_are_the_unfolded_sums(model, default_spec(model), SECTOR_WEIGHTS,
+                                           (0.0, 1e-6, 1.0))
+    _assert_near_sums_are_the_unfolded_sums(model, SECTOR_WEIGHTS, (1e-6, 1.0))
+    if d1 == d2:
+        g = gammas(model)
+        assert abs(g.gamma_os - g.gamma_oa) <= FEW_EPS * g.gamma_os
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -721,9 +811,9 @@ def test_outside_balls_are_the_unfolded_sums(model):
     (_, (x, w, delta)), _ = _far_levels_with_axes(model, spec)
     p1, p2, weight, _ = _unfolded_far(x, w, delta)
     far = np.sum(weight * v(p1, p2) / (float(model.e_max) - model.values(p1, p2)) ** 2)
-    edges = torus_quad._NearSet(delta).edges
+    edges = _node_sets(model)[2].edges
     panels = 0.0
-    for u1, u2, wu in _unfolded_near(delta)[:2]:
+    for u1, u2, wu in _unfolded_near(edges, delta)[:2]:
         q = wu * v(wrap_torus(PI + u1), wrap_torus(PI + u2)) / model.deficit(u1, u2) ** 2
         panels = panels + q.reshape(len(edges) - 1, -1).sum(axis=1)
     outside = far + np.cumsum(panels[::-1])[::-1]
