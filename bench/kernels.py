@@ -414,9 +414,8 @@ def measure(src):
     node_counts = {}
     for name in NODE_MODELS:
         sets = _node_sets(torus_quad, _model(dispersion, name))
-        node_counts[name] = {**{set_name: int(node_set.w.size) for set_name, node_set
-                          in zip(("fine", "coarse", "near"), sets)},
-                       "order": getattr(sets[0], "order", 4)}
+        sizes = dict(zip(("fine", "coarse", "near"), (int(s.w.size) for s in sets)))
+        node_counts[name] = {**sizes, "order": getattr(sets[0], "order", 4)}
     torus_quad._far_grids.cache_clear()
 
     far = {}

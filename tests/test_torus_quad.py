@@ -561,10 +561,10 @@ def _orbit_ids(n, order):
     # orbit under the group: inversion (i, j) -> (n-1-i, n-1-j) and the
     # swap, and under the order-8 group also the mirror (i, j) -> (n-1-i, j)
     i, j = np.divmod(np.arange(n * n), n)
-    signs = ((i, j), (n - 1 - i, n - 1 - j))
+    flips = ((i, j), (n - 1 - i, n - 1 - j))
     if order == 8:
-        signs += ((n - 1 - i, j), (i, n - 1 - j))
-    return np.minimum.reduce([a * n + b for x, y in signs
+        flips += ((n - 1 - i, j), (i, n - 1 - j))
+    return np.minimum.reduce([a * n + b for x, y in flips
                               for a, b in ((x, y), (y, x))]).reshape(n, n)
 
 
