@@ -39,7 +39,9 @@ A step that leaves the bracket of evaluated points takes its geometric
 midpoint; a step below ALPHA_FLOOR evaluates the floor once, and a branch
 still positive there raises UnresolvableRoots.  The search stops at a step
 or a bracket below ROOT_REL_TOL relative: near threshold N cancels down to
-its rounding floor, where the steps alone would not settle.
+its rounding floor, where the steps alone would not settle.  Each point of
+the search, and multiplicity_check, is one kernel call with slopes: values
+and k = 2 sums, no error estimate, so it sums no coarse far level.
 """
 
 import functools
@@ -246,8 +248,7 @@ def _find(model, sector, a, b, mu, spec):
 
     @functools.cache
     def point(alpha):
-        results, slopes = _integrate(model, weights, alpha, 1, spec, slopes=True)
-        return tuple(r.value for r in results), slopes
+        return _integrate(model, weights, alpha, 1, spec, slopes=True)
 
     records = []
     for k in range(count):
@@ -299,9 +300,9 @@ def multiplicity_check(model, a, b, mu, z0, spec=None):
     Delta1' = a mu J1/4pi^2, Delta2' = b mu J2/4pi^2, Delta3' = -J3/4pi^2."""
     alpha0 = z0 - float(model.e_max)
     _check_inputs(a, b, mu, alpha0)
-    results, (j1, j2, j3) = _integrate(model, sectors.ES_WEIGHTS, alpha0, 1,
-                                       spec, slopes=True)
-    parts = _es_parts(a, b, mu, *(r.value for r in results))
+    values, (j1, j2, j3) = _integrate(model, sectors.ES_WEIGHTS, alpha0, 1,
+                                      spec, slopes=True)
+    parts = _es_parts(a, b, mu, *values)
     if max(abs(parts.delta1), abs(parts.delta2), abs(parts.delta3)) >= ZERO_TOL:
         return False
     slope = (a * mu * j1 * parts.delta2 + b * mu * j2 * parts.delta1

@@ -3,13 +3,15 @@ and the constructive multiplicity-two example.
 
 The operator decomposes over the four symmetry sectors, so the spectrum is
 the union of the three rank-one roots and the zeros of the rank-two
-determinant; counts follow the threshold table exactly.  The phase diagram
+determinant; counts follow the threshold table exactly.  On a model even per
+coordinate solve copies the os record to oa and searches no oa root: the
+reflection p2 -> -p2 keeps e and maps w_os onto w_oa.  The phase diagram
 reads each cell's count off that table and searches no root.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,11 +43,13 @@ def solve(model, a, b, mu, spec=None):
     """All eigenvalues above e_max for the coupling triple (a, b, mu)."""
     if a == 0 or b == 0:
         raise ZeroCoupling("couplings a, b must be nonzero")
-    records = []
-    for sector in sectors.RANK_ONE_SECTORS:
-        rec = find_eigenvalue_rank_one(model, sector, b, mu, spec=spec)
-        if rec is not None:
-            records.append(rec)
+    os_rec = find_eigenvalue_rank_one(model, "os", b, mu, spec=spec)
+    if is_even_per_coordinate(model):   # p2 -> -p2 maps w_os onto w_oa
+        oa_rec = os_rec and replace(os_rec, sector="oa")
+    else:
+        oa_rec = find_eigenvalue_rank_one(model, "oa", b, mu, spec=spec)
+    ea_rec = find_eigenvalue_rank_one(model, "ea", b, mu, spec=spec)
+    records = [rec for rec in (os_rec, oa_rec, ea_rec) if rec is not None]
     records.extend(find_eigenvalues_es(model, a, b, mu, spec=spec))
     return SpectrumResult(records=tuple(records),
                           total_count=sum(r.multiplicity for r in records))

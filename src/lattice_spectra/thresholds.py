@@ -56,8 +56,9 @@ class EsConstants:
 def gammas(model, spec=None):
     """The four sector constants gamma_omega (cached per model).
 
-    A per-coordinate-even model has gamma_os = gamma_oa; the model is probed
-    for evenness only when the computed pair differs.
+    A per-coordinate-even model has gamma_os = gamma_oa: the oa integral is
+    checked against the os one to 1e-8, then gamma_oa = gamma_os, so the
+    count table agrees with solve, which copies the os root to oa there.
     """
     out = {}
     weights = {"os": sectors.w_os_sq, "oa": sectors.w_oa_sq,
@@ -69,10 +70,11 @@ def gammas(model, spec=None):
         if val <= 0:
             raise NumericalError(f"threshold integral for {name} not positive")
         out[name] = 1.0 / val
-    if (abs(out["os"] - out["oa"]) > 1e-8 * out["os"]
-            and is_even_per_coordinate(model)):
-        raise NumericalError(
-            "gamma_os and gamma_oa must coincide for per-coordinate-even models")
+    if is_even_per_coordinate(model):
+        if abs(out["os"] - out["oa"]) > 1e-8 * out["os"]:
+            raise NumericalError(
+                "gamma_os and gamma_oa must coincide for per-coordinate-even models")
+        out["oa"] = out["os"]
     return SectorConstants(gamma_os=out["os"], gamma_oa=out["oa"],
                            gamma_ea=out["ea"], gamma_es=out["es"])
 

@@ -71,7 +71,10 @@ with the same r, so a stacked result is bitwise that of the one-weight call.
 The dot accumulates in BLAS order, not np.sum's pairwise order: a far sum
 lies within about 1e3 eps sum |w v r| of the pairwise one.  At k = 1 the
 kernel can also return each weight's k = 2 sum from r^2 (slopes), the
-alpha-derivative that steers the determinant's Newton search.
+alpha-derivative that steers the determinant's Newton search.  Such a call
+returns the values alone, without error estimates, and reads one far level,
+the fine one; every call without slopes also sums the coarse level, whose
+difference from the fine one is the far part of its error estimate.
 """
 
 import math
@@ -459,8 +462,9 @@ def _far_grids(grid_n, patch_radius, breakpoints, order):
     twice the nodes, and its masks cover the top half of the grid.  Each
     cached deficit or w * v product adds one read-only float array of its
     set's node count (on the near set two rows, w v and w |v|), and a
-    kernel call makes one reciprocal row of that size per set, two with
-    slopes, which every weight of its stack reads by a dot product.
+    kernel call makes one reciprocal row of that size per set it reads, two
+    with slopes (which skip the coarse level), which every weight of its
+    stack reads by a dot product.
     cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(2 * (grid_n // 4)))
@@ -612,10 +616,12 @@ def _integrate(model, vs, alpha, k, spec=None, slopes=False):
     the near field, each a sum over cached node arrays (see the module
     docstring).
 
-    With slopes (k = 1 only), (results, slopes): each slope is the sum of
-    w v / (alpha + deficit)^2 over the fine far level and the near set's fine
-    nodes, -d/dalpha of the value, from the same reciprocal rows.  It steers
-    a root search and carries no error estimate or convergence check."""
+    With slopes (k = 1 only), (values, slopes) as floats: the values of the
+    results and, for each, the sum of w v / (alpha + deficit)^2 over the
+    fine far level and the near set's fine nodes, -d/dalpha of the value,
+    from the same reciprocal rows.  They steer a root search, which reads
+    no error estimate, so this call skips the coarse far level; the
+    near-field check still raises NoConvergence on every weight."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     if slopes and k != 1:
@@ -633,20 +639,21 @@ def _integrate(model, vs, alpha, k, spec=None, slopes=False):
     nears = _near_values(near, model, vs, alpha, k, slopes)
     if slopes:
         (fars, far_slopes), (nears, near_slopes) = fars, nears
-    results = []
-    for far, far_coarse, (value, abs_value, radial_err, angular_err) in zip(
-            fars, _far_values(coarse, model, vs, alpha, k), nears):
+    values, near_errs = [], []
+    for far, (value, abs_value, radial_err, angular_err) in zip(fars, nears):
         near_err = radial_err + angular_err
         if near_err > spec.radial_tol * max(abs(far + value),
                                             1e-2 * (abs(far) + abs_value), 1e-300):
             raise NoConvergence(
                 f"near-field estimate above tolerance: radial {radial_err:g}, "
                 f"angular {angular_err:g} (alpha = {alpha:g}, k = {k})")
-        results.append(IntegralResult(value=far + value,
-                                      error_estimate=abs(far - far_coarse) + near_err))
+        values.append(far + value)
+        near_errs.append(near_err)
     if slopes:
-        return results, [f + n for f, n in zip(far_slopes, near_slopes)]
-    return results
+        return values, [f + n for f, n in zip(far_slopes, near_slopes)]
+    return [IntegralResult(value=value, error_estimate=abs(far - far_coarse) + near_err)
+            for value, far, far_coarse, near_err in zip(
+                values, fars, _far_values(coarse, model, vs, alpha, k), near_errs)]
 
 
 def _vanishing_order(v):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -5,13 +6,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lattice_spectra import sectors, spectrum, thresholds, torus_quad
-from lattice_spectra.dispersion import PI, PiecewisePhi, SteppedPhiA
+from lattice_spectra.dispersion import (PI, DiscreteLaplacian, PiecewisePhi,
+                                        SteppedPhiA, validate_hypothesis)
 from lattice_spectra.errors import (DomainError, NoConvergence,
                                     NotEvenPerCoordinate, ZeroCoupling)
 from lattice_spectra.thresholds import coupling_thresholds
 from lattice_spectra.torus_quad import _far_grids, _node_sets, default_spec
+from test_torus_quad import diagonal_hop_table, hopping_table, next_nearest_hopping
 
 
 def test_solve_reference_config(lap):
@@ -57,6 +62,75 @@ def test_solve_matches_table_inside_threshold_band(lap, a, b, sector):
     pred = spectrum.predicted_sector_counts(lap, a, b, mu)
     got = spectrum.solve(lap, a, b, mu).sector_counts()
     assert got == {s: pred[s] for s in sectors.SECTORS}
+
+
+EVEN_MODELS = {"laplacian": DiscreteLaplacian(), "stepped-0.5": SteppedPhiA(a_param=0.5),
+               "piecewise-0.5": PiecewisePhi(eps=0.5),
+               "next-nearest-0.1": next_nearest_hopping(0.1)}
+
+
+@pytest.mark.parametrize("name", EVEN_MODELS)
+@pytest.mark.parametrize("b", [3.0, -1.0])
+def test_solve_copies_the_os_record_to_oa_on_even_models(name, b):
+    # the reflection p2 -> -p2 keeps e and maps w_os onto w_oa: the oa
+    # record is the os one, present exactly when it is
+    res = spectrum.solve(EVEN_MODELS[name], 1.0, b, 1.0)
+    os_recs, oa_recs = ([r for r in res.records if r.sector == s] for s in ("os", "oa"))
+    assert len(os_recs) == len(oa_recs) == (1 if b > 0 else 0)
+    for os_rec, oa_rec in zip(os_recs, oa_recs):
+        assert dataclasses.replace(oa_rec, sector="os") == os_rec
+
+
+def _integrated_weights(monkeypatch):
+    # every weight the kernel integrates, one entry per weight of a stack
+    weights, near_values = [], torus_quad._near_values
+
+    def integrating(near, model, vs, *args, **kwargs):
+        weights.extend(vs)
+        return near_values(near, model, vs, *args, **kwargs)
+
+    monkeypatch.setattr(torus_quad, "_near_values", integrating)
+    return weights
+
+
+def test_warm_solve_searches_no_oa_root_on_an_even_model(lap, monkeypatch):
+    # os, ea and es searches only: 27 integrals with the oa search, 23 without
+    spectrum.solve(lap, 1.0, 3.0, 1.0)
+    weights = _integrated_weights(monkeypatch)
+    assert spectrum.solve(lap, 1.0, 3.0, 1.0).sector_counts()["oa"] == 1
+    assert len(weights) == 23
+    assert sectors.w_oa_sq not in weights
+
+
+def test_solve_searches_the_oa_root_on_the_diagonal_hop_table(monkeypatch):
+    # not even per coordinate: os and oa are different sectors
+    model = diagonal_hop_table(0.1)
+    spectrum.solve(model, 1.0, 3.0, 1.0)
+    weights = _integrated_weights(monkeypatch)
+    res = spectrum.solve(model, 1.0, 3.0, 1.0)
+    assert sectors.w_oa_sq in weights
+    os_rec, oa_rec = ([r for r in res.records if r.sector == s] for s in ("os", "oa"))
+    assert os_rec[0].energy != oa_rec[0].energy
+
+
+_COUPLING = st.floats(0.5, 3.0) | st.floats(-3.0, -0.5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.floats(-1.0, -0.1), d=st.floats(-0.2, 0.2), s=st.floats(-0.05, 0.05),
+       a=_COUPLING, b=_COUPLING, mu=st.floats(1.0, 6.0))
+def test_solve_counts_are_the_table_on_even_hopping_tables(t, d, s, a, b, mu):
+    # the table reads gamma_oa = gamma_os on an even model, as solve copies
+    # the os root to oa.  mu stays 10% off every threshold and mu |a|, mu |b|
+    # at 0.5 or more, where every root lies above ALPHA_FLOOR: at a = 0.5,
+    # b = 0.25, mu = 0.25 the es root sits far below it
+    model = hopping_table(t, d, d, s)
+    assume(validate_hypothesis(model).passed)
+    mu0 = coupling_thresholds(model, a, b).mu0.values()
+    assume(all(m is None or abs(mu - m) > 0.1 * m for m in mu0))
+    pred = spectrum.predicted_sector_counts(model, a, b, mu)
+    assert spectrum.solve(model, a, b, mu).sector_counts() == {
+        sec: pred[sec] for sec in sectors.SECTORS}
 
 
 def test_phase_diagram_small_grid(lap):

@@ -150,6 +150,28 @@ def test_gammas_rejects_unequal_odd_constants_on_an_even_model(lap,
         gammas.cache_clear()
 
 
+def test_gammas_take_gamma_oa_from_gamma_os_on_an_even_model(lap, monkeypatch):
+    # an oa integral within the 1e-8 check still reads gamma_oa = gamma_os,
+    # as solve copies the os root to oa; the table has no pair of digits to
+    # split.  The diagonal-hop table is not even: its oa is its own
+    original = thresholds._integrate
+
+    def skewed(model, vs, *args, **kwargs):
+        results = original(model, vs, *args, **kwargs)
+        return [dataclasses.replace(r, value=r.value * (1 + 1e-12))
+                if v is sectors.w_oa_sq else r for v, r in zip(vs, results)]
+
+    monkeypatch.setattr(thresholds, "_integrate", skewed)
+    gammas.cache_clear()
+    try:
+        g = gammas(lap)
+        assert g.gamma_oa == g.gamma_os
+        g = gammas(diagonal_hop_table(0.1))
+        assert abs(g.gamma_oa - g.gamma_os) > 0.1 * g.gamma_os
+    finally:
+        gammas.cache_clear()
+
+
 COUNT_MODELS = {"laplacian": DiscreteLaplacian(),
                 "stepped:0.5": SteppedPhiA(a_param=0.5),
                 "diagonal-hop-0.1": diagonal_hop_table(0.1)}

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import weakref
@@ -343,6 +344,39 @@ def test_stacked_near_field_stall_raises(lap, monkeypatch, fresh_grids):
     torus_quad._integrate(lap, (zero,), 1e-13, 2)
     with pytest.raises(NoConvergence, match=r"alpha = 1e-13, k = 2"):
         torus_quad._integrate(lap, (zero, sectors.es_one), 1e-13, 2)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 1.0, 20.0])
+def test_slopes_call_returns_the_values_from_one_far_level(model, alpha, monkeypatch):
+    # a root search reads values and slopes, no error estimate: the call
+    # sums the fine far level only, and its values are the plain call's
+    vs = sectors.ES_WEIGHTS + (sectors.w_oa_sq,)
+    plain = torus_quad._integrate(model, vs, alpha, 1)
+    levels, far_values = [], torus_quad._far_values
+
+    def counting(level, *args, **kwargs):
+        levels.append(level)
+        return far_values(level, *args, **kwargs)
+
+    monkeypatch.setattr(torus_quad, "_far_values", counting)
+    values, slopes = torus_quad._integrate(model, vs, alpha, 1, slopes=True)
+    assert values == [res.value for res in plain]
+    assert all(type(x) is float for x in values + slopes)
+    assert len(slopes) == len(vs)
+    assert levels == [_node_sets(model)[0]]
+
+
+def test_slopes_call_checks_the_near_field_of_every_weight(lap):
+    # the zero weight's estimate is 0 and passes any tolerance; es_one's
+    # does not pass one of 1e-300, with slopes or without
+    spec = dataclasses.replace(default_spec(lap), radial_tol=1e-300)
+    zero = lambda p1, p2: np.zeros_like(p1)
+    torus_quad._integrate(lap, (zero,), 1e-6, 1, spec, slopes=True)
+    for slopes in (False, True):
+        with pytest.raises(NoConvergence, match=r"alpha = 1e-06, k = 1"):
+            torus_quad._integrate(lap, (zero, sectors.es_one), 1e-6, 1, spec,
+                                  slopes=slopes)
 
 
 def test_resolvent_kinked_model():
@@ -784,6 +818,9 @@ def test_folded_sums_are_the_unfolded_sums_on_hopping_tables(t, d1, d2, s, even)
                                            (0.0, 1e-6, 1.0))
     _assert_near_sums_are_the_unfolded_sums(model, SECTOR_WEIGHTS, (1e-6, 1.0))
     if d1 == d2:
+        os_sum, oa_sum = torus_quad._integrate(
+            model, (sectors.w_os_sq, sectors.w_oa_sq), 0.0, 1)
+        assert abs(os_sum.value - oa_sum.value) <= FEW_EPS * os_sum.value
         g = gammas(model)
         assert abs(g.gamma_os - g.gamma_oa) <= FEW_EPS * g.gamma_os
 
