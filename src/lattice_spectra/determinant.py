@@ -42,21 +42,44 @@ or a bracket below ROOT_REL_TOL relative: near threshold N cancels down to
 its rounding floor, where the steps alone would not settle.  Each point of
 the search, and multiplicity_check, is one kernel call with slopes: values
 and k = 2 sums, no error estimate, so it sums no coarse far level.
+
+Every search is seeded.  The integrals depend on alpha alone, and each
+I_v(alpha) is a Stieltjes function, analytic off the cut, so F_v(s) =
+I_v(e^s) has a geometrically convergent Chebyshev interpolant in s = ln alpha
+(Trefethen, Approximation Theory and Approximation Practice, 2013, ch. 8).
+One table per (model, spec), built by one block pass of the kernel
+(torus_quad._integrate_block) at TABLE_POINTS Chebyshev points of s over
+[ln ALPHA_FLOOR, ln TABLE_ALPHA_MAX] and kept on the model's fine far level,
+holds the searched weights: os and ea, oa unless the model is even per
+coordinate, and es's three.  _find locates each branch's zero on these
+proxies (bisection on the nodes, Newton on the interpolants; Boyd, Solving
+Transcendental Equations, 2014) and hands it to _root as a seed, so every
+record still reads a real kernel point, and the same stop rule ends the
+search.  A zero outside the table, or a branch whose proxy does not change
+sign there, runs _root from the upper bracket as before.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import sectors
+from .dispersion import is_even_per_coordinate
 from .errors import BelowThreshold, BracketFailure, UnresolvableRoots
 from .thresholds import _check_couplings, gammas, sector_count
-from .torus_quad import FOUR_PI_SQ, _integrate, integrate_resolvent
+from .torus_quad import (FOUR_PI_SQ, _integrate, _integrate_block, _node_sets,
+                         default_spec, integrate_resolvent)
 
 ALPHA_FLOOR = 1e-13   # roots closer to threshold are unresolvable
 ZERO_TOL = 1e-8       # |Delta_i| below this counts as a vanishing component
 ROOT_REL_TOL = 1e-12  # Newton stops at a step or bracket this small, relative
 MAX_STEPS = 100       # Newton steps per root before UnresolvableRoots
+TABLE_POINTS = 128    # Chebyshev points of the proxy table in s = ln alpha
+TABLE_ALPHA_MAX = 100.0   # the table covers [ALPHA_FLOOR, TABLE_ALPHA_MAX]
+PROXY_STEPS = 30      # safeguarded Newton steps on the proxies per root
+PROXY_STEP = 1e-8     # Newton on the proxies stops after a step this small in s
 
 
 @dataclass(frozen=True)
@@ -122,26 +145,28 @@ def delta_es(model, a, b, mu, *, alpha, spec=None):
 # safeguarded Newton on a branch of N(alpha) = G(alpha)^-1 - mu V
 # ---------------------------------------------------------------------------
 
-def _root(branch, alpha_hi, what):
+def _root(branch, alpha_hi, what, seed=None):
     """alpha at the zero of branch in [ALPHA_FLOOR, alpha_hi).
 
     branch(alpha) is (value, slope) of an increasing branch of N, positive
-    at alpha_hi.  Newton steps from alpha_hi; a step that leaves the bracket
-    (lo, hi) of evaluated points below and above the zero takes the
+    at alpha_hi.  Newton steps from alpha_hi, or from a seed in
+    [ALPHA_FLOOR, alpha_hi) (the proxies' root), where alpha_hi, certified
+    by the caller, bounds the bracket unevaluated; a step that leaves the
+    bracket (lo, hi) of evaluated points below and above the zero takes the
     bracket's geometric midpoint, and the first step below ALPHA_FLOOR
     evaluates the floor instead.  The search stops at a step or a bracket
     below ROOT_REL_TOL relative and returns the last evaluated alpha, so the
     caller's memo of branch holds its point.
     """
     lo, hi = None, alpha_hi
-    alpha = alpha_hi
+    alpha = alpha_hi if seed is None else seed
 
     def state():
         return (f"(last alpha = {alpha!r}, N = {value:.3g}, "
                 f"bracket ({lo or ALPHA_FLOOR!r}, {hi!r}))")
 
     value, slope = branch(alpha)
-    if not value > 0:
+    if seed is None and not value > 0:
         raise BracketFailure(f"{what}: N not positive at the upper bracket "
                              f"{state()}")
     for _ in range(MAX_STEPS):
@@ -192,9 +217,14 @@ def _eigen_branch(n, dn, upper):
 
 def find_eigenvalue_rank_one(model, sector, b, mu, spec=None):
     """The unique eigenvalue in a rank-one sector, or None where the count
-    table has none."""
+    table has none.  On a model even per coordinate the oa record is the os
+    search's, relabelled: the reflection p2 -> -p2 keeps e and maps w_os
+    onto w_oa."""
     if sector not in sectors.RANK_ONE_SECTORS:
         raise ValueError(f"not a rank-one sector: {sector}")
+    if sector == "oa" and is_even_per_coordinate(model):
+        rec = find_eigenvalue_rank_one(model, "os", b, mu, spec)
+        return rec and replace(rec, sector="oa")
     return next(iter(_find(model, sector, None, b, mu, spec)), None)
 
 
@@ -250,10 +280,14 @@ def _find(model, sector, a, b, mu, spec):
     def point(alpha):
         return _integrate(model, weights, alpha, 1, spec, slopes=True)
 
+    proxy = _proxies(model, spec)
     records = []
     for k in range(count):
+        seed = proxy.root(lambda values, slopes: branch(values, slopes, upper=k),
+                          weights)
         alpha = _root(lambda al: branch(*point(al), upper=k), alpha,
-                      what if count == 1 else f"{('outer', 'inner')[k]} {what}")
+                      what if count == 1 else f"{('outer', 'inner')[k]} {what}",
+                      seed if seed is not None and seed < alpha else None)
         multiplicity, c1, c2, residual = fields(point(alpha)[0])
         records.append(EigenvalueRecord(
             sector=sector, mu=mu, energy=float(model.e_max) + alpha,
@@ -262,6 +296,143 @@ def _find(model, sector, a, b, mu, spec):
         if multiplicity == 2:
             break
     return records
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev proxies in s = ln alpha
+# ---------------------------------------------------------------------------
+
+def _table_weights(model):
+    """The weights a root search reads: os and ea (and oa, unless the model
+    is even per coordinate, where oa's search is os's), then es's three."""
+    rank_one = ("os", "ea") if is_even_per_coordinate(model) else ("os", "oa", "ea")
+    return (*(sectors.RANK_ONE_WEIGHTS_SQ[s] for s in rank_one), *sectors.ES_WEIGHTS)
+
+
+@functools.cache
+def _chebyshev_nodes(n):
+    """The extreme points x_j = cos(pi j / (n - 1)), descending, their
+    barycentric weights (-1)^j, halved at both ends, and the degrees
+    0 .. n - 2 of the derivative series."""
+    weights = (-1.0) ** np.arange(n)
+    weights[[0, -1]] *= 0.5
+    return np.cos(np.pi * np.arange(n) / (n - 1)), weights, np.arange(n - 1)
+
+
+@functools.cache
+def _chebyshev_basis(n):
+    """The matrix that maps values at the extreme points to Chebyshev
+    coefficients (DCT-I)."""
+    angles = np.pi * np.arange(n) / (n - 1)
+    basis = np.cos(np.outer(np.arange(n), angles))     # T_k(x_j)
+    basis[:, [0, -1]] *= 0.5
+    basis *= 2.0 / (n - 1)
+    basis[[0, -1]] *= 0.5
+    return basis
+
+
+@dataclass(frozen=True)
+class _Proxies:
+    """Chebyshev interpolants in s = ln alpha of (1 + alpha) I_v(alpha) for
+    the search's weights v on [ln ALPHA_FLOOR, ln TABLE_ALPHA_MAX]: the node
+    values I_v (rows descending in s, real integrals of the block pass),
+    (1 + alpha) I_v there, and the Chebyshev coefficients of its d/dx."""
+    weights: tuple
+    s: np.ndarray
+    values: np.ndarray
+    scaled: np.ndarray
+    dcoef: np.ndarray
+
+    def _at(self, s, scaled, dcoef):
+        """(values, k = 2 sums) at s of the interpolants whose node values
+        are scaled, columns of (1 + alpha) I, and whose derivative series
+        is dcoef: g = (1 + alpha) I by the barycentric formula on the nodes,
+        stable to rounding (Higham, IMA J. Numer. Anal. 24, 547 (2004)), and
+        dg/ds by the series, whose error only steers Newton."""
+        lo, hi = self.s[-1], self.s[0]
+        x = min(1.0, max(-1.0, (2 * s - lo - hi) / (hi - lo)))
+        nodes, weights, ks = _chebyshev_nodes(len(self.s))
+        diff = x - nodes
+        if diff.all():
+            q = weights / diff
+            g = (q @ scaled) / q.sum()
+        else:
+            g = scaled[np.flatnonzero(diff == 0)[0]]
+        dg = (2.0 / (hi - lo)) * (np.cos(math.acos(x) * ks) @ dcoef)
+        # J = -dI/dalpha = (g / (1 + alpha) - dg/ds / alpha) / (1 + alpha)
+        alpha = math.exp(s)
+        i = g / (1 + alpha)
+        return i.tolist(), ((i - dg / alpha) / (1 + alpha)).tolist()
+
+    def root(self, branch, weights):
+        """The zero of branch(values, slopes) -> (N, dN/dalpha) on the
+        interpolants of weights, or None where it does not change sign over
+        the table: the sign change on the nodes by bisection (N increases
+        with alpha), then safeguarded Newton in s on the interpolants from
+        the secant's zero between the two nodes, until a step below
+        PROXY_STEP, whose square bounds the error of the step's target."""
+        cols = [self.weights.index(v) for v in weights]
+        values, scaled, dcoef = (a[:, cols] for a in (self.values, self.scaled, self.dcoef))
+        ones = [1.0] * len(cols)
+
+        def n_at(j):
+            return branch(values[j].tolist(), ones)[0]
+
+        above, below = 0, len(self.s) - 1   # N > 0 at node above, N <= 0 below
+        n_above, n_below = n_at(above), n_at(below)
+        if not n_above > 0 or n_below > 0:
+            return None
+        while below - above > 1:             # N increases with s: bisect
+            mid = (above + below) // 2
+            n_mid = n_at(mid)
+            if n_mid > 0:
+                above, n_above = mid, n_mid
+            else:
+                below, n_below = mid, n_mid
+        lo, hi = float(self.s[below]), float(self.s[above])
+        s = lo + (hi - lo) * n_below / (n_below - n_above)   # the secant's zero
+        for _ in range(PROXY_STEPS):
+            value, slope = branch(*self._at(s, scaled, dcoef))
+            if value > 0:
+                hi = s
+            else:
+                lo = s
+            target = s - value / (slope * math.exp(s)) if slope > 0 else math.nan
+            if lo < target < hi:
+                if abs(target - s) <= PROXY_STEP:
+                    return math.exp(target)
+            else:
+                target = 0.5 * (lo + hi)
+                if hi - lo <= 1e-14 * max(1.0, abs(s)):
+                    return math.exp(target)
+            s = target
+        return math.exp(s)
+
+
+def _proxies(model, spec):
+    """The model's proxy table, built once per (model, spec) by one block
+    pass of the kernel at TABLE_POINTS Chebyshev points and kept on its fine
+    far level, so that clearing _far_grids drops it."""
+    spec = spec or default_spec(model)
+    weights = _table_weights(model)
+
+    def build():
+        x = _chebyshev_nodes(TABLE_POINTS)[0]
+        lo, hi = math.log(ALPHA_FLOOR), math.log(TABLE_ALPHA_MAX)
+        s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        alphas = np.exp(s)
+        values = _integrate_block(model, weights, alphas, spec)
+        # (1 + alpha) I is of one scale over the table, ln(1/alpha) at most
+        # below and int v above, so the interpolant's rounding is relative
+        scaled = values * (1 + alphas[:, None])
+        dcoef = np.polynomial.chebyshev.chebder(_chebyshev_basis(TABLE_POINTS) @ scaled)
+        return np.concatenate((s[:, None], values, scaled,
+                               np.vstack((dcoef, np.zeros_like(dcoef[:1])))), axis=1)
+
+    n, m = TABLE_POINTS, len(weights)
+    table = _node_sets(model, spec)[0].table((model, spec), build)
+    return _Proxies(weights=weights, s=table[:, 0], values=table[:, 1:1 + m],
+                    scaled=table[:, 1 + m:1 + 2 * m], dcoef=table[:n - 1, 1 + 2 * m:])
 
 
 # ---------------------------------------------------------------------------

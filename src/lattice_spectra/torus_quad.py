@@ -75,6 +75,12 @@ alpha-derivative that steers the determinant's Newton search.  Such a call
 returns the values alone, without error estimates, and reads one far level,
 the fine one; every call without slopes also sums the coarse level, whose
 difference from the fine one is the far part of its error estimate.
+
+_integrate_block is the kernel over a vector of alphas at k = 1: per block
+of BLOCK_ALPHAS alphas it forms one reciprocal row per alpha on the fine far
+level and the near set and multiplies the block with the stacked cached w v
+rows, with the near-field check of every (alpha, weight).  It builds the
+root search's proxy table (determinant).
 """
 
 import math
@@ -239,17 +245,22 @@ class _NodeSet:
         models;
       * vcache, weight function v -> w * v on the nodes, the last
         VALUES_KEPT weights.  A weight is a function of p alone, so these
-        products serve every model of the family.
+        products serve every model of the family;
+      * tables, a key such as (model, spec) -> an array its caller derives
+        from the set's sums, e.g. the root search's Chebyshev table in
+        ln alpha (determinant), the last TABLES_KEPT keys.
     """
 
     DEFICITS_KEPT = 4
     VALUES_KEPT = 64
+    TABLES_KEPT = 4
 
     def __init__(self, w, order):
         self.w = w
         self.order = order
         self.deficits = {}
         self.vcache = {}
+        self.tables = {}
         self._lock = threading.Lock()
 
     def _cached(self, cache, key, kept, compute):
@@ -279,6 +290,9 @@ class _NodeSet:
         return self._cached(
             self.vcache, v, self.VALUES_KEPT,
             lambda: self.w * np.asarray(self._values(v), dtype=float))
+
+    def table(self, key, compute):
+        return self._cached(self.tables, key, self.TABLES_KEPT, compute)
 
 
 class _FarLevel(_NodeSet):
@@ -464,7 +478,12 @@ def _far_grids(grid_n, patch_radius, breakpoints, order):
     set's node count (on the near set two rows, w v and w |v|), and a
     kernel call makes one reciprocal row of that size per set it reads, two
     with slopes (which skip the coarse level), which every weight of its
-    stack reads by a dot product.
+    stack reads by a dot product.  The fine level also keeps the root
+    search's proxy table per (model, spec) (determinant._proxies): 128
+    rows of 1 + 3 m floats for m searched weights, 16 kB at m = 5
+    (even models) and 19 kB at m = 6; a block pass builds it from blocks
+    of BLOCK_ALPHAS reciprocal rows, 0.26 MB on the Laplacian's fine level
+    and 0.93 MB on stepped:0.5's, freed after the pass.
     cache_clear drops all of it."""
     if breakpoints is None:
         axes = (_axis_nodes_trapezoid(grid_n), _axis_nodes_trapezoid(2 * (grid_n // 4)))
@@ -546,6 +565,51 @@ def _near_values(near, model, vs, alpha, k, slopes=False):
     if not slopes:
         return out
     return out, [float(np.dot(wv[fine], rows[1][fine])) for wv, _ in wvs]
+
+
+BLOCK_ALPHAS = 4   # alphas per block of reciprocal rows in _integrate_block
+
+
+def _integrate_block(model, vs, alphas, spec=None):
+    """The k = 1 values of every weight in vs at every alpha > 0 of alphas,
+    an array of shape (alphas, weights): the one-alpha kernel's fine far
+    level plus near field, BLOCK_ALPHAS alphas at a time.  Per level a block
+    forms one reciprocal row per alpha and multiplies the block with the
+    stacked cached w v rows, one matrix product per level and near part;
+    the sums lie within rounding of the one-alpha dot products, not bitwise
+    on them.  The near-field check of _integrate runs on every (alpha,
+    weight), and the first failing pair, alpha first, raises NoConvergence.
+    No coarse far level is read: a block returns no error estimate."""
+    spec = spec or default_spec(model)
+    fine, _, near = _node_sets(model, spec)
+    far_wv = np.stack([fine.weighted(v) for v in vs]).T         # (nodes, weights)
+    near_rows = [near.weighted(v) for v in vs]
+    near_wv = np.stack([rows[0] for rows in near_rows]).T
+    fine_stop = near.parts[1].stop
+    abs_wv = np.stack([rows[1, :fine_stop] for rows in near_rows]).T
+    alphas = np.asarray(alphas, dtype=float)
+    out = np.empty((alphas.size, len(vs)))
+    for start in range(0, alphas.size, BLOCK_ALPHAS):
+        block = alphas[start:start + BLOCK_ALPHAS, None]
+        r = np.add(block, fine.deficit(model))
+        far = np.reciprocal(r, out=r) @ far_wv
+        r = np.add(block, near.deficit(model))
+        np.reciprocal(r, out=r)
+        even, odd, coarse = (r[:, part] @ near_wv[part] for part in near.parts)
+        abs_value = r[:, :fine_stop] @ abs_wv
+        value = even + odd
+        radial, angular = np.abs(2 * even - coarse), np.abs(odd - even)
+        scale = np.maximum(np.maximum(np.abs(far + value),
+                                      1e-2 * (np.abs(far) + abs_value)), 1e-300)
+        bad = np.argwhere(radial + angular > spec.radial_tol * scale)
+        if bad.size:
+            i, j = bad[0]
+            raise NoConvergence(
+                f"near-field estimate above tolerance: radial {radial[i, j]:g}, "
+                f"angular {angular[i, j]:g} (alpha = {block[i, 0]:g}, k = 1, "
+                f"weight {vs[j].__name__})")
+        out[start:start + block.shape[0]] = far + value
+    return out
 
 
 def _outside_balls(model, v, window, spec=None):

@@ -358,3 +358,81 @@ def test_record_as_dict(lap):
     assert d["multiplicity"] == 1
     assert set(d) == {"sector", "mu", "energy", "multiplicity", "c1", "c2",
                       "residual", "log_alpha"}
+
+
+@pytest.mark.parametrize("model", [DiscreteLaplacian(), SteppedPhiA(a_param=0.5)],
+                         ids=["laplacian", "stepped-0.5"])
+def test_oa_paths_return_the_os_search_on_even_models(model):
+    # p2 -> -p2 keeps e and maps w_os onto w_oa: every oa path is the os
+    # search relabelled, bitwise
+    os_rec = find_eigenvalue_rank_one(model, "os", 3.0, 1.0)
+    oa_rec = find_eigenvalue_rank_one(model, "oa", 3.0, 1.0)
+    assert oa_rec == dataclasses.replace(os_rec, sector="oa")
+    grid = (1.0, 1.5, 2.0)
+    os_curve = spectrum.eigenvalue_curve(model, "os", 1.0, 3.0, grid)
+    oa_curve = spectrum.eigenvalue_curve(model, "oa", 1.0, 3.0, grid)
+    assert [e.hex() for e in oa_curve.energies] == [e.hex() for e in os_curve.energies]
+
+
+def _kernel_points(monkeypatch):
+    # the alphas at which each _root call evaluates its branch, per call
+    runs, root = [], determinant._root
+
+    def logged(branch, alpha_hi, what, seed=None):
+        runs.append({"what": what, "seed": seed, "points": []})
+        return root(lambda al: runs[-1]["points"].append(al) or branch(al),
+                    alpha_hi, what, seed)
+
+    monkeypatch.setattr(determinant, "_root", logged)
+    return runs
+
+
+@pytest.mark.parametrize("model, mu, most", [
+    (DiscreteLaplacian(), 2.52500000036815, 6),
+    # the inner root at alpha 3.1e-12 sits in N's rounding band (|N| ~ 1e-16,
+    # slope 8e4), where only the bracket closes the search: 20 points from
+    # the upper bracket, about 11 from the seed
+    (SteppedPhiA(a_param=0.5), 0.6405308253069776, 16)], ids=["laplacian", "stepped-0.5"])
+def test_inner_es_root_near_threshold_takes_few_points(model, mu, most, monkeypatch):
+    find_eigenvalues_es(model, 1.0, 1.0, mu)
+    runs = _kernel_points(monkeypatch)
+    outer, inner = find_eigenvalues_es(model, 1.0, 1.0, mu)
+    assert runs[1]["what"].startswith("inner es root")
+    assert runs[1]["seed"] is not None
+    assert len(runs[1]["points"]) <= most, runs[1]
+
+
+SEEDED_MODELS = {"laplacian": DiscreteLaplacian(), "stepped-0.5": SteppedPhiA(a_param=0.5),
+                 "diagonal-hop-0.1": diagonal_hop_table(0.1)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(sorted(SEEDED_MODELS)),
+       signs=st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))),
+       size_a=st.floats(0.1, 3.0), size_b=st.floats(0.1, 3.0),
+       mu=st.floats(0.2, 6.0))
+def test_seeded_search_is_the_unseeded_search(name, signs, size_a, size_b, mu):
+    # the proxies only seed _root: the same roots, to the stop rule, as the
+    # search from the certified upper bracket
+    model = SEEDED_MODELS[name]
+    a, b = signs[0] * size_a, signs[1] * size_b
+    assume(_keeps_roots_resolvable(model, a, b, mu))
+    seeded = spectrum.solve(model, a, b, mu).records
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(determinant._Proxies, "root", lambda self, *args: None)
+        unseeded = spectrum.solve(model, a, b, mu).records
+    assert [(r.sector, r.multiplicity) for r in seeded] == [
+        (r.sector, r.multiplicity) for r in unseeded]
+    for r, u in zip(seeded, unseeded):
+        assert abs(r.energy - u.energy) <= 1e-11, (r, u)
+
+
+def test_a_root_above_the_table_takes_the_unseeded_search(lap, monkeypatch):
+    # at b mu = 200 the os root lies near alpha = 200, above the table's
+    # last point alpha = 100: _root starts from the upper bracket
+    find_eigenvalue_rank_one(lap, "os", 2.0, 100.0)
+    runs = _kernel_points(monkeypatch)
+    rec = find_eigenvalue_rank_one(lap, "os", 2.0, 100.0)
+    assert math.exp(rec.log_alpha) > determinant.TABLE_ALPHA_MAX
+    assert [run["seed"] for run in runs] == [None]
+    assert runs[0]["points"][0] == 2.0 * 100.0 - determinant.gammas(lap).gamma_os

@@ -94,11 +94,12 @@ def _integrated_weights(monkeypatch):
 
 
 def test_warm_solve_searches_no_oa_root_on_an_even_model(lap, monkeypatch):
-    # os, ea and es searches only: 27 integrals with the oa search, 23 without
+    # os, ea and es searches only, each one kernel point at its proxy seed:
+    # 5 integrals (23 when every search started at its upper bracket)
     spectrum.solve(lap, 1.0, 3.0, 1.0)
     weights = _integrated_weights(monkeypatch)
     assert spectrum.solve(lap, 1.0, 3.0, 1.0).sector_counts()["oa"] == 1
-    assert len(weights) == 23
+    assert len(weights) == 5
     assert sectors.w_oa_sq not in weights
 
 

@@ -891,3 +891,50 @@ def test_stepped_integral_unchanged_by_a_warm_family():
     warm = integral()
     assert torus_quad._far_grids.cache_info().misses == 1
     assert warm == cold
+
+
+BLOCK_ALPHAS = (1e-13, 3e-9, 1e-6, 1e-3, 0.5, 1.0, 7.0, 20.0, 100.0)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_block_pass_is_the_one_alpha_kernel_to_rounding(model):
+    # each value within DOT_EPS sum |w v r| of the one-alpha call: the block
+    # multiplies a block of reciprocal rows with the stacked w v rows, in
+    # its own summation order, on the fine far level and the near set
+    vs = STACK_WEIGHTS
+    fine, _, near = _node_sets(model)
+    block = torus_quad._integrate_block(model, vs, BLOCK_ALPHAS)
+    assert block.shape == (len(BLOCK_ALPHAS), len(vs))
+    stop = near.parts[1].stop
+    for alpha, row in zip(BLOCK_ALPHAS, block):
+        values, _ = torus_quad._integrate(model, vs, alpha, 1, slopes=True)
+        far_r = 1.0 / (alpha + fine.deficit(model))
+        near_r = 1.0 / (alpha + near.deficit(model))[:stop]
+        for v, got, want in zip(vs, row, values):
+            scale = (np.sum(np.abs(fine.weighted(v) * far_r))
+                     + np.sum(np.abs(near.weighted(v)[0, :stop] * near_r)))
+            assert abs(got - want) <= DOT_EPS * scale, (v.__name__, alpha)
+
+
+def _first_stall(model, vs, alphas, spec):
+    # the first (alpha, weight), alpha first, whose one-alpha call stalls
+    for alpha in alphas:
+        for v in vs:
+            try:
+                torus_quad._integrate(model, (v,), alpha, 1, spec, slopes=True)
+            except NoConvergence:
+                return alpha, v.__name__
+    return None
+
+
+@pytest.mark.parametrize("radial_tol", [1e-300, 1e-15, 1e-13, 1e-10])
+def test_block_pass_stalls_where_the_one_alpha_calls_do(lap, radial_tol):
+    vs = (sectors.es_cos_sum, sectors.w_os_sq, sectors.es_one)
+    spec = dataclasses.replace(default_spec(lap), radial_tol=radial_tol)
+    stall = _first_stall(lap, vs, BLOCK_ALPHAS, spec)
+    if stall is None:
+        torus_quad._integrate_block(lap, vs, BLOCK_ALPHAS, spec)
+        return
+    alpha, name = stall
+    with pytest.raises(NoConvergence, match=rf"alpha = {alpha:g}, k = 1, weight {name}\)$"):
+        torus_quad._integrate_block(lap, vs, BLOCK_ALPHAS, spec)
