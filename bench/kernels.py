@@ -40,7 +40,16 @@ A record holds:
   * phase_diagram: a warm 5x5 phase_diagram at mu = 2 over a, b in
     PHASE_GRID on both models, seconds and counts;
   * sweep: two cycles of perfbench's spectrum-sweep inputs at seed 1 (20
-    warm Laplacian solves), seconds, counts, roots and integrals per root;
+    warm Laplacian solves), seconds, counts, roots and integrals and far
+    passes per root (every search point is one far pass);
+  * proxy: per model of PROXY_MODELS the build of the root search's
+    Chebyshev table (determinant._proxies, node arrays warm), the block
+    pass over the table's alphas (torus_quad._integrate_block) and the loop
+    of one-alpha slopes calls over the same alphas, ms each over REPEATS
+    runs (null where the package has no table or block pass); a warm
+    8-point eigenvalue_curve in os on the Laplacian and stepped:0.5
+    (CURVES), seconds and counts; and a cold solve(laplacian, 1, 3, 1)
+    with every node set and constant cleared, seconds and counts;
   * oracle: the finite-box oracle's (1, 3, 1) Laplacian boxes at
     ORACLE_LS (build and sector_count_above each, then extrapolate) and
     the criterion-9 box at L = 80 for the multiplicity-two construction at
@@ -104,6 +113,8 @@ ALPHAS = (0.0, 1e-13, 1e-6, 1.0, 20.0)
 COLD_MODELS = ("stepped:0.5", "piecewise:0.5", "next-nearest:0.1")
 NODE_MODELS = ("laplacian", *COLD_MODELS, "diagonal-hop:0.1")
 COUNTERS = ("integrals", "fills", "far_passes")
+PROXY_MODELS = ("laplacian", "stepped:0.5", "diagonal-hop:0.1")
+CURVES = {"laplacian": (1.5, 3.0), "stepped:0.5": (0.9, 1.5)}   # os, b = 1
 # torus_quad function -> (counter, its increment per call)
 COUNTED = {"_near_values": ("integrals", lambda args: len(args[2])),
            "_far_values": ("far_passes", lambda args: 1)}
@@ -518,7 +529,48 @@ def measure(src):
     tally = {key: sum(t[key] for _, t, _ in ran) for key in COUNTERS}
     sweep_row = {"seed": SWEEP_SEED, "cycles": SWEEP_CYCLES, "solves": len(ops),
                  "seconds": sum(dt for dt, _, _ in ran), "roots": roots, **tally,
-                 "integrals_per_root": tally["integrals"] / roots}
+                 "integrals_per_root": tally["integrals"] / roots,
+                 "far_passes_per_root": tally["far_passes"] / roots}
+
+    def runs_ms(run):
+        run()
+        times = [1e3 * t for t in _run_times(run, REPEATS)]
+        return {"median_ms": statistics.median(times), "runs_ms": times}
+
+    proxy = {}
+    for name in PROXY_MODELS:
+        model = _model(dispersion, name)
+        if not hasattr(determinant, "_proxies"):
+            proxy[name] = None
+            continue
+        fine = _node_sets(torus_quad, model)[0]
+        table = determinant._proxies(model, None)
+        alphas = np.exp(table.s)
+
+        def build(model=model, fine=fine):
+            fine.tables.clear()
+            return determinant._proxies(model, None)
+
+        proxy[name] = {
+            "weights": len(table.weights), "alphas": len(alphas),
+            "table": runs_ms(build),
+            "block_pass": runs_ms(lambda m=model, t=table, a=alphas:
+                                  torus_quad._integrate_block(m, t.weights, a)),
+            "alpha_loop": runs_ms(lambda m=model, t=table, a=alphas: [
+                torus_quad._integrate(m, t.weights, float(al), 1, slopes=True)
+                for al in a])}
+    curves = {name: timed_with_count(lambda m=models[name], w=window: spectrum.eigenvalue_curve(
+                  m, "os", 1.0, 1.0, np.linspace(*w, 8)))
+              for name, window in CURVES.items()}
+
+    def cold_solve():
+        torus_quad._far_grids.cache_clear()
+        thresholds.gammas.cache_clear()
+        return spectrum.solve(lap, 1.0, 3.0, 1.0)
+
+    proxy_row = {"models": proxy, "curves": curves,
+                 "cold solve laplacian (1.0, 3.0, 1.0)": timed_with_count(cold_solve)}
+    torus_quad._far_grids.cache_clear()
 
     src_lines, reexports = _surface(src / "lattice_spectra")
     return {"git_revision": _git(src, "rev-parse", "HEAD"),
@@ -531,7 +583,7 @@ def measure(src):
             "solve": solves,
             "phase_diagram": {"mu": PHASE_MU, "a_grid": PHASE_GRID,
                               "b_grid": PHASE_GRID, "runs": grids},
-            "sweep": sweep_row,
+            "sweep": sweep_row, "proxy": proxy_row,
             "oracle": _oracle_rows(lattice_oracle, spectrum, dispersion)}
 
 
